@@ -58,6 +58,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _precision_bits(text: str) -> int:
+    try:
+        return zeta_mod.parse_precision_bits(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _degree_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -271,7 +278,11 @@ def _cmd_zeta(args) -> int:
         return 1
     rh = None
     if args.rh:
-        rh = rh_check(p1, args.tolerance, args.precision_bits)
+        try:
+            rh = rh_check(p1, args.tolerance, args.precision_bits)
+        except RHConvergenceError as exc:
+            print(f"error: rh: {exc}", file=sys.stderr)
+            return 1
     if args.format == "json":
         payload = {
             "input": label,
@@ -431,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     zp.add_argument("-q", type=_fraction)
     zp.add_argument("--rh", action="store_true")
     zp.add_argument("--tolerance", type=float, default=1e-9)
-    zp.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
+    zp.add_argument("--precision-bits", type=_precision_bits,
+                    default=DEFAULT_PRECISION_BITS)
     zp.add_argument("--format", choices=("text", "json", "latex"), default="text")
     zp.set_defaults(func=_cmd_zeta)
 
@@ -439,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--family", choices=fam_names, required=True)
     scan.add_argument("-n", type=_degree_range, required=True, metavar="MIN..MAX")
     scan.add_argument("--tolerance", type=float, default=1e-9)
-    scan.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
+    scan.add_argument("--precision-bits", type=_precision_bits,
+                      default=DEFAULT_PRECISION_BITS)
     scan.add_argument("--strict", action="store_true",
                       help="conjecture failures also exit nonzero")
     scan.add_argument("--format", choices=("text", "json"), default="text")

@@ -4,9 +4,10 @@ MDS enumerators, star operators and the theorem-level identity verifiers.
 The zeta polynomial is extracted by two independent exact routes: a direct
 linear solve against the generating-function definition, and a triangular
 expansion over MDS enumerators.  Both must agree; the comparison is kept as a
-permanent cross-oracle.  Root location is the only numerical step and uses
-arbitrary-precision Aberth iteration with deterministic seeding and precision
-escalation.
+permanent cross-oracle.  Root location is the only numerical step: Aberth
+iteration with deterministic seeding, first in hardware doubles and then in
+arbitrary precision with warm-started precision escalation and a residual
+check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, inf, isfinite
 
 import mpmath as mp
 
@@ -59,12 +60,39 @@ __all__ = [
 ]
 
 
-DEFAULT_PRECISION_BITS = int(os.environ.get("FWENUM_PRECISION_BITS", "128"))
 _PRECISION_CEILING_BITS = 8192
+# hardware doubles; the root finder's first stage runs at this precision
+MIN_PRECISION_BITS = 53
+# the first pass and its confirming pass at twice the bits fit under the ceiling
+MAX_PRECISION_BITS = _PRECISION_CEILING_BITS // 2
+
+
+def parse_precision_bits(text: str) -> int:
+    """A working precision for `rh_check` read from text: an integer in
+    [MIN_PRECISION_BITS, MAX_PRECISION_BITS]; raises ValueError otherwise."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(
+            f"{bits} is outside [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]")
+    return bits
+
+
+def _default_precision_bits() -> int:
+    try:
+        return parse_precision_bits(os.environ.get("FWENUM_PRECISION_BITS", "128"))
+    except ValueError as exc:
+        raise ValueError(f"environment variable FWENUM_PRECISION_BITS: {exc}") from None
+
+
+DEFAULT_PRECISION_BITS = _default_precision_bits()
 
 
 class RHConvergenceError(RuntimeError):
-    """Root refinement failed to stabilise below the precision ceiling."""
+    """Root refinement did not converge: the root set did not stabilise below
+    the precision ceiling, or it stabilised with residuals that are not small."""
 
 
 # -- zeta polynomial ------------------------------------------------------------
@@ -335,66 +363,93 @@ def _integerise(coeffs: list[Fraction]) -> list[int]:
 
 
 def _horner(coeffs, z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
 
-def _aberth_pass(int_coeffs: list[int], radius, max_iter: int):
-    """One Aberth-Ehrlich run at the current mp precision; returns root list.
+def _abs2(z):
+    # squared modulus from basic operations only: abs(complex) calls the
+    # platform's hypot, whose last bit may differ between libm versions
+    return z.real * z.real + z.imag * z.imag
 
-    Seeds sit on the target circle at angles (k + golden_ratio_frac)/deg so
-    runs are deterministic and no seed hits a real root by accident.
+
+def _aberth_pass(coeffs, z, bits: int, max_iter: int):
+    """Aberth-Ehrlich refinement of all roots of `coeffs` (ascending) from
+    the starting points `z`; returns the new root list sorted by (re, im).
+
+    The one loop serves two number types.  With Python floats and `complex`
+    (`bits` = 53) it uses only IEEE basic operations, so it gives the same
+    result on every platform.  With mpmath mpf and mpc it runs at the current
+    mp precision (`bits` = mp.prec).  The stop and stall thresholds follow
+    from `bits`: a step below 2^(10 - bits) ends the pass, and so do three
+    steps below 2^(-bits/2) that no longer shrink.
     """
-    deg = len(int_coeffs) - 1
-    coeffs = [mp.mpf(c) for c in int_coeffs]
+    deg = len(z)
+    z = list(z)
     deriv = [coeffs[i] * i for i in range(1, deg + 1)]
-    offset = (mp.sqrt(5) - 1) / 2
-    z = [
-        radius * mp.expjpi(2 * (mp.mpf(k) + offset) / deg)
-        for k in range(deg)
-    ]
-    stop = mp.mpf(2) ** (-mp.mp.prec + 10)
+    two = type(coeffs[-1])(2)
+    stop2 = two ** (2 * (10 - bits))
     # steps bottom out at the evaluation noise floor, usually above `stop`;
     # once they are below half precision and no longer shrinking we are done
-    coarse = mp.mpf(2) ** (-mp.mp.prec // 2)
-    best_step = mp.inf
+    coarse2 = two ** (2 * (-bits // 2))
+    nudge = 1 + two ** (-bits // 2)
+    best2 = inf
     stalled = 0
     for _ in range(max_iter):
-        max_step = mp.mpf(0)
+        max2 = 0
         for k in range(deg):
-            pz = _horner(coeffs, z[k])
-            dpz = _horner(deriv, z[k])
+            zk = z[k]
+            pz = _horner(coeffs, zk)
+            dpz = _horner(deriv, zk)
             if dpz == 0:
-                z[k] = z[k] * (1 + mp.mpf(2) ** (-mp.mp.prec // 2))
-                max_step = abs(z[k])
+                z[k] = zk * nudge
+                max2 = _abs2(z[k])
                 continue
             newton = pz / dpz
-            s = mp.mpc(0)
+            s = 0
             for j in range(deg):
                 if j != k:
-                    s += 1 / (z[k] - z[j])
+                    s += 1 / (zk - z[j])
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
-            z[k] = z[k] - w
-            step = abs(w)
-            if step > max_step:
-                max_step = step
-        if max_step < stop:
+            z[k] = zk - w
+            step2 = _abs2(w)
+            if step2 > max2:
+                max2 = step2
+        if max2 < stop2:
             break
-        if max_step < coarse:
-            if max_step >= best_step:
+        if max2 < coarse2:
+            if max2 >= best2:
                 stalled += 1
                 if stalled >= 3:
                     break
             else:
                 stalled = 0
-        if max_step < best_step:
-            best_step = max_step
+        if max2 < best2:
+            best2 = max2
     # (re, im) ordering is stable under tiny perturbations of real roots,
     # unlike sorting by argument (discontinuous at the negative real axis)
     z.sort(key=lambda t: (t.real, t.imag))
+    return z
+
+
+def _float_roots(int_coeffs: list[int], seeds, max_iter: int):
+    """Roots from a cold Aberth pass in hardware doubles, or None when the
+    doubles cannot represent the problem or the pass did not separate the
+    roots into finite, pairwise distinct points."""
+    scale = max(abs(c) for c in int_coeffs)
+    coeffs = [c / scale for c in int_coeffs]  # correctly rounded, never overflows
+    if coeffs[0] == 0 or coeffs[-1] == 0:
+        return None
+    try:
+        z = _aberth_pass(coeffs, [complex(s) for s in seeds], 53, max_iter)
+    except ZeroDivisionError:  # two points met exactly
+        return None
+    finite = all(isfinite(t.real) and isfinite(t.imag) for t in z)
+    if not finite or len(set(z)) != len(z):
+        return None
     return z
 
 
@@ -415,36 +470,70 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
              precision_bits: int | None = None) -> RHReport:
     """Locate all roots of P and test |root| = 1/sqrt(q) within `tolerance`.
 
-    Precision starts at `precision_bits` (default from FWENUM_PRECISION_BITS
-    or 128) and doubles until two consecutive root sets agree to tolerance/10;
-    exceeding the ceiling raises RHConvergenceError rather than passing
-    silently.
+    Seeds: deg P points at angles 2*pi*(k + golden_ratio_frac)/deg on the
+    circle of radius 1.1/sqrt(q), computed with mpmath.  They sit off the
+    target circle because the functional equation makes inversion in that
+    circle a symmetry of P, which maps the Aberth iteration to itself: points
+    started on the circle stay on it and never reach roots that lie off it.
+
+    Float stage: a cold Aberth pass in hardware doubles, on the coefficients
+    scaled by the largest one, finds the roots to about 53 bits.  It is
+    skipped when a scaled end coefficient rounds to 0, and its result is
+    discarded when the roots are not finite or not pairwise distinct; the
+    first mpmath pass then starts cold from the same seeds.
+
+    Precision ladder: mpmath passes at `precision_bits` (default from
+    FWENUM_PRECISION_BITS or 128), then twice that and so on, each warm
+    started from the previous pass's roots, until two consecutive root sets
+    agree to tolerance/10.  Exceeding the 8192-bit ceiling raises
+    RHConvergenceError rather than passing silently.
+
+    Residual certificate: a stable root set is accepted only if
+    max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i at the final precision
+    `prec`; otherwise RHConvergenceError is raised, since a warm-started pass
+    that stalls on non-roots would otherwise look stable.
     """
     coeffs = list(p.coeffs)
     deg = unipoly.degree(coeffs)
     if deg < 1:
         raise ValueError("rh_check needs deg P >= 1")
+    prec = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
+    if not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
+        raise ValueError(f"rh_check needs precision_bits in "
+                         f"[{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {prec}")
     int_coeffs = _integerise(coeffs[: deg + 1])
-    prec = precision_bits or DEFAULT_PRECISION_BITS
+    max_iter = 60 + 12 * deg
     qf = p.q
+    with mp.workprec(prec):
+        radius = 11 / (10 * mp.sqrt(mp.mpf(qf.numerator) / qf.denominator))
+        offset = (mp.sqrt(5) - 1) / 2
+        seeds = [radius * mp.expjpi(2 * (k + offset) / deg) for k in range(deg)]
+    roots = _float_roots(int_coeffs, seeds, max_iter) or seeds
     previous = None
     while True:
         with mp.workprec(prec):
-            radius = 1 / mp.sqrt(mp.mpf(qf.numerator) / qf.denominator)
-            roots = _aberth_pass(int_coeffs, radius, max_iter=60 + 12 * deg)
+            mp_coeffs = [mp.mpf(c) for c in int_coeffs]
+            roots = _aberth_pass(mp_coeffs, [mp.mpc(t) for t in roots], prec,
+                                 max_iter)
             if previous is not None and _roots_stable(
                 previous, roots, mp.mpf(tolerance) / 10
             ):
-                target = radius
+                max_res = max(abs(_horner(mp_coeffs, z)) for z in roots)
+                abs_coeffs = [abs(c) for c in mp_coeffs]
+                scale = max(_horner(abs_coeffs, abs(z)) for z in roots)
+                if max_res > mp.ldexp(scale, -prec // 2):
+                    raise RHConvergenceError(
+                        f"root set stable at {prec} bits, but max |P(z)| = "
+                        f"{mp.nstr(max_res / scale, 5)} * max sum |c_i| |z|^i "
+                        f"exceeds 2^-{prec // 2}"
+                    )
+                target = 1 / mp.sqrt(mp.mpf(qf.numerator) / qf.denominator)
                 max_dev = max(abs(abs(z) - target) for z in roots)
-                max_res = max(abs(_horner([mp.mpf(c) for c in int_coeffs], z))
-                              for z in roots)
-                lead = abs(mp.mpf(int_coeffs[-1]))
                 return RHReport(
                     roots=tuple(roots),
                     target_modulus=float(target),
                     max_abs_deviation=float(max_dev),
-                    max_residual=float(max_res / lead),
+                    max_residual=float(max_res / abs_coeffs[-1]),
                     passed=bool(max_dev < mp.mpf(tolerance)),
                     tolerance=tolerance,
                     precision_bits=prec,

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from fwenum import cli
 from fwenum.cli import main, scan_family
 from fwenum.families import extremal, family
 from fwenum.homopoly import parse_poly
@@ -76,6 +79,28 @@ class TestZetaCommand:
         code, out, _ = run(capsys, "zeta", "--family", "q43", "--extremal",
                            "-n", "12", "--format", "latex")
         assert code == 0 and out.startswith("P(T) = \\frac{64}{729}T^{6}")
+
+    def test_rh_convergence_error_reported(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise cli.RHConvergenceError("root set did not stabilise")
+
+        monkeypatch.setattr(cli, "rh_check", refuse)
+        code, out, err = run(capsys, "zeta", "--family", "type1", "--extremal",
+                             "-n", "8", "--rh")
+        assert code == 1 and out == ""
+        assert err == "error: rh: root set did not stabilise\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["zeta", "--family", "type1", "-n", "8", "--rh"],
+    ["scan", "--family", "type1", "-n", "8"],
+])
+@pytest.mark.parametrize("bits", ["0", "-8", "52", "4097", "10000", "abc", "1e3"])
+def test_precision_bits_validated(capsys, command, bits):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--precision-bits", bits])
+    assert exc.value.code == 2
+    assert "argument --precision-bits" in capsys.readouterr().err
 
 
 class TestScan:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
+import fwenum
 from fwenum import unipoly
 from fwenum.families import extremal, family, generator
 from fwenum.homopoly import (
@@ -18,6 +22,7 @@ from fwenum.homopoly import (
 )
 from fwenum.zeta import (
     DIFF_OPERATORS,
+    RHConvergenceError,
     ZetaPoly,
     functional_equation_check,
     mds_enumerator,
@@ -211,6 +216,39 @@ class TestRHCheck:
         # roots 1/2 and 1/8: not on the q = 2 circle
         r = rh_check(ZetaPoly((F(1), F(-10), F(16)), 2), 1e-9)
         assert not r.passed and r.max_abs_deviation > 0.1
+
+    @pytest.mark.parametrize("coeffs", [
+        # roots -1/2, -1 and 1/2, 1: the functional equation holds, so
+        # inversion in the circle |T| = 1/sqrt(2) swaps them, and points
+        # seeded on that circle would stay on it
+        (1, 3, 2),
+        (1, -3, 2),
+        # 1 / 2^2200 rounds to 0 in doubles, so the float stage is skipped;
+        # the roots are +-i * 2^-1100, far inside the circle
+        (1, 0, 2 ** 2200),
+    ])
+    def test_roots_off_the_circle_never_pass(self, coeffs):
+        try:
+            r = rh_check(ZetaPoly(coeffs, 2), 1e-9)
+        except RHConvergenceError:
+            return
+        assert not r.passed
+
+    @pytest.mark.parametrize("bits", [0, -8, 52, 4097])
+    def test_precision_out_of_range_rejected(self, bits):
+        with pytest.raises(ValueError, match="precision_bits"):
+            rh_check(ZetaPoly((F(1), F(-2), F(2)), 2), 1e-9, bits)
+
+    def test_bad_precision_environment_named(self):
+        src = os.path.dirname(os.path.dirname(fwenum.__file__))
+        for value in ("abc", "40"):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import fwenum.zeta"],
+                env=dict(os.environ, PYTHONPATH=src, FWENUM_PRECISION_BITS=value),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode != 0
+            assert "FWENUM_PRECISION_BITS" in proc.stderr.splitlines()[-1]
 
     def test_negative_real_root_stability(self):
         # this zeta polynomial has the exact root T = -sqrt(3)/2; the root
