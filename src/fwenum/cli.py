@@ -39,8 +39,7 @@ from .zeta import (
     verify_extremal_diff_identity,
     verify_star,
     verify_zeta_binomial_identity,
-    zeta_from_genfunc,
-    zeta_from_mds,
+    zeta_checked,
 )
 
 GROUP_FOR_FAMILY = {
@@ -260,20 +259,23 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    if args.poly:
-        if args.q is None:
-            raise SystemExit("zeta --poly needs -q")
-        w, q = parse_poly(args.poly), args.q
-        label = "input"
-    else:
-        fam = family(args.family)
-        if args.n is None:
-            raise SystemExit("zeta --family needs -n")
-        w, q = extremal(fam, args.n), fam.q
-        label = f"{fam.name} extremal n={args.n}"
-    p1 = zeta_from_genfunc(w, q)
-    p2 = zeta_from_mds(w, q)
-    if p1 != p2:
+    try:
+        if args.poly:
+            if args.q is None:
+                raise SystemExit("zeta --poly needs -q")
+            w, q = parse_poly(args.poly), args.q
+            label = "input"
+        else:
+            fam = family(args.family)
+            if args.n is None:
+                raise SystemExit("zeta --family needs -n")
+            w, q = extremal(fam, args.n), fam.q
+            label = f"{fam.name} extremal n={args.n}"
+        p1 = zeta_checked(w, q)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError:
         print("error: zeta method disagreement", file=sys.stderr)
         return 1
     rh = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from . import linalg
+from . import linalg, unipoly
 from .homopoly import HomPoly, parse_poly, transform_sign, weight_profile, WeightProfile
 
 __all__ = [
@@ -365,22 +365,6 @@ def _inverse_power_series(alpha: int, k: int, terms: int) -> list[Fraction]:
     return out
 
 
-def _poly_series(coeffs: list[Fraction], terms: int) -> list[Fraction]:
-    out = list(coeffs[:terms])
-    out += [Fraction(0)] * (terms - len(out))
-    return out
-
-
-def _series_mul(p, q, terms):
-    out = [Fraction(0)] * terms
-    for i, a in enumerate(p[:terms]):
-        if a:
-            for j, b in enumerate(q[: terms - i]):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 def burmann_coefficient(fam: FamilySpec, mu: int, nu: int | None = None) -> Fraction:
     """First uncancelled weight coefficient A_(2*mu+2) from the series formula.
 
@@ -395,9 +379,8 @@ def burmann_coefficient(fam: FamilySpec, mu: int, nu: int | None = None) -> Frac
         k = 2 * mu + 2
         # (1 + x/3)^(5 - nu) is a polynomial
         top = [comb(5 - nu, j) * Fraction(1, 3**j) for j in range(5 - nu + 1)]
-        series = _poly_series(top, terms)
-        series = _series_mul(series, _inverse_power_series(1, k, terms), terms)
-        series = _series_mul(series, _inverse_power_series(9, k, terms), terms)
+        series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
+        series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
         deriv = series[mu] * factorial(mu)
         value = Fraction(9 ** k * (6 * mu + nu), 3 * factorial(mu + 1)) * deriv
         if value <= 0:
@@ -408,9 +391,8 @@ def burmann_coefficient(fam: FamilySpec, mu: int, nu: int | None = None) -> Frac
             raise ValueError("q43-odd oracle needs mu >= 2")
         k = 2 * mu + 2
         top = [Fraction(5), Fraction(-10, 3), Fraction(1, 9)]
-        series = _poly_series(top, terms)
-        series = _series_mul(series, _inverse_power_series(1, k, terms), terms)
-        series = _series_mul(series, _inverse_power_series(9, k, terms), terms)
+        series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
+        series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
         deriv = series[mu] * factorial(mu)
         value = -Fraction(9 ** k * (2 * mu + 1), factorial(mu + 1)) * deriv
         if value >= 0:

@@ -13,8 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from math import gcd, lcm
 
 from . import unipoly
 from .scalar import (
@@ -231,9 +230,6 @@ class Mat2:
             raise ZeroDivisionError("matrix is singular")
         return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
 
-    def scaled(self, s) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
-
 
 def sigma_q(q: Rational) -> Mat2:
     """MacWilliams matrix (1/sqrt(q)) [[1, q-1], [1, -1]]."""
@@ -251,48 +247,46 @@ TAU = Mat2(1, 0, 0, -1)
 # -- matrix action ------------------------------------------------------------
 
 
-def _linear_form_power(a, b, k: int) -> list:
-    """Coefficient list of (a*x + b*y)^k, indexed by the y-exponent."""
-    apow = [_norm_scalar(1)]
-    bpow = [_norm_scalar(1)]
-    for _ in range(k):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    return [comb(k, j) * apow[k - j] * bpow[j] for j in range(k + 1)]
+def _times_linear(p: list, a, b) -> list:
+    """Coefficients of p * (a x + b y), both indexed by the y-exponent."""
+    return [a * p[0], *[a * u + b * v for u, v in zip(p[1:], p)], b * p[-1]]
 
 
-@lru_cache(maxsize=64)
-def _monomial_images(sigma: Mat2, n: int) -> tuple:
-    """Images of the degree-n monomials x^(n-i) y^i under sigma, as coeff tuples."""
-    pow1 = [_linear_form_power(sigma.a, sigma.b, k) for k in range(n + 1)]
-    pow2 = [_linear_form_power(sigma.c, sigma.d, k) for k in range(n + 1)]
-    images = []
-    for i in range(n + 1):
-        u, v = pow1[n - i], pow2[i]
-        out = [Fraction(0)] * (n + 1)
-        for s, cu in enumerate(u):
-            if not cu:
-                continue
-            for t, cv in enumerate(v):
-                if cv:
-                    out[s + t] = out[s + t] + cu * cv
-        images.append(tuple(out))
-    return tuple(images)
+def _act_horner(coeffs, a, b, c, d, one) -> list:
+    """Coefficients of sum(coeffs[i] U^(n-i) V^i) with U = a x + b y and
+    V = c x + d y, by Horner in V: acc_k = acc_(k-1) V + coeffs[n-k] U^k.
+
+    O(n^2) ring operations on whatever scalars are passed in: Python ints on
+    the rational path of `act_matrix`, Fraction / QuadElem otherwise.
+    """
+    n = len(coeffs) - 1
+    acc = [coeffs[n]]
+    upow = [one]
+    for k in range(1, n + 1):
+        upow = _times_linear(upow, a, b)
+        acc = _times_linear(acc, c, d)
+        ck = coeffs[n - k]
+        if ck:
+            acc = [s + ck * u for s, u in zip(acc, upow)]
+    return acc
 
 
 def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
-    """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected."""
+    """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
+
+    When sigma and f are rational, both are scaled to integers, the expansion
+    runs on Python ints and the common denominator is divided out once.
+    """
     n = f.degree
-    images = _monomial_images(sigma, n)
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        img = images[i]
-        for k in range(n + 1):
-            if img[k]:
-                out[k] = out[k] + c * img[k]
-    return HomPoly(n, out)
+    entries = (sigma.a, sigma.b, sigma.c, sigma.d)
+    if f.is_rational() and all(isinstance(e, Fraction) for e in entries):
+        den_s = lcm(*(e.denominator for e in entries))
+        den_f = lcm(*(c.denominator for c in f.coeffs))
+        ints = [e.numerator * (den_s // e.denominator) for e in entries]
+        coeffs = [c.numerator * (den_f // c.denominator) for c in f.coeffs]
+        scale = den_f * den_s**n
+        return HomPoly(n, [Fraction(v, scale) for v in _act_horner(coeffs, *ints, 1)])
+    return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
 
 
 def macwilliams(f: HomPoly, q: Rational) -> HomPoly:

@@ -22,7 +22,7 @@ from math import comb, gcd, inf, isfinite
 
 import mpmath as mp
 
-from . import linalg, unipoly
+from . import unipoly
 from .families import FamilySpec, extremal, family, member_with_min_weight
 from .homopoly import (
     HomPoly,
@@ -34,7 +34,7 @@ from .homopoly import (
     pochhammer,
     weight_profile,
 )
-from .scalar import sqrt_rational
+from .scalar import simplify, sqrt_rational
 
 __all__ = [
     "ZetaPoly",
@@ -181,39 +181,30 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
 
     The T^(n-d) coefficient of P(T) (y(1-T) + xT)^n / ((1-T)(1-qT)) is forced
     to equal (W - x^n)/(q - 1); that is n + 1 scalar equations for the n-d+1
-    unknown coefficients, solved exactly with the surplus equations asserted
-    consistent.
+    unknown coefficients.  The equation for y^i x^(n-i) involves only p_k
+    with k <= i - d, with coefficient C(n, i) s_(i-d-k), where s is the series
+    of (1-T)^(i-1)/(1-qT); so the equations for i = d..n are triangular with
+    diagonal C(n, i) and are solved by forward substitution, while those for
+    i < d carry no unknown and are asserted consistent.
     """
     q = Fraction(q)
     profile = _profile_for_zeta(w, q)
     n, d = w.degree, profile.d
-    r = n - d
-    # e[s] = 1 + q + ... + q^s
-    e = [Fraction(1)]
-    for _ in range(n):
-        e.append(e[-1] * q + 1)
-
-    def c_mj(m: int, j: int) -> Fraction:
-        if m - j < 0:
-            return Fraction(0)
-        acc = Fraction(0)
-        for t in range(0, min(n - j, m - j) + 1):
-            term = comb(n - j, t) * e[m - j - t]
-            acc += -term if t % 2 else term
-        return comb(n, j) * acc
-
-    rows, rhs = [], []
-    for i in range(n + 1):  # i = y-exponent, j = n - i
-        j = n - i
-        rows.append([c_mj(n - d - k, j) for k in range(r + 1)])
-        target = w.coeffs[i] - (1 if i == 0 else 0)
-        rhs.append(Fraction(target) / (q - 1))
-    solution, unique = linalg.solve(rows, rhs)
-    if solution is None:
+    if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
-    if not unique:
-        raise AssertionError("zeta system is underdetermined")
-    return ZetaPoly(tuple(solution), q, n=n, d=d)
+    p = []
+    for k in range(n - d + 1):
+        i = d + k
+        # s_t = q s_(t-1) + (-1)^t C(i-1, t): series of (1-T)^(i-1)/(1-qT)
+        s = [Fraction(1)]
+        for t in range(1, k + 1):
+            term = comb(i - 1, t)
+            s.append(q * s[-1] + (-term if t % 2 else term))
+        acc = w.coeffs[i] / ((q - 1) * comb(n, i))
+        for t in range(1, k + 1):
+            acc -= s[t] * p[k - t]
+        p.append(acc)
+    return ZetaPoly(tuple(p), q, n=n, d=d)
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -227,17 +218,28 @@ class MDSEnumerator:
     poly: HomPoly
 
 
-@lru_cache(maxsize=8192)
 def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
-    """Weight distribution of the [n, n-d+1, d] MDS code; d = n+1 gives x^n."""
+    """Weight distribution of the [n, n-d+1, d] MDS code; d = n+1 gives x^n.
+
+    A_w = C(n, w) sum_j (-1)^j C(w, j) (q^(m-j) - 1) with m = w - d + 1; with
+    q = a/b each sum is the integer sum_j (-1)^j C(w, j) (a^(m-j) b^j - b^m)
+    divided by b^m.
+    """
+    a, b = q.numerator, q.denominator
+    apow, bpow = [1], [1]
+    for _ in range(n - d + 1):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[0] = Fraction(1)
     for w_ in range(d, n + 1):
-        acc = Fraction(0)
-        for j in range(w_ - d + 1):
-            term = comb(w_, j) * (q ** (w_ - d + 1 - j) - 1)
+        m = w_ - d + 1
+        acc, binom = 0, 1  # binom = C(w_, j)
+        for j in range(m):
+            term = binom * (apow[m - j] * bpow[j] - bpow[m])
             acc += -term if j % 2 else term
-        coeffs[w_] = comb(n, w_) * acc
+            binom = binom * (w_ - j) // (j + 1)
+        coeffs[w_] = Fraction(comb(n, w_) * acc, bpow[m])
     return HomPoly(n, coeffs)
 
 
@@ -313,14 +315,14 @@ def functional_equation_check(p: ZetaPoly) -> int | None:
         return coeffs[i] if 0 <= i <= r else Fraction(0)
 
     root, _ = sqrt_rational(p.q)
+    top = simplify(root**two_g)
     for sign in (1, -1):
-        ok = True
+        factor = top  # root^(2g - 2i)
         for i in range(0, max(r, two_g) + 1):
-            factor = root ** (two_g - 2 * i)
             if pc(two_g - i) != sign * factor * pc(i):
-                ok = False
                 break
-        if ok:
+            factor = factor / p.q
+        else:
             return sign
     return None
 

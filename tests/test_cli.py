@@ -91,6 +91,19 @@ class TestZetaCommand:
         assert err == "error: rh: root set did not stabilise\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--poly", "x^4 + y", "-q", "2"], "terms of mixed total degree [1, 4]"),
+    (["--poly", "2*x^4 + y^4", "-q", "2"], "enumerator must be monic in x^n"),
+    (["--poly", "x^4 + x^3*y", "-q", "2"],
+     "zeta extraction needs d, d_perp >= 2; got d = 1, d_perp = 1"),
+    (["--family", "type1", "-n", "7"], "family type1 has no members of degree 7"),
+], ids=["mixed-degree", "not-monic", "d-is-1", "no-members"])
+def test_zeta_bad_input_reported(capsys, argv, message):
+    code, out, err = run(capsys, "zeta", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["zeta", "--family", "type1", "-n", "8", "--rh"],
     ["scan", "--family", "type1", "-n", "8"],

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwenum.homopoly import (
     HomPoly,
@@ -40,6 +40,23 @@ def invertible_mats(draw):
         # force det = 1 while keeping the off-diagonal entries
         m = Mat2(1, m.b, m.c, 1 + m.b * m.c)
     return m
+
+
+@st.composite
+def quad_mats(draw):
+    """A matrix over Q(sqrt(D)) and a scalar strategy for the same field."""
+    rad = draw(st.sampled_from([2, 3, 5]))
+    scalars = st.builds(lambda a, b: QuadElem(a, b, rad), fractions, fractions)
+    return Mat2(*[draw(scalars) for _ in range(4)]), scalars
+
+
+def naive_action(f, m):
+    """sum(c_i (a x + b y)^(n-i) (c x + d y)^i) by HomPoly powers and products."""
+    u, v = HomPoly(1, [m.a, m.b]), HomPoly(1, [m.c, m.d])
+    out = HomPoly.zero(f.degree)
+    for i, c in enumerate(f.coeffs):
+        out = out + u ** (f.degree - i) * v ** i * c
+    return out
 
 
 class TestParsePrint:
@@ -99,6 +116,19 @@ class TestActMatrix:
     def test_linearity(self, f, g, s):
         g = HomPoly(f.degree, (list(g.coeffs) + [Fraction(0)] * 9)[: f.degree + 1])
         assert act_matrix(f + g, s) == act_matrix(f, s) + act_matrix(g, s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_polys(max_degree=24), invertible_mats())
+    def test_matches_naive_expansion_rational(self, f, m):
+        assert act_matrix(f, m) == naive_action(f, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 24))
+    def test_matches_naive_expansion_quadratic(self, data, n):
+        m, scalars = data.draw(quad_mats())
+        coeffs = st.one_of(fractions, scalars)
+        f = HomPoly(n, [data.draw(coeffs) for _ in range(n + 1)])
+        assert act_matrix(f, m) == naive_action(f, m)
 
     def test_mixed_extension_rejected(self):
         f = HomPoly(1, [QuadElem(0, 1, 3), Fraction(1)])

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
 import fwenum
-from fwenum import unipoly
+from fwenum import unipoly, zeta as zeta_mod
 from fwenum.families import extremal, family, generator
 from fwenum.homopoly import (
     HomPoly,
@@ -17,8 +17,10 @@ from fwenum.homopoly import (
     act_matrix,
     diff_op,
     divide_exact,
+    macwilliams,
     parse_poly,
     sigma_q,
+    transform_sign,
 )
 from fwenum.zeta import (
     DIFF_OPERATORS,
@@ -102,6 +104,36 @@ class TestZetaExtraction:
         assert obj["q"] == "4/3" and obj["n"] == 12 and obj["d"] == 4
         assert obj["genus"] == "3" and obj["sign"] == 1
         assert obj["coeffs"][0] == "1/27"
+
+
+@pytest.fixture(scope="module", params=[("type1", 140), ("q43", 120)],
+                ids=lambda p: f"{p[0]}-n{p[1]}")
+def high_extremal(request):
+    fam = family(request.param[0])
+    return fam, extremal(fam, request.param[1])
+
+
+class TestHighDegree:
+    def test_macwilliams_involution_and_sign(self, high_extremal):
+        fam, w = high_extremal
+        image = macwilliams(w, fam.q)
+        assert macwilliams(image, fam.q) == w
+        assert transform_sign(w, fam.q) == fam.sign
+
+    def test_zeta_checked_runs_and_matches_both_routes(self, high_extremal,
+                                                       monkeypatch):
+        fam, w = high_extremal
+        results = {}
+        for route in ("zeta_from_genfunc", "zeta_from_mds"):
+            def spy(w_, q_, _route=route, _fn=getattr(zeta_mod, route)):
+                results[_route] = _fn(w_, q_)
+                return results[_route]
+            monkeypatch.setattr(zeta_mod, route, spy)
+        zeta_mod._zeta_checked_cached.cache_clear()
+        p = zeta_checked(w, fam.q)
+        assert set(results) == {"zeta_from_genfunc", "zeta_from_mds"}
+        assert results["zeta_from_genfunc"] == results["zeta_from_mds"] == p
+        assert p.sign == fam.sign and p.degree == w.degree + 2 - 2 * p.d
 
 
 class TestMDS:
