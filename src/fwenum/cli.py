@@ -2,7 +2,9 @@
 
 Exit-code policy: proven invariants that fail (method disagreement, bound or
 functional-equation violations) exit nonzero; failures of the numerically
-scanned conjectures are reported in-band and exit zero unless --strict.
+scanned conjectures are reported in-band and exit zero unless --strict;
+input the library rejects with ValueError prints `error: <message>` to stderr
+and exits 2.
 Reports are byte-identical across runs; timings go to stderr only when
 requested.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -42,19 +45,21 @@ from .zeta import (
     zeta_checked,
 )
 
-GROUP_FOR_FAMILY = {
-    "type1": "g1minus",
-    "type4": "g4minus",
-    "q43-odd": "g43minus",
-    "q43": "g43",
-}
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return value
 
 
 def _precision_bits(text: str) -> int:
@@ -66,10 +71,12 @@ def _precision_bits(text: str) -> int:
 
 def _degree_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+        lo, hi = (int(t) for t in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty degree range {text!r}: MIN > MAX")
+    return lo, hi
 
 
 def _render_poly(poly: HomPoly, fmt: str) -> str:
@@ -259,22 +266,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if args.poly:
+        if args.q is None:
+            raise SystemExit("zeta --poly needs -q")
+        w, q = parse_poly(args.poly), args.q
+        label = "input"
+    else:
+        fam = family(args.family)
+        if args.n is None:
+            raise SystemExit("zeta --family needs -n")
+        w, q = extremal(fam, args.n), fam.q
+        label = f"{fam.name} extremal n={args.n}"
     try:
-        if args.poly:
-            if args.q is None:
-                raise SystemExit("zeta --poly needs -q")
-            w, q = parse_poly(args.poly), args.q
-            label = "input"
-        else:
-            fam = family(args.family)
-            if args.n is None:
-                raise SystemExit("zeta --family needs -n")
-            w, q = extremal(fam, args.n), fam.q
-            label = f"{fam.name} extremal n={args.n}"
         p1 = zeta_checked(w, q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AssertionError:
         print("error: zeta method disagreement", file=sys.stderr)
         return 1
@@ -369,19 +373,19 @@ def _cmd_verify(args) -> int:
         return 0
     if theorem == "molien-basis":
         failures = []
-        for fam_name, group_name in GROUP_FOR_FAMILY.items():
-            fam = family(fam_name)
+        grouped = [fam for fam in fam_mod.FAMILIES.values() if fam.group]
+        for fam in grouped:
             series = matgroup.molien_series(
-                matgroup.named_group(group_name), args.max_degree + 1)
+                matgroup.named_group(fam.group), args.max_degree + 1)
             coeffs = series.series(args.max_degree + 1)
             for n in range(args.max_degree + 1):
                 if coeffs[n] != ring_dimension(fam, n):
-                    failures.append((fam_name, n))
+                    failures.append((fam.name, n))
         if failures:
             print(f"dimension mismatches: {failures}")
             return 1
         print(f"molien/basis dimensions agree for all n <= {args.max_degree} "
-              f"in {len(GROUP_FOR_FAMILY)} groups")
+              f"in {len(grouped)} groups")
         return 0
 
     fam = family(args.family)
@@ -443,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     zp.add_argument("-n", type=int)
     zp.add_argument("-q", type=_fraction)
     zp.add_argument("--rh", action="store_true")
-    zp.add_argument("--tolerance", type=float, default=1e-9)
+    zp.add_argument("--tolerance", type=_tolerance, default=1e-9)
     zp.add_argument("--precision-bits", type=_precision_bits,
                     default=DEFAULT_PRECISION_BITS)
     zp.add_argument("--format", choices=("text", "json", "latex"), default="text")
@@ -452,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="extremal construction + zeta + RH over a degree range")
     scan.add_argument("--family", choices=fam_names, required=True)
     scan.add_argument("-n", type=_degree_range, required=True, metavar="MIN..MAX")
-    scan.add_argument("--tolerance", type=float, default=1e-9)
+    scan.add_argument("--tolerance", type=_tolerance, default=1e-9)
     scan.add_argument("--precision-bits", type=_precision_bits,
                       default=DEFAULT_PRECISION_BITS)
     scan.add_argument("--strict", action="store_true",
@@ -486,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

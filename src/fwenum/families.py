@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from . import linalg, unipoly
@@ -48,9 +49,15 @@ class ExtremalConstructionError(RuntimeError):
     """The cancellation system violated the bound/uniqueness contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """A formal-weight-enumerator family and its invariant-ring data."""
+    """A formal-weight-enumerator family and its invariant-ring data.
+
+    This is the one table of per-family facts.  The bound, the star operator
+    and the degree classes they apply to follow from q, c, parity and the
+    generators; a field holds only what cannot be derived from the others.
+    Specs compare and hash by identity, so they are cheap cache keys.
+    """
 
     name: str
     q: Fraction
@@ -58,8 +65,25 @@ class FamilySpec:
     even_gen: HomPoly  # invariant generator
     odd_gen: HomPoly  # anti-invariant generator
     parity: int  # required parity (mod 2) of the odd_gen exponent
-    sign: int  # MacWilliams sign of the family members
-    ring_degrees: tuple[int, int]  # generator degrees of the full invariant ring
+    # the bound is proven only for n - parity*deg(odd_gen) = 0 mod 2*deg(odd_gen)
+    bound_proven_on_class_only: bool = False
+    has_star: bool = False  # the star operator of zeta.star_operator applies
+    group: str | None = None  # matgroup.named_group whose Molien series counts the ring
+    # divisor base a and operator p of the differential identities (type1, type4)
+    divisor_base: HomPoly | None = None
+    diff_operator: HomPoly | None = None
+
+    @property
+    def sign(self) -> int:
+        """MacWilliams sign of the members: odd_gen is anti-invariant."""
+        return -1 if self.parity else 1
+
+    @property
+    def ring_degrees(self) -> tuple[int, int]:
+        """Generator degrees of the full invariant ring: even_gen and odd_gen
+        when members carry odd powers of odd_gen, even_gen and odd_gen^2
+        otherwise."""
+        return self.even_gen.degree, self.odd_gen.degree * (2 - self.parity)
 
     def bound(self, n: int) -> "Bound":
         return bound(self, n)
@@ -107,23 +131,30 @@ def generator(name: str, q=None) -> HomPoly:
         ) from None
 
 
-def _make_family(name, q, c, even_gen, odd_gen, parity, sign, ring_degrees):
+def _make_family(name, q, c, even_gen, odd_gen, parity, **extra):
     q = Fraction(q)
     if transform_sign(even_gen, q) != 1:
         raise AssertionError(f"{name}: even generator is not invariant")
     if transform_sign(odd_gen, q) != -1:
         raise AssertionError(f"{name}: odd generator is not anti-invariant")
-    return FamilySpec(name, q, c, even_gen, odd_gen, parity, sign, ring_degrees)
+    return FamilySpec(name, q, c, even_gen, odd_gen, parity, **extra)
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "type1": _make_family("type1", 2, 2, _w2(2), _PHI4, 1, -1, (2, 4)),
-    "type4": _make_family("type4", 4, 2, _w2(4), _PHI3, 1, -1, (2, 3)),
-    "q43": _make_family("q43", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 0, 1, (2, 12)),
+    "type1": _make_family(
+        "type1", 2, 2, _w2(2), _PHI4, 1, has_star=True, group="g1minus",
+        divisor_base=parse_poly("x^3*y - x*y^3"),
+        diff_operator=parse_poly("x*y^3 - x^3*y")),
+    "type4": _make_family(
+        "type4", 4, 2, _w2(4), _PHI3, 1, has_star=True, group="g4minus",
+        divisor_base=parse_poly("x^2*y - y^3"),
+        diff_operator=parse_poly("y^3 - 9*x^2*y")),
+    "q43": _make_family("q43", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 0,
+                        has_star=True, group="g43"),
     "q43-odd": _make_family(
-        "q43-odd", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 1, -1, (2, 6)
-    ),
-    "ozeki": _make_family("ozeki", 2, 4, _WH8, _W12, 1, -1, (8, 12)),
+        "q43-odd", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 1,
+        bound_proven_on_class_only=True, group="g43minus"),
+    "ozeki": _make_family("ozeki", 2, 4, _WH8, _W12, 1),
 }
 
 
@@ -138,21 +169,13 @@ def family(name: str) -> FamilySpec:
 
 # -- graded bases -----------------------------------------------------------------
 
-_POWER_CACHE: dict[tuple[str, str, int], HomPoly] = {}
-
-
+@lru_cache(maxsize=1024)
 def _gen_power(fam: FamilySpec, which: str, k: int) -> HomPoly:
-    key = (fam.name, which, k)
-    cached = _POWER_CACHE.get(key)
-    if cached is not None:
-        return cached
     gen = fam.even_gen if which == "even" else fam.odd_gen
-    if k == 0:
-        p = HomPoly.one()
-    else:
-        p = _gen_power(fam, which, k - 1) * gen
-    _POWER_CACHE[key] = p
-    return p
+    if k % 64 == 0:
+        # a direct power every 64 steps keeps the recursion of a cold call shallow
+        return gen ** k
+    return _gen_power(fam, which, k - 1) * gen
 
 
 def basis_exponents(fam: FamilySpec, n: int) -> list[tuple[int, int]]:
@@ -220,20 +243,14 @@ class Bound:
 
 
 def bound(fam: FamilySpec, n: int) -> Bound:
-    """Family bound on d; for q43-odd only n = 6 (mod 12) is proven."""
+    """Family bound d_max = c * floor((n - parity*delta) / (2*delta)) + c, where
+    delta is the degree of the odd generator; where the spec says so it is
+    proven only for n - parity*delta = 0 (mod 2*delta)."""
     if not basis_exponents(fam, n):
         raise ValueError(f"family {fam.name} has no members of degree {n}")
-    if fam.name == "type1":
-        return Bound(2 * ((n - 4) // 8) + 2, True)
-    if fam.name == "type4":
-        return Bound(2 * ((n - 3) // 6) + 2, True)
-    if fam.name == "q43":
-        return Bound(2 * (n // 12) + 2, True)
-    if fam.name == "q43-odd":
-        return Bound(2 * ((n - 6) // 12) + 2, n % 12 == 6)
-    if fam.name == "ozeki":
-        return Bound(4 * ((n - 12) // 24) + 4, True)
-    raise ValueError(f"no bound for family {fam.name}")
+    delta = fam.odd_gen.degree
+    k, r = divmod(n - fam.parity * delta, 2 * delta)
+    return Bound(fam.c * k + fam.c, r == 0 or not fam.bound_proven_on_class_only)
 
 
 def classical_bound(name: str, n: int) -> int:
@@ -245,9 +262,6 @@ def classical_bound(name: str, n: int) -> int:
     raise ValueError(f"no classical bound for {name!r}")
 
 
-_EXTREMAL_CACHE: dict[tuple[str, int], HomPoly] = {}
-
-
 def extremal(fam: FamilySpec, n: int) -> HomPoly:
     """The unique monic member with all weights below the family bound cancelled.
 
@@ -255,10 +269,11 @@ def extremal(fam: FamilySpec, n: int) -> HomPoly:
     asserts that the solution space is one-dimensional, that it can be made
     monic, and that the coefficient at the bound itself is nonzero.
     """
-    key = (fam.name, n)
-    cached = _EXTREMAL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _extremal(fam, n)
+
+
+@lru_cache(maxsize=256)
+def _extremal(fam: FamilySpec, n: int) -> HomPoly:
     elems = basis(fam, n)
     if not elems:
         raise ValueError(f"family {fam.name} has no members of degree {n}")
@@ -284,7 +299,6 @@ def extremal(fam: FamilySpec, n: int) -> HomPoly:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d_max}"
         )
-    _EXTREMAL_CACHE[key] = w
     return w
 
 

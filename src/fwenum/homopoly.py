@@ -474,66 +474,23 @@ def parse_poly(text: str) -> HomPoly:
     return HomPoly(n, coeffs)
 
 
-def _format_term(c: Fraction, xp: int, yp: int) -> str:
-    mono = []
-    if xp:
-        mono.append("x" if xp == 1 else f"x^{xp}")
-    if yp:
-        mono.append("y" if yp == 1 else f"y^{yp}")
-    mono_s = "*".join(mono)
-    cs = str(abs(c))
-    if mono_s and cs == "1":
-        return mono_s
-    if mono_s:
-        return f"{cs}*{mono_s}"
-    return cs
+def _terms(f: HomPoly, latex: bool):
+    n = f.degree
+    sep = "" if latex else "*"
+    for i, c in enumerate(f.coeffs):
+        mono = (unipoly.power_string("x", n - i, latex), unipoly.power_string("y", i, latex))
+        yield c, sep.join(m for m in mono if m)
 
 
 def format_poly(f: HomPoly) -> str:
     """Inverse of parse_poly; round-trips exactly for rational coefficients."""
     if not f.is_rational():
         raise NotRationalError("text form supports rational coefficients only")
-    n = f.degree
-    parts = []
-    for i in range(n + 1):
-        c = f.coeffs[i]
-        if not c:
-            continue
-        term = _format_term(c, n - i, i)
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
+    return unipoly.format_terms(_terms(f, False))
 
 
 def format_poly_latex(f: HomPoly) -> str:
     """LaTeX rendering with \\frac for non-integer coefficients."""
     if not f.is_rational():
         raise NotRationalError("LaTeX form supports rational coefficients only")
-    n = f.degree
-    parts = []
-    for i in range(n + 1):
-        c = f.coeffs[i]
-        if not c:
-            continue
-        mono = ""
-        if n - i:
-            mono += "x" if n - i == 1 else f"x^{{{n - i}}}"
-        if i:
-            mono += "y" if i == 1 else f"y^{{{i}}}"
-        mag = abs(c)
-        if mag.denominator == 1:
-            cs = "" if (mag == 1 and mono) else str(mag)
-        else:
-            cs = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        term = cs + mono if mono else (cs or "1")
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
+    return unipoly.format_terms(_terms(f, True), latex=True)

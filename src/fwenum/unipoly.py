@@ -150,31 +150,43 @@ def series_div(num: list, den: list, terms: int) -> list:
     return out
 
 
-def to_string(p: list, var: str = "T") -> str:
-    """Human-readable form, highest power first."""
-    d = degree(p)
-    if d < 0:
-        return "0"
+def power_string(var: str, k: int, latex: bool = False) -> str:
+    """The monomial var^k: empty for k = 0, var for k = 1, braced in LaTeX."""
+    if k == 0:
+        return ""
+    if k == 1:
+        return var
+    return f"{var}^{{{k}}}" if latex else f"{var}^{k}"
+
+
+def format_terms(terms, latex: bool = False) -> str:
+    """Signed sum of (rational coefficient, monomial string) pairs in the given
+    order, zero coefficients skipped; "0" when nothing is left.
+
+    A coefficient of magnitude 1 is elided before a monomial.  Text mode joins
+    coefficient and monomial with "*" and prints fractions as a/b; LaTeX mode
+    juxtaposes them and prints non-integers as \\frac{a}{b}.
+    """
     parts = []
-    for i in range(d, -1, -1):
-        c = p[i]
+    for c, mono in terms:
         if not c:
             continue
-        if i == 0:
-            mono = ""
-        elif i == 1:
-            mono = var
+        mag = abs(c)
+        if mono and mag == 1:
+            term = mono
+        elif not latex:
+            term = f"{mag}*{mono}" if mono else str(mag)
+        elif mag.denominator == 1:
+            term = f"{mag}{mono}"
         else:
-            mono = f"{var}^{i}"
-        cs = str(c)
-        neg_c = cs.startswith("-")
-        if neg_c:
-            cs = cs[1:]
-        if mono and cs == "1":
-            cs = ""
-        term = f"{cs}*{mono}" if (cs and mono) else (cs or mono)
-        if not parts:
-            parts.append(("-" if neg_c else "") + term)
+            term = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}{mono}"
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + term)
         else:
-            parts.append(("- " if neg_c else "+ ") + term)
-    return " ".join(parts)
+            parts.append(("-" if c < 0 else "") + term)
+    return " ".join(parts) if parts else "0"
+
+
+def to_string(p: list, var: str = "T") -> str:
+    """Human-readable form, highest power first."""
+    return format_terms((p[i], power_string(var, i)) for i in range(len(p) - 1, -1, -1))

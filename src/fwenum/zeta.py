@@ -17,13 +17,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, inf, isfinite
 
 import mpmath as mp
 
 from . import unipoly
-from .families import FamilySpec, extremal, family, member_with_min_weight
+from .families import FAMILIES, FamilySpec, extremal, family, member_with_min_weight
 from .homopoly import (
     HomPoly,
     Mat2,
@@ -136,23 +135,10 @@ class ZetaPoly:
         return unipoly.to_string(list(self.coeffs), "T")
 
     def to_latex(self) -> str:
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-            if not c:
-                continue
-            mono = "" if i == 0 else ("T" if i == 1 else f"T^{{{i}}}")
-            mag = abs(c)
-            if mag.denominator == 1:
-                cs = "" if (mag == 1 and mono) else str(mag)
-            else:
-                cs = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            term = (cs + mono) or "1"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+        c = self.coeffs
+        return unipoly.format_terms(
+            ((c[i], unipoly.power_string("T", i, True)) for i in range(len(c) - 1, -1, -1)),
+            latex=True)
 
     def to_json(self) -> str:
         payload = {
@@ -279,18 +265,13 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     return ZetaPoly(tuple(a), q, n=n, d=d)
 
 
-@lru_cache(maxsize=1024)
-def _zeta_checked_cached(w: HomPoly, q: Fraction) -> ZetaPoly:
+def zeta_checked(w: HomPoly, q) -> ZetaPoly:
+    """Run both extraction routes and fail hard on disagreement."""
     p1 = zeta_from_genfunc(w, q)
     p2 = zeta_from_mds(w, q)
     if p1 != p2:
         raise AssertionError("zeta oracle disagreement between the two methods")
     return p1
-
-
-def zeta_checked(w: HomPoly, q) -> ZetaPoly:
-    """Run both extraction routes and fail hard on disagreement."""
-    return _zeta_checked_cached(w, Fraction(q))
 
 
 # -- functional equation -----------------------------------------------------------
@@ -495,6 +476,8 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     `prec`; otherwise RHConvergenceError is raised, since a warm-started pass
     that stalls on non-roots would otherwise look stable.
     """
+    if not 0 < tolerance < inf:
+        raise ValueError(f"rh_check needs a finite tolerance > 0, got {tolerance!r}")
     coeffs = list(p.coeffs)
     deg = unipoly.degree(coeffs)
     if deg < 1:
@@ -551,35 +534,39 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
 # -- star operators ------------------------------------------------------------------
 
 
-_STAR_RULES = {
-    # family -> (degree modulus, smallest degree, p(x, y), zeta factor ascending)
-    "type1": (8, 4, 12, HomPoly(2, [1, 0, 1]),
-              [Fraction(1), Fraction(-2), Fraction(2)]),
-    "type4": (6, 3, 9, HomPoly(2, [1, 0, Fraction(1, 3)]),
-              [Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3)]),
-    "q43": (12, 0, 12, HomPoly(2, [1, 0, 3]),
-            [Fraction(3), Fraction(-6), Fraction(4)]),
-}
+def _star_poly(q: Fraction) -> HomPoly:
+    return HomPoly(2, [1, 0, 1 / (q - 1)])
+
+
+def _star_factor(q: Fraction) -> list[Fraction]:
+    return [1 / (q - 1), -2 / (q - 1), q / (q - 1)]
+
+
+def _require_star(fam: FamilySpec) -> None:
+    if not fam.has_star:
+        raise ValueError(f"no star operator for family {fam.name}")
 
 
 def star_zeta_factor(fam: FamilySpec) -> list[Fraction]:
-    """Quadratic zeta factor of the star operator, ascending coefficients."""
-    if fam.name not in _STAR_RULES:
-        raise ValueError(f"no star operator for family {fam.name}")
-    return list(_STAR_RULES[fam.name][4])
+    """Quadratic zeta factor (1 - 2T + qT^2)/(q - 1) of the star operator,
+    ascending coefficients."""
+    _require_star(fam)
+    return _star_factor(fam.q)
 
 
 def star_operator(w: HomPoly, fam: FamilySpec) -> HomPoly:
-    """Degree-lowering operator W* = p(D) W / (n (n-1)) for admissible degrees."""
-    if fam.name not in _STAR_RULES:
-        raise ValueError(f"no star operator for family {fam.name}")
-    modulus, residue, smallest, p, _ = _STAR_RULES[fam.name]
+    """Degree-lowering operator W* = p(D) W / (n (n-1)), p = x^2 + y^2/(q-1),
+    for n = parity*delta (mod 2*delta) and n >= parity*delta + 2*delta, where
+    delta is the degree of the odd generator."""
+    _require_star(fam)
     n = w.degree
-    if n % modulus != residue or n < smallest:
+    delta = fam.odd_gen.degree
+    low = fam.parity * delta
+    if (n - low) % (2 * delta) or n < low + 2 * delta:
         raise ValueError(
             f"degree {n} is inadmissible for the {fam.name} star operator"
         )
-    return diff_op(p, w) * Fraction(1, n * (n - 1))
+    return diff_op(_star_poly(fam.q), w) * Fraction(1, n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -597,8 +584,8 @@ def star_scan_q43_odd(k_max: int) -> list[tuple[int, bool, bool]]:
     holds) per k, for reporting only.
     """
     fam = family("q43-odd")
-    p = HomPoly(2, [1, 0, 3])
-    factor = [Fraction(3), Fraction(-6), Fraction(4)]
+    p = _star_poly(fam.q)
+    factor = _star_factor(fam.q)
     out = []
     for k in range(1, k_max + 1):
         n = 12 * k + 6
@@ -631,19 +618,13 @@ def verify_star(fam: FamilySpec, n: int) -> StarCheck:
 
 # canonical anti-symmetrised operators; these reproduce the printed constants
 DIFF_OPERATORS = {
-    "type1": parse_poly("x*y^3 - x^3*y"),
-    "type4": parse_poly("y^3 - 9*x^2*y"),
+    name: fam.diff_operator for name, fam in FAMILIES.items() if fam.diff_operator
 }
 
-_DIVISOR_BASE = {
-    "type1": parse_poly("x^3*y - x*y^3"),
-    "type4": parse_poly("x^2*y - y^3"),
-}
 
-_COFACTOR_GEN = {
-    "type1": parse_poly("x^4 - 6*x^2*y^2 + y^4"),
-    "type4": parse_poly("x^3 - 9*x*y^2"),
-}
+def _require_identity_data(fam: FamilySpec, statement: str) -> None:
+    if fam.diff_operator is None:
+        raise ValueError(f"{statement} covers type1 and type4 only")
 
 
 @dataclass(frozen=True)
@@ -656,25 +637,22 @@ class DivisibilityCheck:
 
 def verify_divisibility_prop(w: HomPoly, fam: FamilySpec) -> DivisibilityCheck:
     """a^(d-3) divides p(D)W, and the cofactor is divisible by the family generator."""
-    if fam.name not in DIFF_OPERATORS:
-        raise ValueError("the divisibility statement covers type1 and type4 only")
+    _require_identity_data(fam, "the divisibility statement")
     d = weight_profile(w, fam.q).d
     if d < 4:
         raise ValueError("the divisibility statement needs d >= 4")
-    p = DIFF_OPERATORS[fam.name]
-    a = _DIVISOR_BASE[fam.name] ** (d - 3)
-    image = diff_op(p, w)
+    a = fam.divisor_base ** (d - 3)
+    image = diff_op(fam.diff_operator, w)
     cof = divide_exact(a, image)
     if cof is None:
         return DivisibilityCheck(False, False, False, None)
-    inner = divide_exact(_COFACTOR_GEN[fam.name], cof)
+    inner = divide_exact(fam.odd_gen, cof)
     return DivisibilityCheck(inner is not None, True, inner is not None, cof)
 
 
 def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
     """Closed form of p(D)W for extremal members with d >= 4 (exact expansion)."""
-    if fam.name not in DIFF_OPERATORS:
-        raise ValueError("the identity covers type1 and type4 only")
+    _require_identity_data(fam, "the identity")
     n = w.degree
     d = weight_profile(w, fam.q).d
     if d < 4:
@@ -684,27 +662,14 @@ def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
         v2 = n - 4 * (d - 1)
         if v2 < 0 or v2 % 2:
             raise ValueError("degree does not decompose as 4(d-1) + 2v")
-        v = v2 // 2
         scalar = pochhammer(d - 2, 3) * (n - d) * a_d
-        rhs = (
-            _DIVISOR_BASE["type1"] ** (d - 3)
-            * HomPoly(2, [1, 0, 1]) ** v
-            * _COFACTOR_GEN["type1"]
-            * scalar
-        )
     else:
         v2 = n - 3 * (d - 1)
         if v2 < 0 or v2 % 2:
             raise ValueError("degree does not decompose as 3(d-1) + 2v")
-        v = v2 // 2
         scalar = pochhammer(d - 2, 3) * a_d
-        rhs = (
-            _DIVISOR_BASE["type4"] ** (d - 3)
-            * HomPoly(2, [1, 0, 3]) ** v
-            * _COFACTOR_GEN["type4"]
-            * scalar
-        )
-    return diff_op(DIFF_OPERATORS[fam.name], w) == rhs
+    rhs = fam.divisor_base ** (d - 3) * fam.even_gen ** (v2 // 2) * fam.odd_gen * scalar
+    return diff_op(fam.diff_operator, w) == rhs
 
 
 def _binomial_row_sum(weights: list[Fraction], n_choose: int, low_exp: int,
@@ -729,8 +694,7 @@ def _binomial_row_sum(weights: list[Fraction], n_choose: int, low_exp: int,
 
 def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
     """Binomial sum over zeta coefficients against the closed product form."""
-    if fam.name not in DIFF_OPERATORS:
-        raise ValueError("the identity covers type1 and type4 only")
+    _require_identity_data(fam, "the identity")
     n = w.degree
     d = weight_profile(w, fam.q).d
     m = d - 2
@@ -753,8 +717,8 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
         rhs = (
             parse_poly("x*y") ** (m - 1)
             * parse_poly("x^2 - y^2") ** (m - 1)
-            * HomPoly(2, [1, 0, 1]) ** v
-            * _COFACTOR_GEN["type1"]
+            * fam.even_gen ** v
+            * fam.odd_gen
             * prefactor
         )
     else:
@@ -770,8 +734,8 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
         rhs = (
             parse_poly("y") ** (m - 1)
             * parse_poly("x^2 - y^2") ** (m - 1)
-            * HomPoly(2, [1, 0, 3]) ** v
-            * _COFACTOR_GEN["type4"]
+            * fam.even_gen ** v
+            * fam.odd_gen
             * prefactor
         )
     return lhs == rhs
@@ -919,13 +883,13 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
             "degrees": [12, 14, 16, 18, 20, 22],
             "sigmas": [sigma_q(2), TAU, neg_i],
             # eigen divisors and the non-eigen pair that exercises coprimality
-            "divisors": [parse_poly("x^3*y - x*y^3"), parse_poly("x*y"),
+            "divisors": [family("type1").divisor_base, parse_poly("x*y"),
                          parse_poly("x^2 - y^2")],
         },
         "type4": {
             "degrees": [9, 11, 13, 15, 17],
             "sigmas": [sigma_q(4), TAU, neg_i],
-            "divisors": [parse_poly("x^2*y - y^3"), parse_poly("y"),
+            "divisors": [family("type4").divisor_base, parse_poly("y"),
                          parse_poly("x^2 - y^2")],
         },
     }

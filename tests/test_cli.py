@@ -116,6 +116,44 @@ def test_precision_bits_validated(capsys, command, bits):
     assert "argument --precision-bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--family", "type1", "--basis", "-n", "0"], "degree must be >= 1"),
+    (["gen", "--family", "type1", "--extremal", "-n", "7"],
+     "family type1 has no members of degree 7"),
+    (["gen", "--name", "w2"], "generator 'w2' needs the parameter q"),
+    (["verify", "star", "--family", "type1", "-n", "13"],
+     "family type1 has no members of degree 13"),
+    (["verify", "divisibility", "--family", "q43", "-n", "12"],
+     "the divisibility statement covers type1 and type4 only"),
+    (["molien", "--group", "g43", "--terms", "0"], "terms must be >= 1"),
+    (["zeta", "--poly", "x^2+1/3*y^2", "-q", "4/3", "--rh"], "rh_check needs deg P >= 1"),
+], ids=["basis-degree-0", "extremal-no-members", "w2-without-q", "star-no-members",
+        "divisibility-wrong-family", "molien-no-terms", "rh-constant-zeta"])
+def test_bad_input_reported_without_traceback(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["zeta", "--poly", "x^4 + x^2*y^2 + y^4", "-q", "2", "--rh"],
+    ["scan", "--family", "type1", "-n", "8"],
+])
+@pytest.mark.parametrize("tolerance", ["inf", "0", "-0.5", "nan", "abc"])
+def test_tolerance_validated(capsys, command, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert "argument --tolerance" in capsys.readouterr().err
+
+
+def test_reversed_degree_range_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "type1", "-n", "30..10"])
+    assert exc.value.code == 2
+    assert "empty degree range '30..10'" in capsys.readouterr().err
+
+
 class TestScan:
     def test_small_scan_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "scan", "--family", "type1", "-n", "8..20",
@@ -199,6 +237,18 @@ class TestVerify:
     def test_molien_basis(self, capsys):
         code, out, _ = run(capsys, "verify", "molien-basis", "--max-degree", "20")
         assert code == 0 and "agree" in out
+
+    def test_molien_basis_covers_four_family_group_pairs(self, capsys, monkeypatch):
+        named_group, ring_dimension = cli.matgroup.named_group, cli.ring_dimension
+        groups, pairs = [], set()
+        monkeypatch.setattr(cli.matgroup, "named_group",
+                            lambda name: groups.append(name) or named_group(name))
+        monkeypatch.setattr(cli, "ring_dimension", lambda fam, n: pairs.add(
+            (fam.name, groups[-1])) or ring_dimension(fam, n))
+        code, out, _ = run(capsys, "verify", "molien-basis", "--max-degree", "6")
+        assert code == 0 and out.endswith("in 4 groups\n")
+        assert pairs == {("type1", "g1minus"), ("type4", "g4minus"),
+                         ("q43-odd", "g43minus"), ("q43", "g43")}
 
     def test_star_conjecture_scan_reports_without_asserting(self, capsys):
         code, out, _ = run(capsys, "verify", "star-q43-odd", "--max-k", "2")

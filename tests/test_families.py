@@ -140,6 +140,46 @@ class TestBounds:
             bound(family("type4"), 6)
 
 
+# the per-family bound formulas as they were written out before the bound was
+# derived from the spec; kept as the reference the derived formula must match
+_LITERAL_BOUNDS = {
+    "type1": lambda n: (2 * ((n - 4) // 8) + 2, True),
+    "type4": lambda n: (2 * ((n - 3) // 6) + 2, True),
+    "q43": lambda n: (2 * (n // 12) + 2, True),
+    "q43-odd": lambda n: (2 * ((n - 6) // 12) + 2, n % 12 == 6),
+    "ozeki": lambda n: (4 * ((n - 12) // 24) + 4, True),
+}
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+    def test_bound_matches_literal_formulas_to_240(self, fam_name):
+        fam = FAMILIES[fam_name]
+        degrees = [n for n in range(1, 241) if basis_exponents(fam, n)]
+        assert degrees
+        for n in degrees:
+            b = bound(fam, n)
+            assert (b.d_max, b.proven) == _LITERAL_BOUNDS[fam_name](n), (fam_name, n)
+
+    def test_sign_and_ring_degrees_match_literals(self):
+        assert {name: (fam.sign, fam.ring_degrees) for name, fam in FAMILIES.items()} == {
+            "type1": (-1, (2, 4)), "type4": (-1, (2, 3)), "q43": (1, (2, 12)),
+            "q43-odd": (-1, (2, 6)), "ozeki": (-1, (8, 12)),
+        }
+
+    def test_groups(self):
+        assert {name: fam.group for name, fam in FAMILIES.items() if fam.group} == {
+            "type1": "g1minus", "type4": "g4minus", "q43-odd": "g43minus", "q43": "g43",
+        }
+
+    def test_identity_data_on_type1_and_type4_only(self):
+        with_data = {name for name, fam in FAMILIES.items()
+                     if fam.divisor_base is not None or fam.diff_operator is not None}
+        assert with_data == {"type1", "type4"}
+        assert family("type1").divisor_base == parse_poly("x^3*y - x*y^3")
+        assert family("type4").divisor_base == parse_poly("x^2*y - y^3")
+
+
 class TestExtremal:
     def test_printed_type1(self, printed):
         fam = family("type1")

@@ -129,7 +129,6 @@ class TestHighDegree:
                 results[_route] = _fn(w_, q_)
                 return results[_route]
             monkeypatch.setattr(zeta_mod, route, spy)
-        zeta_mod._zeta_checked_cached.cache_clear()
         p = zeta_checked(w, fam.q)
         assert set(results) == {"zeta_from_genfunc", "zeta_from_mds"}
         assert results["zeta_from_genfunc"] == results["zeta_from_mds"] == p
@@ -271,6 +270,12 @@ class TestRHCheck:
         with pytest.raises(ValueError, match="precision_bits"):
             rh_check(ZetaPoly((F(1), F(-2), F(2)), 2), 1e-9, bits)
 
+    @pytest.mark.parametrize("tolerance", [float("inf"), 0.0, -1e-9, float("nan")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        # with tolerance inf the roots -1/2, -1 of (1, 3, 2) used to pass
+        with pytest.raises(ValueError, match="tolerance"):
+            rh_check(ZetaPoly((1, 3, 2), 2), tolerance)
+
     def test_bad_precision_environment_named(self):
         src = os.path.dirname(os.path.dirname(fwenum.__file__))
         for value in ("abc", "40"):
@@ -348,6 +353,46 @@ class TestStarOperator:
         p28 = zeta_checked(extremal(fam, 28), Q43)
         assert list(p28.coeffs) == unipoly.mul([F(3), F(-6), F(4)],
                                                list(p30.coeffs))
+
+
+# (degree modulus, residue, smallest degree, p(x, y), zeta factor ascending)
+# as they were tabulated before the star operator was derived from q, parity
+# and the odd generator's degree
+_STAR_LITERALS = {
+    "type1": (8, 4, 12, HomPoly(2, [1, 0, 1]), [F(1), F(-2), F(2)]),
+    "type4": (6, 3, 9, HomPoly(2, [1, 0, F(1, 3)]), [F(1, 3), F(-2, 3), F(4, 3)]),
+    "q43": (12, 0, 12, HomPoly(2, [1, 0, 3]), [F(3), F(-6), F(4)]),
+}
+
+
+class TestStarTable:
+    @pytest.mark.parametrize("fam_name", sorted(_STAR_LITERALS))
+    def test_matches_literal_rules(self, fam_name):
+        fam = family(fam_name)
+        modulus, residue, smallest, p, factor = _STAR_LITERALS[fam_name]
+        assert star_zeta_factor(fam) == factor
+        for n in range(2, 61):
+            w = HomPoly.monomial(n - 2, 2)
+            if n % modulus == residue and n >= smallest:
+                assert star_operator(w, fam) == diff_op(p, w) * F(1, n * (n - 1)), n
+            else:
+                with pytest.raises(ValueError, match="inadmissible"):
+                    star_operator(w, fam)
+
+    @pytest.mark.parametrize("fam_name", ["q43-odd", "ozeki"])
+    def test_no_star_operator(self, fam_name):
+        fam = family(fam_name)
+        with pytest.raises(ValueError, match="no star operator"):
+            star_zeta_factor(fam)
+        with pytest.raises(ValueError, match="no star operator"):
+            star_operator(extremal(fam, 18 if fam_name == "q43-odd" else 12), fam)
+
+
+def test_diff_operators_match_literals():
+    assert DIFF_OPERATORS == {
+        "type1": parse_poly("x*y^3 - x^3*y"),
+        "type4": parse_poly("y^3 - 9*x^2*y"),
+    }
 
 
 class TestDivisibilityProp:
