@@ -212,11 +212,6 @@ def scan_family(fam, n_min: int, n_max: int, tolerance: float,
             rows.append(ScanRow(n, d, b.proven, p1.degree, p1.sign, None, None, None,
                                 "; ".join(hard_msgs), hard=True))
             continue
-        if p1.degree == 0:
-            # constant zeta polynomial: no roots, nothing to locate
-            rows.append(ScanRow(n, d, b.proven, 0, p1.sign, 0.0, 0.0, True, "ok",
-                                hard=False))
-            continue
         try:
             rh = rh_check(p1, tolerance, precision_bits)
         except RHConvergenceError as exc:
@@ -242,7 +237,7 @@ def _cmd_gen(args) -> int:
     fam = family(args.family)
     if args.basis:
         if args.n is None:
-            raise SystemExit("gen --basis needs -n")
+            raise ValueError("gen --basis needs -n")
         elems = basis(fam, args.n)
         if not elems:
             print(f"no basis elements of degree {args.n}", file=sys.stderr)
@@ -258,23 +253,23 @@ def _cmd_gen(args) -> int:
         return 0
     if args.extremal:
         if args.n is None:
-            raise SystemExit("gen --extremal needs -n")
+            raise ValueError("gen --extremal needs -n")
         poly = extremal(fam, args.n)
         print(_render_poly(poly, args.format))
         return 0
-    raise SystemExit("gen needs --name, --extremal or --basis")
+    raise ValueError("gen needs --name, --extremal or --basis")
 
 
 def _cmd_zeta(args) -> int:
     if args.poly:
         if args.q is None:
-            raise SystemExit("zeta --poly needs -q")
+            raise ValueError("zeta --poly needs -q")
         w, q = parse_poly(args.poly), args.q
         label = "input"
     else:
         fam = family(args.family)
         if args.n is None:
-            raise SystemExit("zeta --family needs -n")
+            raise ValueError("zeta --family needs -n")
         w, q = extremal(fam, args.n), fam.q
         label = f"{fam.name} extremal n={args.n}"
     try:
@@ -390,7 +385,7 @@ def _cmd_verify(args) -> int:
 
     fam = family(args.family)
     if args.n is None:
-        raise SystemExit(f"verify {theorem} needs -n")
+        raise ValueError(f"verify {theorem} needs -n")
     n = args.n
     if theorem == "star":
         check = verify_star(fam, n)
@@ -410,11 +405,9 @@ def _cmd_verify(args) -> int:
         ok = verify_extremal_diff_identity(w, fam)
         print(f"differential identity at n={n}: {'holds' if ok else 'FAILS'}")
         return 0 if ok else 1
-    if theorem == "zeta-binomial":
-        ok = verify_zeta_binomial_identity(w, fam)
-        print(f"zeta binomial identity at n={n}: {'holds' if ok else 'FAILS'}")
-        return 0 if ok else 1
-    raise SystemExit(f"unknown theorem id {theorem!r}")
+    ok = verify_zeta_binomial_identity(w, fam)  # zeta-binomial
+    print(f"zeta binomial identity at n={n}: {'holds' if ok else 'FAILS'}")
+    return 0 if ok else 1
 
 
 # -- parser ------------------------------------------------------------------------

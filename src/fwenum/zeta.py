@@ -4,10 +4,12 @@ MDS enumerators, star operators and the theorem-level identity verifiers.
 The zeta polynomial is extracted by two independent exact routes: a direct
 linear solve against the generating-function definition, and a triangular
 expansion over MDS enumerators.  Both must agree; the comparison is kept as a
-permanent cross-oracle.  Root location is the only numerical step: Aberth
-iteration with deterministic seeding, first in hardware doubles and then in
-arbitrary precision with warm-started precision escalation and a residual
-check.
+permanent cross-oracle.  Root location is the only numerical step.  P is
+first folded exactly with its functional equation into R(s), s = qT + 1/T,
+of half the degree; Aberth iteration with deterministic seeding finds the
+roots of R, first in hardware doubles and then in arbitrary precision with
+warm-started precision escalation; each root s is lifted to its two roots T,
+and a residual check on P itself certifies the lifted set.
 """
 
 from __future__ import annotations
@@ -152,14 +154,15 @@ class ZetaPoly:
         return json.dumps(payload)
 
 
-def _profile_for_zeta(w: HomPoly, q: Fraction):
+def _zeta_min_weight(w: HomPoly, q: Fraction) -> int:
+    """d of W from its weight profile, which also checks d, d_perp >= 2."""
     profile = weight_profile(w, q)
     if profile.d < 2 or profile.d_perp < 2:
         raise ValueError(
             f"zeta extraction needs d, d_perp >= 2; got d = {profile.d}, "
             f"d_perp = {profile.d_perp}"
         )
-    return profile
+    return profile.d
 
 
 def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
@@ -174,8 +177,11 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     i < d carry no unknown and are asserted consistent.
     """
     q = Fraction(q)
-    profile = _profile_for_zeta(w, q)
-    n, d = w.degree, profile.d
+    return _zeta_genfunc(w, q, _zeta_min_weight(w, q))
+
+
+def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
+    n = w.degree
     if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
     p = []
@@ -249,8 +255,11 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     must always agree with zeta_from_genfunc and is kept as a cross-oracle.
     """
     q = Fraction(q)
-    profile = _profile_for_zeta(w, q)
-    n, d = w.degree, profile.d
+    return _zeta_mds(w, q, _zeta_min_weight(w, q))
+
+
+def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
+    n = w.degree
     mds = [_mds_poly(n, d + i, q) for i in range(n - d + 1)]
     a = []
     residue = list(w.coeffs)
@@ -266,9 +275,15 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
 
 
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
-    """Run both extraction routes and fail hard on disagreement."""
-    p1 = zeta_from_genfunc(w, q)
-    p2 = zeta_from_mds(w, q)
+    """Run both extraction routes and fail hard on disagreement.
+
+    The weight profile (a MacWilliams transform) is computed once; each
+    route then extracts P from W and d on its own.
+    """
+    q = Fraction(q)
+    d = _zeta_min_weight(w, q)
+    p1 = _zeta_genfunc(w, q, d)
+    p2 = _zeta_mds(w, q, d)
     if p1 != p2:
         raise AssertionError("zeta oracle disagreement between the two methods")
     return p1
@@ -440,24 +455,103 @@ def _roots_stable(old, new, limit) -> bool:
     """Symmetric nearest-distance agreement of two root multisets."""
     if len(old) != len(new):
         return False
-    for a in old:
-        if min(abs(a - b) for b in new) > limit:
-            return False
-    for b in new:
-        if min(abs(b - a) for a in old) > limit:
-            return False
-    return True
+    limit2 = limit * limit
+    # a pairing within the limit bounds every nearest distance; ordering
+    # both sets on a grid of spacing `limit` pairs close roots whatever
+    # their rounding noise (sorting by (re, im) would not: a conjugate
+    # pair's real parts tie up to noise)
+    def cell(z):
+        return int(mp.nint(z.real / limit)), int(mp.nint(z.imag / limit))
+
+    if all(_abs2(a - b) <= limit2
+           for a, b in zip(sorted(old, key=cell), sorted(new, key=cell))):
+        return True
+    return (all(min(_abs2(a - b) for b in new) <= limit2 for a in old)
+            and all(min(_abs2(b - a) for a in old) <= limit2 for b in new))
+
+
+def _fold(coeffs: list[Fraction], q: Fraction):
+    """Fold P with its functional equation: (R, signs), or None without one.
+
+    Roots of P are the roots sign/sqrt(q) for each of `signs`, plus both
+    roots T of qT^2 - sT + 1 for every root s of R (ascending Fractions).
+    With 2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g), s = qT + 1/T gives
+    T^(-g) P(T) = R(s) if eps = +1, R = p_g + sum_(k>=1) p_(g-k) V_k(s), and
+    T^(-g) P(T) = (1/T - qT) R(s) if eps = -1, R = sum_(k>=1) p_(g-k) U_(k-1)(s);
+    V_0 = 2, U_0 = 1, V_1 = U_1 = s, X_k = s X_(k-1) - q X_(k-2).  An odd
+    degree needs q = r^2 with r rational; the root -eps/r is divided out first.
+    None when P(0) = 0 or the coefficients satisfy no functional equation.
+    """
+    p = list(coeffs)
+    signs = []
+    if not p[0]:
+        return None
+    if len(p) % 2 == 0:
+        root, d = sqrt_rational(q)
+        if d != 1:
+            return None
+        eps = p[-1] / (root.a ** (len(p) - 1) * p[0])
+        if eps not in (1, -1):
+            return None
+        p = unipoly.div_exact(p, [Fraction(1), eps * root.a])  # root -eps/r
+        if p is None:
+            return None
+        signs.append(-int(eps))
+    g = (len(p) - 1) // 2
+    eps = p[-1] / (q ** g * p[0])
+    if eps not in (1, -1) or any(p[-1 - i] != eps * q ** (g - i) * p[i]
+                                 for i in range(g + 1)):
+        return None
+    if eps == 1:
+        x0, weights = 2, [p[g] / 2] + p[:g][::-1]  # on V_0 .. V_g
+    else:
+        x0, weights = 1, p[:g][::-1]  # on U_0 .. U_(g-1)
+        signs += [-1, 1]
+    r = [Fraction(0)] * len(weights)
+    xk, xnext = [Fraction(x0)], [Fraction(0), Fraction(1)]
+    for w in weights:
+        for i, c in enumerate(xk):
+            r[i] += w * c
+        step = [Fraction(0)] + xnext
+        for i, c in enumerate(xk):
+            step[i] -= q * c
+        xk, xnext = xnext, step
+    return r, signs
+
+
+def _mp_rational(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _lift(s, q):
+    """Both roots of q T^2 - s T + 1, the larger one from the quadratic
+    formula and the other as 1/(q T), so that neither cancels."""
+    sq = mp.sqrt(s * s - 4 * q)
+    if (s.real * sq.real + s.imag * sq.imag) < 0:
+        sq = -sq
+    t = (s + sq) / (2 * q)
+    return [t, 1 / (q * t)]
 
 
 def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
              precision_bits: int | None = None) -> RHReport:
     """Locate all roots of P and test |root| = 1/sqrt(q) within `tolerance`.
 
-    Seeds: deg P points at angles 2*pi*(k + golden_ratio_frac)/deg on the
-    circle of radius 1.1/sqrt(q), computed with mpmath.  They sit off the
-    target circle because the functional equation makes inversion in that
-    circle a symmetry of P, which maps the Aberth iteration to itself: points
-    started on the circle stay on it and never reach roots that lie off it.
+    Fold: when P has a functional equation, the root finder runs on its fold
+    R(s), s = qT + 1/T, of half the degree (`_fold`), and every root s is
+    lifted to the two roots of qT^2 - sT + 1; the roots +-1/sqrt(q) that the
+    fold divides out are added exactly.  Without a functional equation, or
+    when P(0) = 0, the same steps run on P itself with each root its own
+    lift.  A constant P has no roots and passes vacuously.
+
+    Seeds: the image under s = qT + 1/T of deg R points at angles
+    pi*(k + golden_ratio_frac)/deg R on the upper half of the circle of
+    radius 1.1/sqrt(q) (without a fold, deg P points at angles
+    2*pi*(k + golden_ratio_frac)/deg P on the whole circle), computed with
+    mpmath.  They sit off the target circle because the functional equation
+    makes inversion in that circle a symmetry of P, which maps the Aberth
+    iteration to itself: points started on the circle stay on it and never
+    reach roots that lie off it.
 
     Float stage: a cold Aberth pass in hardware doubles, on the coefficients
     scaled by the largest one, finds the roots to about 53 bits.  It is
@@ -467,42 +561,63 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
 
     Precision ladder: mpmath passes at `precision_bits` (default from
     FWENUM_PRECISION_BITS or 128), then twice that and so on, each warm
-    started from the previous pass's roots, until two consecutive root sets
-    agree to tolerance/10.  Exceeding the 8192-bit ceiling raises
-    RHConvergenceError rather than passing silently.
+    started from the previous pass's roots, until two consecutive sets of
+    lifted roots T agree to tolerance/10.  Exceeding the 8192-bit ceiling
+    raises RHConvergenceError rather than passing silently.
 
     Residual certificate: a stable root set is accepted only if
-    max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i at the final precision
-    `prec`; otherwise RHConvergenceError is raised, since a warm-started pass
-    that stalls on non-roots would otherwise look stable.
+    max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i, on P itself and at the
+    final precision `prec`; otherwise RHConvergenceError is raised, since a
+    warm-started pass that stalls on non-roots would otherwise look stable.
     """
     if not 0 < tolerance < inf:
         raise ValueError(f"rh_check needs a finite tolerance > 0, got {tolerance!r}")
-    coeffs = list(p.coeffs)
-    deg = unipoly.degree(coeffs)
-    if deg < 1:
-        raise ValueError("rh_check needs deg P >= 1")
+    coeffs = list(p.coeffs)  # ZetaPoly trims trailing zeros
+    deg = len(coeffs) - 1
+    if not any(coeffs):
+        raise ValueError("rh_check needs a nonzero P")
     prec = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
     if not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
         raise ValueError(f"rh_check needs precision_bits in "
                          f"[{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {prec}")
-    int_coeffs = _integerise(coeffs[: deg + 1])
-    max_iter = 60 + 12 * deg
     qf = p.q
+    if deg == 0:
+        return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
+                        tolerance, prec)
+    int_coeffs = _integerise(coeffs)
+    fold = _fold(coeffs, qf)
+    r_coeffs, signs = fold or (coeffs, ())
+    r_deg = len(r_coeffs) - 1
+    int_r = _integerise(r_coeffs)
+    max_iter = 60 + 12 * r_deg
     with mp.workprec(prec):
-        radius = 11 / (10 * mp.sqrt(mp.mpf(qf.numerator) / qf.denominator))
+        q_mp = _mp_rational(qf)
+        radius = 11 / (10 * mp.sqrt(q_mp))
         offset = (mp.sqrt(5) - 1) / 2
-        seeds = [radius * mp.expjpi(2 * (k + offset) / deg) for k in range(deg)]
-    roots = _float_roots(int_coeffs, seeds, max_iter) or seeds
+        if fold is None:
+            seeds = [radius * mp.expjpi(2 * (k + offset) / deg) for k in range(deg)]
+        else:
+            seeds = [q_mp * t + 1 / t for t in (radius * mp.expjpi((k + offset) / r_deg)
+                                                for k in range(r_deg))]
+    found = _float_roots(int_r, seeds, max_iter) or seeds
     previous = None
     while True:
         with mp.workprec(prec):
-            mp_coeffs = [mp.mpf(c) for c in int_coeffs]
-            roots = _aberth_pass(mp_coeffs, [mp.mpc(t) for t in roots], prec,
-                                 max_iter)
+            found = _aberth_pass([mp.mpf(c) for c in int_r],
+                                 [mp.mpc(t) for t in found], prec, max_iter)
+            q_mp = _mp_rational(qf)
+            target = 1 / mp.sqrt(q_mp)
+            if fold is None:
+                roots = found
+            else:
+                roots = [mp.mpc(sign * target) for sign in signs]
+                for s in found:
+                    roots += _lift(s, q_mp)
+                roots.sort(key=lambda t: (t.real, t.imag))
             if previous is not None and _roots_stable(
                 previous, roots, mp.mpf(tolerance) / 10
             ):
+                mp_coeffs = [mp.mpf(c) for c in int_coeffs]
                 max_res = max(abs(_horner(mp_coeffs, z)) for z in roots)
                 abs_coeffs = [abs(c) for c in mp_coeffs]
                 scale = max(_horner(abs_coeffs, abs(z)) for z in roots)
@@ -512,7 +627,6 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                         f"{mp.nstr(max_res / scale, 5)} * max sum |c_i| |z|^i "
                         f"exceeds 2^-{prec // 2}"
                     )
-                target = 1 / mp.sqrt(mp.mpf(qf.numerator) / qf.denominator)
                 max_dev = max(abs(abs(z) - target) for z in roots)
                 return RHReport(
                     roots=tuple(roots),

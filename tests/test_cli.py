@@ -80,6 +80,15 @@ class TestZetaCommand:
                            "-n", "12", "--format", "latex")
         assert code == 0 and out.startswith("P(T) = \\frac{64}{729}T^{6}")
 
+    def test_constant_zeta_rh_passes(self, capsys):
+        # deg P = 0: no roots, the same vacuous pass as a scan row
+        code, out, err = run(capsys, "zeta", "--poly", "x^2+1/3*y^2", "-q", "4/3",
+                             "--rh", "--format", "json")
+        assert code == 0 and err == ""
+        rh = json.loads(out)["rh"]
+        assert rh["pass"] is True and rh["roots"] == []
+        assert rh["max_abs_deviation"] == rh["max_residual"] == "0.0"
+
     def test_rh_convergence_error_reported(self, capsys, monkeypatch):
         def refuse(*args):
             raise cli.RHConvergenceError("root set did not stabilise")
@@ -126,9 +135,18 @@ def test_precision_bits_validated(capsys, command, bits):
     (["verify", "divisibility", "--family", "q43", "-n", "12"],
      "the divisibility statement covers type1 and type4 only"),
     (["molien", "--group", "g43", "--terms", "0"], "terms must be >= 1"),
-    (["zeta", "--poly", "x^2+1/3*y^2", "-q", "4/3", "--rh"], "rh_check needs deg P >= 1"),
+    (["gen", "--family", "type1", "--basis"], "gen --basis needs -n"),
+    (["gen", "--family", "type1", "--extremal"], "gen --extremal needs -n"),
+    (["gen", "--family", "type1"], "gen needs --name, --extremal or --basis"),
+    (["zeta", "--poly", "x^2+y^2"], "zeta --poly needs -q"),
+    (["zeta", "--family", "type1", "--extremal"], "zeta --family needs -n"),
+    (["verify", "star", "--family", "type1"], "verify star needs -n"),
+    (["verify", "zeta-binomial", "--family", "type4"], "verify zeta-binomial needs -n"),
 ], ids=["basis-degree-0", "extremal-no-members", "w2-without-q", "star-no-members",
-        "divisibility-wrong-family", "molien-no-terms", "rh-constant-zeta"])
+        "divisibility-wrong-family", "molien-no-terms", "gen-basis-without-n",
+        "gen-extremal-without-n", "gen-without-mode", "zeta-poly-without-q",
+        "zeta-family-without-n", "verify-star-without-n",
+        "verify-zeta-binomial-without-n"])
 def test_bad_input_reported_without_traceback(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

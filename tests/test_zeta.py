@@ -4,7 +4,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
 import fwenum
@@ -124,14 +126,14 @@ class TestHighDegree:
                                                        monkeypatch):
         fam, w = high_extremal
         results = {}
-        for route in ("zeta_from_genfunc", "zeta_from_mds"):
-            def spy(w_, q_, _route=route, _fn=getattr(zeta_mod, route)):
-                results[_route] = _fn(w_, q_)
+        for route in ("_zeta_genfunc", "_zeta_mds"):
+            def spy(w_, q_, d_, _route=route, _fn=getattr(zeta_mod, route)):
+                results[_route] = _fn(w_, q_, d_)
                 return results[_route]
             monkeypatch.setattr(zeta_mod, route, spy)
         p = zeta_checked(w, fam.q)
-        assert set(results) == {"zeta_from_genfunc", "zeta_from_mds"}
-        assert results["zeta_from_genfunc"] == results["zeta_from_mds"] == p
+        assert set(results) == {"_zeta_genfunc", "_zeta_mds"}
+        assert results["_zeta_genfunc"] == results["_zeta_mds"] == p
         assert p.sign == fam.sign and p.degree == w.degree + 2 - 2 * p.d
 
 
@@ -307,15 +309,123 @@ class TestRHCheck:
         b = rh_check(p12e, 1e-9).to_json()
         assert a == b
 
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            rh_check(ZetaPoly((F(1),), 2), 1e-9)
+    def test_degree_zero_passes_vacuously(self):
+        r = rh_check(ZetaPoly((F(1),), 2), 1e-9)
+        assert r.passed and r.roots == ()
+        assert r.max_abs_deviation == 0.0 and r.max_residual == 0.0
 
     def test_report_json(self, p12e):
         obj = json.loads(rh_check(p12e, 1e-9).to_json())
         assert obj["pass"] is True
         assert len(obj["roots"]) == 6
         assert set(obj["roots"][0]) == {"re", "im"}
+
+
+def _mp(x):
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+
+
+def _quadratic_roots(s, q):
+    """Both roots of 1 - sT + qT^2 at 400 bits; s rational or an mpc."""
+    with mp.workprec(400):
+        q, s = _mp(q), _mp(s)
+        sq = mp.sqrt(mp.mpc(s * s - 4 * q))
+        return [(s + sq) / (2 * q), (s - sq) / (2 * q)]
+
+
+def _assert_roots_match(found, known, tol=1e-30):
+    left = list(found)
+    assert len(left) == len(known)
+    for z in known:
+        i = min(range(len(left)), key=lambda j: abs(left[j] - z))
+        assert abs(left.pop(i) - z) < tol, (z, found)
+
+
+@st.composite
+def folded_polys(draw):
+    """(P, its known roots, RH holds) for P a product of distinct factors
+    1 - sT + qT^2 (rational s, or complex conjugate pairs s), times at most
+    one of 1 - qT^2, 1 + 2T, 1 - 2T (the last two at q = 4 only)."""
+    q = draw(st.sampled_from([F(2), F(4), Q43]))
+    edge = [F(4), F(-4)] if q == 4 else []  # s = +-2 sqrt(q): double root
+    inside = draw(st.booleans())
+    s_values = (st.fractions(-2, 2, max_denominator=6) if inside
+                else st.fractions(-6, 6, max_denominator=6))
+    reals = draw(st.lists(st.one_of(s_values, st.sampled_from([F(4), F(-4)])),
+                          min_size=1, max_size=4, unique=True))
+    if inside:
+        reals = [s for s in reals if s * s <= 4 * q]
+    pairs = [] if inside else draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(1, 12)).filter(
+            lambda ab: ab[0] ** 2 < 4 * ab[1]),
+        max_size=2, unique=True))
+    extras = [None, (F(1), F(0), -q)]
+    if q == 4:
+        extras += [(F(1), F(2)), (F(1), F(-2))]
+    extra = None if set(reals) & set(edge) else draw(st.sampled_from(extras))
+    coeffs, known = [F(1)], []
+    for s in reals:
+        coeffs = unipoly.mul(coeffs, [F(1), -s, q])
+        known += _quadratic_roots(s, q)
+    for a, b in pairs:
+        # (1 - sT + qT^2)(1 - s'T + qT^2) for the roots s, s' of s^2 - a s + b
+        coeffs = unipoly.mul(coeffs, [F(1), F(-a), 2 * q + b, -a * q, q * q])
+        with mp.workprec(400):
+            disc = mp.sqrt(mp.mpc(a * a - 4 * b))
+            for s in ((a + disc) / 2, (a - disc) / 2):
+                known += _quadratic_roots(s, q)
+    if extra is not None:
+        coeffs = unipoly.mul(coeffs, list(extra))
+        with mp.workprec(400):
+            known += ([mp.mpc(-1 / _mp(extra[1]))] if len(extra) == 2
+                      else [mp.mpc(t / mp.sqrt(_mp(q))) for t in (-1, 1)])
+    holds = not pairs and all(s * s <= 4 * q for s in reals)
+    return ZetaPoly(tuple(coeffs), q), known, holds
+
+
+class TestFold:
+    """rh_check on P built from known factors: the verdict is the exact truth
+    and the roots are the known ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(folded_polys())
+    def test_functional_equation(self, case):
+        p, known, holds = case
+        assert p.degree == 0 or zeta_mod._fold(list(p.coeffs), p.q) is not None
+        r = rh_check(p, 1e-9)
+        assert r.passed == holds
+        _assert_roots_match(r.roots, known)
+
+    @settings(max_examples=30, deadline=None)
+    @given(folded_polys(), st.fractions(-5, 5, max_denominator=5).filter(bool))
+    def test_no_functional_equation(self, case, a):
+        # a root 1/a off the circle breaks the functional equation
+        p, known, _ = case
+        assume(a * a != p.q)
+        p = ZetaPoly(tuple(unipoly.mul(list(p.coeffs), [F(1), -a])), p.q)
+        assert zeta_mod._fold(list(p.coeffs), p.q) is None
+        r = rh_check(p, 1e-9)
+        assert not r.passed
+        with mp.workprec(400):
+            _assert_roots_match(r.roots, known + [mp.mpc(1 / _mp(a))])
+
+    @pytest.mark.parametrize("factors,q,roots", [
+        # the exact roots of 1 - 4T^2 and the double root of (1 - 2T)^2,
+        # a simple root s = 4 of the fold
+        ([(1, 0, -4), (1, -4, 4)], 4, [0.5, 0.5, 0.5, -0.5]),
+        ([(1, -4, 4), (1, 4, 4)], 4, [0.5, 0.5, -0.5, -0.5]),  # s = +-4
+        ([(1, -2), (1, -4, 4)], 4, [0.5, 0.5, 0.5]),  # odd degree
+        ([(1, 2), (1, -2)], 4, [0.5, -0.5]),  # 1 - 4T^2: a constant fold
+        ([(0, 1), (1, -2, 2)], 2, [0, 0.5 + 0.5j, 0.5 - 0.5j]),  # P(0) = 0
+    ], ids=["edge-triple", "edge-both", "odd-cube", "odd-pair", "zero-root"])
+    def test_edge_cases(self, factors, q, roots):
+        coeffs = [F(1)]
+        for f in factors:
+            coeffs = unipoly.mul(coeffs, [F(c) for c in f])
+        r = rh_check(ZetaPoly(tuple(coeffs), q), 1e-9)
+        assert r.passed == (0 not in roots)
+        assert r.max_residual < 1e-20
+        _assert_roots_match(r.roots, [mp.mpc(z) for z in roots])
 
 
 class TestStarOperator:
