@@ -456,16 +456,6 @@ def _roots_stable(old, new, limit) -> bool:
     if len(old) != len(new):
         return False
     limit2 = limit * limit
-    # a pairing within the limit bounds every nearest distance; ordering
-    # both sets on a grid of spacing `limit` pairs close roots whatever
-    # their rounding noise (sorting by (re, im) would not: a conjugate
-    # pair's real parts tie up to noise)
-    def cell(z):
-        return int(mp.nint(z.real / limit)), int(mp.nint(z.imag / limit))
-
-    if all(_abs2(a - b) <= limit2
-           for a, b in zip(sorted(old, key=cell), sorted(new, key=cell))):
-        return True
     return (all(min(_abs2(a - b) for b in new) <= limit2 for a in old)
             and all(min(_abs2(b - a) for a in old) <= limit2 for b in new))
 
