@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, isfinite
@@ -453,11 +454,23 @@ def _float_roots(int_coeffs: list[int], seeds, max_iter: int):
 
 def _roots_stable(old, new, limit) -> bool:
     """Symmetric nearest-distance agreement of two root multisets."""
-    if len(old) != len(new):
-        return False
+    return (len(old) == len(new)
+            and _all_near(old, new, limit) and _all_near(new, old, limit))
+
+
+def _all_near(points, others, limit) -> bool:
+    """Whether every point has one of `others` within distance `limit`."""
+    others = sorted(others, key=lambda z: z.real)
+    keys = [z.real for z in others]
     limit2 = limit * limit
-    return (all(min(_abs2(a - b) for b in new) <= limit2 for a in old)
-            and all(min(_abs2(b - a) for a in old) <= limit2 for b in new))
+    # only points whose real part is within `limit` can qualify; the window
+    # is twice that so that rounding its ends cannot drop one
+    for a in points:
+        window = others[bisect_left(keys, a.real - 2 * limit):
+                        bisect_right(keys, a.real + 2 * limit)]
+        if not any(_abs2(a - b) <= limit2 for b in window):
+            return False
+    return True
 
 
 def _fold(coeffs: list[Fraction], q: Fraction):

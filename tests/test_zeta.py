@@ -409,6 +409,23 @@ class TestFold:
         with mp.workprec(400):
             _assert_roots_match(r.roots, known + [mp.mpc(1 / _mp(a))])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8),
+           st.integers(0, 5))
+    def test_roots_stable_is_nearest_distance(self, a, b, limit):
+        # dyadic points make every distance exact, so ties with the limit
+        # are hit exactly
+        old = [mp.mpc(x, y) / 4 for x, y in a]
+        new = [mp.mpc(x, y) / 4 for x, y in b]
+        lim = mp.mpf(limit) / 4
+
+        def near(u, v):
+            return all(any(abs(s - t) <= lim for t in v) for s in u)
+
+        expected = len(old) == len(new) and near(old, new) and near(new, old)
+        assert zeta_mod._roots_stable(old, new, lim) == expected
+
     @pytest.mark.parametrize("factors,q,roots", [
         # the exact roots of 1 - 4T^2 and the double root of (1 - 2T)^2,
         # a simple root s = 4 of the fold
