@@ -5,6 +5,11 @@ y, so ``coeffs[i]`` multiplies x^(n-i) y^i.  The zero polynomial keeps its
 degree so that degree contracts of the differential operators stay total.
 Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
 MacWilliams transforms, matrix actions over a quadratic extension).
+
+Matrix actions on a rational polynomial run on Python ints.  A matrix that is
+a scalar multiple lam * M of a rational M, such as sigma_q(q), acts as lam^n
+times the integer action of M.  Only other irrational matrices, and
+polynomials with irrational coefficients, take the Horner loop on QuadElem.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "diff_op",
     "divide_exact",
     "weight_profile",
+    "min_weight",
     "pochhammer",
     "parse_poly",
     "MixedExtensionError",
@@ -275,17 +281,34 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
 
     When sigma and f are rational, both are scaled to integers, the expansion
-    runs on Python ints and the common denominator is divided out once.
+    runs on Python ints and the common denominator is divided out once.  When
+    f is rational and sigma = lam * M with M rational, lam the first nonzero
+    entry of sigma (sigma_q(q), its transpose, their rational multiples), the
+    integer expansion runs on M and the result is multiplied once by lam^n.
+    Only entries of the form a + b*sqrt(D) that are not one common multiple
+    of a rational matrix, or an f with irrational coefficients, take the
+    generic Horner loop on Fraction / QuadElem scalars.
     """
     n = f.degree
     entries = (sigma.a, sigma.b, sigma.c, sigma.d)
-    if f.is_rational() and all(isinstance(e, Fraction) for e in entries):
+    rational_f = f.is_rational()
+    lam = None
+    if rational_f and any(isinstance(e, QuadElem) for e in entries):
+        lam = next(e for e in entries if e)
+        try:
+            ratios = tuple(simplify(e / lam) for e in entries)
+        except MixedExtensionError:  # entries from two extensions
+            ratios = entries
+        if all(isinstance(r, Fraction) for r in ratios):
+            entries = ratios
+    if rational_f and all(isinstance(e, Fraction) for e in entries):
         den_s = lcm(*(e.denominator for e in entries))
         den_f = lcm(*(c.denominator for c in f.coeffs))
         ints = [e.numerator * (den_s // e.denominator) for e in entries]
         coeffs = [c.numerator * (den_f // c.denominator) for c in f.coeffs]
         scale = den_f * den_s**n
-        return HomPoly(n, [Fraction(v, scale) for v in _act_horner(coeffs, *ints, 1)])
+        out = HomPoly(n, [Fraction(v, scale) for v in _act_horner(coeffs, *ints, 1)])
+        return out if lam is None else out * simplify(lam**n)
     return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
 
 
@@ -409,18 +432,25 @@ def _min_positive_support(f: HomPoly) -> int:
     raise ValueError("polynomial has no positive-weight term")
 
 
-def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
-    """d, d_perp and the largest c dividing every nonzero weight of f."""
+def min_weight(f: HomPoly) -> int:
+    """d of an enumerator f, the least positive weight; no MacWilliams transform.
+
+    Raises ValueError when f is zero, not monic in x^n, or x^n alone.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial has no weight profile")
     if f.coeffs[0] != 1:
         raise ValueError("enumerator must be monic in x^n")
-    positive = [i for i in f.support() if i >= 1]
-    if not positive:
+    if not any(f.coeffs[1:]):
         raise ValueError("x^n alone is not a weight enumerator")
-    d = positive[0]
+    return _min_positive_support(f)
+
+
+def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
+    """d, d_perp and the largest c dividing every nonzero weight of f."""
+    d = min_weight(f)
     divisibility = 0
-    for i in positive:
+    for i in f.support():
         divisibility = gcd(divisibility, i)
     d_perp = _min_positive_support(macwilliams(f, q))
     return WeightProfile(d=d, d_perp=d_perp, divisibility=divisibility)

@@ -9,6 +9,7 @@ asserted rather than assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,7 +121,7 @@ class RationalFunctionSeries:
 
 def _char_denominator(m: Mat2) -> list:
     """det(I - l*A) = 1 - tr(A) l + det(A) l^2 as a coefficient list."""
-    return unipoly.trim([Fraction(1), -m.trace(), m.det()])
+    return unipoly.trim([Fraction(1), simplify(-m.trace()), simplify(m.det())])
 
 
 def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries:
@@ -132,11 +133,13 @@ def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    # elements with one (trace, det) give one term; sum each once, times its
+    # multiplicity, in first-seen order
+    counts = Counter(tuple(_char_denominator(m)) for m in group.sorted_elements())
     num, den = [], [Fraction(1)]
-    for m in group.sorted_elements():
-        d = _char_denominator(m)
-        # num/den + 1/d = (num*d + den) / (den*d), reduced as we go
-        num = unipoly.add(unipoly.mul(num, d), den)
+    for d, k in counts.items():
+        # num/den + k/d = (num*d + k*den) / (den*d), reduced as we go
+        num = unipoly.add(unipoly.mul(num, d), unipoly.scale(den, k))
         den = unipoly.mul(den, d)
         g = unipoly.gcd(num, den)
         if unipoly.degree(g) > 0:

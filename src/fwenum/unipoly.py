@@ -116,13 +116,6 @@ def gcd(p: list, q: list) -> list:
     return [c / lead for c in a]
 
 
-def evaluate(p: list, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def series_mul(p: list, q: list, terms: int) -> list:
     """Product of two power-series prefixes, truncated to `terms` coefficients."""
     out = [Fraction(0)] * terms

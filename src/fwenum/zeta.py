@@ -32,6 +32,7 @@ from .homopoly import (
     act_matrix,
     diff_op,
     divide_exact,
+    min_weight,
     parse_poly,
     pochhammer,
     weight_profile,
@@ -755,7 +756,7 @@ class DivisibilityCheck:
 def verify_divisibility_prop(w: HomPoly, fam: FamilySpec) -> DivisibilityCheck:
     """a^(d-3) divides p(D)W, and the cofactor is divisible by the family generator."""
     _require_identity_data(fam, "the divisibility statement")
-    d = weight_profile(w, fam.q).d
+    d = min_weight(w)
     if d < 4:
         raise ValueError("the divisibility statement needs d >= 4")
     a = fam.divisor_base ** (d - 3)
@@ -771,7 +772,7 @@ def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
     """Closed form of p(D)W for extremal members with d >= 4 (exact expansion)."""
     _require_identity_data(fam, "the identity")
     n = w.degree
-    d = weight_profile(w, fam.q).d
+    d = min_weight(w)
     if d < 4:
         raise ValueError("the identity needs d >= 4")
     a_d = w.coeffs[d]
@@ -813,11 +814,11 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
     """Binomial sum over zeta coefficients against the closed product form."""
     _require_identity_data(fam, "the identity")
     n = w.degree
-    d = weight_profile(w, fam.q).d
+    d = _zeta_min_weight(w, fam.q)
     m = d - 2
     if m < 2 or m % 2:
         raise ValueError("the identity needs even d - 2 >= 2")
-    p = zeta_from_genfunc(w, fam.q)
+    p = _zeta_genfunc(w, fam.q, d)
     pc = list(p.coeffs)
     a_d = w.coeffs[d]
     if fam.name == "type1":

@@ -221,6 +221,38 @@ class TestMolien:
         # 1/((1-l^2)(1-l^4)) expanded
         assert obj["denominator"] == ["1", "0", "-1", "0", "-1", "0", "1"]
 
+    @pytest.mark.parametrize("group, text, json_text", [
+        pytest.param("g1minus",
+             "group g1minus: order 8\nmolien: (1) / (λ^6 - λ^4 - λ^2 + 1)\n"
+             "series: 1, 0, 1, 0, 2, 0, 2, 0, 3\n",
+             '{"denominator": ["1", "0", "-1", "0", "-1", "0", "1"], "group": "g1minus", '
+             '"numerator": ["1"], "order": 8, "series": '
+             '["1", "0", "1", "0", "2", "0", "2", "0", "3"]}\n', id="g1minus"),
+        pytest.param("g4minus",
+             "group g4minus: order 6\nmolien: (1) / (λ^5 - λ^3 - λ^2 + 1)\n"
+             "series: 1, 0, 1, 1, 1, 1, 2, 1, 2\n",
+             '{"denominator": ["1", "0", "-1", "-1", "0", "1"], "group": "g4minus", '
+             '"numerator": ["1"], "order": 6, "series": '
+             '["1", "0", "1", "1", "1", "1", "2", "1", "2"]}\n', id="g4minus"),
+        pytest.param("g43minus",
+             "group g43minus: order 12\nmolien: (1) / (λ^8 - λ^6 - λ^2 + 1)\n"
+             "series: 1, 0, 1, 0, 1, 0, 2, 0, 2\n",
+             '{"denominator": ["1", "0", "-1", "0", "0", "0", "-1", "0", "1"], '
+             '"group": "g43minus", "numerator": ["1"], "order": 12, "series": '
+             '["1", "0", "1", "0", "1", "0", "2", "0", "2"]}\n', id="g43minus"),
+        pytest.param("g43",
+             "group g43: order 24\nmolien: (1) / (λ^14 - λ^12 - λ^2 + 1)\n"
+             "series: 1, 0, 1, 0, 1, 0, 1, 0, 1\n",
+             '{"denominator": ["1", "0", "-1", "0", "0", "0", "0", "0", "0", "0", "0", '
+             '"0", "-1", "0", "1"], "group": "g43", "numerator": ["1"], "order": 24, '
+             '"series": ["1", "0", "1", "0", "1", "0", "1", "0", "1"]}\n', id="g43"),
+    ])
+    def test_exact_output(self, capsys, group, text, json_text):
+        for fmt, expected in (("text", text), ("json", json_text)):
+            code, out, _ = run(capsys, "molien", "--group", group, "--terms", "9",
+                               "--format", fmt)
+            assert code == 0 and out == expected
+
 
 class TestVerify:
     def test_duursma_okuda_suite(self, capsys):

@@ -15,6 +15,7 @@ from fwenum.homopoly import (
     format_poly,
     format_poly_latex,
     macwilliams,
+    min_weight,
     parse_poly,
     pochhammer,
     sigma_q,
@@ -129,6 +130,21 @@ class TestActMatrix:
         coeffs = st.one_of(fractions, scalars)
         f = HomPoly(n, [data.draw(coeffs) for _ in range(n + 1)])
         assert act_matrix(f, m) == naive_action(f, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_polys(max_degree=16), invertible_mats(),
+           fractions.filter(bool), st.sampled_from([1, 2, 3, 5]))
+    def test_matches_naive_expansion_scalar_multiple(self, f, m, r, rad):
+        # sigma = lam * M with M rational: the factored path of act_matrix
+        lam = QuadElem(0, r, rad)  # r*sqrt(rad); rad = 1 gives the rational r
+        sigma = Mat2(*(lam * e for e in (m.a, m.b, m.c, m.d)))
+        assert act_matrix(f, sigma) == naive_action(f, sigma)
+
+    @settings(max_examples=20, deadline=None)
+    @given(hom_polys(max_degree=16), st.sampled_from([2, Fraction(4, 3)]))
+    def test_transposed_sigma_q(self, f, q):
+        sigma = sigma_q(q).transpose()
+        assert act_matrix(f, sigma) == naive_action(f, sigma)
 
     def test_mixed_extension_rejected(self):
         f = HomPoly(1, [QuadElem(0, 1, 3), Fraction(1)])
@@ -251,13 +267,18 @@ class TestWeightProfile:
         p = weight_profile(parse_poly("x^9 + y^9"), 2)
         assert p.d == n and p.divisibility == n
 
+    def test_min_weight_agrees(self, printed):
+        for name, q in (("w12", 2), ("w11", 4), ("phi6", Fraction(4, 3))):
+            assert min_weight(printed[name]) == weight_profile(printed[name], q).d
+
     def test_errors(self):
-        with pytest.raises(ValueError):
-            weight_profile(HomPoly.zero(3), 2)
-        with pytest.raises(ValueError):
-            weight_profile(HomPoly.monomial(5, 0), 2)  # bare x^n
-        with pytest.raises(ValueError):
-            weight_profile(parse_poly("2*x^2 + y^2"), 2)  # not monic
+        for profile in (lambda f: weight_profile(f, 2), min_weight):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                profile(HomPoly.zero(3))
+            with pytest.raises(ValueError, match="x\\^n alone"):
+                profile(HomPoly.monomial(5, 0))  # bare x^n
+            with pytest.raises(ValueError, match="monic"):
+                profile(parse_poly("2*x^2 + y^2"))
 
 
 class TestPochhammer:

@@ -4,8 +4,10 @@ import pytest
 
 from fwenum.families import FAMILIES, ring_dimension
 from fwenum.homopoly import Mat2, TAU, act_matrix, sigma_q
+from fwenum.scalar import NotRationalError
 from fwenum.matgroup import (
     GroupClosureError,
+    MatrixGroup,
     RationalFunctionSeries,
     group_closure,
     molien_series,
@@ -88,6 +90,14 @@ def test_closure_cap():
     shear = Mat2(1, 1, 0, 1)  # infinite order
     with pytest.raises(GroupClosureError):
         group_closure([shear], cap=64)
+
+
+def test_irrational_residue_rejected():
+    # not closed: the element sigma_2 TAU has trace sqrt(2) and no conjugate partner
+    m = sigma_q(2) @ TAU
+    group = MatrixGroup(elements=frozenset({Mat2.identity(), m}), generators=(m,))
+    with pytest.raises(NotRationalError):
+        molien_series(group, 5)
 
 
 def test_series_prefix_of_g43():
