@@ -188,11 +188,7 @@ def scan_family(fam, n_min: int, n_max: int, tolerance: float,
             rows.append(ScanRow(n, None, b.proven, None, None, None, None, None,
                                 f"extremal: {exc}", hard=b.proven))
             continue
-        d = next(i for i in range(1, n + 1) if w.coeffs[i])
-        if d != b.d_max:
-            rows.append(ScanRow(n, d, b.proven, None, None, None, None, None,
-                                f"d = {d} != bound {b.d_max}", hard=b.proven))
-            continue
+        d = b.d_max  # extremal raises unless d(w) is the bound
         try:
             p1 = zeta_mod.zeta_checked(w, fam.q)
         except ValueError as exc:

@@ -5,8 +5,11 @@ for the c = 4 family) together with an anti-invariant generator; products
 with an odd number of anti-invariant factors transform with sign -1 under the
 MacWilliams matrix, products with an even number with sign +1.  The extremal
 member of a degree is the unique monic combination whose low-order weights
-vanish strictly below the family bound; the solver asserts the uniqueness and
-the nonvanishing at the bound instead of trusting them.
+vanish strictly below the family bound.  One cached solver gives the members
+of a degree with A_1..A_(d-1) = 0, one per nullspace vector of that exact
+system.  At d = d_max, `extremal` asserts that the space has one element,
+that it can be made monic and that its A_(d_max) is nonzero, instead of
+trusting them; the randomized suites draw combinations of the space.
 """
 
 from __future__ import annotations
@@ -262,39 +265,42 @@ def classical_bound(name: str, n: int) -> int:
     raise ValueError(f"no classical bound for {name!r}")
 
 
+@lru_cache(maxsize=256)
+def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[HomPoly, ...]:
+    """The members of degree n with A_1 = ... = A_(d-1) = 0: one HomPoly per
+    vector of the nullspace of that exact system over basis(fam, n)."""
+    elems = basis(fam, n)
+    rows = [[b.coeffs[i] for b in elems] for i in range(1, d)]
+    space = []
+    for vec in linalg.nullspace(rows, len(elems)):
+        w = HomPoly.zero(n)
+        for cj, b in zip(vec, elems):
+            if cj:
+                w = w + b * cj
+        space.append(w)
+    return tuple(space)
+
+
 def extremal(fam: FamilySpec, n: int) -> HomPoly:
     """The unique monic member with all weights below the family bound cancelled.
 
-    Solves the exact cancellation system A_i = 0 for 1 <= i < d_max and
-    asserts that the solution space is one-dimensional, that it can be made
-    monic, and that the coefficient at the bound itself is nonzero.
+    Takes the cancellation space of A_i = 0 for 1 <= i < d_max and asserts
+    that it is one-dimensional, that its member can be made monic, and that
+    the coefficient at the bound itself is nonzero.
     """
-    return _extremal(fam, n)
-
-
-@lru_cache(maxsize=256)
-def _extremal(fam: FamilySpec, n: int) -> HomPoly:
-    elems = basis(fam, n)
-    if not elems:
-        raise ValueError(f"family {fam.name} has no members of degree {n}")
     d_max = bound(fam, n).d_max
-    rows = [[b.coeffs[i] for b in elems] for i in range(1, d_max)]
-    kernel = linalg.nullspace(rows, len(elems))
-    if len(kernel) != 1:
+    space = _cancellation_space(fam, n, d_max)
+    if len(space) != 1:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space has dimension "
-            f"{len(kernel)}, expected 1"
+            f"{len(space)}, expected 1"
         )
-    coeffs = kernel[0]
-    lead = sum(coeffs)  # every basis product is monic in x^n
+    lead = space[0].coeffs[0]  # every basis product is monic in x^n
     if lead == 0:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
         )
-    w = HomPoly.zero(n)
-    for cj, b in zip(coeffs, elems):
-        if cj:
-            w = w + b * (cj / lead)
+    w = space[0] * (1 / lead)
     if not w.coeffs[d_max]:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d_max}"
@@ -306,27 +312,21 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
     """A random monic member with A_i = 0 below d_target and A_(d_target) != 0.
 
     Used by the randomized theorem suites; returns None when the degree
-    cannot host such a member.  Deterministic for a seeded rng.
+    cannot host such a member.  Each of at most 32 attempts draws one
+    rng.randint(-9, 9) per vector of the cancellation space, so the result
+    is deterministic for a seeded rng.
     """
-    elems = basis(fam, n)
-    if not elems:
-        return None
-    rows = [[b.coeffs[i] for b in elems] for i in range(1, d_target)]
-    kernel = linalg.nullspace(rows, len(elems))
-    if not kernel:
+    space = _cancellation_space(fam, n, d_target)
+    if not space:
         return None
     for _ in range(32):
-        coeffs = [Fraction(0)] * len(elems)
-        for vec in kernel:
-            c = Fraction(rng.randint(-9, 9))
-            coeffs = [a + c * v for a, v in zip(coeffs, vec)]
-        lead = sum(coeffs)
+        w = HomPoly.zero(n)
+        for member in space:
+            w = w + member * rng.randint(-9, 9)
+        lead = w.coeffs[0]
         if lead == 0:
             continue
-        w = HomPoly.zero(n)
-        for cj, b in zip(coeffs, elems):
-            if cj:
-                w = w + b * (cj / lead)
+        w = w * (1 / lead)
         if w.coeffs[d_target]:
             return w
     return None

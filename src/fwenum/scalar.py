@@ -237,13 +237,6 @@ def simplify(x):
     return x
 
 
-def conjugate(x):
-    """Galois conjugate; the identity on rationals."""
-    if isinstance(x, QuadElem):
-        return x.conjugate()
-    return _as_fraction(x)
-
-
 def sqrt_rational(q: Fraction) -> tuple[QuadElem, int]:
     """Exact positive square root of q > 0 inside one quadratic extension.
 

@@ -39,13 +39,6 @@ def add(p: list, q: list) -> list:
     return trim(out)
 
 
-def neg(p: list) -> list:
-    return [-c for c in p]
-
-def sub(p: list, q: list) -> list:
-    return add(p, neg(q))
-
-
 def scale(p: list, c) -> list:
     if not c:
         return []
@@ -63,17 +56,6 @@ def mul(p: list, q: list) -> list:
             if b:
                 out[i + j] = out[i + j] + a * b
     return trim(out)
-
-
-def pow_(p: list, n: int) -> list:
-    result = [Fraction(1)]
-    base = list(p)
-    while n:
-        if n & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        n >>= 1
-    return result
 
 
 def divmod_(p: list, q: list) -> tuple[list, list]:

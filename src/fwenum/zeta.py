@@ -20,7 +20,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf, isfinite
+from math import comb, gcd, inf, isfinite, isqrt
 
 import mpmath as mp
 
@@ -37,7 +37,6 @@ from .homopoly import (
     pochhammer,
     weight_profile,
 )
-from .scalar import simplify, sqrt_rational
 
 __all__ = [
     "ZetaPoly",
@@ -297,31 +296,32 @@ def zeta_checked(w: HomPoly, q) -> ZetaPoly:
 def functional_equation_check(p: ZetaPoly) -> int | None:
     """Sign in P(T) = sign * P(1/(qT)) q^g T^(2g), or None when neither holds.
 
-    The comparison is exact; q^(g-i) is handled inside the quadratic extension
-    generated by sqrt(q), so half-integral genus (odd n) works whenever the
-    powers collapse to rationals.
+    2g = n + 2 - 2d; the exact test is `_fe_sign`, which `_fold` shares, so
+    half-integral genus (odd n) works whenever sqrt(q) is rational.
     """
     if p.n is None or p.d is None:
         return None
-    two_g = p.n + 2 - 2 * p.d
-    if two_g < 0:
+    return _fe_sign(list(p.coeffs), p.q, p.n + 2 - 2 * p.d)
+
+
+def _fe_sign(coeffs: list[Fraction], q: Fraction, two_g: int) -> int | None:
+    """The sign eps of P(T) = eps P(1/(qT)) q^g T^(2g), or None without one.
+
+    `coeffs` are ascending with no trailing zeros.  Coefficientwise
+    a_(2g-i) = eps sqrt(q)^(2g-2i) a_i for 0 <= i <= 2g, and P has degree
+    <= 2g.  Each pair is tested on Fractions as a_(2g-i)^2 = q^(2g-2i) a_i^2
+    together with eps a_(2g-i) a_i >= 0, which also covers odd 2g, where an
+    irrational sqrt(q) forces a_i = 0.  P = 0 has sign +1.
+    """
+    if two_g < 0 or len(coeffs) - 1 > two_g:
         return None
-    coeffs = list(p.coeffs)
-    r = len(coeffs) - 1
-
-    def pc(i: int) -> Fraction:
-        return coeffs[i] if 0 <= i <= r else Fraction(0)
-
-    root, _ = sqrt_rational(p.q)
-    top = simplify(root**two_g)
-    for sign in (1, -1):
-        factor = top  # root^(2g - 2i)
-        for i in range(0, max(r, two_g) + 1):
-            if pc(two_g - i) != sign * factor * pc(i):
-                break
-            factor = factor / p.q
-        else:
-            return sign
+    a = list(coeffs) + [Fraction(0)] * (two_g + 1 - len(coeffs))
+    pairs = [(a[two_g - i], a[i]) for i in range(two_g // 2 + 1)]
+    if any(x * x != q ** (two_g - 2 * i) * y * y for i, (x, y) in enumerate(pairs)):
+        return None
+    for eps in (1, -1):
+        if all(eps * x * y >= 0 for x, y in pairs):
+            return eps
     return None
 
 
@@ -479,33 +479,28 @@ def _fold(coeffs: list[Fraction], q: Fraction):
 
     Roots of P are the roots sign/sqrt(q) for each of `signs`, plus both
     roots T of qT^2 - sT + 1 for every root s of R (ascending Fractions).
-    With 2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g), s = qT + 1/T gives
+    With 2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g) (`_fe_sign`),
+    s = qT + 1/T gives
     T^(-g) P(T) = R(s) if eps = +1, R = p_g + sum_(k>=1) p_(g-k) V_k(s), and
     T^(-g) P(T) = (1/T - qT) R(s) if eps = -1, R = sum_(k>=1) p_(g-k) U_(k-1)(s);
     V_0 = 2, U_0 = 1, V_1 = U_1 = s, X_k = s X_(k-1) - q X_(k-2).  An odd
-    degree needs q = r^2 with r rational; the root -eps/r is divided out first.
+    degree forces q = r^2 with r rational and the root -eps/r; dividing it
+    out leaves a quotient of sign +1.
     None when P(0) = 0 or the coefficients satisfy no functional equation.
     """
     p = list(coeffs)
     signs = []
     if not p[0]:
         return None
-    if len(p) % 2 == 0:
-        root, d = sqrt_rational(q)
-        if d != 1:
-            return None
-        eps = p[-1] / (root.a ** (len(p) - 1) * p[0])
-        if eps not in (1, -1):
-            return None
-        p = unipoly.div_exact(p, [Fraction(1), eps * root.a])  # root -eps/r
-        if p is None:
-            return None
-        signs.append(-int(eps))
-    g = (len(p) - 1) // 2
-    eps = p[-1] / (q ** g * p[0])
-    if eps not in (1, -1) or any(p[-1 - i] != eps * q ** (g - i) * p[i]
-                                 for i in range(g + 1)):
+    eps = _fe_sign(p, q, len(p) - 1)
+    if eps is None:
         return None
+    if len(p) % 2 == 0:
+        r = Fraction(isqrt(q.numerator), isqrt(q.denominator))
+        p = unipoly.div_exact(p, [Fraction(1), eps * r])
+        signs.append(-eps)
+        eps = 1
+    g = (len(p) - 1) // 2
     if eps == 1:
         x0, weights = 2, [p[g] / 2] + p[:g][::-1]  # on V_0 .. V_g
     else:
@@ -652,10 +647,6 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
 # -- star operators ------------------------------------------------------------------
 
 
-def _star_poly(q: Fraction) -> HomPoly:
-    return HomPoly(2, [1, 0, 1 / (q - 1)])
-
-
 def _star_factor(q: Fraction) -> list[Fraction]:
     return [1 / (q - 1), -2 / (q - 1), q / (q - 1)]
 
@@ -677,6 +668,10 @@ def star_operator(w: HomPoly, fam: FamilySpec) -> HomPoly:
     for n = parity*delta (mod 2*delta) and n >= parity*delta + 2*delta, where
     delta is the degree of the odd generator."""
     _require_star(fam)
+    return _star_image(w, fam)
+
+
+def _star_image(w: HomPoly, fam: FamilySpec) -> HomPoly:
     n = w.degree
     delta = fam.odd_gen.degree
     low = fam.parity * delta
@@ -684,7 +679,8 @@ def star_operator(w: HomPoly, fam: FamilySpec) -> HomPoly:
         raise ValueError(
             f"degree {n} is inadmissible for the {fam.name} star operator"
         )
-    return diff_op(_star_poly(fam.q), w) * Fraction(1, n * (n - 1))
+    p = HomPoly(2, [1, 0, 1 / (fam.q - 1)])
+    return diff_op(p, w) * Fraction(1, n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -694,41 +690,40 @@ class StarCheck:
     zeta_factor_matches: bool
 
 
+def _star_check(fam: FamilySpec, w: HomPoly) -> StarCheck:
+    """The star relation at the degree n of the extremal member w: W* is the
+    extremal member of degree n - 2, and its P is the star factor times P."""
+    w_star = _star_image(w, fam)
+    maps = w_star == extremal(fam, w.degree - 2)
+    p = zeta_checked(w, fam.q)
+    p_star = zeta_checked(w_star, fam.q)
+    zmatch = unipoly.mul(_star_factor(fam.q), list(p.coeffs)) == list(p_star.coeffs)
+    return StarCheck(ok=maps and zmatch, maps_to_extremal=maps,
+                     zeta_factor_matches=zmatch)
+
+
 def star_scan_q43_odd(k_max: int) -> list[tuple[int, bool, bool]]:
     """Scan the conjectural star relation 12k+6 -> 12k+4 for the q=4/3 fwe family.
 
-    The bound at 12k+4 is itself unproven; nothing here is asserted.  Returns
-    (k, operator image is the unique degree-(12k+4) member, zeta relation
-    holds) per k, for reporting only.
+    The degrees 12k+6 are the admissible class of the star rule (delta = 6,
+    parity 1), so this runs the check of `verify_star` without its has_star
+    gate.  The bound at 12k+4 is itself unproven; nothing here is asserted.
+    Returns (k, operator image is the unique degree-(12k+4) member, zeta
+    relation holds) per k, for reporting only.
     """
     fam = family("q43-odd")
-    p = _star_poly(fam.q)
-    factor = _star_factor(fam.q)
     out = []
     for k in range(1, k_max + 1):
-        n = 12 * k + 6
-        w_hi = extremal(fam, n)
-        w_lo = extremal(fam, n - 2)
-        image = diff_op(p, w_hi) * Fraction(1, n * (n - 1))
-        maps = image == w_lo
-        p_hi = zeta_checked(w_hi, fam.q)
-        p_lo = zeta_checked(w_lo, fam.q)
-        zmatch = list(p_lo.coeffs) == unipoly.mul(factor, list(p_hi.coeffs))
-        out.append((k, maps, zmatch))
+        check = _star_check(fam, extremal(fam, 12 * k + 6))
+        out.append((k, check.maps_to_extremal, check.zeta_factor_matches))
     return out
 
 
 def verify_star(fam: FamilySpec, n: int) -> StarCheck:
     """Postcondition contracts of the star operator at degree n."""
     w = extremal(fam, n)
-    w_star = star_operator(w, fam)
-    maps = w_star == extremal(fam, n - 2)
-    p = zeta_checked(w, fam.q)
-    p_star = zeta_checked(w_star, fam.q)
-    expected = unipoly.mul(star_zeta_factor(fam), list(p.coeffs))
-    zmatch = expected == list(p_star.coeffs)
-    return StarCheck(ok=maps and zmatch, maps_to_extremal=maps,
-                     zeta_factor_matches=zmatch)
+    _require_star(fam)
+    return _star_check(fam, w)
 
 
 # -- theorem verifiers ------------------------------------------------------------------
@@ -790,8 +785,8 @@ def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
     return diff_op(fam.diff_operator, w) == rhs
 
 
-def _binomial_row_sum(weights: list[Fraction], n_choose: int, low_exp: int,
-                      y_start: int, total_deg: int) -> HomPoly:
+def _binomial_row_sum(weights: list[Fraction], n_choose: int, y_start: int,
+                      total_deg: int) -> HomPoly:
     """sum(weights[i] C(n_choose, y_start + i) (x - y)^(...) y^(y_start + i))."""
     acc = HomPoly.zero(total_deg)
     for i, w_i in enumerate(weights):
@@ -828,7 +823,7 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
         v = v2 // 2
         terms = 2 * m + 2 * v + 2
         weights = [pc[i] if i < len(pc) else Fraction(0) for i in range(terms + 1)]
-        lhs = _binomial_row_sum(weights, 4 * m + 2 * v, 0, m - 1, 4 * m + 2 * v)
+        lhs = _binomial_row_sum(weights, 4 * m + 2 * v, m - 1, 4 * m + 2 * v)
         prefactor = (
             pochhammer(d - 2, 3) * (n - d) * a_d / pochhammer(n - 3, 4)
         )
@@ -847,7 +842,7 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
         qc = unipoly.mul(pc, [Fraction(1), Fraction(2)])  # Q = P (1 + 2T)
         terms = m + 2 * v + 2
         weights = [qc[i] if i < len(qc) else Fraction(0) for i in range(terms + 1)]
-        lhs = _binomial_row_sum(weights, 3 * m + 2 * v, 0, m - 1, 3 * m + 2 * v)
+        lhs = _binomial_row_sum(weights, 3 * m + 2 * v, m - 1, 3 * m + 2 * v)
         prefactor = pochhammer(d - 2, 3) * a_d / (3 * pochhammer(n - 2, 3))
         rhs = (
             parse_poly("y") ** (m - 1)

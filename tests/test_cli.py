@@ -305,6 +305,23 @@ class TestVerify:
         assert code == 0
         assert out.count("k=") == 2 and "degrees 30 -> 28" in out
 
+    def test_star_conjecture_scan_exact_output(self, capsys):
+        code, out, err = run(capsys, "verify", "star-q43-odd", "--max-k", "5")
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            f"k={k} (degrees {12 * k + 6} -> {12 * k + 4}): operator image "
+            f"extremal: True; zeta factor 4*T^2 - 6*T + 3: True\n"
+            for k in range(1, 6))
+
+    @pytest.mark.parametrize("fam_name,n,message", [
+        # the missing degree is reported before the missing operator
+        ("ozeki", 24, "family ozeki has no members of degree 24"),
+        ("q43-odd", 18, "no star operator for family q43-odd"),
+    ])
+    def test_star_errors(self, capsys, fam_name, n, message):
+        code, out, err = run(capsys, "verify", "star", "--family", fam_name, "-n", str(n))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def test_scan_report_counts():
     rep = scan_family(family("type1"), 8, 16, 1e-9, 128)

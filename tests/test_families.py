@@ -18,7 +18,8 @@ from fwenum.families import (
     is_fwe,
     member_with_min_weight,
 )
-from fwenum.homopoly import parse_poly, transform_sign, weight_profile
+from fwenum import linalg
+from fwenum.homopoly import HomPoly, parse_poly, transform_sign, weight_profile
 
 F = Fraction
 
@@ -320,3 +321,45 @@ def test_member_with_min_weight_deterministic():
     w2 = member_with_min_weight(fam, 20, 4, random.Random(5))
     assert w1 == w2
     assert w1.coeffs[0] == 1 and w1.coeffs[2] == 0 and w1.coeffs[4] != 0
+
+
+def _member_by_basis_coordinates(fam, n, d_target, rng):
+    """Reference for member_with_min_weight: the random combination is taken
+    of the nullspace vectors in basis coordinates, and only then expanded
+    over the basis products."""
+    elems = basis(fam, n)
+    if not elems:
+        return None
+    rows = [[b.coeffs[i] for b in elems] for i in range(1, d_target)]
+    kernel = linalg.nullspace(rows, len(elems))
+    if not kernel:
+        return None
+    for _ in range(32):
+        coeffs = [Fraction(0)] * len(elems)
+        for vec in kernel:
+            c = Fraction(rng.randint(-9, 9))
+            coeffs = [a + c * v for a, v in zip(coeffs, vec)]
+        lead = sum(coeffs)
+        if lead == 0:
+            continue
+        w = HomPoly.zero(n)
+        for cj, b in zip(coeffs, elems):
+            if cj:
+                w = w + b * (cj / lead)
+        if w.coeffs[d_target]:
+            return w
+    return None
+
+
+# the degrees of the Duursma-Okuda suite
+@pytest.mark.parametrize("fam_name,degrees", [
+    ("type1", range(12, 23, 2)), ("type4", range(9, 18, 2))])
+@pytest.mark.parametrize("d_target", [4, 6])
+def test_member_with_min_weight_matches_basis_coordinates(fam_name, degrees, d_target):
+    fam = family(fam_name)
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in list(degrees) * 2:
+            assert (member_with_min_weight(fam, n, d_target, rng)
+                    == _member_by_basis_coordinates(fam, n, d_target, ref_rng)), (n, seed)
+            assert rng.getstate() == ref_rng.getstate(), (n, seed)

@@ -24,6 +24,7 @@ from fwenum.homopoly import (
     sigma_q,
     transform_sign,
 )
+from fwenum.scalar import simplify, sqrt_rational
 from fwenum.zeta import (
     DIFF_OPERATORS,
     RHConvergenceError,
@@ -217,6 +218,115 @@ class TestFunctionalEquation:
 
     def test_unknown_parameters(self):
         assert functional_equation_check(ZetaPoly((F(1), F(2)), 2)) is None
+
+
+def _fe_sign_quadratic(p: ZetaPoly):
+    """Reference for functional_equation_check: p_(2g-i) = sign q^(g-i) p_i
+    compared directly, with q^(g-i) in the quadratic extension by sqrt(q)."""
+    two_g = p.n + 2 - 2 * p.d
+    coeffs = list(p.coeffs)
+    r = len(coeffs) - 1
+
+    def pc(i):
+        return coeffs[i] if 0 <= i <= r else F(0)
+
+    root, _ = sqrt_rational(p.q)
+    top = simplify(root**two_g)
+    for sign in (1, -1):
+        factor = top  # root^(2g - 2i)
+        for i in range(0, max(r, two_g) + 1):
+            if pc(two_g - i) != sign * factor * pc(i):
+                break
+            factor = factor / p.q
+        else:
+            return sign
+    return None
+
+
+def _unfold(r_coeffs, signs, q):
+    """P rebuilt from its fold: T^m R(qT + 1/T), m = deg R, times
+    1 - sign sqrt(q) T for each split-off root sign/sqrt(q)."""
+    m = len(r_coeffs) - 1
+    p = [F(0)] * (2 * m + 1)
+    power = [F(1)]  # (1 + qT^2)^k
+    for k, c in enumerate(r_coeffs):
+        for i, a in enumerate(power):
+            p[m - k + i] += c * a
+        power = unipoly.mul(power, [F(1), F(0), q])
+    if -1 in signs and 1 in signs:
+        p = unipoly.mul(p, [F(1), F(0), -q])
+    if len(signs) % 2:
+        p = unipoly.mul(p, [F(1), -signs[0] * sqrt_rational(q)[0].a])
+    return p
+
+
+@st.composite
+def symmetric_polys(draw, odd=None):
+    """(coeffs, q, eps) with P(T) = eps P(1/(qT)) q^g T^(2g), 2g = deg P >= 1
+    and P(0) != 0: even 2g at q = 2, 4, 4/3, odd 2g at q = 4."""
+    if odd is None:
+        odd = draw(st.booleans())
+    q = F(4) if odd else draw(st.sampled_from([F(2), F(4), Q43]))
+    two_g = draw(st.integers(1, 5)) * 2 - odd
+    eps = draw(st.sampled_from([1, -1]))
+    coeff = st.fractions(-9, 9, max_denominator=9)
+    low = ([draw(coeff.filter(bool))]
+           + draw(st.lists(coeff, min_size=two_g // 2, max_size=two_g // 2)))
+    if eps == -1 and not odd:
+        low[-1] = F(0)  # the middle coefficient equals its negative
+    a = [F(0)] * (two_g + 1)
+    for i, c in enumerate(low):
+        a[i] = c
+        # sqrt(q)^(2g - 2i), with sqrt(4) = 2 at odd 2g
+        a[two_g - i] = eps * c * q ** ((two_g - 2 * i) // 2) * (2 if odd else 1)
+    return a, q, eps
+
+
+def _zeta(coeffs, q):
+    # n + 2 - 2d = len(coeffs) - 1 = 2g
+    return ZetaPoly(tuple(coeffs), q, n=len(coeffs) + 1, d=2)
+
+
+class TestFunctionalEquationSign:
+    """functional_equation_check and _fold share one exact test."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_polys())
+    def test_symmetric(self, case):
+        coeffs, q, eps = case
+        p = _zeta(coeffs, q)
+        assert functional_equation_check(p) == eps == _fe_sign_quadratic(p)
+        for n in (p.n - 1, p.n + 1):  # 2g != deg P
+            other = ZetaPoly(p.coeffs, q, n=n, d=2)
+            assert functional_equation_check(other) is None
+            assert _fe_sign_quadratic(other) is None
+        fold = zeta_mod._fold(list(p.coeffs), q)
+        assert fold is not None
+        assert _unfold(*fold, q) == list(p.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_polys(), st.data())
+    def test_one_perturbed_coefficient(self, case, data):
+        coeffs, q, _ = case
+        two_g = len(coeffs) - 1
+        # the middle coefficient of an even 2g is its own partner
+        j = data.draw(st.integers(0, two_g).filter(lambda j: 2 * j != two_g))
+        new = coeffs[j] + data.draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+        assume(new not in (0, -coeffs[j]))  # 0 would change deg P or P(0)
+        coeffs = coeffs[:j] + [new] + coeffs[j + 1:]
+        p = _zeta(coeffs, q)
+        assert functional_equation_check(p) is None
+        assert _fe_sign_quadratic(p) is None
+        assert zeta_mod._fold(list(p.coeffs), q) is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_polys(odd=True), st.sampled_from([F(2), Q43]))
+    def test_odd_degree_needs_rational_sqrt_q(self, case, q):
+        coeffs, _, _ = case
+        p = _zeta(coeffs, q)
+        assert functional_equation_check(p) is None
+        assert _fe_sign_quadratic(p) is None
+        assert zeta_mod._fold(list(p.coeffs), q) is None
 
 
 class TestRHCheck:
@@ -511,8 +621,11 @@ class TestStarTable:
         fam = family(fam_name)
         with pytest.raises(ValueError, match="no star operator"):
             star_zeta_factor(fam)
+        n = 18 if fam_name == "q43-odd" else 12
         with pytest.raises(ValueError, match="no star operator"):
-            star_operator(extremal(fam, 18 if fam_name == "q43-odd" else 12), fam)
+            star_operator(extremal(fam, n), fam)
+        with pytest.raises(ValueError, match="no star operator"):
+            verify_star(fam, n)
 
 
 def test_diff_operators_match_literals():
