@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import families as fam_mod
 from . import matgroup, zeta as zeta_mod
@@ -409,6 +410,8 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+# parse_args leaves the parser unchanged, so one parser serves every `main` call
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwenum",

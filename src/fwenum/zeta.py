@@ -6,10 +6,13 @@ linear solve against the generating-function definition, and a triangular
 expansion over MDS enumerators.  Both must agree; the comparison is kept as a
 permanent cross-oracle.  Root location is the only numerical step.  P is
 first folded exactly with its functional equation into R(s), s = qT + 1/T,
-of half the degree; Aberth iteration with deterministic seeding finds the
-roots of R, first in hardware doubles and then in arbitrary precision with
-warm-started precision escalation; each root s is lifted to its two roots T,
-and a residual check on P itself certifies the lifted set.
+of half the degree.  When the signs of R at dyadic points prove all its
+roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)), RH holds exactly and
+the roots are refined and lifted on Python ints.  Otherwise Aberth iteration
+with deterministic seeding finds the roots of R, first in hardware doubles
+and then in arbitrary precision with warm-started precision escalation, and
+each root s is lifted to its two roots T.  On either path a residual check
+on P itself certifies the lifted set.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import json
 import os
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd, inf, isfinite, isqrt
+from math import comb, cos, gcd, inf, isfinite, isqrt, ldexp, pi
 
 import mpmath as mp
 
@@ -178,10 +181,12 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     i < d carry no unknown and are asserted consistent.
     """
     q = Fraction(q)
-    return _zeta_genfunc(w, q, _zeta_min_weight(w, q))
+    d = _zeta_min_weight(w, q)
+    return replace(_zeta_genfunc(w, q, d), n=w.degree, d=d)
 
 
 def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
+    """P by forward substitution, without n and d, so no sign is computed."""
     n = w.degree
     if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
@@ -197,7 +202,7 @@ def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
         for t in range(1, k + 1):
             acc -= s[t] * p[k - t]
         p.append(acc)
-    return ZetaPoly(tuple(p), q, n=n, d=d)
+    return ZetaPoly(tuple(p), q)
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -256,10 +261,12 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     must always agree with zeta_from_genfunc and is kept as a cross-oracle.
     """
     q = Fraction(q)
-    return _zeta_mds(w, q, _zeta_min_weight(w, q))
+    d = _zeta_min_weight(w, q)
+    return replace(_zeta_mds(w, q, d), n=w.degree, d=d)
 
 
 def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
+    """P by the MDS expansion, without n and d, so no sign is computed."""
     n = w.degree
     mds = [_mds_poly(n, d + i, q) for i in range(n - d + 1)]
     a = []
@@ -272,14 +279,15 @@ def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
                 residue[k] -= coeff * mds[i].coeffs[k]
     if any(residue[1:]):
         raise AssertionError("MDS expansion left a nonzero residue")
-    return ZetaPoly(tuple(a), q, n=n, d=d)
+    return ZetaPoly(tuple(a), q)
 
 
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
     The weight profile (a MacWilliams transform) is computed once; each
-    route then extracts P from W and d on its own.
+    route then extracts P from W and d on its own.  The functional equation
+    is tested once, on the agreed P.
     """
     q = Fraction(q)
     d = _zeta_min_weight(w, q)
@@ -287,7 +295,7 @@ def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     p2 = _zeta_mds(w, q, d)
     if p1 != p2:
         raise AssertionError("zeta oracle disagreement between the two methods")
-    return p1
+    return replace(p1, n=w.degree, d=d)
 
 
 # -- functional equation -----------------------------------------------------------
@@ -532,6 +540,162 @@ def _lift(s, q):
     return [t, 1 / (q * t)]
 
 
+# -- certified RH step on Python ints ----------------------------------------------
+
+# Tier A samples R at dyadic points a / 2^_GRID_BITS; a refined root x / 2^B
+# is closed by an exact sign change across x -+ 2^_CLOSE_BITS
+_GRID_BITS = 60
+_CLOSE_BITS = 14
+
+
+def _scaled_value(c: list[int], a: int, k: int) -> int:
+    """2^(k m) R(a / 2^k) exactly, R of degree m with integer coefficients
+    `c` (ascending)."""
+    acc, shift = c[-1], 0
+    for ci in c[-2::-1]:
+        shift += k
+        acc = acc * a + (ci << shift)
+    return acc
+
+
+def _sign_brackets(c: list[int], q: Fraction, points: list[int]):
+    """Tier A: one bracket (lo, hi, R(lo) > 0) per root of R, or None.
+
+    `points` are ascending numerators a of a / 2^60.  When every point lies
+    strictly inside (-2 sqrt(q), 2 sqrt(q)), R is nonzero at each of them and
+    its sign changes deg R times between neighbours, each change brackets a
+    root (intermediate value theorem), so all roots of R are real, simple and
+    inside the interval.  Any other outcome declines with None.
+    """
+    limit = 4 * q.numerator << 2 * _GRID_BITS
+    brackets, prev, prev_value = [], None, 0
+    for a in points:
+        value = _scaled_value(c, a, _GRID_BITS)
+        if value == 0 or a * a * q.denominator >= limit:
+            return None
+        if prev_value and (value > 0) != (prev_value > 0):
+            brackets.append((prev, a, prev_value > 0))
+        prev, prev_value = a, value
+    return brackets if len(brackets) == len(c) - 1 else None
+
+
+def _refine_root(c: list[int], lo: int, hi: int, lo_positive: bool, bits: int):
+    """The root of R in the bracket (lo, hi), as x in units 2^-bits, or None.
+
+    Safeguarded Newton on truncated fixed-point values of R and R': a step
+    that leaves the bracket, which the sign of each value narrows, bisects
+    instead.  The iteration carries m log2|x| + 16 guard bits, because the
+    truncation error of Horner's rule grows like |x|^m.  The result is
+    certified by an exact sign change of R across [x - 2^14, x + 2^14]
+    clipped to the bracket, so it lies within 2^(14 - bits) of the only root
+    there.
+    """
+    lo0, hi0 = lo, hi
+    guard = (len(c) - 1) * ((max(-lo, hi) >> bits) + 1).bit_length() + 16
+    work = bits + guard
+    lo, hi = lo << guard, hi << guard
+    x = (lo + hi) >> 1
+    for _ in range(2 * work):
+        p, dp = c[-1] << work, 0
+        for ci in c[-2::-1]:
+            dp = (dp * x >> work) + p
+            p = (p * x >> work) + (ci << work)
+        if p == 0:
+            break
+        if (p > 0) == lo_positive:
+            lo = x
+        else:
+            hi = x
+        new = x - (p << work) // dp if dp else lo
+        if abs(new - x) >> guard < 1 << (_CLOSE_BITS - 2):
+            x = new
+            break
+        x = new if lo < new < hi else (lo + hi) >> 1
+    x >>= guard
+    a = max(lo0, x - (1 << _CLOSE_BITS))
+    b = min(hi0, x + (1 << _CLOSE_BITS))
+    if (_scaled_value(c, a, bits) > 0) == (_scaled_value(c, b, bits) > 0):
+        return None
+    return x
+
+
+def _fixed_horner(c: list[int], zr: int, zi: int, bits: int):
+    """P(z) for z = (zr + i zi) / 2^bits in truncated fixed point: (re, im)
+    in units 2^-bits."""
+    ar, ai = c[-1] << bits, 0
+    for ci in c[-2::-1]:
+        ar, ai = ((ar * zr - ai * zi) >> bits) + (ci << bits), (ar * zi + ai * zr) >> bits
+    return ar, ai
+
+
+def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
+                  tolerance: float, bits: int) -> RHReport | None:
+    """The RH report of P from an exact proof on its fold R, or None.
+
+    Tier A (`_sign_brackets`) at 4(deg R + 1) points 2 sqrt(q) cos(pi (j +
+    1/2) / N) rounded to 60 bits proves that all roots s of R are real,
+    simple and inside (-2 sqrt(q), 2 sqrt(q)), which is RH for P.  Each s is
+    refined on `bits`-bit fixed-point ints (`_refine_root`) and lifted to
+    T = (s +- i sqrt(4q - s^2)) / (2q) with `isqrt`; the split-off roots
+    sign/sqrt(q) are added as in the Aberth path.  The residual certificate
+    of `rh_check` is then run on ints.  None (decline) when Tier A or a
+    refinement fails, or when `bits` cannot resolve `tolerance`.
+    """
+    m = len(int_r) - 1
+    num, den = q.numerator, q.denominator
+    count = 4 * (m + 1)
+    radius = isqrt((num << 2 * _GRID_BITS + 2) // den)  # 2 sqrt(q) 2^60, any q
+    points = sorted(radius * round(ldexp(cos(pi * (j + 0.5) / count), 53)) >> 53
+                    for j in range(count))
+    brackets = _sign_brackets(int_r, q, points)
+    if brackets is None:
+        return None
+    shift = bits - _GRID_BITS
+    upper = []  # the root with im > 0 of each conjugate pair, in units 2^-bits
+    for lo, hi, lo_positive in brackets:
+        x = _refine_root(int_r, lo << shift, hi << shift, lo_positive, bits)
+        if x is None:
+            return None
+        # den 2^bits sqrt(4q - s^2) for s = x / 2^bits
+        y = isqrt(((4 * num * den) << 2 * bits) - x * x * den * den)
+        upper.append((x * den // (2 * num), y // (2 * num)))
+    inv_sqrt_q = isqrt((den << 2 * bits) // num)
+    real = [(sign * inv_sqrt_q, 0) for sign in signs]
+    # P has real coefficients, so a conjugate root has the same residual
+    abs_p = [abs(c) for c in int_p]
+    max_res2 = max_scale = 0
+    for zr, zi in upper + real:
+        pr, pi_ = _fixed_horner(int_p, zr, zi, bits)
+        max_res2 = max(max_res2, pr * pr + pi_ * pi_)
+        max_scale = max(max_scale, _fixed_horner(abs_p, isqrt(zr * zr + zi * zi), 0, bits)[0])
+    with mp.workprec(bits):
+        if max_res2 << bits > max_scale * max_scale:
+            ratio = mp.sqrt(mp.mpf(max_res2)) / max_scale
+            raise RHConvergenceError(
+                f"certified roots at {bits} bits, but max |P(z)| = "
+                f"{mp.nstr(ratio, 5)} * max sum |c_i| |z|^i exceeds 2^-{bits // 2}"
+            )
+        target = 1 / mp.sqrt(_mp_rational(q))
+        roots = [mp.mpc(sign * target) for sign in signs]
+        for zr, zi in upper:
+            z = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
+            roots += [z, z.conjugate()]
+        roots.sort(key=lambda t: (t.real, t.imag))
+        max_dev = max(abs(abs(z) - target) for z in roots)
+        if not max_dev < mp.mpf(tolerance):
+            return None
+        max_res = mp.ldexp(mp.sqrt(mp.mpf(max_res2)), -bits) / abs(int_p[-1])
+        return RHReport(
+            roots=tuple(roots),
+            target_modulus=float(target),
+            max_abs_deviation=float(max_dev),
+            max_residual=float(max_res),
+            passed=True,
+            tolerance=tolerance,
+            precision_bits=bits,
+        )
+
+
 def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
              precision_bits: int | None = None) -> RHReport:
     """Locate all roots of P and test |root| = 1/sqrt(q) within `tolerance`.
@@ -542,6 +706,18 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     fold divides out are added exactly.  Without a functional equation, or
     when P(0) = 0, the same steps run on P itself with each root its own
     lift.  A constant P has no roots and passes vacuously.
+
+    Certified path: with a fold, `_certified_rh` is tried first.  If the
+    signs of R at 4(deg R + 1) dyadic points inside (-2 sqrt(q), 2 sqrt(q))
+    change deg R times, with no zero, every root of R is real and simple and
+    lies in that interval, which proves RH for P.  The roots are refined to
+    2^(14 - B) with B = 2 * `precision_bits` bits on Python ints, each closed
+    by an exact sign change, and lifted to T; the residual certificate below
+    runs on ints at B bits, and the report gives `precision_bits` = B, which
+    is what the ladder below reports when its second pass confirms the first.
+    The path declines, and the Aberth path runs, when the signs do not prove
+    it: roots off the circle, multiple roots, roots at s = +-2 sqrt(q).  It
+    also declines when B bits cannot resolve `tolerance`.
 
     Seeds: the image under s = qT + 1/T of deg R points at angles
     pi*(k + golden_ratio_frac)/deg R on the upper half of the circle of
@@ -568,6 +744,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i, on P itself and at the
     final precision `prec`; otherwise RHConvergenceError is raised, since a
     warm-started pass that stalls on non-roots would otherwise look stable.
+    The certified path applies the same test with prec = B.
     """
     if not 0 < tolerance < inf:
         raise ValueError(f"rh_check needs a finite tolerance > 0, got {tolerance!r}")
@@ -588,6 +765,10 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     r_coeffs, signs = fold or (coeffs, ())
     r_deg = len(r_coeffs) - 1
     int_r = _integerise(r_coeffs)
+    if fold is not None:
+        report = _certified_rh(int_coeffs, int_r, signs, qf, tolerance, 2 * prec)
+        if report is not None:
+            return report
     max_iter = 60 + 12 * r_deg
     with mp.workprec(prec):
         q_mp = _mp_rational(qf)

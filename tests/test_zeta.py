@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 import pytest
@@ -553,6 +554,111 @@ class TestFold:
         assert r.passed == (0 not in roots)
         assert r.max_residual < 1e-20
         _assert_roots_match(r.roots, [mp.mpc(z) for z in roots])
+
+
+def _simple_roots_inside(case):
+    # RH holds and the known roots are distinct: every s lies strictly inside
+    # (-2 sqrt(q), 2 sqrt(q)), since s = +-2 sqrt(q) gives a double root T
+    p, known, holds = case
+    return holds and p.degree > 0 and len({(z.real, z.imag) for z in known}) == len(known)
+
+
+def _refuse(*args):
+    raise AssertionError("the Aberth path ran")
+
+
+def _product(factors):
+    coeffs = [F(1)]
+    for f in factors:
+        coeffs = unipoly.mul(coeffs, [F(c) for c in f])
+    return tuple(coeffs)
+
+
+class TestCertifiedRH:
+    """The exact path of rh_check: sign alternation of the fold R at dyadic
+    points, refinement on Python ints, and the decline to Aberth."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(folded_polys().filter(_simple_roots_inside), st.sampled_from([53, 128, 200]))
+    def test_certified_without_aberth(self, case, prec):
+        p, known, _ = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeta_mod, "_aberth_pass", _refuse)
+            r = rh_check(p, 1e-9, prec)
+        assert r.passed and r.max_residual < 1e-20
+        assert r.precision_bits == 2 * prec
+        _assert_roots_match(r.roots, known)
+
+    @pytest.mark.parametrize("factors,q,passed", [
+        ([(1, -4, 4), (1, -1, 4)], 4, True),  # s = 4 and s = 1: a double root T = 1/2
+        ([(1, -4, 4), (1, 4, 4)], 4, True),  # s = +-4
+        ([(1, -1, 4), (1, -1, 4)], 4, True),  # s = 1 twice: a double root of R
+        ([(1, -5, 4), (1, 1, 4)], 4, False),  # s = 5 outside (-4, 4)
+        ([(1, 0, 5, 0, 4)], 2, False),  # s = +-i
+        ([(1, 3, 2)], 2, False),
+        ([(1, -3, 2)], 2, False),
+    ], ids=["edge-double", "edge-both", "double-inside", "outside", "complex-pair",
+            "1,3,2", "1,-3,2"])
+    def test_undecided_inputs_reach_aberth(self, factors, q, passed, monkeypatch):
+        calls = []
+
+        def spy(*args, _fn=zeta_mod._aberth_pass):
+            calls.append(args[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta_mod, "_aberth_pass", spy)
+        r = rh_check(ZetaPoly(_product(factors), q), 1e-9, 128)
+        assert calls and r.passed == passed and r.precision_bits == 256
+
+    def test_tolerance_below_the_certified_precision_reaches_aberth(self, p12e,
+                                                                    monkeypatch):
+        # 256 bits resolve the moduli to about 1e-77, so 1e-100 is left to
+        # the ladder, which passes at 1024 bits
+        calls = []
+
+        def spy(*args, _fn=zeta_mod._aberth_pass):
+            calls.append(args[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta_mod, "_aberth_pass", spy)
+        r = rh_check(p12e, 1e-100, 128)
+        assert calls and r.passed and r.precision_bits == 1024
+
+    def test_tier_a_declines(self):
+        one = 1 << 60
+        q = F(4)
+        # R(s) = (s - 1)(s + 1)(s - 2) on points that bracket its three roots
+        r = [2, -1, -2, 1]
+        brackets = zeta_mod._sign_brackets(r, q, [-2 * one, 0, 3 * one // 2, 3 * one])
+        assert [b[:2] for b in brackets] == [(-2 * one, 0), (0, 3 * one // 2),
+                                             (3 * one // 2, 3 * one)]
+        # a point on a root: the sign change there brackets nothing strictly
+        assert zeta_mod._sign_brackets([0, -1], q, [-one, 0, one]) is None
+        assert zeta_mod._sign_brackets(r, q, [-2 * one, -one, 0, 3 * one]) is None
+        # R(s) = (s - 1)(s - 10): the sign changes twice, but one point lies
+        # outside (-4, 4), and so does the root 10
+        assert zeta_mod._sign_brackets([10, -11, 1], q, [0, 2 * one, 12 * one]) is None
+        # fewer sign changes than roots
+        assert zeta_mod._sign_brackets(r, q, [-2 * one, one // 2, 3 * one]) is None
+
+    def test_refinement_is_closed_by_a_sign_change(self):
+        bits = 256
+        # R(s) = s^2 - 2: the root sqrt(2) is in (1, 2), within 2^(14 - bits)
+        x = zeta_mod._refine_root([-2, 0, 1], 1 << bits, 2 << bits, False, bits)
+        assert abs(x - isqrt(2 << 2 * bits)) < 2 ** 14
+        # R(s) = s - 3 has no root in (1, 2): no sign change closes it
+        assert zeta_mod._refine_root([-3, 1], 1 << bits, 2 << bits, False, bits) is None
+
+    @pytest.mark.parametrize("fam_name,n", [
+        ("type1", 150), ("type4", 151), ("q43", 150), ("q43-odd", 150), ("ozeki", 156),
+    ])
+    def test_high_degree_certified(self, fam_name, n, monkeypatch):
+        fam = family(fam_name)
+        p = zeta_checked(extremal(fam, n), fam.q)
+        monkeypatch.setattr(zeta_mod, "_aberth_pass", _refuse)
+        r = rh_check(p, 1e-9, 128)
+        assert r.passed and r.max_abs_deviation < 1e-9 and r.max_residual < 1e-20
+        assert len(r.roots) == p.degree == n + 2 - 2 * p.d
 
 
 class TestStarOperator:
