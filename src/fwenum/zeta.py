@@ -559,7 +559,7 @@ def _scaled_value(c: list[int], a: int, k: int) -> int:
 
 
 def _sign_brackets(c: list[int], q: Fraction, points: list[int]):
-    """Tier A: one bracket (lo, hi, R(lo) > 0) per root of R, or None.
+    """Tier A: one bracket (lo, hi) per root of R, or None.
 
     `points` are ascending numerators a of a / 2^60.  When every point lies
     strictly inside (-2 sqrt(q), 2 sqrt(q)), R is nonzero at each of them and
@@ -574,12 +574,12 @@ def _sign_brackets(c: list[int], q: Fraction, points: list[int]):
         if value == 0 or a * a * q.denominator >= limit:
             return None
         if prev_value and (value > 0) != (prev_value > 0):
-            brackets.append((prev, a, prev_value > 0))
+            brackets.append((prev, a))
         prev, prev_value = a, value
     return brackets if len(brackets) == len(c) - 1 else None
 
 
-def _refine_root(c: list[int], lo: int, hi: int, lo_positive: bool, bits: int):
+def _refine_root(c: list[int], lo: int, hi: int, bits: int):
     """The root of R in the bracket (lo, hi), as x in units 2^-bits, or None.
 
     Safeguarded Newton on truncated fixed-point values of R and R': a step
@@ -591,6 +591,7 @@ def _refine_root(c: list[int], lo: int, hi: int, lo_positive: bool, bits: int):
     there.
     """
     lo0, hi0 = lo, hi
+    lo_positive = _scaled_value(c, lo, bits) > 0
     guard = (len(c) - 1) * ((max(-lo, hi) >> bits) + 1).bit_length() + 16
     work = bits + guard
     lo, hi = lo << guard, hi << guard
@@ -652,8 +653,8 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
         return None
     shift = bits - _GRID_BITS
     upper = []  # the root with im > 0 of each conjugate pair, in units 2^-bits
-    for lo, hi, lo_positive in brackets:
-        x = _refine_root(int_r, lo << shift, hi << shift, lo_positive, bits)
+    for lo, hi in brackets:
+        x = _refine_root(int_r, lo << shift, hi << shift, bits)
         if x is None:
             return None
         # den 2^bits sqrt(4q - s^2) for s = x / 2^bits

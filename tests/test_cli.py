@@ -328,3 +328,14 @@ def test_scan_report_counts():
     assert rep.hard_failures == 0 and rep.conjecture_failures == 0
     assert [r.n for r in rep.rows] == [8, 10, 12, 14, 16]
     assert all(r.rh_residual is not None for r in rep.rows)
+
+
+def test_parser_built_once(capsys):
+    # a rejected command and a later run share the parser without leaking state
+    with pytest.raises(SystemExit):
+        main(["scan", "--family", "type1", "-n", "30..10"])
+    assert run(capsys, "gen", "--name", "phi6")[0] == 0
+    before = cli.build_parser.cache_info()
+    assert run(capsys, "gen", "--name", "phi4")[0] == 0
+    after = cli.build_parser.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1

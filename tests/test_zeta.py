@@ -96,6 +96,20 @@ class TestZetaExtraction:
         ]:
             assert zeta_from_genfunc(w, q) == zeta_from_mds(w, q)
 
+    def test_functional_equation_tested_once(self, monkeypatch):
+        w = extremal(family("q43"), 12)
+        calls = []
+
+        def spy(p, _fn=functional_equation_check):
+            calls.append(p)
+            return _fn(p)
+
+        monkeypatch.setattr(zeta_mod, "functional_equation_check", spy)
+        p = zeta_checked(w, Q43)
+        assert len(calls) == 1 and p.sign == 1 and (p.n, p.d) == (12, 4)
+        for route in (zeta_from_genfunc, zeta_from_mds):
+            assert route(w, Q43).sign == 1
+
     def test_d_perp_requirement(self):
         # x^3 - 9xy^2 has d = 2 but d_perp... phi3 is anti-invariant so fine;
         # a poly with d = 1 must be rejected
@@ -567,6 +581,19 @@ def _refuse(*args):
     raise AssertionError("the Aberth path ran")
 
 
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """The precision of every `_aberth_pass` call, which still runs."""
+    calls = []
+
+    def spy(*args, _fn=zeta_mod._aberth_pass):
+        calls.append(args[2])
+        return _fn(*args)
+
+    monkeypatch.setattr(zeta_mod, "_aberth_pass", spy)
+    return calls
+
+
 def _product(factors):
     coeffs = [F(1)]
     for f in factors:
@@ -599,30 +626,16 @@ class TestCertifiedRH:
         ([(1, -3, 2)], 2, False),
     ], ids=["edge-double", "edge-both", "double-inside", "outside", "complex-pair",
             "1,3,2", "1,-3,2"])
-    def test_undecided_inputs_reach_aberth(self, factors, q, passed, monkeypatch):
-        calls = []
-
-        def spy(*args, _fn=zeta_mod._aberth_pass):
-            calls.append(args[2])
-            return _fn(*args)
-
-        monkeypatch.setattr(zeta_mod, "_aberth_pass", spy)
+    def test_undecided_inputs_reach_aberth(self, factors, q, passed, aberth_calls):
         r = rh_check(ZetaPoly(_product(factors), q), 1e-9, 128)
-        assert calls and r.passed == passed and r.precision_bits == 256
+        assert aberth_calls and r.passed == passed and r.precision_bits == 256
 
     def test_tolerance_below_the_certified_precision_reaches_aberth(self, p12e,
-                                                                    monkeypatch):
+                                                                    aberth_calls):
         # 256 bits resolve the moduli to about 1e-77, so 1e-100 is left to
         # the ladder, which passes at 1024 bits
-        calls = []
-
-        def spy(*args, _fn=zeta_mod._aberth_pass):
-            calls.append(args[2])
-            return _fn(*args)
-
-        monkeypatch.setattr(zeta_mod, "_aberth_pass", spy)
         r = rh_check(p12e, 1e-100, 128)
-        assert calls and r.passed and r.precision_bits == 1024
+        assert aberth_calls and r.passed and r.precision_bits == 1024
 
     def test_tier_a_declines(self):
         one = 1 << 60
@@ -630,8 +643,7 @@ class TestCertifiedRH:
         # R(s) = (s - 1)(s + 1)(s - 2) on points that bracket its three roots
         r = [2, -1, -2, 1]
         brackets = zeta_mod._sign_brackets(r, q, [-2 * one, 0, 3 * one // 2, 3 * one])
-        assert [b[:2] for b in brackets] == [(-2 * one, 0), (0, 3 * one // 2),
-                                             (3 * one // 2, 3 * one)]
+        assert brackets == [(-2 * one, 0), (0, 3 * one // 2), (3 * one // 2, 3 * one)]
         # a point on a root: the sign change there brackets nothing strictly
         assert zeta_mod._sign_brackets([0, -1], q, [-one, 0, one]) is None
         assert zeta_mod._sign_brackets(r, q, [-2 * one, -one, 0, 3 * one]) is None
@@ -644,10 +656,10 @@ class TestCertifiedRH:
     def test_refinement_is_closed_by_a_sign_change(self):
         bits = 256
         # R(s) = s^2 - 2: the root sqrt(2) is in (1, 2), within 2^(14 - bits)
-        x = zeta_mod._refine_root([-2, 0, 1], 1 << bits, 2 << bits, False, bits)
+        x = zeta_mod._refine_root([-2, 0, 1], 1 << bits, 2 << bits, bits)
         assert abs(x - isqrt(2 << 2 * bits)) < 2 ** 14
         # R(s) = s - 3 has no root in (1, 2): no sign change closes it
-        assert zeta_mod._refine_root([-3, 1], 1 << bits, 2 << bits, False, bits) is None
+        assert zeta_mod._refine_root([-3, 1], 1 << bits, 2 << bits, bits) is None
 
     @pytest.mark.parametrize("fam_name,n", [
         ("type1", 150), ("type4", 151), ("q43", 150), ("q43-odd", 150), ("ozeki", 156),
