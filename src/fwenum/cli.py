@@ -3,8 +3,8 @@
 Exit-code policy: proven invariants that fail (method disagreement, bound or
 functional-equation violations) exit nonzero; failures of the numerically
 scanned conjectures are reported in-band and exit zero unless --strict;
-input the library rejects with ValueError prints `error: <message>` to stderr
-and exits 2.
+input the library rejects with ValueError, and an --output file that cannot
+be written, print `error: <message>` to stderr and exit 2.
 Reports are byte-identical across runs; timings go to stderr only when
 requested.
 """
@@ -15,24 +15,14 @@ import argparse
 import json
 import math
 import sys
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import families as fam_mod
-from . import matgroup, zeta as zeta_mod
-from .families import (
-    ExtremalConstructionError,
-    basis,
-    basis_exponents,
-    bound,
-    extremal,
-    family,
-    generator,
-    ring_dimension,
-)
+from . import matgroup, unipoly, zeta as zeta_mod
+from .families import basis, basis_exponents, extremal, family, generator
 from .homopoly import HomPoly, format_poly, format_poly_latex, parse_poly
+from .pipeline import scan_family
 from .zeta import (
     DEFAULT_PRECISION_BITS,
     RHConvergenceError,
@@ -86,141 +76,6 @@ def _render_poly(poly: HomPoly, fmt: str) -> str:
     if fmt == "latex":
         return format_poly_latex(poly)
     return format_poly(poly)
-
-
-# -- scan -----------------------------------------------------------------------
-
-
-@dataclass
-class ScanRow:
-    n: int
-    d: int | None
-    bound_proven: bool
-    deg_p: int | None
-    fe_sign: int | None
-    rh_deviation: float | None
-    rh_residual: float | None
-    rh_pass: bool | None
-    status: str
-    hard: bool
-
-
-@dataclass
-class ScanReport:
-    family: str
-    n_min: int
-    n_max: int
-    tolerance: float
-    precision_bits: int
-    rows: list
-    elapsed: float
-
-    @property
-    def hard_failures(self) -> int:
-        return sum(1 for r in self.rows if r.hard)
-
-    @property
-    def conjecture_failures(self) -> int:
-        return sum(
-            1
-            for r in self.rows
-            if not r.hard and (r.rh_pass is False or r.status != "ok")
-        )
-
-    def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "tolerance": self.tolerance,
-            "precision_bits": self.precision_bits,
-            "hard_failures": self.hard_failures,
-            "conjecture_failures": self.conjecture_failures,
-            "rows": [
-                {
-                    "n": r.n,
-                    "d": r.d,
-                    "bound_proven": r.bound_proven,
-                    "deg_p": r.deg_p,
-                    "fe_sign": r.fe_sign,
-                    "rh_deviation": None if r.rh_deviation is None else repr(r.rh_deviation),
-                    "rh_residual": None if r.rh_residual is None else repr(r.rh_residual),
-                    "rh_pass": r.rh_pass,
-                    "status": r.status,
-                    "hard": r.hard,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        lines = [
-            f"scan family={self.family} degrees={self.n_min}..{self.n_max} "
-            f"tolerance={self.tolerance:g} precision_bits={self.precision_bits}",
-            f"{'n':>4} {'d':>4} {'degP':>5} {'sign':>5} {'rh_deviation':>24} status",
-        ]
-        for r in self.rows:
-            dev = "-" if r.rh_deviation is None else repr(r.rh_deviation)
-            sign = "-" if r.fe_sign is None else f"{r.fe_sign:+d}"
-            degp = "-" if r.deg_p is None else str(r.deg_p)
-            d = "-" if r.d is None else str(r.d)
-            note = r.status if r.bound_proven else f"{r.status} [conjectural bound]"
-            lines.append(f"{r.n:>4} {d:>4} {degp:>5} {sign:>5} {dev:>24} {note}")
-        lines.append(
-            f"hard_failures={self.hard_failures} "
-            f"conjecture_failures={self.conjecture_failures}"
-        )
-        return "\n".join(lines)
-
-
-def scan_family(fam, n_min: int, n_max: int, tolerance: float,
-                precision_bits: int) -> ScanReport:
-    """Per-degree extremal construction, bound saturation, zeta, RH."""
-    start = time.monotonic()
-    rows = []
-    for n in range(n_min, n_max + 1):
-        if n < 1 or not basis_exponents(fam, n):
-            continue
-        b = bound(fam, n)
-        try:
-            w = extremal(fam, n)
-        except ExtremalConstructionError as exc:
-            rows.append(ScanRow(n, None, b.proven, None, None, None, None, None,
-                                f"extremal: {exc}", hard=b.proven))
-            continue
-        d = b.d_max  # extremal raises unless d(w) is the bound
-        try:
-            p1 = zeta_mod.zeta_checked(w, fam.q)
-        except ValueError as exc:
-            rows.append(ScanRow(n, d, b.proven, None, None, None, None, None,
-                                f"zeta: {exc}", hard=True))
-            continue
-        except AssertionError:
-            rows.append(ScanRow(n, d, b.proven, None, None, None, None, None,
-                                "zeta method disagreement", hard=True))
-            continue
-        hard_msgs = []
-        if p1.sign != fam.sign:
-            hard_msgs.append(f"functional-equation sign {p1.sign} != {fam.sign}")
-        if p1.degree != n + 2 - 2 * d:
-            hard_msgs.append(f"deg P = {p1.degree} != 2g = {n + 2 - 2 * d}")
-        if hard_msgs:
-            rows.append(ScanRow(n, d, b.proven, p1.degree, p1.sign, None, None, None,
-                                "; ".join(hard_msgs), hard=True))
-            continue
-        try:
-            rh = rh_check(p1, tolerance, precision_bits)
-        except RHConvergenceError as exc:
-            rows.append(ScanRow(n, d, b.proven, p1.degree, p1.sign, None, None, None,
-                                f"rh: {exc}", hard=True))
-            continue
-        status = "ok" if rh.passed else "rh deviation exceeds tolerance"
-        rows.append(ScanRow(n, d, b.proven, p1.degree, p1.sign,
-                            rh.max_abs_deviation, rh.max_residual, rh.passed,
-                            status, hard=False))
-    return ScanReport(fam.name, n_min, n_max, tolerance, precision_bits, rows,
-                      time.monotonic() - start)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -310,8 +165,12 @@ def _cmd_scan(args) -> int:
     report = scan_family(fam, n_min, n_max, args.tolerance, args.precision_bits)
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     if args.timing:
@@ -364,20 +223,12 @@ def _cmd_verify(args) -> int:
                   f"image extremal: {maps}; zeta factor 4*T^2 - 6*T + 3: {zmatch}")
         return 0
     if theorem == "molien-basis":
-        failures = []
-        grouped = [fam for fam in fam_mod.FAMILIES.values() if fam.group]
-        for fam in grouped:
-            series = matgroup.molien_series(
-                matgroup.named_group(fam.group), args.max_degree + 1)
-            coeffs = series.series(args.max_degree + 1)
-            for n in range(args.max_degree + 1):
-                if coeffs[n] != ring_dimension(fam, n):
-                    failures.append((fam.name, n))
-        if failures:
-            print(f"dimension mismatches: {failures}")
+        mismatches, groups = matgroup.molien_basis_mismatches(args.max_degree)
+        if mismatches:
+            print(f"dimension mismatches: {mismatches}")
             return 1
         print(f"molien/basis dimensions agree for all n <= {args.max_degree} "
-              f"in {len(grouped)} groups")
+              f"in {groups} groups")
         return 0
 
     fam = family(args.family)
@@ -387,8 +238,6 @@ def _cmd_verify(args) -> int:
     if theorem == "star":
         check = verify_star(fam, n)
         factor = zeta_mod.star_zeta_factor(fam)
-        from . import unipoly
-
         print(f"maps to extremal: {check.maps_to_extremal}; zeta factor "
               f"{unipoly.to_string(factor, 'T')} confirmed: {check.zeta_factor_matches}")
         return 0 if check.ok else 1
@@ -421,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam_names = sorted(fam_mod.FAMILIES)
+    rh_options = argparse.ArgumentParser(add_help=False)
+    rh_options.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    rh_options.add_argument("--precision-bits", type=_precision_bits,
+                            default=DEFAULT_PRECISION_BITS)
 
     gen = sub.add_parser("gen", help="print generators, bases or extremal enumerators")
     gen.add_argument("--family", choices=fam_names)
@@ -432,25 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("text", "json", "latex"), default="text")
     gen.set_defaults(func=_cmd_gen)
 
-    zp = sub.add_parser("zeta", help="zeta polynomial by both methods, optional RH check")
+    zp = sub.add_parser("zeta", parents=[rh_options],
+                        help="zeta polynomial by both methods, optional RH check")
     zp.add_argument("--family", choices=fam_names)
     zp.add_argument("--extremal", action="store_true")
     zp.add_argument("--poly", help="polynomial text form")
     zp.add_argument("-n", type=int)
     zp.add_argument("-q", type=_fraction)
     zp.add_argument("--rh", action="store_true")
-    zp.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    zp.add_argument("--precision-bits", type=_precision_bits,
-                    default=DEFAULT_PRECISION_BITS)
     zp.add_argument("--format", choices=("text", "json", "latex"), default="text")
     zp.set_defaults(func=_cmd_zeta)
 
-    scan = sub.add_parser("scan", help="extremal construction + zeta + RH over a degree range")
+    scan = sub.add_parser("scan", parents=[rh_options],
+                          help="extremal construction + zeta + RH over a degree range")
     scan.add_argument("--family", choices=fam_names, required=True)
     scan.add_argument("-n", type=_degree_range, required=True, metavar="MIN..MAX")
-    scan.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    scan.add_argument("--precision-bits", type=_precision_bits,
-                      default=DEFAULT_PRECISION_BITS)
     scan.add_argument("--strict", action="store_true",
                       help="conjecture failures also exit nonzero")
     scan.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import unipoly
+from .families import FAMILIES, ring_dimension
 from .homopoly import Mat2, sigma_q, TAU
 from .scalar import NotRationalError, QuadElem, simplify
 
@@ -24,6 +25,7 @@ __all__ = [
     "group_closure",
     "molien_series",
     "named_group",
+    "molien_basis_mismatches",
     "GROUP_NAMES",
 ]
 
@@ -191,3 +193,18 @@ def named_group(name: str, cap: int = 1024) -> MatrixGroup:
     else:
         raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
     return group_closure(gens, cap=cap)
+
+
+def molien_basis_mismatches(max_degree: int) -> tuple[list[tuple[str, int]], int]:
+    """The (family, n) pairs, n <= max_degree, where the Molien coefficient of
+    the family's group differs from its ring dimension, and the group count."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    terms = max_degree + 1
+    grouped = [fam for fam in FAMILIES.values() if fam.group]
+    mismatches = []
+    for fam in grouped:
+        coeffs = molien_series(named_group(fam.group), terms).series(terms)
+        mismatches += [(fam.name, n) for n in range(terms)
+                       if coeffs[n] != ring_dimension(fam, n)]
+    return mismatches, len(grouped)

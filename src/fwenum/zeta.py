@@ -1171,6 +1171,8 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
     """
     from .homopoly import sigma_q, TAU
 
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     neg_i = Mat2(-1, 0, 0, -1)
     setups = {
@@ -1232,6 +1234,8 @@ def run_duursma_lemma_suite(samples: int = 100, seed: int = 20240811) -> tuple[i
     """Random (p, A, sigma) instances of the chain-rule identity."""
     from .homopoly import sigma_q
 
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     specials = [sigma_q(2), sigma_q(4), sigma_q(Fraction(4, 3))]
     passed = 0

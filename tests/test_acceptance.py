@@ -11,7 +11,7 @@ import pytest
 
 from conftest import P12E_DEN, P12E_NUM
 from fwenum import unipoly
-from fwenum.cli import scan_family
+from fwenum.pipeline import scan_family
 from fwenum.families import (
     FAMILIES,
     basis_exponents,

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from fwenum import cli
-from fwenum.cli import main, scan_family
+from fwenum import cli, matgroup
+from fwenum.cli import main
+from fwenum.pipeline import scan_family
 from fwenum.families import extremal, family
 from fwenum.homopoly import parse_poly
 
@@ -142,11 +143,16 @@ def test_precision_bits_validated(capsys, command, bits):
     (["zeta", "--family", "type1", "--extremal"], "zeta --family needs -n"),
     (["verify", "star", "--family", "type1"], "verify star needs -n"),
     (["verify", "zeta-binomial", "--family", "type4"], "verify zeta-binomial needs -n"),
+    (["verify", "th-duursma-okuda", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["verify", "lemma-duursma", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["verify", "lemma-duursma", "--samples", "-5"], "samples must be >= 1, got -5"),
+    (["verify", "molien-basis", "--max-degree", "-1"], "max_degree must be >= 0, got -1"),
 ], ids=["basis-degree-0", "extremal-no-members", "w2-without-q", "star-no-members",
         "divisibility-wrong-family", "molien-no-terms", "gen-basis-without-n",
         "gen-extremal-without-n", "gen-without-mode", "zeta-poly-without-q",
         "zeta-family-without-n", "verify-star-without-n",
-        "verify-zeta-binomial-without-n"])
+        "verify-zeta-binomial-without-n", "okuda-no-samples", "lemma-no-samples",
+        "lemma-negative-samples", "molien-basis-negative-degree"])
 def test_bad_input_reported_without_traceback(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -200,6 +206,14 @@ class TestScan:
         assert code == 0 and out == ""
         obj = json.loads(target.read_text())
         assert obj["family"] == "type4"
+
+    def test_unwritable_output_reported(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "scan", "--family", "type4", "-n", "3..5",
+                             "--output", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_timing_goes_to_stderr(self, capsys):
         _, out, err = run(capsys, "scan", "--family", "type4", "-n", "3..5",
@@ -289,11 +303,11 @@ class TestVerify:
         assert code == 0 and "agree" in out
 
     def test_molien_basis_covers_four_family_group_pairs(self, capsys, monkeypatch):
-        named_group, ring_dimension = cli.matgroup.named_group, cli.ring_dimension
+        named_group, ring_dimension = matgroup.named_group, matgroup.ring_dimension
         groups, pairs = [], set()
-        monkeypatch.setattr(cli.matgroup, "named_group",
+        monkeypatch.setattr(matgroup, "named_group",
                             lambda name: groups.append(name) or named_group(name))
-        monkeypatch.setattr(cli, "ring_dimension", lambda fam, n: pairs.add(
+        monkeypatch.setattr(matgroup, "ring_dimension", lambda fam, n: pairs.add(
             (fam.name, groups[-1])) or ring_dimension(fam, n))
         code, out, _ = run(capsys, "verify", "molien-basis", "--max-degree", "6")
         assert code == 0 and out.endswith("in 4 groups\n")
