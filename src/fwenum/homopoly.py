@@ -6,10 +6,13 @@ degree so that degree contracts of the differential operators stay total.
 Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
 MacWilliams transforms, matrix actions over a quadratic extension).
 
-Matrix actions on a rational polynomial run on Python ints.  A matrix that is
-a scalar multiple lam * M of a rational M, such as sigma_q(q), acts as lam^n
-times the integer action of M.  Only other irrational matrices, and
-polynomials with irrational coefficients, take the Horner loop on QuadElem.
+Products and matrix actions on rational polynomials run on Python ints: each
+rational operand is scaled to integers by the lcm of its denominators, the
+convolution or expansion runs on ints, and one Fraction is built per output
+coefficient.  A matrix that is a scalar multiple lam * M of a rational M, such
+as sigma_q(q), acts as lam^n times the integer action of M.  Only other
+irrational matrices, and polynomials with irrational coefficients, take the
+loops on Fraction / QuadElem scalars.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def _norm_scalar(c):
     if isinstance(c, Fraction):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """Rational coefficients as (ints, den) with ints[i] / den == coeffs[i],
+    den the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class HomPoly:
@@ -146,6 +156,17 @@ class HomPoly:
         if not isinstance(other, HomPoly):
             return NotImplemented
         n = self.degree + other.degree
+        if self.is_rational() and other.is_rational():
+            left, den_l = _integer_coeffs(self.coeffs)
+            right, den_r = _integer_coeffs(other.coeffs)
+            out = [0] * (n + 1)
+            width = len(right)
+            for i, a in enumerate(left):
+                if a:
+                    window = out[i : i + width]
+                    out[i : i + width] = [s + a * b for s, b in zip(window, right)]
+            scale = den_l * den_r
+            return HomPoly(n, [Fraction(v, scale) for v in out])
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -302,10 +323,8 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
         if all(isinstance(r, Fraction) for r in ratios):
             entries = ratios
     if rational_f and all(isinstance(e, Fraction) for e in entries):
-        den_s = lcm(*(e.denominator for e in entries))
-        den_f = lcm(*(c.denominator for c in f.coeffs))
-        ints = [e.numerator * (den_s // e.denominator) for e in entries]
-        coeffs = [c.numerator * (den_f // c.denominator) for c in f.coeffs]
+        ints, den_s = _integer_coeffs(entries)
+        coeffs, den_f = _integer_coeffs(f.coeffs)
         scale = den_f * den_s**n
         out = HomPoly(n, [Fraction(v, scale) for v in _act_horner(coeffs, *ints, 1)])
         return out if lam is None else out * simplify(lam**n)

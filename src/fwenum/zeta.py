@@ -1,10 +1,11 @@
 """Zeta polynomials, functional equation, numerical Riemann-hypothesis checks,
 MDS enumerators, star operators and the theorem-level identity verifiers.
 
-The zeta polynomial is extracted by two independent exact routes: a direct
-linear solve against the generating-function definition, and a triangular
-expansion over MDS enumerators.  Both must agree; the comparison is kept as a
-permanent cross-oracle.  Root location is the only numerical step.  P is
+The zeta polynomial is extracted by two independent exact routes: a forward
+substitution against the generating-function definition, and a triangular
+expansion over MDS enumerators.  Both run on Python ints with one known
+denominator and must agree; the comparison is kept as a permanent
+cross-oracle.  Root location is the only numerical step.  P is
 first folded exactly with its functional equation into R(s), s = qT + 1/T,
 of half the degree.  When the signs of R at dyadic points prove all its
 roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)), RH holds exactly and
@@ -23,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, cos, gcd, inf, isfinite, isqrt, ldexp, pi
+from math import comb, cos, inf, isfinite, isqrt, ldexp, pi
 
 import mpmath as mp
 
@@ -39,6 +40,7 @@ from .homopoly import (
     parse_poly,
     pochhammer,
     weight_profile,
+    _integer_coeffs,
 )
 
 __all__ = [
@@ -185,24 +187,49 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     return replace(_zeta_genfunc(w, q, d), n=w.degree, d=d)
 
 
-def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
-    """P by forward substitution, without n and d, so no sign is computed."""
+def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
+    """The right-hand side that both routes solve against, on ints.
+
+    Returns (R, L) with R_k = L b^k c_k for k = 0..n-d, where
+    c_k = W_(d+k) / ((q - 1) C(n, d+k)), q = a/b and L is the lcm of the
+    denominators of the c_k.  Raises ValueError unless W is in standard
+    form: monic in x^n with A_1 = ... = A_(d-1) = 0.
+    """
     n = w.degree
     if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
+    c, den = _integer_coeffs([w.coeffs[i] / ((q - 1) * comb(n, i))
+                              for i in range(d, n + 1)])
+    return [ck * q.denominator**k for k, ck in enumerate(c)], den
+
+
+def _unscale(ints: list[int], den: int, q: Fraction) -> ZetaPoly:
+    """P from the scaled unknowns X_k = L b^k p_k of either route."""
+    return ZetaPoly(tuple(Fraction(x, den * q.denominator**k)
+                          for k, x in enumerate(ints)), q)
+
+
+def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
+    """P by forward substitution on ints, without n and d, so no sign is computed.
+
+    With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
+    integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and the
+    unknowns to the integers P_k = L b^k p_k (L as in `_scaled_weights`), so
+    P_k = R_k - sum_(t>=1) S_t P_(k-t).
+    """
+    rhs, den = _scaled_weights(w, q, d)
+    a, b = q.numerator, q.denominator
     p = []
-    for k in range(n - d + 1):
+    for k, acc in enumerate(rhs):
         i = d + k
-        # s_t = q s_(t-1) + (-1)^t C(i-1, t): series of (1-T)^(i-1)/(1-qT)
-        s = [Fraction(1)]
+        s, binom, bpow = 1, 1, 1  # S_t, C(i-1, t), b^t
         for t in range(1, k + 1):
-            term = comb(i - 1, t)
-            s.append(q * s[-1] + (-term if t % 2 else term))
-        acc = w.coeffs[i] / ((q - 1) * comb(n, i))
-        for t in range(1, k + 1):
-            acc -= s[t] * p[k - t]
+            binom = binom * (i - t) // t
+            bpow *= b
+            s = a * s + (-binom * bpow if t % 2 else binom * bpow)
+            acc -= s * p[k - t]
         p.append(acc)
-    return ZetaPoly(tuple(p), q)
+    return _unscale(p, den, q)
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -253,6 +280,40 @@ def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
     return MDSEnumerator(n=n, d=d, q=q, poly=poly)
 
 
+def _mds_weight_table(n: int, d: int, q: Fraction) -> list[list[int]]:
+    """The MDS weights F(w, m) = b^m sum_j (-1)^j C(w, j) (q^(m-j) - 1) on ints.
+
+    Row k holds F(d+k, m) for m = 1..k+1, so that the coefficient of M_(n,d+i)
+    at the weight d+k is C(n, d+k) F(d+k, k-i+1) / b^(k-i+1) (`_mds_poly`,
+    q = a/b).  O(n^2) in all: the q-part G(w, m) = sum_(j<m) (-1)^j C(w, j)
+    a^(m-j) b^j follows the Pascal recurrence G(w, m) = G(w-1, m) -
+    b G(w-1, m-1), started at w = d-1 from G(w, m+1) = a (G(w, m) + (-1)^m
+    C(w, m) b^m), and the -1 part is b^m sum_(j<m) (-1)^j C(w, j) =
+    (-1)^(m-1) b^m C(w-1, m-1).
+    """
+    a, b = q.numerator, q.denominator
+    width = n - d + 1
+    bpow = [1]
+    for _ in range(width):
+        bpow.append(bpow[-1] * b)
+    g, binom = [0], 1  # G(d-1, m) for m = 0..width; binom = C(d-1, m)
+    for m in range(width):
+        term = binom * bpow[m]
+        g.append(a * (g[-1] + (-term if m % 2 else term)))
+        binom = binom * (d - 1 - m) // (m + 1)
+    table = []
+    for k in range(width):
+        w_ = d + k
+        g = [0] + [g[m] - b * g[m - 1] for m in range(1, width + 1)]
+        row, binom = [], 1  # binom = C(w_-1, m-1)
+        for m in range(1, k + 2):
+            ones = binom * bpow[m]
+            row.append(g[m] - (ones if m % 2 else -ones))
+            binom = binom * (w_ - m) // m
+        table.append(row)
+    return table
+
+
 def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     """Zeta polynomial from the triangular expansion over M_{n,d+i}.
 
@@ -266,28 +327,40 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
 
 
 def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
-    """P by the MDS expansion, without n and d, so no sign is computed."""
-    n = w.degree
-    mds = [_mds_poly(n, d + i, q) for i in range(n - d + 1)]
-    a = []
-    residue = list(w.coeffs)
-    for i in range(n - d + 1):
-        coeff = residue[d + i] / mds[i].coeffs[d + i]
-        a.append(coeff)
-        if coeff:
-            for k in range(d + i, n + 1):
-                residue[k] -= coeff * mds[i].coeffs[k]
-    if any(residue[1:]):
-        raise AssertionError("MDS expansion left a nonzero residue")
-    return ZetaPoly(tuple(a), q)
+    """P by the MDS expansion on ints, without n and d, so no sign is computed.
+
+    At the weight d+k the expansion reads W_(d+k) / C(n, d+k) =
+    sum_(i<=k) a_i F(d+k, k-i+1) / b^(k-i+1) (`_mds_weight_table`), and
+    F(w, 1) = a - b.  Every F is a multiple of a - b, since a^r - b^r is;
+    that exact division is checked.  With E = F / (a - b) and the scaled
+    unknowns A_k = L b^k a_k of `_scaled_weights`, A_k = R_k -
+    sum_(i<k) A_i E(d+k, k-i+1).  The route reads W only through R and L; it
+    shares nothing with the generating-function route beyond them.
+    """
+    rhs, den = _scaled_weights(w, q, d)
+    a_minus_b = q.numerator - q.denominator
+    coeffs = []
+    for k, row in enumerate(_mds_weight_table(w.degree, d, q)):
+        acc = rhs[k]
+        for i, f in enumerate(row[:0:-1]):  # F(d+k, k-i+1) for i = 0..k-1
+            e, rem = divmod(f, a_minus_b)
+            if rem:
+                raise AssertionError(
+                    f"MDS weight F({d + k}, {k - i + 1}) is not a multiple of a - b")
+            acc -= coeffs[i] * e
+        coeffs.append(acc)
+    return _unscale(coeffs, den, q)
 
 
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
     The weight profile (a MacWilliams transform) is computed once; each
-    route then extracts P from W and d on its own.  The functional equation
-    is tested once, on the agreed P.
+    route then extracts P from W and d on its own, both as O(n^2) integer
+    forward substitutions: the generating-function route on the series S_t,
+    the MDS route on the Pascal table of MDS weights.  Neither reads the
+    other's series, table or result.  The functional equation is tested
+    once, on the agreed P.
     """
     q = Fraction(q)
     d = _zeta_min_weight(w, q)
@@ -361,13 +434,6 @@ class RHReport:
             ],
         }
         return json.dumps(payload)
-
-
-def _integerise(coeffs: list[Fraction]) -> list[int]:
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(c * denom) for c in coeffs]
 
 
 def _horner(coeffs, z):
@@ -446,13 +512,20 @@ def _aberth_pass(coeffs, z, bits: int, max_iter: int):
 def _float_roots(int_coeffs: list[int], seeds, max_iter: int):
     """Roots from a cold Aberth pass in hardware doubles, or None when the
     doubles cannot represent the problem or the pass did not separate the
-    roots into finite, pairwise distinct points."""
-    scale = max(abs(c) for c in int_coeffs)
-    coeffs = [c / scale for c in int_coeffs]  # correctly rounded, never overflows
+    roots into finite, pairwise distinct points.
+
+    Exact zero roots are deflated first: the pass runs on the coefficients
+    above the zero low ones, from as many of the seeds as it has roots, and
+    the roots 0 are added back exactly."""
+    zeros = next(i for i, c in enumerate(int_coeffs) if c)
+    rest = int_coeffs[zeros:]
+    scale = max(abs(c) for c in rest)
+    coeffs = [c / scale for c in rest]  # correctly rounded, never overflows
     if coeffs[0] == 0 or coeffs[-1] == 0:
         return None
     try:
-        z = _aberth_pass(coeffs, [complex(s) for s in seeds], 53, max_iter)
+        z = [0j] * zeros + _aberth_pass(
+            coeffs, [complex(s) for s in seeds[:len(rest) - 1]], 53, max_iter)
     except ZeroDivisionError:  # two points met exactly
         return None
     finite = all(isfinite(t.real) and isfinite(t.imag) for t in z)
@@ -730,10 +803,12 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     reach roots that lie off it.
 
     Float stage: a cold Aberth pass in hardware doubles, on the coefficients
-    scaled by the largest one, finds the roots to about 53 bits.  It is
-    skipped when a scaled end coefficient rounds to 0, and its result is
-    discarded when the roots are not finite or not pairwise distinct; the
-    first mpmath pass then starts cold from the same seeds.
+    scaled by the largest one, finds the roots to about 53 bits.  Exact zero
+    roots (zero low coefficients, such as s = 0 when P has the roots
+    +-i/sqrt(q)) are split off first and added back exactly.  The stage is
+    skipped when a scaled end coefficient of the rest rounds to 0, and its
+    result is discarded when the roots are not finite or not pairwise
+    distinct; the first mpmath pass then starts cold from the same seeds.
 
     Precision ladder: mpmath passes at `precision_bits` (default from
     FWENUM_PRECISION_BITS or 128), then twice that and so on, each warm
@@ -761,11 +836,11 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     if deg == 0:
         return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
                         tolerance, prec)
-    int_coeffs = _integerise(coeffs)
+    int_coeffs = _integer_coeffs(coeffs)[0]
     fold = _fold(coeffs, qf)
     r_coeffs, signs = fold or (coeffs, ())
     r_deg = len(r_coeffs) - 1
-    int_r = _integerise(r_coeffs)
+    int_r = _integer_coeffs(r_coeffs)[0]
     if fold is not None:
         report = _certified_rh(int_coeffs, int_r, signs, qf, tolerance, 2 * prec)
         if report is not None:

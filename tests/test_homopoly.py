@@ -99,6 +99,54 @@ class TestParsePrint:
             HomPoly(2, [1, 2])
 
 
+def reference_product(f, g):
+    """The coefficient convolution of f * g on the scalars themselves, skipping
+    zero coefficients of f as the Fraction / QuadElem loop does."""
+    out = [Fraction(0)] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return HomPoly(f.degree + g.degree, out)
+
+
+rational_factors = st.one_of(
+    hom_polys(max_degree=12),
+    st.integers(0, 12).map(HomPoly.zero),
+    fractions.map(lambda c: HomPoly(0, [c])),
+)
+
+
+class TestProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_factors, rational_factors)
+    def test_rational_matches_reference(self, f, g):
+        product = f * g
+        assert product == reference_product(f, g)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
+    def test_zero_negative_and_fractional_coefficients(self):
+        f = HomPoly(2, [Fraction(-1, 2), 0, Fraction(3, 4)])
+        g = HomPoly(1, [Fraction(2, 3), Fraction(-5)])
+        assert f * g == HomPoly(3, [Fraction(-1, 3), Fraction(5, 2),
+                                    Fraction(1, 2), Fraction(-15, 4)])
+        assert f * HomPoly.zero(3) == HomPoly.zero(5)
+        assert f * HomPoly(0, [Fraction(-2, 7)]) == f * Fraction(-2, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hom_polys(max_degree=6).filter(lambda f: f.degree % 2 and not f.is_zero()),
+           rational_factors)
+    def test_quadratic_factor_unchanged(self, f, g):
+        # an odd-degree sigma_q(2) image has coefficients in Q(sqrt(2))
+        image = act_matrix(f, sigma_q(2))
+        assert not image.is_rational()
+        assert image * g == reference_product(image, g)
+        assert g * image == reference_product(g, image)
+        assert image * image == reference_product(image, image)
+
+
 class TestActMatrix:
     def test_phi4_antiinvariant_under_sigma2(self, printed):
         assert act_matrix(printed["phi4"], sigma_q(2)) == -printed["phi4"]

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import mpmath as mp
 import pytest
@@ -190,6 +190,61 @@ class TestMDS:
                 assert diff_op(x_op, m) == _mds_poly(n - 1, i, q) * n
                 lower = _mds_poly(n - 1, i - 1, q) - _mds_poly(n - 1, i, q)
                 assert diff_op(y_op, m) == lower * n
+
+
+class TestMDSWeightTable:
+    """The integer table of `_zeta_mds` against the direct formula of
+    `_mds_poly`, and the checks of the MDS route that can fire."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, Q43])
+    def test_matches_mds_poly(self, q):
+        q = F(q)
+        b = q.denominator
+        for n in range(2, 41):
+            mds = {e: _mds_poly(n, e, q).coeffs for e in range(2, n + 1)}
+            for d in range(2, n + 1):
+                table = zeta_mod._mds_weight_table(n, d, q)
+                assert [len(row) for row in table] == list(range(1, n - d + 2))
+                for k, row in enumerate(table):
+                    w = d + k
+                    for i in range(k + 1):
+                        m = k - i + 1
+                        assert F(comb(n, w) * row[m - 1], b ** m) == mds[d + i][w]
+
+    @staticmethod
+    def _corrupt(monkeypatch, delta):
+        def corrupted(n, d, q, _fn=zeta_mod._mds_weight_table):
+            table = _fn(n, d, q)
+            table[1][1] += delta(q)  # F(d + 1, 2), which multiplies A_0 != 0
+            return table
+
+        monkeypatch.setattr(zeta_mod, "_mds_weight_table", corrupted)
+
+    @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 15), ("q43", 12)])
+    def test_corrupted_entry_is_an_oracle_disagreement(self, fam_name, n, monkeypatch):
+        fam = family(fam_name)
+        w = extremal(fam, n)
+        zeta_checked(w, fam.q)
+        # a multiple of a - b passes the exact division and changes P
+        self._corrupt(monkeypatch, lambda q: q.numerator - q.denominator)
+        with pytest.raises(AssertionError, match="zeta oracle disagreement"):
+            zeta_checked(w, fam.q)
+
+    def test_entry_not_divisible_by_a_minus_b_is_caught(self, monkeypatch):
+        fam = family("type4")  # q = 4, a - b = 3
+        w = extremal(fam, 15)
+        self._corrupt(monkeypatch, lambda q: 1)
+        with pytest.raises(AssertionError, match="not a multiple of a - b"):
+            zeta_checked(w, fam.q)
+
+    @pytest.mark.parametrize("route", ["_zeta_genfunc", "_zeta_mds"])
+    def test_both_routes_require_standard_form(self, route, printed):
+        w = printed["w12"]  # d = 4
+        extract = getattr(zeta_mod, route)
+        assert extract(w, F(2), 4) == zeta_from_genfunc(w, 2)
+        for bad_w, d in [(w, 5), (w * 2, 4)]:
+            with pytest.raises(ValueError, match="standard form"):
+                extract(bad_w, F(2), d)
 
 
 class TestFunctionalEquation:
@@ -428,6 +483,30 @@ class TestRHCheck:
         r = rh_check(p, 1e-9)
         assert r.passed and r.precision_bits <= 512
         assert any(abs(z.imag) < 1e-30 and z.real < 0 for z in r.roots)
+
+    def test_float_stage_deflates_zero_roots(self, monkeypatch):
+        # R(s) = s^2 - 5s at q = 2: the root s = 0 gives T = +-i/sqrt(2), and
+        # s = 5 lies outside (-2 sqrt(2), 2 sqrt(2)), so the certified path
+        # declines and the fold's zero constant term reaches the float stage
+        p = ZetaPoly((1, -5, 4, -10, 4), 2)
+        r_coeffs, signs = zeta_mod._fold(list(p.coeffs), p.q)
+        assert r_coeffs[0] == 0 and r_coeffs[1] and not signs
+        found = []
+
+        def spy(*args, _fn=zeta_mod._float_roots):
+            found.append(_fn(*args))
+            return found[-1]
+
+        monkeypatch.setattr(zeta_mod, "_float_roots", spy)
+        report = rh_check(p, 1e-9, 128)
+        assert len(found) == 1 and found[0] is not None
+        assert found[0][0] == 0 and abs(found[0][1] - 5) < 1e-12
+        # the verdict and the roots are those of a cold first mpmath pass
+        monkeypatch.setattr(zeta_mod, "_float_roots", lambda *args: None)
+        cold = rh_check(p, 1e-9, 128)
+        assert not report.passed and not cold.passed
+        assert report.precision_bits == cold.precision_bits == 256
+        _assert_roots_match(report.roots, cold.roots)
 
     def test_deterministic_reports(self, p12e):
         a = rh_check(p12e, 1e-9).to_json()
