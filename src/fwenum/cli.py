@@ -92,8 +92,7 @@ def _cmd_gen(args) -> int:
             raise ValueError("gen --basis needs -n")
         elems = basis(fam, args.n)
         if not elems:
-            print(f"no basis elements of degree {args.n}", file=sys.stderr)
-            return 1
+            raise ValueError(f"family {fam.name} has no members of degree {args.n}")
         if args.format == "json":
             print(json.dumps(
                 {"family": fam.name, "n": args.n,
@@ -145,17 +144,18 @@ def _cmd_zeta(args) -> int:
         if rh is not None:
             payload["rh"] = json.loads(rh.to_json())
         print(json.dumps(payload, sort_keys=True))
-    elif args.format == "latex":
+        return 0
+    if args.format == "latex":
         print(f"P(T) = {p1.to_latex()}")
     else:
         print(f"P(T) = {p1}")
         print(f"q = {p1.q}  n = {p1.n}  d = {p1.d}  genus = {p1.genus}  "
               f"sign = {p1.sign}  deg = {p1.degree}")
         print("methods agree: generating-function == mds-expansion")
-        if rh is not None:
-            print(f"rh: pass = {rh.passed}  max modulus deviation = "
-                  f"{rh.max_abs_deviation!r}  residual <= {rh.max_residual!r}  "
-                  f"precision = {rh.precision_bits} bits")
+    if rh is not None:
+        print(f"rh: pass = {rh.passed}  max modulus deviation = "
+              f"{rh.max_abs_deviation!r}  residual <= {rh.max_residual!r}  "
+              f"precision = {rh.precision_bits} bits")
     return 0
 
 
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     zp = sub.add_parser("zeta", parents=[rh_options],
                         help="zeta polynomial by both methods, optional RH check")
     zp.add_argument("--family", choices=fam_names)
-    zp.add_argument("--extremal", action="store_true")
+    zp.add_argument("--extremal", action="store_true",
+                    help="accepted and ignored: --family always uses the extremal member")
     zp.add_argument("--poly", help="polynomial text form")
     zp.add_argument("-n", type=int)
     zp.add_argument("-q", type=_fraction)

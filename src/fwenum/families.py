@@ -386,30 +386,26 @@ def burmann_coefficient(fam: FamilySpec, mu: int, nu: int | None = None) -> Frac
     value is always positive; for the q = 4/3 formal-weight-enumerator family
     the degree is n = 12*mu + 6 and the value is always negative.
     """
-    terms = mu + 1
+    k = 2 * mu + 2
     if fam.name == "q43":
         if nu is None or not (0 <= nu <= 5) or mu < 0 or (mu, nu) == (0, 0):
             raise ValueError("q43 oracle needs mu >= 0, 0 <= nu <= 5, (mu, nu) != (0, 0)")
-        k = 2 * mu + 2
         # (1 + x/3)^(5 - nu) is a polynomial
         top = [comb(5 - nu, j) * Fraction(1, 3**j) for j in range(5 - nu + 1)]
-        series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
-        series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
-        deriv = series[mu] * factorial(mu)
-        value = Fraction(9 ** k * (6 * mu + nu), 3 * factorial(mu + 1)) * deriv
-        if value <= 0:
-            raise AssertionError("q43 coefficient lost its positive sign contract")
-        return value
-    if fam.name == "q43-odd":
+        prefactor = Fraction(9 ** k * (6 * mu + nu), 3 * factorial(mu + 1))
+        sign, contract = 1, "positive"
+    elif fam.name == "q43-odd":
         if mu < 2:
             raise ValueError("q43-odd oracle needs mu >= 2")
-        k = 2 * mu + 2
         top = [Fraction(5), Fraction(-10, 3), Fraction(1, 9)]
-        series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
-        series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
-        deriv = series[mu] * factorial(mu)
-        value = -Fraction(9 ** k * (2 * mu + 1), factorial(mu + 1)) * deriv
-        if value >= 0:
-            raise AssertionError("q43-odd coefficient lost its negative sign contract")
-        return value
-    raise ValueError("the coefficient oracle exists for the q = 4/3 families only")
+        prefactor = -Fraction(9 ** k * (2 * mu + 1), factorial(mu + 1))
+        sign, contract = -1, "negative"
+    else:
+        raise ValueError("the coefficient oracle exists for the q = 4/3 families only")
+    terms = mu + 1
+    series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
+    series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
+    value = prefactor * (series[mu] * factorial(mu))
+    if sign * value <= 0:
+        raise AssertionError(f"{fam.name} coefficient lost its {contract} sign contract")
+    return value

@@ -11,8 +11,9 @@ rational operand is scaled to integers by the lcm of its denominators, the
 convolution or expansion runs on ints, and one Fraction is built per output
 coefficient.  A matrix that is a scalar multiple lam * M of a rational M, such
 as sigma_q(q), acts as lam^n times the integer action of M.  Only other
-irrational matrices, and polynomials with irrational coefficients, take the
-loops on Fraction / QuadElem scalars.
+irrational matrices, and polynomials with irrational coefficients, run on
+Fraction / QuadElem scalars: actions in the Horner loop, products in
+`unipoly.mul`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 from . import unipoly
 from .scalar import (
@@ -167,14 +168,8 @@ class HomPoly:
                     out[i : i + width] = [s + a * b for s, b in zip(window, right)]
             scale = den_l * den_r
             return HomPoly(n, [Fraction(v, scale) for v in out])
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return HomPoly(n, out)
+        out = unipoly.mul(self.coeffs, other.coeffs)
+        return HomPoly(n, out + [Fraction(0)] * (n + 1 - len(out)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QuadElem)):
@@ -359,13 +354,6 @@ def transform_sign(f: HomPoly, q: Rational) -> int | None:
 # -- differential operators ----------------------------------------------------
 
 
-def _falling(a: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= a - j
-    return out
-
-
 def diff_op(p: HomPoly, f: HomPoly) -> HomPoly:
     """Apply p(D), the operator with x -> d/dx and y -> d/dy, to f."""
     m, n = p.degree, f.degree
@@ -379,7 +367,7 @@ def diff_op(p: HomPoly, f: HomPoly) -> HomPoly:
         for i, ci in enumerate(f.coeffs):
             if not ci or i < j or n - i < m - j:
                 continue
-            k = _falling(n - i, m - j) * _falling(i, j)
+            k = perm(n - i, m - j) * perm(i, j)
             out[i - j] = out[i - j] + pj * ci * k
     return HomPoly(n - m, out)
 

@@ -2,8 +2,9 @@
 
 Polynomials are plain lists of scalars (Fraction or QuadElem) in ascending
 order of the exponent; the zero polynomial is [].  These are internal
-building blocks shared by exact division, Molien series and zeta-polynomial
-arithmetic; all operations are exact.
+building blocks shared by exact division, Molien series, zeta-polynomial
+arithmetic and the products of HomPolys with irrational (QuadElem)
+coefficients; all operations are exact.
 """
 
 from __future__ import annotations
@@ -100,14 +101,8 @@ def gcd(p: list, q: list) -> list:
 
 def series_mul(p: list, q: list, terms: int) -> list:
     """Product of two power-series prefixes, truncated to `terms` coefficients."""
-    out = [Fraction(0)] * terms
-    for i, a in enumerate(p[:terms]):
-        if not a:
-            continue
-        for j, b in enumerate(q[: terms - i]):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
+    out = mul(p[:terms], q[:terms])[:terms]
+    return out + [Fraction(0)] * (terms - len(out))
 
 
 def series_div(num: list, den: list, terms: int) -> list:

@@ -19,7 +19,6 @@ on P itself certifies the lifted set.
 from __future__ import annotations
 
 import json
-import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -87,14 +86,7 @@ def parse_precision_bits(text: str) -> int:
     return bits
 
 
-def _default_precision_bits() -> int:
-    try:
-        return parse_precision_bits(os.environ.get("FWENUM_PRECISION_BITS", "128"))
-    except ValueError as exc:
-        raise ValueError(f"environment variable FWENUM_PRECISION_BITS: {exc}") from None
-
-
-DEFAULT_PRECISION_BITS = _default_precision_bits()
+DEFAULT_PRECISION_BITS = 128
 
 
 class RHConvergenceError(RuntimeError):
@@ -810,8 +802,8 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     result is discarded when the roots are not finite or not pairwise
     distinct; the first mpmath pass then starts cold from the same seeds.
 
-    Precision ladder: mpmath passes at `precision_bits` (default from
-    FWENUM_PRECISION_BITS or 128), then twice that and so on, each warm
+    Precision ladder: mpmath passes at `precision_bits` (default
+    DEFAULT_PRECISION_BITS, 128), then twice that and so on, each warm
     started from the previous pass's roots, until two consecutive sets of
     lifted roots T agree to tolerance/10.  Exceeding the 8192-bit ceiling
     raises RHConvergenceError rather than passing silently.
@@ -1044,22 +1036,13 @@ def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
 
 def _binomial_row_sum(weights: list[Fraction], n_choose: int, y_start: int,
                       total_deg: int) -> HomPoly:
-    """sum(weights[i] C(n_choose, y_start + i) (x - y)^(...) y^(y_start + i))."""
-    acc = HomPoly.zero(total_deg)
-    for i, w_i in enumerate(weights):
-        if not w_i:
-            continue
-        ypow = y_start + i
-        xypow = total_deg - ypow
-        scale = w_i * comb(n_choose, ypow)
-        if not scale:
-            continue
-        coeffs = [Fraction(0)] * (total_deg + 1)
-        for t in range(xypow + 1):
-            c = comb(xypow, t) * scale
-            coeffs[ypow + t] = -c if t % 2 else c
-        acc = acc + HomPoly(total_deg, coeffs)
-    return acc
+    """sum(weights[i] C(n_choose, y_start + i) (x - y)^(...) y^(y_start + i)),
+    terms with y-exponent above total_deg dropped: the shear x -> x - y of
+    sum(weights[i] C(n_choose, y_start + i) x^(...) y^(y_start + i))."""
+    ys = range(y_start, total_deg + 1)
+    coeffs = [Fraction(0)] * y_start + [w * comb(n_choose, y) for w, y in zip(weights, ys)]
+    coeffs += [Fraction(0)] * (total_deg + 1 - len(coeffs))
+    return act_matrix(HomPoly(total_deg, coeffs), Mat2(1, -1, 0, 1))
 
 
 def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
@@ -1185,7 +1168,8 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
         return precondition_failure("A^sigma is not proportional to A", c1)
     # a^sigma = c3 a is required by part (iii) only; without it parts (i)
     # and (ii) still apply
-    c3 = _proportionality(a, act_matrix(a, sigma)) if a is not None else None
+    a_sigma = act_matrix(a, sigma) if a is not None else None
+    c3 = _proportionality(a, a_sigma) if a is not None else None
 
     image = diff_op(p, big_a)
     part1 = act_matrix(image, sigma) == image * (c2 / c1)
@@ -1198,7 +1182,6 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
             image.degree - a.degree)
         if cof is not None:
             part2_applicable = True
-            a_sigma = act_matrix(a, sigma)
             part2_ok = divide_exact(a_sigma, image) is not None
             if not image.is_zero() and _coprime(a, a_sigma):
                 coprime_applicable = True

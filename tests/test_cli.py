@@ -48,7 +48,7 @@ class TestGen:
 
     def test_empty_basis_errors(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "type4", "--basis", "-n", "6")
-        assert code == 1 and "no basis" in err
+        assert (code, err) == (2, "error: family type4 has no members of degree 6\n")
 
 
 class TestZetaCommand:
@@ -80,6 +80,15 @@ class TestZetaCommand:
         code, out, _ = run(capsys, "zeta", "--family", "q43", "--extremal",
                            "-n", "12", "--format", "latex")
         assert code == 0 and out.startswith("P(T) = \\frac{64}{729}T^{6}")
+
+    def test_latex_rh_verdict(self, capsys):
+        code, out, _ = run(capsys, "zeta", "--family", "q43", "-n", "12", "--rh",
+                           "--format", "latex")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert lines[0].startswith("P(T) = \\frac{64}{729}T^{6}")
+        assert lines[1].startswith("rh: pass = True  max modulus deviation = ")
+        assert lines[1].endswith("precision = 256 bits")
 
     def test_constant_zeta_rh_passes(self, capsys):
         # deg P = 0: no roots, the same vacuous pass as a scan row

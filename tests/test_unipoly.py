@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fwenum import unipoly
+from fwenum.scalar import sqrt_rational
 
 polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
                  min_size=0, max_size=6)
@@ -37,6 +38,21 @@ def test_series_div_geometric():
     # 1/(1 - 2x) = 1 + 2x + 4x^2 + ...
     s = unipoly.series_div([Fraction(1)], [Fraction(1), Fraction(-2)], 6)
     assert s == [1, 2, 4, 8, 16, 32]
+
+
+def test_series_mul_pads_and_truncates():
+    p, q = [Fraction(1), Fraction(2)], [Fraction(3), Fraction(1), Fraction(-1)]
+    assert unipoly.series_mul(p, q, 6) == [3, 7, 1, -2, 0, 0]
+    assert unipoly.series_mul(p, q, 2) == [3, 7]
+    assert unipoly.series_mul([], q, 3) == [0, 0, 0]
+    assert unipoly.series_mul(p, [Fraction(0)] * 4, 3) == [0, 0, 0]
+
+
+def test_series_mul_quadratic_operand():
+    r, _ = sqrt_rational(Fraction(3))
+    out = unipoly.series_mul([Fraction(1), r], [Fraction(1), r, Fraction(1)], 5)
+    # (1 + r T)(1 + r T + T^2) = 1 + 2r T + 4 T^2 + r T^3
+    assert out == [1, 2 * r, 4, r, 0]
 
 
 def test_series_div_requires_unit():

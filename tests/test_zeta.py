@@ -458,16 +458,19 @@ class TestRHCheck:
         with pytest.raises(ValueError, match="tolerance"):
             rh_check(ZetaPoly((1, 3, 2), 2), tolerance)
 
-    def test_bad_precision_environment_named(self):
+    def test_precision_environment_ignored(self):
+        # the default precision is a constant; no environment variable sets it
         src = os.path.dirname(os.path.dirname(fwenum.__file__))
-        for value in ("abc", "40"):
+        env = dict(os.environ, PYTHONPATH=src, FWENUM_PRECISION_BITS="abc")
+        for argv, expected in ((["gen", "--name", "phi4"], "x^4"),
+                               (["zeta", "--family", "type1", "-n", "12", "--rh"],
+                                "precision = 256 bits")):
             proc = subprocess.run(
-                [sys.executable, "-c", "import fwenum.zeta"],
-                env=dict(os.environ, PYTHONPATH=src, FWENUM_PRECISION_BITS=value),
-                capture_output=True, text=True, timeout=120,
+                [sys.executable, "-m", "fwenum.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
             )
-            assert proc.returncode != 0
-            assert "FWENUM_PRECISION_BITS" in proc.stderr.splitlines()[-1]
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert expected in proc.stdout
 
     def test_negative_real_root_stability(self):
         # this zeta polynomial has the exact root T = -sqrt(3)/2; the root
@@ -905,6 +908,35 @@ class TestExtremalDiffIdentity:
         assert pochhammer(2, 3) * 8 * (-33) == -6336
         # n = 11, type4: (d-2)_3 A_d = 24 * (-30) = -720
         assert pochhammer(2, 3) * (-30) == -720
+
+
+class TestBinomialRowSum:
+    @staticmethod
+    def direct(weights, n_choose, y_start, total_deg):
+        acc = HomPoly.zero(total_deg)
+        x_minus_y = parse_poly("x - y")
+        for i, w_i in enumerate(weights):
+            ypow = y_start + i
+            if ypow <= total_deg:
+                acc = acc + (x_minus_y ** (total_deg - ypow)
+                             * HomPoly.monomial(0, ypow, w_i * comb(n_choose, ypow)))
+        return acc
+
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                    max_size=10),
+           st.integers(0, 6), st.integers(0, 14), st.integers(0, 16))
+    def test_matches_term_by_term_expansion(self, weights, y_start, total_deg, n_choose):
+        # n_choose below y_start + i makes C(n_choose, y_start + i) = 0
+        assume(y_start <= total_deg)
+        got = zeta_mod._binomial_row_sum(weights, n_choose, y_start, total_deg)
+        assert got == self.direct(weights, n_choose, y_start, total_deg)
+
+    def test_zero_binomials_vanish(self):
+        weights = [F(3), F(-1, 2), F(5)]
+        assert zeta_mod._binomial_row_sum(weights, 1, 2, 6) == HomPoly.zero(6)
+        # only the i = 0 term has C(2, 2) != 0
+        assert zeta_mod._binomial_row_sum(weights, 2, 2, 6) == self.direct(
+            weights[:1], 2, 2, 6)
 
 
 class TestZetaBinomialIdentity:
