@@ -235,13 +235,14 @@ def _cmd_verify(args) -> int:
     if args.n is None:
         raise ValueError(f"verify {theorem} needs -n")
     n = args.n
+    # built first, so that a missing degree is reported before a missing operator
+    w = extremal(fam, n)
     if theorem == "star":
         check = verify_star(fam, n)
         factor = zeta_mod.star_zeta_factor(fam)
         print(f"maps to extremal: {check.maps_to_extremal}; zeta factor "
               f"{unipoly.to_string(factor, 'T')} confirmed: {check.zeta_factor_matches}")
         return 0 if check.ok else 1
-    w = extremal(fam, n)
     if theorem == "divisibility":
         check = verify_divisibility_prop(w, fam)
         print(f"divides: {check.divides}; cofactor divisible by the family "

@@ -94,6 +94,8 @@ class FamilySpec:
 
 def _w2(q) -> HomPoly:
     q = Fraction(q)
+    if q <= 0 or q == 1:
+        raise ValueError("q must be positive and != 1")
     return HomPoly(2, [1, 0, q - 1])
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, cos, inf, isfinite, isqrt, ldexp, pi
@@ -411,8 +410,8 @@ class RHReport:
     tolerance: float
     precision_bits: int
 
-    def to_json(self, digits: int | None = None) -> str:
-        digits = digits or max(20, int(self.precision_bits * 0.3))
+    def to_json(self) -> str:
+        digits = max(20, int(self.precision_bits * 0.3))
         payload = {
             "target_modulus": repr(self.target_modulus),
             "max_abs_deviation": repr(self.max_abs_deviation),
@@ -528,23 +527,10 @@ def _float_roots(int_coeffs: list[int], seeds, max_iter: int):
 
 def _roots_stable(old, new, limit) -> bool:
     """Symmetric nearest-distance agreement of two root multisets."""
-    return (len(old) == len(new)
-            and _all_near(old, new, limit) and _all_near(new, old, limit))
-
-
-def _all_near(points, others, limit) -> bool:
-    """Whether every point has one of `others` within distance `limit`."""
-    others = sorted(others, key=lambda z: z.real)
-    keys = [z.real for z in others]
     limit2 = limit * limit
-    # only points whose real part is within `limit` can qualify; the window
-    # is twice that so that rounding its ends cannot drop one
-    for a in points:
-        window = others[bisect_left(keys, a.real - 2 * limit):
-                        bisect_right(keys, a.real + 2 * limit)]
-        if not any(_abs2(a - b) <= limit2 for b in window):
-            return False
-    return True
+    near = [[_abs2(a - b) <= limit2 for b in new] for a in old]
+    return (len(old) == len(new) and all(map(any, near))
+            and all(map(any, zip(*near))))
 
 
 def _fold(coeffs: list[Fraction], q: Fraction):
@@ -603,6 +589,22 @@ def _lift(s, q):
         sq = -sq
     t = (s + sq) / (2 * q)
     return [t, 1 / (q * t)]
+
+
+def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
+    """The report of a certified root set, sorted by (re, im), with the
+    largest deviation of |root| from `target`, at the caller's mp precision."""
+    roots.sort(key=lambda t: (t.real, t.imag))
+    max_dev = max(abs(abs(z) - target) for z in roots)
+    return RHReport(
+        roots=tuple(roots),
+        target_modulus=float(target),
+        max_abs_deviation=float(max_dev),
+        max_residual=float(max_res),
+        passed=bool(max_dev < mp.mpf(tolerance)),
+        tolerance=tolerance,
+        precision_bits=bits,
+    )
 
 
 # -- certified RH step on Python ints ----------------------------------------------
@@ -746,20 +748,9 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
         for zr, zi in upper:
             z = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
             roots += [z, z.conjugate()]
-        roots.sort(key=lambda t: (t.real, t.imag))
-        max_dev = max(abs(abs(z) - target) for z in roots)
-        if not max_dev < mp.mpf(tolerance):
-            return None
         max_res = mp.ldexp(mp.sqrt(mp.mpf(max_res2)), -bits) / abs(int_p[-1])
-        return RHReport(
-            roots=tuple(roots),
-            target_modulus=float(target),
-            max_abs_deviation=float(max_dev),
-            max_residual=float(max_res),
-            passed=True,
-            tolerance=tolerance,
-            precision_bits=bits,
-        )
+        report = _rh_report(roots, target, max_res, tolerance, bits)
+        return report if report.passed else None
 
 
 def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
@@ -861,7 +852,6 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                 roots = [mp.mpc(sign * target) for sign in signs]
                 for s in found:
                     roots += _lift(s, q_mp)
-                roots.sort(key=lambda t: (t.real, t.imag))
             if previous is not None and _roots_stable(
                 previous, roots, mp.mpf(tolerance) / 10
             ):
@@ -875,16 +865,8 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                         f"{mp.nstr(max_res / scale, 5)} * max sum |c_i| |z|^i "
                         f"exceeds 2^-{prec // 2}"
                     )
-                max_dev = max(abs(abs(z) - target) for z in roots)
-                return RHReport(
-                    roots=tuple(roots),
-                    target_modulus=float(target),
-                    max_abs_deviation=float(max_dev),
-                    max_residual=float(max_res / abs_coeffs[-1]),
-                    passed=bool(max_dev < mp.mpf(tolerance)),
-                    tolerance=tolerance,
-                    precision_bits=prec,
-                )
+                return _rh_report(roots, target, max_res / abs_coeffs[-1],
+                                  tolerance, prec)
         previous = roots
         prec *= 2
         if prec > _PRECISION_CEILING_BITS:
@@ -960,6 +942,8 @@ def star_scan_q43_odd(k_max: int) -> list[tuple[int, bool, bool]]:
     Returns (k, operator image is the unique degree-(12k+4) member, zeta
     relation holds) per k, for reporting only.
     """
+    if k_max < 1:
+        raise ValueError(f"max_k must be >= 1, got {k_max}")
     fam = family("q43-odd")
     out = []
     for k in range(1, k_max + 1):
@@ -970,9 +954,8 @@ def star_scan_q43_odd(k_max: int) -> list[tuple[int, bool, bool]]:
 
 def verify_star(fam: FamilySpec, n: int) -> StarCheck:
     """Postcondition contracts of the star operator at degree n."""
-    w = extremal(fam, n)
     _require_star(fam)
-    return _star_check(fam, w)
+    return _star_check(fam, extremal(fam, n))
 
 
 # -- theorem verifiers ------------------------------------------------------------------
@@ -1012,26 +995,27 @@ def verify_divisibility_prop(w: HomPoly, fam: FamilySpec) -> DivisibilityCheck:
     return DivisibilityCheck(inner is not None, True, inner is not None, cof)
 
 
+def _closed_form(w: HomPoly, fam: FamilySpec, d: int) -> HomPoly:
+    """p(D)W = a^(d-3) E^v O (d-2)_3 A_d, times n - d for type1, for extremal W
+    of degree n = delta(d-1) + 2v, with a, E, O, delta from `fam` (Duursma 2003)."""
+    n = w.degree
+    delta = fam.odd_gen.degree
+    v2 = n - delta * (d - 1)
+    if v2 < 0 or v2 % 2:
+        raise ValueError(f"degree does not decompose as {delta}(d-1) + 2v")
+    scalar = pochhammer(d - 2, 3) * w.coeffs[d]
+    if fam.name == "type1":
+        scalar *= n - d
+    return fam.divisor_base ** (d - 3) * fam.even_gen ** (v2 // 2) * fam.odd_gen * scalar
+
+
 def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
     """Closed form of p(D)W for extremal members with d >= 4 (exact expansion)."""
     _require_identity_data(fam, "the identity")
-    n = w.degree
     d = min_weight(w)
     if d < 4:
         raise ValueError("the identity needs d >= 4")
-    a_d = w.coeffs[d]
-    if fam.name == "type1":
-        v2 = n - 4 * (d - 1)
-        if v2 < 0 or v2 % 2:
-            raise ValueError("degree does not decompose as 4(d-1) + 2v")
-        scalar = pochhammer(d - 2, 3) * (n - d) * a_d
-    else:
-        v2 = n - 3 * (d - 1)
-        if v2 < 0 or v2 % 2:
-            raise ValueError("degree does not decompose as 3(d-1) + 2v")
-        scalar = pochhammer(d - 2, 3) * a_d
-    rhs = fam.divisor_base ** (d - 3) * fam.even_gen ** (v2 // 2) * fam.odd_gen * scalar
-    return diff_op(fam.diff_operator, w) == rhs
+    return diff_op(fam.diff_operator, w) == _closed_form(w, fam, d)
 
 
 def _binomial_row_sum(weights: list[Fraction], n_choose: int, y_start: int,
@@ -1046,52 +1030,23 @@ def _binomial_row_sum(weights: list[Fraction], n_choose: int, y_start: int,
 
 
 def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
-    """Binomial sum over zeta coefficients against the closed product form."""
+    """Binomial sum over zeta coefficients against the closed form of p(D)W:
+    the row sum over P (type1) or P (1 + 2T) (type4) with N = n - delta,
+    times (n-3)_4 or 3 (n-2)_3, is `_closed_form`."""
     _require_identity_data(fam, "the identity")
     n = w.degree
     d = _zeta_min_weight(w, fam.q)
     m = d - 2
     if m < 2 or m % 2:
         raise ValueError("the identity needs even d - 2 >= 2")
-    p = _zeta_genfunc(w, fam.q, d)
-    pc = list(p.coeffs)
-    a_d = w.coeffs[d]
+    pc = list(_zeta_genfunc(w, fam.q, d).coeffs)
+    closed = _closed_form(w, fam, d)
     if fam.name == "type1":
-        v2 = n - 4 * m - 4
-        if v2 < 0 or v2 % 2:
-            raise ValueError("degree does not decompose as 4m + 2v + 4")
-        v = v2 // 2
-        terms = 2 * m + 2 * v + 2
-        weights = [pc[i] if i < len(pc) else Fraction(0) for i in range(terms + 1)]
-        lhs = _binomial_row_sum(weights, 4 * m + 2 * v, m - 1, 4 * m + 2 * v)
-        prefactor = (
-            pochhammer(d - 2, 3) * (n - d) * a_d / pochhammer(n - 3, 4)
-        )
-        rhs = (
-            parse_poly("x*y") ** (m - 1)
-            * parse_poly("x^2 - y^2") ** (m - 1)
-            * fam.even_gen ** v
-            * fam.odd_gen
-            * prefactor
-        )
+        weights, normaliser = pc, pochhammer(n - 3, 4)
     else:
-        v2 = n - 3 * m - 3
-        if v2 < 0 or v2 % 2:
-            raise ValueError("degree does not decompose as 3m + 2v + 3")
-        v = v2 // 2
-        qc = unipoly.mul(pc, [Fraction(1), Fraction(2)])  # Q = P (1 + 2T)
-        terms = m + 2 * v + 2
-        weights = [qc[i] if i < len(qc) else Fraction(0) for i in range(terms + 1)]
-        lhs = _binomial_row_sum(weights, 3 * m + 2 * v, m - 1, 3 * m + 2 * v)
-        prefactor = pochhammer(d - 2, 3) * a_d / (3 * pochhammer(n - 2, 3))
-        rhs = (
-            parse_poly("y") ** (m - 1)
-            * parse_poly("x^2 - y^2") ** (m - 1)
-            * fam.even_gen ** v
-            * fam.odd_gen
-            * prefactor
-        )
-    return lhs == rhs
+        weights, normaliser = unipoly.mul(pc, [1, 2]), 3 * pochhammer(n - 2, 3)
+    big_n = n - fam.odd_gen.degree
+    return _binomial_row_sum(weights, big_n, m - 1, big_n) * normaliser == closed
 
 
 # -- generalised invariant-operator theorem ------------------------------------------
@@ -1123,16 +1078,16 @@ def _coprime(a: HomPoly, b: HomPoly) -> bool:
 class DuursmaOkudaResult:
     preconditions_ok: bool
     failed_precondition: str
-    c1: object
-    c2: object
-    c3: object
-    part1_ok: bool
-    part2_applicable: bool
-    part2_ok: bool
-    part2_coprime_applicable: bool
-    part2_coprime_ok: bool
-    part3_applicable: bool
-    part3_ok: bool
+    c1: object = None
+    c2: object = None
+    c3: object = None
+    part1_ok: bool = False
+    part2_applicable: bool = False
+    part2_ok: bool = False
+    part2_coprime_applicable: bool = False
+    part2_coprime_ok: bool = False
+    part3_applicable: bool = False
+    part3_ok: bool = False
 
     @property
     def ok(self) -> bool:
@@ -1154,18 +1109,12 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
     when a is supplied) are verified, not assumed; their failure is reported
     separately from a conclusion failure.
     """
-    def precondition_failure(reason, c1=None, c2=None, c3=None):
-        return DuursmaOkudaResult(
-            False, reason, c1, c2, c3,
-            False, False, False, False, False, False, False,
-        )
-
     c1 = _proportionality(p, act_matrix(p, sigma.transpose()))
     if c1 is None or not c1:
-        return precondition_failure("p^(t sigma) is not proportional to p")
+        return DuursmaOkudaResult(False, "p^(t sigma) is not proportional to p")
     c2 = _proportionality(big_a, act_matrix(big_a, sigma))
     if c2 is None or not c2:
-        return precondition_failure("A^sigma is not proportional to A", c1)
+        return DuursmaOkudaResult(False, "A^sigma is not proportional to A", c1)
     # a^sigma = c3 a is required by part (iii) only; without it parts (i)
     # and (ii) still apply
     a_sigma = act_matrix(a, sigma) if a is not None else None

@@ -135,6 +135,15 @@ def test_precision_bits_validated(capsys, command, bits):
     assert "argument --precision-bits" in capsys.readouterr().err
 
 
+def test_precision_bits_accepted(capsys):
+    # the certified path works at twice the requested bits
+    code, out, err = run(capsys, "zeta", "--family", "type1", "-n", "12", "--rh",
+                         "--precision-bits", "64")
+    assert (code, err) == (0, "")
+    assert out.endswith("rh: pass = True  max modulus deviation = 0.0  residual <= "
+                        "1.4693679385278594e-39  precision = 128 bits\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["gen", "--family", "type1", "--basis", "-n", "0"], "degree must be >= 1"),
     (["gen", "--family", "type1", "--extremal", "-n", "7"],
@@ -156,12 +165,18 @@ def test_precision_bits_validated(capsys, command, bits):
     (["verify", "lemma-duursma", "--samples", "0"], "samples must be >= 1, got 0"),
     (["verify", "lemma-duursma", "--samples", "-5"], "samples must be >= 1, got -5"),
     (["verify", "molien-basis", "--max-degree", "-1"], "max_degree must be >= 0, got -1"),
+    (["verify", "star-q43-odd", "--max-k", "0"], "max_k must be >= 1, got 0"),
+    (["verify", "star-q43-odd", "--max-k", "-1"], "max_k must be >= 1, got -1"),
+    (["gen", "--name", "w2", "-q", "-3"], "q must be positive and != 1"),
+    (["gen", "--name", "w2", "-q", "1"], "q must be positive and != 1"),
+    (["gen", "--name", "w2", "-q", "0"], "q must be positive and != 1"),
 ], ids=["basis-degree-0", "extremal-no-members", "w2-without-q", "star-no-members",
         "divisibility-wrong-family", "molien-no-terms", "gen-basis-without-n",
         "gen-extremal-without-n", "gen-without-mode", "zeta-poly-without-q",
         "zeta-family-without-n", "verify-star-without-n",
         "verify-zeta-binomial-without-n", "okuda-no-samples", "lemma-no-samples",
-        "lemma-negative-samples", "molien-basis-negative-degree"])
+        "lemma-negative-samples", "molien-basis-negative-degree", "star-scan-k-0",
+        "star-scan-k-negative", "w2-negative-q", "w2-q-1", "w2-q-0"])
 def test_bad_input_reported_without_traceback(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -38,6 +38,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generator("w2")
 
+    @pytest.mark.parametrize("q", [1, 0, -3, F(-1, 2)])
+    def test_w2_rejects_bad_q(self, q):
+        with pytest.raises(ValueError, match=r"^q must be positive and != 1$"):
+            generator("w2", q)
+
     def test_w12prime_product_form(self):
         expected = (
             parse_poly("x^2*y^2")

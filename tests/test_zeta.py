@@ -527,6 +527,49 @@ class TestRHCheck:
         assert len(obj["roots"]) == 6
         assert set(obj["roots"][0]) == {"re", "im"}
 
+    # the exact reports of both paths; 1 + 3T + 2T^2 folds to R(s) = s + 3,
+    # whose root -3 lies outside (-2 sqrt(2), 2 sqrt(2)), so the certified
+    # path declines and the Aberth ladder runs
+    _PINNED_FALLBACK = (
+        '{"target_modulus": "0.7071067811865476", "max_abs_deviation": '
+        '"0.2928932188134525", "max_residual": "0.0", "pass": false, '
+        '"tolerance": 1e-09, "precision_bits": 256, "roots": '
+        '[{"re": "-1.0", "im": "0.0"}, {"re": "-0.5", "im": "0.0"}]}')
+    _ROOT_1 = "0.7071067811865475244008443621048490392848359376884740365883398689953662392311"
+    _PINNED_CERTIFIED = (
+        '{"target_modulus": "0.7071067811865476", "max_abs_deviation": '
+        '"8.636168555094445e-78", "max_residual": "8.636168555094445e-78", '
+        '"pass": true, "tolerance": 1e-09, "precision_bits": 256, "roots": ['
+        f'{{"re": "-{_ROOT_1}", "im": "0.0"}}, {{"re": "-0.5", "im": "-0.5"}}, '
+        f'{{"re": "-0.5", "im": "0.5"}}, {{"re": "0.0", "im": "-{_ROOT_1}"}}, '
+        f'{{"re": "0.0", "im": "{_ROOT_1}"}}, {{"re": "{_ROOT_1}", "im": "0.0"}}]}}')
+
+    def test_pinned_fallback_report(self, monkeypatch):
+        outcomes = []
+        certified = zeta_mod._certified_rh
+
+        def spy(*args):
+            outcomes.append(certified(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(zeta_mod, "_certified_rh", spy)
+        report = rh_check(ZetaPoly((1, 3, 2), 2))
+        assert outcomes == [None]
+        assert report.to_json() == self._PINNED_FALLBACK
+
+    def test_pinned_certified_report(self):
+        p = zeta_checked(extremal(family("type1"), 12), 2)
+        assert rh_check(p).to_json() == self._PINNED_CERTIFIED
+
+    def test_fallback_roots_sorted(self):
+        # a double root makes the certified path decline; the report's roots
+        # are sorted by (re, im) on the Aberth path as on the certified one
+        p = zeta_checked(extremal(family("type1"), 12), 2)
+        square = ZetaPoly(tuple(unipoly.mul(list(p.coeffs), list(p.coeffs))), 2)
+        roots = rh_check(square).roots
+        assert len(roots) == 12
+        assert list(roots) == sorted(roots, key=lambda t: (t.real, t.imag))
+
 
 def _mp(x):
     return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
@@ -827,6 +870,12 @@ class TestStarTable:
         with pytest.raises(ValueError, match="no star operator"):
             verify_star(fam, n)
 
+    def test_no_star_operator_reported_before_the_degree(self):
+        # ozeki has no members of degree 24; the missing operator is found
+        # without the extremal construction
+        with pytest.raises(ValueError, match="^no star operator for family ozeki$"):
+            verify_star(family("ozeki"), 24)
+
 
 def test_diff_operators_match_literals():
     assert DIFF_OPERATORS == {
@@ -953,6 +1002,20 @@ class TestZetaBinomialIdentity:
         fam = family("type1")
         with pytest.raises(ValueError):
             verify_zeta_binomial_identity(extremal(fam, 8), fam)  # d = 2
+
+
+@pytest.mark.parametrize("fam_name,n,delta", [
+    ("type1", 13, 4), ("type1", 11, 4), ("type4", 10, 3), ("type4", 8, 3)])
+@pytest.mark.parametrize("verifier", [verify_extremal_diff_identity,
+                                      verify_zeta_binomial_identity])
+def test_identities_reject_undecomposable_degree(fam_name, n, delta, verifier):
+    # M_(n,4) is monic with d = 4 and d_perp = n - 2, so both verifiers reach
+    # the shared decomposition n = delta (d - 1) + 2v; n - 3 delta is odd or < 0
+    fam = family(fam_name)
+    w = mds_enumerator(n, 4, fam.q).poly
+    with pytest.raises(ValueError,
+                       match=rf"^degree does not decompose as {delta}\(d-1\) \+ 2v$"):
+        verifier(w, fam)
 
 
 class TestDuursmaOkuda:
