@@ -61,10 +61,14 @@ def _precision_bits(text: str) -> int:
 
 
 def _degree_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = (int(t) for t in text.split("..", 1))
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a degree range: {text!r} (expected N or MIN..MAX)") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty degree range {text!r}: MIN > MAX")
     return lo, hi

@@ -5,11 +5,16 @@ for the c = 4 family) together with an anti-invariant generator; products
 with an odd number of anti-invariant factors transform with sign -1 under the
 MacWilliams matrix, products with an even number with sign +1.  The extremal
 member of a degree is the unique monic combination whose low-order weights
-vanish strictly below the family bound.  One cached solver gives the members
-of a degree with A_1..A_(d-1) = 0, one per nullspace vector of that exact
-system.  At d = d_max, `extremal` asserts that the space has one element,
-that it can be made monic and that its A_(d_max) is nonzero, instead of
-trusting them; the randomized suites draw combinations of the space.
+vanish strictly below the family bound.  `extremal` finds it without a linear
+solve: in the basis E^(L-kj) h^j, h = E^k - O^2 (E, O the even and odd
+generators, 2*deg O = k*deg E), the cancellation conditions are the
+Buermann-Lagrange expansion of 1/(E^L O^p) in powers of t = h/E^k, a
+triangular system whose unknowns are read off one row each, on Python ints.
+It checks that every unknown is determined (dimension one), that the rows
+between them vanish, that the member is monic and that its A_(d_max) is
+nonzero, instead of trusting them.  The randomized suites draw combinations
+of the members with A_1..A_(d-1) = 0 from the nullspace of that exact
+system over the graded basis, one member per nullspace vector.
 """
 
 from __future__ import annotations
@@ -17,10 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import linalg, unipoly
-from .homopoly import HomPoly, parse_poly, transform_sign, weight_profile, WeightProfile
+from .homopoly import (
+    HomPoly,
+    WeightProfile,
+    _convolve,
+    parse_poly,
+    transform_sign,
+    weight_profile,
+)
 
 __all__ = [
     "FamilySpec",
@@ -283,31 +295,126 @@ def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[HomPoly, ...]:
     return tuple(space)
 
 
+def _series_power(f: list[int], m: int, limit: int) -> list[int]:
+    """f^m mod y^limit for an integer series f, by binary powering."""
+    out = [1] + [0] * (limit - 1)
+    while m:
+        if m & 1:
+            out = _convolve(out, f, limit)
+        m >>= 1
+        if m:
+            f = _convolve(f, f, limit)
+    return out
+
+
+def _series_inverse(f: list[int], limit: int) -> list[int]:
+    """1/f mod y^limit for an integer series f with f[0] = 1, by Newton's
+    iteration g <- g - g*(f*g - 1), which doubles the correct prefix."""
+    g, m = [1], 1
+    while m < limit:
+        m = min(2 * m, limit)
+        err = _convolve(f[:m], g, m)
+        err[0] -= 1
+        g = [a - b for a, b in zip(g + [0] * (m - len(g)), _convolve(g, err, m))]
+    return g
+
+
+def _scaled(coeffs, m) -> list:
+    """Coefficients of f(x, m*y) from those of f(x, y)."""
+    return [c * m**i for i, c in enumerate(coeffs)]
+
+
 def extremal(fam: FamilySpec, n: int) -> HomPoly:
     """The unique monic member with all weights below the family bound cancelled.
 
-    Takes the cancellation space of A_i = 0 for 1 <= i < d_max and asserts
-    that it is one-dimensional, that its member can be made monic, and that
-    the coefficient at the bound itself is nonzero.
+    Write E = even_gen (degree e), O = odd_gen (degree o), p = parity,
+    k = 2o/e, h = E^k - O^2 and v its y-valuation.  The members of degree n
+    are W = O^p * sum_j b_j E^(L-kj) h^j, L = (n - p*o)/e, j = 0..J = L // k,
+    and at x = 1 the cancellation A_1 = ... = A_(d-1) = 0 of a monic W reads
+
+        sum_j b_j t^j = 1 / (E^L O^p)  (mod y^d),  t = h / E^k,
+
+    a triangular system (t^j has valuation v*j) whose b_j is read off row
+    v*j; the member is then built by a Horner loop over j.  It checks, with
+    d = d_max, that every b_j is determined (v*J < d, the dimension-one
+    condition), that the residual vanishes on every row below d (which
+    covers the rows between multiples of v), that b_0 = 1 (the generators
+    are monic in x) and that the coefficient at the bound is nonzero; it
+    raises ExtremalConstructionError otherwise.
     """
-    d_max = bound(fam, n).d_max
-    space = _cancellation_space(fam, n, d_max)
-    if len(space) != 1:
+    return _extremal(fam, n, bound(fam, n).d_max)
+
+
+@lru_cache(maxsize=256)
+def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
+    """The Buermann-Lagrange solve of `extremal` at bound d, on Python ints.
+
+    D is the lcm of the generators' denominators and tau the leading
+    coefficient of h(1, D*z).  At y = M*w, M = D*tau, the generators E and O
+    are integer polynomials with constant term 1, so are their inverse series,
+    and h = tau^(v+1) * theta with theta an integer polynomial, theta[v] = 1.
+    The unknowns e_j = b_j * tau^((v+1)*j) are then the integers read off row
+    v*j of 1/(E^L O^p) - sum_(i<j) e_i (theta/E^k)^i, and the member at
+    y = M*w is O^p E^(L-kJ) * sum_j e_j (E^k)^(J-j) theta^j.
+    """
+    even, odd, parity = fam.even_gen, fam.odd_gen, fam.parity
+    k, r = divmod(2 * odd.degree, even.degree)
+    if r:
         raise ExtremalConstructionError(
-            f"{fam.name} degree {n}: cancellation space has dimension "
-            f"{len(space)}, expected 1"
+            f"{fam.name}: 2*deg(odd_gen) is not a multiple of deg(even_gen)"
         )
-    lead = space[0].coeffs[0]  # every basis product is monic in x^n
-    if lead == 0:
+    if even.coeffs[0] != 1 or odd.coeffs[0] != 1:  # b_0 = E(1,0)^(-L) O(1,0)^(-p)
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
         )
-    w = space[0] * (1 / lead)
-    if not w.coeffs[d_max]:
+    big_j, rho = divmod((n - parity * odd.degree) // even.degree, k)
+    # at y = D*z the generators have integer coefficients
+    den = lcm(*(c.denominator for c in even.coeffs + odd.coeffs))
+    e_d = [int(c) for c in _scaled(even.coeffs, den)]
+    o_d = [int(c) for c in _scaled(odd.coeffs, den)]
+    k_d = _series_power(e_d, k, 2 * odd.degree + 1)
+    h_d = [a - b for a, b in zip(k_d, _convolve(o_d, o_d))]
+    v = next(i for i, c in enumerate(h_d) if c)
+    if v * big_j >= d:
         raise ExtremalConstructionError(
-            f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d_max}"
+            f"{fam.name} degree {n}: cancellation space has dimension "
+            f"{big_j - (d - 1) // v + 1}, expected 1"
         )
-    return w
+    tau = h_d[v]
+    e_m, o_m, k_m = _scaled(e_d, tau), _scaled(o_d, tau), _scaled(k_d, tau)
+    theta = [c // tau ** (v + 1) for c in _scaled(h_d, tau)]  # exact, theta[v] = 1
+    inv_e = _series_inverse(e_m[:d], d)
+    ratio = _convolve(theta[:d], _series_power(inv_e, k, d), d)  # Theta / E^k
+    rest = _series_power(inv_e, k * big_j + rho, d)  # 1 / (E^L O^p)
+    if parity:
+        rest = _convolve(rest, _series_inverse(o_m[:d], d), d)
+    coeffs, ratio_power = [], [1] + [0] * (d - 1)
+    for j in range(big_j + 1):
+        if j:
+            ratio_power = _convolve(ratio_power, ratio, d)
+        e_j = rest[v * j]
+        coeffs.append(e_j)
+        rest = [a - e_j * b for a, b in zip(rest, ratio_power)]
+    if any(rest):
+        raise ExtremalConstructionError(
+            f"{fam.name} degree {n}: cancellation space has dimension 0, expected 1"
+        )
+    acc, theta_power = [coeffs[0]], [1]
+    for e_j in coeffs[1:]:
+        theta_power = _convolve(theta, theta_power)
+        acc = [a + e_j * b for a, b in zip(_convolve(k_m, acc), theta_power)]
+    acc = _convolve(acc, _series_power(e_m, rho, even.degree * rho + 1))
+    if parity:
+        acc = _convolve(acc, o_m)
+    if not acc[d]:
+        raise ExtremalConstructionError(
+            f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d}"
+        )
+    out, power = [], 1
+    for c in acc:
+        out.append(Fraction(c, power))
+        power *= den * tau
+    return HomPoly(n, out)
 
 
 def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPoly | None:

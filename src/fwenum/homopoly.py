@@ -8,9 +8,10 @@ MacWilliams transforms, matrix actions over a quadratic extension).
 
 Products and matrix actions on rational polynomials run on Python ints: each
 rational operand is scaled to integers by the lcm of its denominators, the
-convolution or expansion runs on ints, and one Fraction is built per output
-coefficient.  A matrix that is a scalar multiple lam * M of a rational M, such
-as sigma_q(q), acts as lam^n times the integer action of M.  Only other
+convolution (`_convolve`, which also serves the truncated series products of
+`families.extremal`) or expansion runs on ints, and one Fraction is built per
+output coefficient.  A matrix that is a scalar multiple lam * M of a rational
+M, such as sigma_q(q), acts as lam^n times the integer action of M.  Only other
 irrational matrices, and polynomials with irrational coefficients, run on
 Fraction / QuadElem scalars: actions in the Horner loop, products in
 `unipoly.mul`.
@@ -67,6 +68,20 @@ def _integer_coeffs(coeffs) -> tuple[list[int], int]:
     den the lcm of their denominators."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(left: list[int], right: list[int], limit: int | None = None) -> list[int]:
+    """Product of two integer coefficient lists in ascending order; with
+    `limit`, its first `limit` coefficients, zero-padded (a series product
+    mod y^limit)."""
+    size = len(left) + len(right) - 1 if limit is None else limit
+    out = [0] * size
+    width = len(right)
+    for i, a in enumerate(left[:size]):
+        if a:
+            window = out[i : i + width]
+            out[i : i + width] = [s + a * b for s, b in zip(window, right)]
+    return out
 
 
 class HomPoly:
@@ -160,12 +175,7 @@ class HomPoly:
         if self.is_rational() and other.is_rational():
             left, den_l = _integer_coeffs(self.coeffs)
             right, den_r = _integer_coeffs(other.coeffs)
-            out = [0] * (n + 1)
-            width = len(right)
-            for i, a in enumerate(left):
-                if a:
-                    window = out[i : i + width]
-                    out[i : i + width] = [s + a * b for s, b in zip(window, right)]
+            out = _convolve(left, right)
             scale = den_l * den_r
             return HomPoly(n, [Fraction(v, scale) for v in out])
         out = unipoly.mul(self.coeffs, other.coeffs)

@@ -202,6 +202,17 @@ def test_reversed_degree_range_rejected(capsys):
     assert "empty degree range '30..10'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["4..x", "4..", "x"])
+def test_malformed_degree_range_rejected(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "type1", "-n", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument -n: not a degree range: {text!r} "
+                        "(expected N or MIN..MAX)\n")
+    assert "_degree_range" not in err and "Traceback" not in err
+
+
 class TestScan:
     def test_small_scan_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "scan", "--family", "type1", "-n", "8..20",

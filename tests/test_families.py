@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from fwenum import families
 from fwenum.families import (
     FAMILIES,
+    Bound,
+    ExtremalConstructionError,
+    FamilySpec,
     NotInRingError,
     basis,
     basis_exponents,
@@ -248,6 +252,96 @@ class TestExtremal:
     def test_no_basis(self):
         with pytest.raises(ValueError):
             extremal(family("ozeki"), 14)
+
+
+def _extremal_by_nullspace(fam, n):
+    """Reference for extremal: the one nullspace vector of A_1..A_(d_max-1) = 0
+    over basis(fam, n), expanded over the basis products and made monic."""
+    elems = basis(fam, n)
+    rows = [[b.coeffs[i] for b in elems] for i in range(1, bound(fam, n).d_max)]
+    (vec,) = linalg.nullspace(rows, len(elems))
+    w = HomPoly.zero(n)
+    for cj, b in zip(vec, elems):
+        if cj:
+            w = w + b * cj
+    return w * (1 / w.coeffs[0])
+
+
+class TestExtremalAgainstNullspace:
+    @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+    def test_every_degree_to_96(self, fam_name):
+        fam = FAMILIES[fam_name]
+        degrees = [n for n in range(1, 97) if basis_exponents(fam, n)]
+        assert degrees
+        for n in degrees:
+            assert extremal(fam, n) == _extremal_by_nullspace(fam, n), (fam_name, n)
+
+    @pytest.mark.parametrize("fam_name,n", [
+        ("type1", 150), ("type4", 151), ("q43", 150), ("q43-odd", 150), ("ozeki", 156)])
+    def test_high_degree(self, fam_name, n):
+        fam = family(fam_name)
+        assert extremal(fam, n) == _extremal_by_nullspace(fam, n)
+
+
+def _with_bound_shift(monkeypatch, shift):
+    real = families.bound
+    monkeypatch.setattr(
+        families, "bound", lambda fam, n: Bound(real(fam, n).d_max + shift, True))
+
+
+class TestExtremalChecks:
+    """One test per ExtremalConstructionError raised by extremal."""
+
+    def test_undetermined_coefficient_is_dimension_above_one(self, monkeypatch):
+        # type1 n=20: J = 2, v = 2; at d = 4 the coefficient b_2 is free
+        _with_bound_shift(monkeypatch, -2)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^type1 degree 20: cancellation space has "
+                                 r"dimension 2, expected 1$"):
+            extremal(family("type1"), 20)
+        fam = family("type1")
+        rows = [[b.coeffs[i] for b in basis(fam, 20)] for i in range(1, 4)]
+        assert len(linalg.nullspace(rows, 3)) == 2
+
+    def test_nonzero_residual_is_dimension_zero(self, monkeypatch):
+        # at d = d_max + c the row at the true bound must vanish too, and cannot
+        _with_bound_shift(monkeypatch, 2)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^type1 degree 20: cancellation space has "
+                                 r"dimension 0, expected 1$"):
+            extremal(family("type1"), 20)
+
+    def test_generators_not_monic(self):
+        fam = family("type1")
+        spec = FamilySpec("scaled", fam.q, fam.c, fam.even_gen * 2, fam.odd_gen,
+                          fam.parity)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^scaled degree 12: cancellation space is not "
+                                 r"monic-normalisable$"):
+            extremal(spec, 12)
+
+    def test_coefficient_at_the_bound_vanishes(self, monkeypatch):
+        # d = d_max - 1 is odd, and every member has A_d = 0 there
+        _with_bound_shift(monkeypatch, -1)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^type1 degree 20: coefficient vanishes at the "
+                                 r"bound d = 5$"):
+            extremal(family("type1"), 20)
+
+    def test_generator_degrees_not_commensurate(self):
+        fam = family("type4")
+        spec = FamilySpec("odd-degrees", fam.q, fam.c, fam.odd_gen, fam.even_gen, 0)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^odd-degrees: 2\*deg\(odd_gen\) is not a "
+                                 r"multiple of deg\(even_gen\)$"):
+            extremal(spec, 6)
+
+    def test_second_call_is_a_cache_hit(self):
+        fam = family("q43")
+        first = extremal(fam, 98)
+        hits = families._extremal.cache_info().hits
+        assert extremal(fam, 98) is first
+        assert families._extremal.cache_info().hits == hits + 1
 
 
 class TestIsFwe:
