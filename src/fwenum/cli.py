@@ -166,6 +166,8 @@ def _cmd_zeta(args) -> int:
 def _cmd_scan(args) -> int:
     fam = family(args.family)
     n_min, n_max = args.n
+    if n_min < 1:
+        raise ValueError("degree must be >= 1")
     report = scan_family(fam, n_min, n_max, args.tolerance, args.precision_bits)
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.output:

@@ -13,7 +13,8 @@ the roots are refined and lifted on Python ints.  Otherwise Aberth iteration
 with deterministic seeding finds the roots of R, first in hardware doubles
 and then in arbitrary precision with warm-started precision escalation, and
 each root s is lifted to its two roots T.  On either path a residual check
-on P itself certifies the lifted set.
+on P itself certifies the lifted set.  mpmath is imported inside the
+functions of that step, so the exact routes run without loading it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, cos, inf, isfinite, isqrt, ldexp, pi
-
-import mpmath as mp
 
 from . import unipoly
 from .families import FAMILIES, FamilySpec, extremal, family, member_with_min_weight
@@ -411,6 +410,8 @@ class RHReport:
     precision_bits: int
 
     def to_json(self) -> str:
+        import mpmath as mp
+
         digits = max(20, int(self.precision_bits * 0.3))
         payload = {
             "target_modulus": repr(self.target_modulus),
@@ -578,12 +579,16 @@ def _fold(coeffs: list[Fraction], q: Fraction):
 
 
 def _mp_rational(x: Fraction):
+    import mpmath as mp
+
     return mp.mpf(x.numerator) / x.denominator
 
 
 def _lift(s, q):
     """Both roots of q T^2 - s T + 1, the larger one from the quadratic
     formula and the other as 1/(q T), so that neither cancels."""
+    import mpmath as mp
+
     sq = mp.sqrt(s * s - 4 * q)
     if (s.real * sq.real + s.imag * sq.imag) < 0:
         sq = -sq
@@ -594,6 +599,8 @@ def _lift(s, q):
 def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
     """The report of a certified root set, sorted by (re, im), with the
     largest deviation of |root| from `target`, at the caller's mp precision."""
+    import mpmath as mp
+
     roots.sort(key=lambda t: (t.real, t.imag))
     max_dev = max(abs(abs(z) - target) for z in roots)
     return RHReport(
@@ -709,6 +716,8 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
     of `rh_check` is then run on ints.  None (decline) when Tier A or a
     refinement fails, or when `bits` cannot resolve `tolerance`.
     """
+    import mpmath as mp
+
     m = len(int_r) - 1
     num, den = q.numerator, q.denominator
     count = 4 * (m + 1)
@@ -805,6 +814,8 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     warm-started pass that stalls on non-roots would otherwise look stable.
     The certified path applies the same test with prec = B.
     """
+    import mpmath as mp
+
     if not 0 < tolerance < inf:
         raise ValueError(f"rh_check needs a finite tolerance > 0, got {tolerance!r}")
     coeffs = list(p.coeffs)  # ZetaPoly trims trailing zeros

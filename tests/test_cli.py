@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fwenum
 from fwenum import cli, matgroup
 from fwenum.cli import main
 from fwenum.pipeline import scan_family
@@ -170,13 +174,16 @@ def test_precision_bits_accepted(capsys):
     (["gen", "--name", "w2", "-q", "-3"], "q must be positive and != 1"),
     (["gen", "--name", "w2", "-q", "1"], "q must be positive and != 1"),
     (["gen", "--name", "w2", "-q", "0"], "q must be positive and != 1"),
+    (["scan", "--family", "type1", "-n", "0..4"], "degree must be >= 1"),
+    (["scan", "--family", "type1", "-n=-3..4"], "degree must be >= 1"),
 ], ids=["basis-degree-0", "extremal-no-members", "w2-without-q", "star-no-members",
         "divisibility-wrong-family", "molien-no-terms", "gen-basis-without-n",
         "gen-extremal-without-n", "gen-without-mode", "zeta-poly-without-q",
         "zeta-family-without-n", "verify-star-without-n",
         "verify-zeta-binomial-without-n", "okuda-no-samples", "lemma-no-samples",
         "lemma-negative-samples", "molien-basis-negative-degree", "star-scan-k-0",
-        "star-scan-k-negative", "w2-negative-q", "w2-q-1", "w2-q-0"])
+        "star-scan-k-negative", "w2-negative-q", "w2-q-1", "w2-q-0", "scan-from-degree-0",
+        "scan-from-negative-degree"])
 def test_bad_input_reported_without_traceback(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -388,3 +395,44 @@ def test_parser_built_once(capsys):
     assert run(capsys, "gen", "--name", "phi4")[0] == 0
     after = cli.build_parser.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 1
+
+
+# Runs in a fresh interpreter, because this one already holds mpmath.  After
+# each step it records whether mpmath is loaded; the RH command's stdout is
+# returned for comparison with the in-process run.
+_IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+import fwenum.cli
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fwenum.cli.main(list(argv))
+    return code, out.getvalue()
+
+loaded = ["mpmath" in sys.modules]
+for argv in (["gen", "--name", "phi4"],
+             ["zeta", "--family", "type1", "-n", "12", "--format", "json"],
+             ["verify", "star", "--family", "type1", "-n", "12"]):
+    assert call(*argv)[0] == 0, argv
+    loaded.append("mpmath" in sys.modules)
+code, rh_out = call("zeta", "--family", "type1", "-n", "12", "--rh", "--format", "json")
+loaded.append("mpmath" in sys.modules)
+print(json.dumps({"loaded": loaded, "code": code, "rh_out": rh_out}))
+"""
+
+
+def test_mpmath_loaded_only_on_rh_path(capsys):
+    src = os.path.dirname(os.path.dirname(fwenum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    fresh = json.loads(proc.stdout)
+    # import, gen, exact zeta and verify star leave it out; zeta --rh loads it
+    assert fresh["loaded"] == [False, False, False, False, True]
+    code, out, err = run(capsys, "zeta", "--family", "type1", "-n", "12", "--rh",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert fresh["code"] == 0 and fresh["rh_out"] == out
