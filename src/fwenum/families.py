@@ -19,7 +19,6 @@ system over the graded basis, one member per nullspace vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -64,7 +63,6 @@ class ExtremalConstructionError(RuntimeError):
     """The cancellation system violated the bound/uniqueness contract."""
 
 
-@dataclass(frozen=True, eq=False)
 class FamilySpec:
     """A formal-weight-enumerator family and its invariant-ring data.
 
@@ -74,19 +72,41 @@ class FamilySpec:
     Specs compare and hash by identity, so they are cheap cache keys.
     """
 
-    name: str
-    q: Fraction
-    c: int  # every nonzero weight of a member is a multiple of c
-    even_gen: HomPoly  # invariant generator
-    odd_gen: HomPoly  # anti-invariant generator
-    parity: int  # required parity (mod 2) of the odd_gen exponent
-    # the bound is proven only for n - parity*deg(odd_gen) = 0 mod 2*deg(odd_gen)
-    bound_proven_on_class_only: bool = False
-    has_star: bool = False  # the star operator of zeta.star_operator applies
-    group: str | None = None  # matgroup.named_group whose Molien series counts the ring
-    # divisor base a and operator p of the differential identities (type1, type4)
-    divisor_base: HomPoly | None = None
-    diff_operator: HomPoly | None = None
+    __slots__ = ("name", "q", "c", "even_gen", "odd_gen", "parity",
+                 "bound_proven_on_class_only", "has_star", "group",
+                 "divisor_base", "diff_operator")
+
+    def __init__(
+        self,
+        name: str,
+        q: Fraction,
+        c: int,  # every nonzero weight of a member is a multiple of c
+        even_gen: HomPoly,  # invariant generator
+        odd_gen: HomPoly,  # anti-invariant generator
+        parity: int,  # required parity (mod 2) of the odd_gen exponent
+        # the bound is proven only for n - parity*deg(odd_gen) = 0 mod 2*deg(odd_gen)
+        bound_proven_on_class_only: bool = False,
+        has_star: bool = False,  # the star operator of zeta.star_operator applies
+        # matgroup.named_group whose Molien series counts the ring
+        group: str | None = None,
+        # divisor base a and operator p of the differential identities (type1, type4)
+        divisor_base: HomPoly | None = None,
+        diff_operator: HomPoly | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "even_gen", even_gen)
+        object.__setattr__(self, "odd_gen", odd_gen)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "bound_proven_on_class_only", bound_proven_on_class_only)
+        object.__setattr__(self, "has_star", has_star)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "divisor_base", divisor_base)
+        object.__setattr__(self, "diff_operator", diff_operator)
+
+    def __setattr__(self, *args):
+        raise AttributeError("FamilySpec is immutable")
 
     @property
     def sign(self) -> int:
@@ -251,12 +271,17 @@ def expand_in_generators(f: HomPoly, fam: FamilySpec) -> list[Fraction]:
     return x
 
 
-@dataclass(frozen=True)
 class Bound:
     """Upper bound for the minimum weight at a given degree."""
 
-    d_max: int
-    proven: bool
+    __slots__ = ("d_max", "proven")
+
+    def __init__(self, d_max: int, proven: bool):
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "proven", proven)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Bound is immutable")
 
 
 def bound(fam: FamilySpec, n: int) -> Bound:
@@ -444,12 +469,18 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
 # -- membership predicate -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FweResult:
-    ok: bool
-    sign: int | None
-    profile: WeightProfile | None
-    reason: str
+    __slots__ = ("ok", "sign", "profile", "reason")
+
+    def __init__(self, ok: bool, sign: int | None, profile: WeightProfile | None,
+                 reason: str):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "reason", reason)
+
+    def __setattr__(self, *args):
+        raise AttributeError("FweResult is immutable")
 
 
 def is_fwe(f: HomPoly, q, c: int) -> FweResult:

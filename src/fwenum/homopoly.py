@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm
 
@@ -219,18 +218,35 @@ class HomPoly:
         return cls(obj["degree"], [Fraction(c) for c in obj["coeffs"]])
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix acting on (x, y); entries are exact scalars."""
+    """2x2 matrix acting on (x, y); entries are exact scalars.
 
-    a: object
-    b: object
-    c: object
-    d: object
+    Matrices compare and hash by their entries, so group closure collects
+    each element once; the repr lists the entries, and
+    `MatrixGroup.sorted_elements` orders by it.
+    """
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, _norm_scalar(getattr(self, name)))
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "a", _norm_scalar(a))
+        object.__setattr__(self, "b", _norm_scalar(b))
+        object.__setattr__(self, "c", _norm_scalar(c))
+        object.__setattr__(self, "d", _norm_scalar(d))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Mat2 is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -433,13 +449,18 @@ def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
 # -- weight profile ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WeightProfile:
     """Minimum weight, dual minimum weight and divisibility of an enumerator."""
 
-    d: int
-    d_perp: int
-    divisibility: int
+    __slots__ = ("d", "d_perp", "divisibility")
+
+    def __init__(self, d: int, d_perp: int, divisibility: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_perp", d_perp)
+        object.__setattr__(self, "divisibility", divisibility)
+
+    def __setattr__(self, *args):
+        raise AttributeError("WeightProfile is immutable")
 
 
 def _min_positive_support(f: HomPoly) -> int:

@@ -10,7 +10,6 @@ asserted rather than assumed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import unipoly
@@ -34,10 +33,15 @@ class GroupClosureError(RuntimeError):
     """Closure exceeded the cap: the generated group is infinite or too large."""
 
 
-@dataclass(frozen=True)
 class MatrixGroup:
-    elements: frozenset
-    generators: tuple
+    __slots__ = ("elements", "generators")
+
+    def __init__(self, elements: frozenset, generators: tuple):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, *args):
+        raise AttributeError("MatrixGroup is immutable")
 
     @property
     def order(self) -> int:
@@ -79,19 +83,20 @@ def group_closure(generators: list[Mat2], cap: int = 1024) -> MatrixGroup:
     return MatrixGroup(elements=frozenset(elements), generators=gens)
 
 
-@dataclass
 class RationalFunctionSeries:
-    """Rational function num(l)/den(l) over Q with a cached series prefix."""
+    """Rational function num(l)/den(l) over Q with a cached series prefix.
 
-    num: list
-    den: list
-    _series: list = field(default_factory=list, repr=False)
+    Series are equal when they are the same rational function, and are not
+    hashable."""
 
-    def __post_init__(self):
-        self.num = unipoly.trim([Fraction(c) for c in self.num])
-        self.den = unipoly.trim([Fraction(c) for c in self.den])
+    __slots__ = ("num", "den", "_series")
+
+    def __init__(self, num: list, den: list):
+        self.num = unipoly.trim([Fraction(c) for c in num])
+        self.den = unipoly.trim([Fraction(c) for c in den])
         if unipoly.is_zero(self.den):
             raise ZeroDivisionError("zero denominator")
+        self._series = []
 
     @classmethod
     def one_over(cls, powers: list[int]) -> "RationalFunctionSeries":

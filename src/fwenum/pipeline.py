@@ -7,10 +7,8 @@ failure.  Reports are byte-identical across runs; only `elapsed` varies.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
-from dataclasses import dataclass
 
 from .families import ExtremalConstructionError, basis_exponents, bound, extremal
 from .zeta import RHConvergenceError, rh_check, zeta_checked
@@ -18,31 +16,41 @@ from .zeta import RHConvergenceError, rh_check, zeta_checked
 __all__ = ["ScanRow", "ScanReport", "scan_degree", "scan_family"]
 
 
-@dataclass
 class ScanRow:
     """One degree of a scan; a step that failed leaves the later fields None."""
 
-    n: int
-    d: int | None
-    bound_proven: bool
-    status: str
-    hard: bool
-    deg_p: int | None = None
-    fe_sign: int | None = None
-    rh_deviation: float | None = None
-    rh_residual: float | None = None
-    rh_pass: bool | None = None
+    __slots__ = ("n", "d", "bound_proven", "status", "hard", "deg_p", "fe_sign",
+                 "rh_deviation", "rh_residual", "rh_pass")
+
+    def __init__(self, n: int, d: int | None, bound_proven: bool, status: str,
+                 hard: bool, deg_p: int | None = None, fe_sign: int | None = None,
+                 rh_deviation: float | None = None, rh_residual: float | None = None,
+                 rh_pass: bool | None = None):
+        self.n = n
+        self.d = d
+        self.bound_proven = bound_proven
+        self.status = status
+        self.hard = hard
+        self.deg_p = deg_p
+        self.fe_sign = fe_sign
+        self.rh_deviation = rh_deviation
+        self.rh_residual = rh_residual
+        self.rh_pass = rh_pass
 
 
-@dataclass
 class ScanReport:
-    family: str
-    n_min: int
-    n_max: int
-    tolerance: float
-    precision_bits: int
-    rows: list[ScanRow]
-    elapsed: float
+    __slots__ = ("family", "n_min", "n_max", "tolerance", "precision_bits", "rows",
+                 "elapsed")
+
+    def __init__(self, family: str, n_min: int, n_max: int, tolerance: float,
+                 precision_bits: int, rows: list[ScanRow], elapsed: float):
+        self.family = family
+        self.n_min = n_min
+        self.n_max = n_max
+        self.tolerance = tolerance
+        self.precision_bits = precision_bits
+        self.rows = rows
+        self.elapsed = elapsed
 
     @property
     def hard_failures(self) -> int:
@@ -53,14 +61,23 @@ class ScanReport:
         return sum(1 for r in self.rows if not r.hard and r.status != "ok")
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        del payload["elapsed"]
-        for row in payload["rows"]:
+        rows = []
+        for r in self.rows:
+            row = {name: getattr(r, name) for name in ScanRow.__slots__}
             for key in ("rh_deviation", "rh_residual"):
                 if row[key] is not None:
                     row[key] = repr(row[key])
-        payload["hard_failures"] = self.hard_failures
-        payload["conjecture_failures"] = self.conjecture_failures
+            rows.append(row)
+        payload = {
+            "family": self.family,
+            "n_min": self.n_min,
+            "n_max": self.n_max,
+            "tolerance": self.tolerance,
+            "precision_bits": self.precision_bits,
+            "rows": rows,
+            "hard_failures": self.hard_failures,
+            "conjecture_failures": self.conjecture_failures,
+        }
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_text(self) -> str:

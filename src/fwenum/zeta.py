@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, cos, inf, isfinite, isqrt, ldexp, pi
 
@@ -95,24 +94,30 @@ class RHConvergenceError(RuntimeError):
 # -- zeta polynomial ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ZetaPoly:
-    """P(T) together with the parameters of the enumerator it came from."""
+    """P(T) together with the parameters of the enumerator it came from.
 
-    coeffs: tuple
-    q: Fraction
-    n: int | None = None
-    d: int | None = None
-    sign: int | None = None
+    Polys compare and hash by q and the coefficients alone.  Given n and d
+    but no sign, the sign of the functional equation is computed.
+    """
 
-    def __post_init__(self):
-        coeffs = [Fraction(c) for c in self.coeffs]
+    __slots__ = ("coeffs", "q", "n", "d", "sign")
+
+    def __init__(self, coeffs, q, n: int | None = None, d: int | None = None,
+                 sign: int | None = None):
+        coeffs = [Fraction(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.sign is None and self.n is not None and self.d is not None:
-            object.__setattr__(self, "sign", functional_equation_check(self))
+        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        if sign is None and n is not None and d is not None:
+            sign = functional_equation_check(self)
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ZetaPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -128,6 +133,9 @@ class ZetaPoly:
         if not isinstance(other, ZetaPoly):
             return NotImplemented
         return self.q == other.q and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.q, self.coeffs))
 
     def __str__(self):
         return unipoly.to_string(list(self.coeffs), "T")
@@ -174,7 +182,8 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     """
     q = Fraction(q)
     d = _zeta_min_weight(w, q)
-    return replace(_zeta_genfunc(w, q, d), n=w.degree, d=d)
+    p = _zeta_genfunc(w, q, d)
+    return ZetaPoly(p.coeffs, p.q, w.degree, d)
 
 
 def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
@@ -225,12 +234,17 @@ def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
 # -- MDS enumerators ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MDSEnumerator:
-    n: int
-    d: int
-    q: Fraction
-    poly: HomPoly
+    __slots__ = ("n", "d", "q", "poly")
+
+    def __init__(self, n: int, d: int, q: Fraction, poly: HomPoly):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "poly", poly)
+
+    def __setattr__(self, *args):
+        raise AttributeError("MDSEnumerator is immutable")
 
 
 def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
@@ -313,7 +327,8 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     """
     q = Fraction(q)
     d = _zeta_min_weight(w, q)
-    return replace(_zeta_mds(w, q, d), n=w.degree, d=d)
+    p = _zeta_mds(w, q, d)
+    return ZetaPoly(p.coeffs, p.q, w.degree, d)
 
 
 def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
@@ -358,7 +373,7 @@ def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     p2 = _zeta_mds(w, q, d)
     if p1 != p2:
         raise AssertionError("zeta oracle disagreement between the two methods")
-    return replace(p1, n=w.degree, d=d)
+    return ZetaPoly(p1.coeffs, p1.q, w.degree, d)
 
 
 # -- functional equation -----------------------------------------------------------
@@ -399,15 +414,24 @@ def _fe_sign(coeffs: list[Fraction], q: Fraction, two_g: int) -> int | None:
 # -- numerical Riemann hypothesis ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RHReport:
-    roots: tuple  # mpmath mpc values at the final precision
-    target_modulus: float
-    max_abs_deviation: float
-    max_residual: float
-    passed: bool
-    tolerance: float
-    precision_bits: int
+    __slots__ = ("roots", "target_modulus", "max_abs_deviation", "max_residual",
+                 "passed", "tolerance", "precision_bits")
+
+    def __init__(self, roots: tuple, target_modulus: float, max_abs_deviation: float,
+                 max_residual: float, passed: bool, tolerance: float,
+                 precision_bits: int):
+        # mpmath mpc values at the final precision
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "target_modulus", target_modulus)
+        object.__setattr__(self, "max_abs_deviation", max_abs_deviation)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "precision_bits", precision_bits)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RHReport is immutable")
 
     def to_json(self) -> str:
         import mpmath as mp
@@ -594,6 +618,33 @@ def _lift(s, q):
         sq = -sq
     t = (s + sq) / (2 * q)
     return [t, 1 / (q * t)]
+
+
+def _conjugate_pairs(roots: list) -> list:
+    """The roots of a real polynomial, each non-real pair made exactly
+    conjugate, at the caller's mp precision.
+
+    Rounding leaves the two members of a pair a few ulps from conjugate, so
+    a sort by (re, im) would order them by noise.  Each root with im > 0,
+    the largest im first, is matched with the root with im < 0 nearest its
+    conjugate; both become the mean m and conj(m).  A root with no partner
+    nearer than its own conjugate is real, and its imaginary part is
+    dropped.
+    """
+    import mpmath as mp
+
+    upper = sorted((z for z in roots if z.imag > 0), key=lambda z: (-z.imag, z.real))
+    lower = [z for z in roots if z.imag < 0]
+    out = [mp.mpc(z.real) for z in roots if not z.imag]
+    for z in upper:
+        partner = min(lower, key=lambda w: abs(w - z.conjugate()), default=None)
+        if partner is None or abs(partner - z.conjugate()) >= 2 * z.imag:
+            out.append(mp.mpc(z.real))
+            continue
+        lower.remove(partner)
+        m = (z + partner.conjugate()) / 2
+        out += [m, m.conjugate()]
+    return out + [mp.mpc(z.real) for z in lower]
 
 
 def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
@@ -806,7 +857,10 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     DEFAULT_PRECISION_BITS, 128), then twice that and so on, each warm
     started from the previous pass's roots, until two consecutive sets of
     lifted roots T agree to tolerance/10.  Exceeding the 8192-bit ceiling
-    raises RHConvergenceError rather than passing silently.
+    raises RHConvergenceError rather than passing silently.  The stable
+    set is made exactly closed under conjugation (`_conjugate_pairs`), so
+    each non-real pair is listed (re, -im) then (re, +im), and the
+    deviation and the residual are computed on the roots as reported.
 
     Residual certificate: a stable root set is accepted only if
     max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i, on P itself and at the
@@ -866,6 +920,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
             if previous is not None and _roots_stable(
                 previous, roots, mp.mpf(tolerance) / 10
             ):
+                roots = _conjugate_pairs(roots)
                 mp_coeffs = [mp.mpf(c) for c in int_coeffs]
                 max_res = max(abs(_horner(mp_coeffs, z)) for z in roots)
                 abs_coeffs = [abs(c) for c in mp_coeffs]
@@ -925,11 +980,16 @@ def _star_image(w: HomPoly, fam: FamilySpec) -> HomPoly:
     return diff_op(p, w) * Fraction(1, n * (n - 1))
 
 
-@dataclass(frozen=True)
 class StarCheck:
-    ok: bool
-    maps_to_extremal: bool
-    zeta_factor_matches: bool
+    __slots__ = ("ok", "maps_to_extremal", "zeta_factor_matches")
+
+    def __init__(self, ok: bool, maps_to_extremal: bool, zeta_factor_matches: bool):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "maps_to_extremal", maps_to_extremal)
+        object.__setattr__(self, "zeta_factor_matches", zeta_factor_matches)
+
+    def __setattr__(self, *args):
+        raise AttributeError("StarCheck is immutable")
 
 
 def _star_check(fam: FamilySpec, w: HomPoly) -> StarCheck:
@@ -983,12 +1043,18 @@ def _require_identity_data(fam: FamilySpec, statement: str) -> None:
         raise ValueError(f"{statement} covers type1 and type4 only")
 
 
-@dataclass(frozen=True)
 class DivisibilityCheck:
-    ok: bool
-    divides: bool
-    cofactor_divisible: bool
-    cofactor: HomPoly | None
+    __slots__ = ("ok", "divides", "cofactor_divisible", "cofactor")
+
+    def __init__(self, ok: bool, divides: bool, cofactor_divisible: bool,
+                 cofactor: HomPoly | None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "divides", divides)
+        object.__setattr__(self, "cofactor_divisible", cofactor_divisible)
+        object.__setattr__(self, "cofactor", cofactor)
+
+    def __setattr__(self, *args):
+        raise AttributeError("DivisibilityCheck is immutable")
 
 
 def verify_divisibility_prop(w: HomPoly, fam: FamilySpec) -> DivisibilityCheck:
@@ -1085,20 +1151,31 @@ def _coprime(a: HomPoly, b: HomPoly) -> bool:
     return unipoly.degree(unipoly.gcd(acore, bcore)) == 0
 
 
-@dataclass(frozen=True)
 class DuursmaOkudaResult:
-    preconditions_ok: bool
-    failed_precondition: str
-    c1: object = None
-    c2: object = None
-    c3: object = None
-    part1_ok: bool = False
-    part2_applicable: bool = False
-    part2_ok: bool = False
-    part2_coprime_applicable: bool = False
-    part2_coprime_ok: bool = False
-    part3_applicable: bool = False
-    part3_ok: bool = False
+    __slots__ = ("preconditions_ok", "failed_precondition", "c1", "c2", "c3",
+                 "part1_ok", "part2_applicable", "part2_ok", "part2_coprime_applicable",
+                 "part2_coprime_ok", "part3_applicable", "part3_ok")
+
+    def __init__(self, preconditions_ok: bool, failed_precondition: str, c1=None,
+                 c2=None, c3=None, part1_ok: bool = False, part2_applicable: bool = False,
+                 part2_ok: bool = False, part2_coprime_applicable: bool = False,
+                 part2_coprime_ok: bool = False, part3_applicable: bool = False,
+                 part3_ok: bool = False):
+        object.__setattr__(self, "preconditions_ok", preconditions_ok)
+        object.__setattr__(self, "failed_precondition", failed_precondition)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "part1_ok", part1_ok)
+        object.__setattr__(self, "part2_applicable", part2_applicable)
+        object.__setattr__(self, "part2_ok", part2_ok)
+        object.__setattr__(self, "part2_coprime_applicable", part2_coprime_applicable)
+        object.__setattr__(self, "part2_coprime_ok", part2_coprime_ok)
+        object.__setattr__(self, "part3_applicable", part3_applicable)
+        object.__setattr__(self, "part3_ok", part3_ok)
+
+    def __setattr__(self, *args):
+        raise AttributeError("DuursmaOkudaResult is immutable")
 
     @property
     def ok(self) -> bool:
@@ -1165,13 +1242,16 @@ def verify_duursma_lemma(p: HomPoly, big_a: HomPoly, sigma: Mat2) -> bool:
 # -- randomized suites -----------------------------------------------------------------
 
 
-@dataclass
 class SuiteReport:
-    total: int
-    part1: tuple[int, int]
-    part2: tuple[int, int]
-    part3: tuple[int, int]
-    failures: list
+    __slots__ = ("total", "part1", "part2", "part3", "failures")
+
+    def __init__(self, total: int, part1: tuple[int, int], part2: tuple[int, int],
+                 part3: tuple[int, int], failures: list):
+        self.total = total
+        self.part1 = part1
+        self.part2 = part2
+        self.part3 = part3
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

@@ -410,14 +410,17 @@ def call(*argv):
         code = fwenum.cli.main(list(argv))
     return code, out.getvalue()
 
-loaded = ["mpmath" in sys.modules]
+def modules():
+    return [m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules]
+
+loaded = [modules()]
 for argv in (["gen", "--name", "phi4"],
              ["zeta", "--family", "type1", "-n", "12", "--format", "json"],
              ["verify", "star", "--family", "type1", "-n", "12"]):
     assert call(*argv)[0] == 0, argv
-    loaded.append("mpmath" in sys.modules)
+    loaded.append(modules())
 code, rh_out = call("zeta", "--family", "type1", "-n", "12", "--rh", "--format", "json")
-loaded.append("mpmath" in sys.modules)
+loaded.append(modules())
 print(json.dumps({"loaded": loaded, "code": code, "rh_out": rh_out}))
 """
 
@@ -430,8 +433,9 @@ def test_mpmath_loaded_only_on_rh_path(capsys):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     fresh = json.loads(proc.stdout)
-    # import, gen, exact zeta and verify star leave it out; zeta --rh loads it
-    assert fresh["loaded"] == [False, False, False, False, True]
+    # import, gen, exact zeta and verify star load none of mpmath, dataclasses
+    # and inspect; zeta --rh loads mpmath only
+    assert fresh["loaded"] == [[], [], [], [], ["mpmath"]]
     code, out, err = run(capsys, "zeta", "--family", "type1", "-n", "12", "--rh",
                          "--format", "json")
     assert (code, err) == (0, "")

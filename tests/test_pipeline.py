@@ -5,7 +5,6 @@ step, and checks the row's fields, the report's two counts, the nulls of the
 JSON report and the dashes of the text report.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -14,7 +13,7 @@ from fwenum import pipeline
 from fwenum.cli import main
 from fwenum.families import ExtremalConstructionError, bound, extremal, family
 from fwenum.pipeline import scan_family
-from fwenum.zeta import RHConvergenceError, rh_check, zeta_checked
+from fwenum.zeta import RHConvergenceError, RHReport, ZetaPoly, rh_check, zeta_checked
 
 
 def _raise(exc):
@@ -23,17 +22,22 @@ def _raise(exc):
     return fail
 
 
-def _zeta_replaced(**changes):
-    return lambda w, q: dataclasses.replace(zeta_checked(w, q), **changes)
+def _zeta_with_sign(sign):
+    def zeta(w, q):
+        p = zeta_checked(w, q)
+        return ZetaPoly(p.coeffs, p.q, p.n, p.d, sign)
+    return zeta
 
 
 def _raised_degree_zeta(w, q):
     p = zeta_checked(w, q)
-    return dataclasses.replace(p, coeffs=p.coeffs + (1,))
+    return ZetaPoly(p.coeffs + (1,), p.q, p.n, p.d, p.sign)
 
 
 def _failed_rh(p, tolerance, precision_bits):
-    return dataclasses.replace(rh_check(p, tolerance, precision_bits), passed=False)
+    r = rh_check(p, tolerance, precision_bits)
+    return RHReport(r.roots, r.target_modulus, r.max_abs_deviation, r.max_residual,
+                    False, r.tolerance, r.precision_bits)
 
 
 # (id, family, n, replaced step, replacement, status, hard, the fields the row
@@ -51,7 +55,7 @@ CASES = [
      "zeta: zeta extraction needs d, d_perp >= 2", True, {"d"}),
     ("zeta-disagreement", "q43", 12, "zeta_checked", _raise(AssertionError()),
      "zeta method disagreement", True, {"d"}),
-    ("sign-mismatch", "type1", 16, "zeta_checked", _zeta_replaced(sign=1),
+    ("sign-mismatch", "type1", 16, "zeta_checked", _zeta_with_sign(1),
      "functional-equation sign 1 != -1", True, {"d", "zeta"}),
     ("degree-mismatch", "type4", 9, "zeta_checked", _raised_degree_zeta,
      "deg P = 4 != 2g = 3", True, {"d", "zeta"}),

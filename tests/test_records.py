@@ -1,0 +1,124 @@
+"""The contracts of the plain record classes: which are immutable, which
+compare and hash by value, by identity or not at all, and the one repr that
+an ordering depends on."""
+
+from fractions import Fraction
+
+import pytest
+
+from fwenum.families import Bound, FamilySpec, bound, family, is_fwe, _gen_power
+from fwenum.homopoly import Mat2, WeightProfile, parse_poly, weight_profile
+from fwenum.matgroup import (
+    MatrixGroup,
+    RationalFunctionSeries,
+    named_group,
+)
+from fwenum.zeta import (
+    DivisibilityCheck,
+    DuursmaOkudaResult,
+    RHReport,
+    StarCheck,
+    ZetaPoly,
+    mds_enumerator,
+    rh_check,
+)
+
+F = Fraction
+
+# a factory of each immutable record, and one of its fields
+FROZEN = {
+    "Mat2": (lambda: Mat2(1, 2, 3, 4), "a"),
+    "FamilySpec": (lambda: family("type1"), "q"),
+    "Bound": (lambda: bound(family("type1"), 12), "d_max"),
+    "WeightProfile": (lambda: weight_profile(parse_poly("x^2 + y^2"), 2), "d"),
+    "ZetaPoly": (lambda: ZetaPoly((1, -2, 2), 2), "coeffs"),
+    "RHReport": (lambda: rh_check(ZetaPoly((1, -2, 2), 2)), "passed"),
+    "MDSEnumerator": (lambda: mds_enumerator(6, 3, 2), "poly"),
+    "MatrixGroup": (lambda: named_group("g1minus"), "elements"),
+    "FweResult": (lambda: is_fwe(parse_poly("x^2 + y^2"), 2, 2), "ok"),
+    "StarCheck": (lambda: StarCheck(True, True, True), "ok"),
+    "DivisibilityCheck": (lambda: DivisibilityCheck(False, False, False, None), "ok"),
+    "DuursmaOkudaResult": (lambda: DuursmaOkudaResult(False, "no"), "part1_ok"),
+}
+
+
+@pytest.mark.parametrize("make,field", FROZEN.values(), ids=FROZEN.keys())
+def test_frozen_records_reject_assignment(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+class TestMat2:
+    def test_equal_entries_compare_and_hash_equal(self):
+        left, right = Mat2(1, F(1, 2), 0, -1), Mat2(F(2, 2), F(1, 2), 0, -1)
+        assert left is not right and left == right and hash(left) == hash(right)
+        assert len({left, right}) == 1
+        assert Mat2(1, 0, 0, 1) != Mat2(1, 0, 0, -1)
+
+    def test_repr_lists_the_entries(self):
+        assert repr(Mat2(1, 0, F(1, 2), -1)) == (
+            "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(1, 2), "
+            "d=Fraction(-1, 1))")
+        # sorted_elements orders by that repr
+        group = named_group("g1minus")
+        assert group.sorted_elements() == sorted(group.elements, key=repr)
+
+
+class TestFamilySpec:
+    def test_compares_and_hashes_by_identity(self):
+        fam = family("type1")
+        twin = FamilySpec(fam.name, fam.q, fam.c, fam.even_gen, fam.odd_gen, fam.parity)
+        assert twin != fam and twin == twin
+        assert hash(fam) == object.__hash__(fam)
+
+    def test_is_a_cache_key_by_identity(self):
+        fam = family("type1")
+        twin = FamilySpec(fam.name, fam.q, fam.c, fam.even_gen, fam.odd_gen, fam.parity)
+        assert _gen_power(twin, "even", 3) == _gen_power(fam, "even", 3)
+        assert _gen_power(twin, "even", 3) is not _gen_power(fam, "even", 3)
+
+
+class TestZetaPoly:
+    def test_equal_polys_hash_equal(self):
+        bare, full = ZetaPoly((1, -2, 2), 2), ZetaPoly((1, -2, 2), 2, n=4, d=2)
+        assert bare == full and hash(bare) == hash(full)
+        assert len({bare, full}) == 1
+        assert ZetaPoly((1, -2, 2, 0), 2) == bare  # trailing zeros are trimmed
+        assert ZetaPoly((1, -2, 2), 3) != bare
+
+    def test_sign_is_computed_from_n_and_d_only(self):
+        assert ZetaPoly((1, -2, 2), 2).sign is None
+        assert ZetaPoly((1, -2, 2), 2, 4, 2).sign == 1
+        assert ZetaPoly((1, -2, 2), 2, 4, 2, -1).sign == -1
+
+
+class TestRationalFunctionSeries:
+    def test_equal_by_cross_multiplication(self):
+        # (1 + l) / (1 - l^2) is 1 / (1 - l)
+        series = RationalFunctionSeries([1, 1], [1, 0, -1])
+        assert series == RationalFunctionSeries([1], [1, -1])
+        assert RationalFunctionSeries([1], [1, -1]) != RationalFunctionSeries([1], [1, 1])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(RationalFunctionSeries([1], [1, -1]))
+
+
+def test_constructor_signatures():
+    fam = family("type1")
+    spec = FamilySpec("spec", fam.q, fam.c, fam.even_gen, fam.odd_gen, 1, has_star=True)
+    assert (spec.has_star, spec.bound_proven_on_class_only, spec.group,
+            spec.divisor_base, spec.diff_operator) == (True, False, None, None, None)
+    m = Mat2.identity()
+    group = MatrixGroup(elements=frozenset({m}), generators=(m,))
+    assert group.order == 1 and m in group
+    assert (Bound(4, True).d_max, Bound(d_max=4, proven=False).proven) == (4, False)
+    profile = WeightProfile(d=2, d_perp=3, divisibility=1)
+    assert (profile.d, profile.d_perp, profile.divisibility) == (2, 3, 1)
+    report = RHReport((), 0.5, 0.0, 0.0, True, 1e-9, 128)
+    assert (report.passed, report.precision_bits) == (True, 128)
+    result = DuursmaOkudaResult(True, "", 1, 2, 3, True)
+    assert (result.c3, result.part1_ok, result.part3_ok) == (3, True, False)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -569,6 +570,33 @@ class TestRHCheck:
         roots = rh_check(square).roots
         assert len(roots) == 12
         assert list(roots) == sorted(roots, key=lambda t: (t.real, t.imag))
+
+    def test_fallback_pairs_are_exact_conjugates(self):
+        # random P with no functional equation take the Aberth path; each
+        # non-real pair is listed (re, -im) then (re, +im), and the deviation
+        # and residual are those of the listed roots
+        rng = random.Random(1018)
+        polys = pairs = 0
+        while polys < 30:
+            c = [rng.randint(-6, 6) for _ in range(rng.randint(4, 9))]
+            if not c[0] or not c[-1] or zeta_mod._fold([F(x) for x in c], F(2)):
+                continue
+            polys += 1
+            r = rh_check(ZetaPoly(c, 2))
+            roots = list(r.roots)
+            with mp.workprec(r.precision_bits):
+                for i, z in enumerate(roots):
+                    if z.imag > 0:
+                        assert i > 0 and roots[i - 1] == z.conjugate()
+                        pairs += 1
+                assert sum(z.imag < 0 for z in roots) == sum(z.imag > 0 for z in roots)
+                target = 1 / mp.sqrt(2)
+                assert r.max_abs_deviation == float(max(abs(abs(z) - target)
+                                                        for z in roots))
+                coeffs = [mp.mpf(x) for x in c]
+                residual = max(abs(zeta_mod._horner(coeffs, z)) for z in roots)
+                assert r.max_residual == float(residual / abs(coeffs[-1]))
+        assert pairs >= 30
 
 
 def _mp(x):
