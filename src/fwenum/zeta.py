@@ -6,10 +6,12 @@ substitution against the generating-function definition, and a triangular
 expansion over MDS enumerators.  Both run on Python ints with one known
 denominator and must agree; the comparison is kept as a permanent
 cross-oracle.  Root location is the only numerical step.  P is
-first folded exactly with its functional equation into R(s), s = qT + 1/T,
-of half the degree.  When the signs of R at dyadic points prove all its
-roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)), RH holds exactly and
-the roots are refined and lifted on Python ints.  Otherwise Aberth iteration
+first folded exactly, on Python ints, with its functional equation into
+R(s), s = qT + 1/T, of half the degree.  When the signs of R at dyadic
+points prove all its roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)),
+RH holds exactly and the roots are refined and lifted on Python ints; each
+refined root is closed by a sign change that a fixed-point truncation bound
+decides, with exact evaluation when the bound does not.  Otherwise Aberth iteration
 with deterministic seeding finds the roots of R, first in hardware doubles
 and then in arbitrary precision with warm-started precision escalation, and
 each root s is lifted to its two roots T.  On either path a residual check
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb, cos, inf, isfinite, isqrt, ldexp, pi
+from math import comb, cos, gcd, inf, isfinite, isqrt, ldexp, pi
 
 from . import unipoly
 from .families import FAMILIES, FamilySpec, extremal, family, member_with_min_weight
@@ -387,26 +389,34 @@ def functional_equation_check(p: ZetaPoly) -> int | None:
     """
     if p.n is None or p.d is None:
         return None
-    return _fe_sign(list(p.coeffs), p.q, p.n + 2 - 2 * p.d)
+    return _fe_sign(_integer_coeffs(p.coeffs)[0], p.q, p.n + 2 - 2 * p.d)
 
 
-def _fe_sign(coeffs: list[Fraction], q: Fraction, two_g: int) -> int | None:
+def _fe_sign(c: list[int], q: Fraction, two_g: int) -> int | None:
     """The sign eps of P(T) = eps P(1/(qT)) q^g T^(2g), or None without one.
 
-    `coeffs` are ascending with no trailing zeros.  Coefficientwise
-    a_(2g-i) = eps sqrt(q)^(2g-2i) a_i for 0 <= i <= 2g, and P has degree
-    <= 2g.  Each pair is tested on Fractions as a_(2g-i)^2 = q^(2g-2i) a_i^2
-    together with eps a_(2g-i) a_i >= 0, which also covers odd 2g, where an
-    irrational sqrt(q) forces a_i = 0.  P = 0 has sign +1.
+    `c` are the coefficients of P times one positive denominator, as ints,
+    ascending with no trailing zeros.  Coefficientwise
+    c_(2g-i) = eps sqrt(q)^(2g-2i) c_i for 0 <= i <= 2g, and P has degree
+    <= 2g.  With q = a/b and e = 2g - 2i, each pair (x, y) = (c_(2g-i), c_i)
+    is tested as x^2 b^e = a^e y^2 together with eps x y >= 0, which also
+    covers odd 2g, where an irrational sqrt(q) forces x = y = 0.  P = 0 has
+    sign +1.
     """
-    if two_g < 0 or len(coeffs) - 1 > two_g:
+    if two_g < 0 or len(c) - 1 > two_g:
         return None
-    a = list(coeffs) + [Fraction(0)] * (two_g + 1 - len(coeffs))
-    pairs = [(a[two_g - i], a[i]) for i in range(two_g // 2 + 1)]
-    if any(x * x != q ** (two_g - 2 * i) * y * y for i, (x, y) in enumerate(pairs)):
-        return None
+    c = c + [0] * (two_g + 1 - len(c))
+    a, b = q.numerator, q.denominator
+    ae, be = (a, b) if two_g % 2 else (1, 1)  # a^e, b^e from the middle pair out
+    products = []
+    for i in range(two_g // 2, -1, -1):
+        x, y = c[two_g - i], c[i]
+        if x * x * be != ae * y * y:
+            return None
+        products.append(x * y)
+        ae, be = ae * a * a, be * b * b
     for eps in (1, -1):
-        if all(eps * x * y >= 0 for x, y in pairs):
+        if all(eps * xy >= 0 for xy in products):
             return eps
     return None
 
@@ -558,48 +568,66 @@ def _roots_stable(old, new, limit) -> bool:
             and all(map(any, zip(*near))))
 
 
-def _fold(coeffs: list[Fraction], q: Fraction):
-    """Fold P with its functional equation: (R, signs), or None without one.
+def _fold(c: list[int], den: int, q: Fraction):
+    """Fold P = c / den with its functional equation: (R, signs), or None
+    without one.
 
-    Roots of P are the roots sign/sqrt(q) for each of `signs`, plus both
-    roots T of qT^2 - sT + 1 for every root s of R (ascending Fractions).
-    With 2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g) (`_fe_sign`),
-    s = qT + 1/T gives
+    `c` are P's integer coefficients over the positive denominator `den`
+    (`_integer_coeffs`).  Roots of P are the roots sign/sqrt(q) for each of
+    `signs`, plus both roots T of qT^2 - sT + 1 for every root s of R.  With
+    2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g) (`_fe_sign`), s = qT + 1/T
+    gives
     T^(-g) P(T) = R(s) if eps = +1, R = p_g + sum_(k>=1) p_(g-k) V_k(s), and
     T^(-g) P(T) = (1/T - qT) R(s) if eps = -1, R = sum_(k>=1) p_(g-k) U_(k-1)(s);
     V_0 = 2, U_0 = 1, V_1 = U_1 = s, X_k = s X_(k-1) - q X_(k-2).  An odd
-    degree forces q = r^2 with r rational and the root -eps/r; dividing it
-    out leaves a quotient of sign +1.
+    degree forces q = r^2 with r = ra/rb rational and the root -eps/r; the
+    quotient of c by rb + eps ra T is integral (Gauss's lemma), and P divided
+    by 1 + eps r T, of sign +1, is rb times it over `den`.
+
+    Everything runs on ints: with q = a/b, Z_k = b^k X_k satisfies
+    Z_k = b s Z_(k-1) - a b Z_(k-2), so R' = Dtot R with Dtot = den b^K, K
+    the top index, is an integer combination of the Z_k.  R is returned as
+    R' / gcd(Dtot, content(R')), which is R times the lcm of its
+    denominators: the `_integer_coeffs` of R, whatever den and b were.
     None when P(0) = 0 or the coefficients satisfy no functional equation.
     """
-    p = list(coeffs)
     signs = []
-    if not p[0]:
+    if not c[0]:
         return None
-    eps = _fe_sign(p, q, len(p) - 1)
+    eps = _fe_sign(c, q, len(c) - 1)
     if eps is None:
         return None
-    if len(p) % 2 == 0:
-        r = Fraction(isqrt(q.numerator), isqrt(q.denominator))
-        p = unipoly.div_exact(p, [Fraction(1), eps * r])
+    a, b = q.numerator, q.denominator
+    if len(c) % 2 == 0:
+        ra, rb = isqrt(a), isqrt(b)
+        quot, carry = [], 0
+        for ci in c[:-1]:  # c = (rb + eps ra T) quot, exactly
+            quot.append((ci - carry) // rb)
+            carry = eps * ra * quot[-1]
+        c = [rb * x for x in quot]
         signs.append(-eps)
         eps = 1
-    g = (len(p) - 1) // 2
+    g = (len(c) - 1) // 2
     if eps == 1:
-        x0, weights = 2, [p[g] / 2] + p[:g][::-1]  # on V_0 .. V_g
+        z0, weights = 2, c[g::-1]  # p_g V_0 / 2, then p_(g-k) on V_k
     else:
-        x0, weights = 1, p[:g][::-1]  # on U_0 .. U_(g-1)
+        z0, weights = 1, c[g - 1::-1]  # p_(g-1-k) on U_k
         signs += [-1, 1]
-    r = [Fraction(0)] * len(weights)
-    xk, xnext = [Fraction(x0)], [Fraction(0), Fraction(1)]
-    for w in weights:
-        for i, c in enumerate(xk):
-            r[i] += w * c
-        step = [Fraction(0)] + xnext
-        for i, c in enumerate(xk):
-            step[i] -= q * c
-        xk, xnext = xnext, step
-    return r, signs
+    top = len(weights) - 1
+    bpow = [1]
+    for _ in range(top):
+        bpow.append(bpow[-1] * b)
+    r = [weights[0] * bpow[top]]  # Z_0 enters as 1: V_0 / 2 or U_0
+    zprev, zk, ab = [z0], [0, b], a * b
+    for k in range(1, top + 1):
+        w = weights[k] * bpow[top - k]
+        r = [ri + w * zi for ri, zi in zip(r, zk)] + [w * zk[-1]]
+        znext = [0] + [b * zi for zi in zk]
+        for i, zi in enumerate(zprev):
+            znext[i] -= ab * zi
+        zprev, zk = zk, znext
+    content = gcd(den * bpow[top], *r)
+    return [ri // content for ri in r], signs
 
 
 def _mp_rational(x: Fraction):
@@ -649,11 +677,15 @@ def _conjugate_pairs(roots: list) -> list:
 
 def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
     """The report of a certified root set, sorted by (re, im), with the
-    largest deviation of |root| from `target`, at the caller's mp precision."""
+    largest deviation of |root| from `target`, at the caller's mp precision.
+
+    Both paths list each non-real pair exactly conjugate, and |conj(z)| is
+    |z| bit for bit, so the deviation is taken over the roots with im >= 0.
+    """
     import mpmath as mp
 
     roots.sort(key=lambda t: (t.real, t.imag))
-    max_dev = max(abs(abs(z) - target) for z in roots)
+    max_dev = max(abs(abs(z) - target) for z in roots if z.imag >= 0)
     return RHReport(
         roots=tuple(roots),
         target_modulus=float(target),
@@ -668,7 +700,7 @@ def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHR
 # -- certified RH step on Python ints ----------------------------------------------
 
 # Tier A samples R at dyadic points a / 2^_GRID_BITS; a refined root x / 2^B
-# is closed by an exact sign change across x -+ 2^_CLOSE_BITS
+# is closed by a sign change across x -+ 2^_CLOSE_BITS
 _GRID_BITS = 60
 _CLOSE_BITS = 14
 
@@ -704,19 +736,47 @@ def _sign_brackets(c: list[int], q: Fraction, points: list[int]):
     return brackets if len(brackets) == len(c) - 1 else None
 
 
-def _refine_root(c: list[int], lo: int, hi: int, bits: int):
+def _bounded_sign(c: list[int], a: int, bits: int, guard: int) -> bool:
+    """Whether R(a / 2^bits) > 0, R with integer coefficients `c` (ascending).
+
+    Horner's rule in fixed point at `bits` + `guard` bits truncates once per
+    step, by less than one unit, and each later step multiplies the error by
+    |a| / 2^bits < S = (|a| >> bits) + 1; so the value p is off by less than
+    sum_(j<m) S^j units, m = deg R.  The sign of p decides when |p| exceeds
+    that bound; otherwise R is evaluated exactly (`_scaled_value`).
+    """
+    work = bits + guard
+    x = a << guard
+    p = c[-1] << work
+    for ci in c[-2::-1]:
+        p = (p * x >> work) + (ci << work)
+    m, s = len(c) - 1, (abs(a) >> bits) + 1
+    bound = m if s == 1 else (s**m - 1) // (s - 1)
+    if abs(p) > bound:
+        return p > 0
+    return _scaled_value(c, a, bits) > 0
+
+
+def _refine_root(c: list[int], lo: int, hi: int, bits: int,
+                 lo_positive: bool | None = None, hi_positive: bool | None = None):
     """The root of R in the bracket (lo, hi), as x in units 2^-bits, or None.
 
-    Safeguarded Newton on truncated fixed-point values of R and R': a step
-    that leaves the bracket, which the sign of each value narrows, bisects
-    instead.  The iteration carries m log2|x| + 16 guard bits, because the
-    truncation error of Horner's rule grows like |x|^m.  The result is
-    certified by an exact sign change of R across [x - 2^14, x + 2^14]
-    clipped to the bracket, so it lies within 2^(14 - bits) of the only root
-    there.
+    `lo_positive` and `hi_positive` are the signs of R at lo and hi when the
+    caller has proved them; R is evaluated exactly at an end whose sign is
+    not given.  Safeguarded Newton on truncated fixed-point values of R and
+    R': a step that leaves the bracket, which the sign of each value
+    narrows, bisects instead.  The iteration carries m log2|x| + 16 guard
+    bits, because the truncation error of Horner's rule grows like |x|^m.
+    The result is certified by a sign change of R across
+    [x - 2^14, x + 2^14] clipped to the bracket, so it lies within
+    2^(14 - bits) of the only root there: a clipped end has the bracket's
+    sign, and any other is decided by `_bounded_sign`.
     """
     lo0, hi0 = lo, hi
-    lo_positive = _scaled_value(c, lo, bits) > 0
+    if lo_positive is None:
+        lo_positive = _scaled_value(c, lo, bits) > 0
+    if hi_positive is None:
+        hi_positive = _scaled_value(c, hi, bits) > 0
     guard = (len(c) - 1) * ((max(-lo, hi) >> bits) + 1).bit_length() + 16
     work = bits + guard
     lo, hi = lo << guard, hi << guard
@@ -738,9 +798,10 @@ def _refine_root(c: list[int], lo: int, hi: int, bits: int):
             break
         x = new if lo < new < hi else (lo + hi) >> 1
     x >>= guard
-    a = max(lo0, x - (1 << _CLOSE_BITS))
-    b = min(hi0, x + (1 << _CLOSE_BITS))
-    if (_scaled_value(c, a, bits) > 0) == (_scaled_value(c, b, bits) > 0):
+    a, b = x - (1 << _CLOSE_BITS), x + (1 << _CLOSE_BITS)
+    a_positive = lo_positive if a <= lo0 else _bounded_sign(c, a, bits, guard)
+    b_positive = hi_positive if b >= hi0 else _bounded_sign(c, b, bits, guard)
+    if a_positive == b_positive:
         return None
     return x
 
@@ -760,12 +821,15 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
 
     Tier A (`_sign_brackets`) at 4(deg R + 1) points 2 sqrt(q) cos(pi (j +
     1/2) / N) rounded to 60 bits proves that all roots s of R are real,
-    simple and inside (-2 sqrt(q), 2 sqrt(q)), which is RH for P.  Each s is
-    refined on `bits`-bit fixed-point ints (`_refine_root`) and lifted to
-    T = (s +- i sqrt(4q - s^2)) / (2q) with `isqrt`; the split-off roots
-    sign/sqrt(q) are added as in the Aberth path.  The residual certificate
-    of `rh_check` is then run on ints.  None (decline) when Tier A or a
-    refinement fails, or when `bits` cannot resolve `tolerance`.
+    simple and inside (-2 sqrt(q), 2 sqrt(q)), which is RH for P.  It also
+    proves the sign of R at both ends of each bracket: left of all m roots R
+    has the sign of (-1)^m c_m, and the sign flips once per bracket.  Each s
+    is refined on `bits`-bit fixed-point ints (`_refine_root`, given those
+    signs) and lifted to T = (s +- i sqrt(4q - s^2)) / (2q) with `isqrt`;
+    the split-off roots sign/sqrt(q) are added as in the Aberth path.  The
+    residual certificate of `rh_check` is then run on ints, with the scale
+    sum |c_i| |z|^i evaluated once, at the largest |z|.  None (decline) when
+    Tier A or a refinement fails, or when `bits` cannot resolve `tolerance`.
     """
     import mpmath as mp
 
@@ -779,23 +843,27 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
     if brackets is None:
         return None
     shift = bits - _GRID_BITS
+    # left of all m roots R has the sign of (-1)^m c_m; it flips once per bracket
+    positive = (int_r[-1] > 0) == (m % 2 == 0)
     upper = []  # the root with im > 0 of each conjugate pair, in units 2^-bits
     for lo, hi in brackets:
-        x = _refine_root(int_r, lo << shift, hi << shift, bits)
+        x = _refine_root(int_r, lo << shift, hi << shift, bits, positive, not positive)
         if x is None:
             return None
+        positive = not positive
         # den 2^bits sqrt(4q - s^2) for s = x / 2^bits
         y = isqrt(((4 * num * den) << 2 * bits) - x * x * den * den)
         upper.append((x * den // (2 * num), y // (2 * num)))
     inv_sqrt_q = isqrt((den << 2 * bits) // num)
     real = [(sign * inv_sqrt_q, 0) for sign in signs]
     # P has real coefficients, so a conjugate root has the same residual
-    abs_p = [abs(c) for c in int_p]
-    max_res2 = max_scale = 0
+    max_res2 = r_max = 0
     for zr, zi in upper + real:
         pr, pi_ = _fixed_horner(int_p, zr, zi, bits)
         max_res2 = max(max_res2, pr * pr + pi_ * pi_)
-        max_scale = max(max_scale, _fixed_horner(abs_p, isqrt(zr * zr + zi * zi), 0, bits)[0])
+        r_max = max(r_max, isqrt(zr * zr + zi * zi))
+    # sum |c_i| r^i in truncated fixed point does not decrease as r grows
+    max_scale = _fixed_horner([abs(c) for c in int_p], r_max, 0, bits)[0]
     with mp.workprec(bits):
         if max_res2 << bits > max_scale * max_scale:
             ratio = mp.sqrt(mp.mpf(max_res2)) / max_scale
@@ -829,7 +897,10 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     change deg R times, with no zero, every root of R is real and simple and
     lies in that interval, which proves RH for P.  The roots are refined to
     2^(14 - B) with B = 2 * `precision_bits` bits on Python ints, each closed
-    by an exact sign change, and lifted to T; the residual certificate below
+    by a sign change of R: at an end of its bracket the sign is the one the
+    dyadic points proved, elsewhere a fixed-point value decides it when it
+    exceeds its truncation bound and an exact evaluation when it does not.
+    They are lifted to T; the residual certificate below
     runs on ints at B bits, and the report gives `precision_bits` = B, which
     is what the ladder below reports when its second pass confirms the first.
     The path declines, and the Aberth path runs, when the signs do not prove
@@ -884,11 +955,10 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     if deg == 0:
         return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
                         tolerance, prec)
-    int_coeffs = _integer_coeffs(coeffs)[0]
-    fold = _fold(coeffs, qf)
-    r_coeffs, signs = fold or (coeffs, ())
-    r_deg = len(r_coeffs) - 1
-    int_r = _integer_coeffs(r_coeffs)[0]
+    int_coeffs, den = _integer_coeffs(coeffs)
+    fold = _fold(int_coeffs, den, qf)
+    int_r, signs = fold or (int_coeffs, ())
+    r_deg = len(int_r) - 1
     if fold is not None:
         report = _certified_rh(int_coeffs, int_r, signs, qf, tolerance, 2 * prec)
         if report is not None:

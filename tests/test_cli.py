@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -261,6 +262,23 @@ class TestScan:
         _, out, err = run(capsys, "scan", "--family", "type4", "-n", "3..5",
                           "--timing")
         assert "elapsed" in err and "elapsed" not in out
+
+    # the stdout of `scan --format json` at one high degree per family, on the
+    # certified RH path; the rh_deviation and rh_residual digits depend on
+    # every truncated Newton iterate, so any change to the integers that the
+    # fold, the refinement or the lift produce shows here
+    @pytest.mark.parametrize("fam_name,n,digest", [
+        ("type1", 150, "b781e87e09deedd5d4c605973e55689af050fa4eb571dd7496a091ebd75d56f1"),
+        ("type4", 151, "789f0c43b67d0792bbe4a9b0f55a74bc33d644ea05213da6e91546950f3ad860"),
+        ("q43", 150, "b1fdcb76d0db9373ce4544c8210e6becaf06c9f055a4d95b48afaeb2cbbbc631"),
+        ("q43-odd", 150, "e0851771f3bbcfbba04e9d3bf55fb214006228c0f681093fd6ad7bb7e0ed03fe"),
+        ("ozeki", 156, "e73b3a313d2ce552ee44ab979d170afc2e39051cfad202b9bb32bb55ec0648d7"),
+    ])
+    def test_pinned_high_degree_report(self, capsys, fam_name, n, digest):
+        code, out, _ = run(capsys, "scan", "--family", fam_name, "-n", f"{n}..{n}",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMolien:

@@ -18,6 +18,7 @@ from fwenum.homopoly import (
     HomPoly,
     Mat2,
     TAU,
+    _integer_coeffs,
     act_matrix,
     diff_op,
     divide_exact,
@@ -331,6 +332,47 @@ def _unfold(r_coeffs, signs, q):
     return p
 
 
+def _fold_reference(coeffs, q):
+    """The fold on Fractions, (R, signs) or None, with the sign of the
+    functional equation from `_fe_sign_quadratic`: R = p_g + sum_(k>=1)
+    p_(g-k) V_k(s) for eps = +1, R = sum_(k>=1) p_(g-k) U_(k-1)(s) for
+    eps = -1, X_k = s X_(k-1) - q X_(k-2), after dividing out the root
+    -eps/sqrt(q) of an odd degree."""
+    p = list(coeffs)
+    signs = []
+    if not p[0]:
+        return None
+    eps = _fe_sign_quadratic(_zeta(p, q))
+    if eps is None:
+        return None
+    if len(p) % 2 == 0:
+        r = F(isqrt(q.numerator), isqrt(q.denominator))
+        p = unipoly.div_exact(p, [F(1), eps * r])
+        signs.append(-eps)
+        eps = 1
+    g = (len(p) - 1) // 2
+    if eps == 1:
+        x0, weights = 2, [p[g] / 2] + p[:g][::-1]  # on V_0 .. V_g
+    else:
+        x0, weights = 1, p[:g][::-1]  # on U_0 .. U_(g-1)
+        signs += [-1, 1]
+    r = [F(0)] * len(weights)
+    xk, xnext = [F(x0)], [F(0), F(1)]
+    for w in weights:
+        for i, c in enumerate(xk):
+            r[i] += w * c
+        step = [F(0)] + xnext
+        for i, c in enumerate(xk):
+            step[i] -= q * c
+        xk, xnext = xnext, step
+    return r, signs
+
+
+def _fold_of(coeffs, q):
+    """`_fold` of P given by its rational coefficients."""
+    return zeta_mod._fold(*_integer_coeffs(list(coeffs)), q)
+
+
 @st.composite
 def symmetric_polys(draw, odd=None):
     """(coeffs, q, eps) with P(T) = eps P(1/(qT)) q^g T^(2g), 2g = deg P >= 1
@@ -371,9 +413,11 @@ class TestFunctionalEquationSign:
             other = ZetaPoly(p.coeffs, q, n=n, d=2)
             assert functional_equation_check(other) is None
             assert _fe_sign_quadratic(other) is None
-        fold = zeta_mod._fold(list(p.coeffs), q)
+        fold = _fold_of(p.coeffs, q)
+        reference = _fold_reference(p.coeffs, q)
         assert fold is not None
-        assert _unfold(*fold, q) == list(p.coeffs)
+        assert _unfold(*reference, q) == list(p.coeffs)
+        assert fold == (_integer_coeffs(reference[0])[0], reference[1])
 
     @settings(max_examples=100, deadline=None)
     @given(symmetric_polys(), st.data())
@@ -388,7 +432,7 @@ class TestFunctionalEquationSign:
         p = _zeta(coeffs, q)
         assert functional_equation_check(p) is None
         assert _fe_sign_quadratic(p) is None
-        assert zeta_mod._fold(list(p.coeffs), q) is None
+        assert _fold_of(p.coeffs, q) is None
 
     @settings(max_examples=50, deadline=None)
     @given(symmetric_polys(odd=True), st.sampled_from([F(2), Q43]))
@@ -397,7 +441,78 @@ class TestFunctionalEquationSign:
         p = _zeta(coeffs, q)
         assert functional_equation_check(p) is None
         assert _fe_sign_quadratic(p) is None
-        assert zeta_mod._fold(list(p.coeffs), q) is None
+        assert _fold_of(p.coeffs, q) is None
+
+
+# q with its rational square root, or None
+_FOLD_QS = {F(2): None, F(4): F(2), Q43: None, F(9, 4): F(3, 2), F(4, 9): F(2, 3),
+            F(5, 3): None}
+
+
+@st.composite
+def fold_inputs(draw):
+    """(coeffs, q) for the fold oracle: P with a functional equation of
+    either sign, of even degree at any q or of odd degree at a square q; or
+    such a P with one coefficient changed (no functional equation), or times
+    T (P(0) = 0)."""
+    q = draw(st.sampled_from(sorted(_FOLD_QS)))
+    r = _FOLD_QS[q]
+    odd = r is not None and draw(st.booleans())
+    two_g = draw(st.integers(1, 7)) * 2 - odd
+    eps = draw(st.sampled_from([1, -1]))
+    coeff = st.fractions(-9, 9, max_denominator=9)
+    low = ([draw(coeff.filter(bool))]
+           + draw(st.lists(coeff, min_size=two_g // 2, max_size=two_g // 2)))
+    if eps == -1 and not odd:
+        low[-1] = F(0)  # the middle coefficient equals its negative
+    a = [F(0)] * (two_g + 1)
+    for i, c in enumerate(low):
+        a[i] = c
+        a[two_g - i] = eps * c * (r ** (two_g - 2 * i) if odd
+                                  else q ** ((two_g - 2 * i) // 2))
+    kind = draw(st.sampled_from(["fe", "perturbed", "zero"]))
+    if kind == "perturbed":
+        j = draw(st.integers(0, two_g))
+        a[j] += draw(coeff.filter(bool))
+        assume(a[0] and a[-1])
+    elif kind == "zero":
+        a = [F(0)] + a
+    return a, q
+
+
+class TestIntegerFold:
+    """`_fold` on ints against the Fraction fold of `_fold_reference`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_inputs())
+    def test_matches_the_fraction_fold(self, case):
+        coeffs, q = case
+        reference = _fold_reference(coeffs, q)
+        fold = _fold_of(coeffs, q)
+        if reference is None:
+            assert fold is None
+            return
+        r_coeffs, signs = reference
+        assert _unfold(r_coeffs, signs, q) == coeffs
+        # the integer R is exactly what rh_check used to refine: the
+        # reference R times the lcm of its denominators
+        assert fold == (_integer_coeffs(r_coeffs)[0], signs)
+
+    @pytest.mark.parametrize("coeffs,q,signs", [
+        ([F(1), F(-2), F(2)], F(2), []),  # eps = +1
+        ([F(1), F(0), F(-2)], F(2), [-1, 1]),  # eps = -1
+        ([F(1), F(-3, 2)], F(9, 4), [1]),  # the root 2/3 = 1/sqrt(q) split off
+        ([F(1, 3), F(1, 2), F(3, 4)], F(9, 4), []),  # a denominator on P
+    ])
+    def test_each_branch(self, coeffs, q, signs):
+        reference = _fold_reference(coeffs, q)
+        assert reference[1] == signs
+        assert _fold_of(coeffs, q) == (_integer_coeffs(reference[0])[0], signs)
+
+    def test_declines_without_a_functional_equation(self):
+        assert _fold_of([F(0), F(1), F(-2), F(2)], F(2)) is None  # P(0) = 0
+        assert _fold_of([F(1), F(-3), F(2)], F(2)) is not None
+        assert _fold_of([F(1), F(-3), F(3)], F(2)) is None
 
 
 class TestRHCheck:
@@ -493,7 +608,7 @@ class TestRHCheck:
         # s = 5 lies outside (-2 sqrt(2), 2 sqrt(2)), so the certified path
         # declines and the fold's zero constant term reaches the float stage
         p = ZetaPoly((1, -5, 4, -10, 4), 2)
-        r_coeffs, signs = zeta_mod._fold(list(p.coeffs), p.q)
+        r_coeffs, signs = _fold_of(p.coeffs, p.q)
         assert r_coeffs[0] == 0 and r_coeffs[1] and not signs
         found = []
 
@@ -579,7 +694,7 @@ class TestRHCheck:
         polys = pairs = 0
         while polys < 30:
             c = [rng.randint(-6, 6) for _ in range(rng.randint(4, 9))]
-            if not c[0] or not c[-1] or zeta_mod._fold([F(x) for x in c], F(2)):
+            if not c[0] or not c[-1] or zeta_mod._fold(c, 1, F(2)):
                 continue
             polys += 1
             r = rh_check(ZetaPoly(c, 2))
@@ -669,7 +784,7 @@ class TestFold:
     @given(folded_polys())
     def test_functional_equation(self, case):
         p, known, holds = case
-        assert p.degree == 0 or zeta_mod._fold(list(p.coeffs), p.q) is not None
+        assert p.degree == 0 or _fold_of(p.coeffs, p.q) is not None
         r = rh_check(p, 1e-9)
         assert r.passed == holds
         _assert_roots_match(r.roots, known)
@@ -681,7 +796,7 @@ class TestFold:
         p, known, _ = case
         assume(a * a != p.q)
         p = ZetaPoly(tuple(unipoly.mul(list(p.coeffs), [F(1), -a])), p.q)
-        assert zeta_mod._fold(list(p.coeffs), p.q) is None
+        assert _fold_of(p.coeffs, p.q) is None
         r = rh_check(p, 1e-9)
         assert not r.passed
         with mp.workprec(400):
@@ -813,6 +928,99 @@ class TestCertifiedRH:
         assert abs(x - isqrt(2 << 2 * bits)) < 2 ** 14
         # R(s) = s - 3 has no root in (1, 2): no sign change closes it
         assert zeta_mod._refine_root([-3, 1], 1 << bits, 2 << bits, bits) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+           st.lists(st.integers(-6, 6), max_size=4), st.integers(-600, 600),
+           st.sampled_from([0, 4, 16, 60]), st.sampled_from([0, 2, 8, 24]),
+           st.one_of(st.none(), st.integers(-3, 3)))
+    def test_bounded_sign_is_the_exact_sign(self, cofactor, roots, a, bits, guard,
+                                            offset):
+        # R = cofactor * prod(s - k) at a / 2^bits; with an offset, the point
+        # lies that many units 2^-bits from the root roots[0]: on it R = 0,
+        # and near it the fixed-point value often falls inside the bound
+        assume(cofactor[-1])
+        c = cofactor
+        for k in roots:
+            c = [x - k * y for x, y in zip([0] + c, c + [0])]
+        if offset is not None and roots:
+            a = (roots[0] << bits) + offset
+        else:
+            a = (a << bits) >> 6  # |a / 2^bits| <= 600 / 64
+        assert zeta_mod._bounded_sign(c, a, bits, guard) == (
+            zeta_mod._scaled_value(c, a, bits) > 0)
+
+    def test_bounded_sign_falls_back_inside_the_bound(self, monkeypatch):
+        calls = []
+
+        def spy(*args, _fn=zeta_mod._scaled_value):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta_mod, "_scaled_value", spy)
+        bits = 64
+        r = [-2, 0, 1]  # R(s) = s^2 - 2
+        # R(root / 2^bits) is about -2^(1 - bits); with no guard bits the
+        # fixed-point value is -2 units against a bound of 3
+        root = isqrt(2 << 2 * bits)
+        # far from the root the fixed-point value decides on its own
+        assert zeta_mod._bounded_sign(r, 3 << bits, bits, 8)
+        assert not zeta_mod._bounded_sign(r, 1 << bits, bits, 8)
+        assert calls == []
+        # on an exact root, and at a value below the bound, R is evaluated exactly
+        assert not zeta_mod._bounded_sign([-3, 1], 3 << bits, bits, 8)
+        assert not zeta_mod._bounded_sign(r, root, bits, 0)
+        assert zeta_mod._bounded_sign([-1, 1], 2, 0, 0)  # p = 1, bound 1
+        assert calls == [([-3, 1], 3 << bits, bits), (r, root, bits), ([-1, 1], 2, 0)]
+
+    def test_refinement_takes_the_given_bracket_signs(self, monkeypatch):
+        # with both signs given, R is never evaluated exactly at the ends,
+        # and the root is the one found from exact end values
+        bits = 256
+        expected = zeta_mod._refine_root([-2, 0, 1], 1 << bits, 2 << bits, bits)
+        monkeypatch.setattr(zeta_mod, "_scaled_value", _refuse)
+        assert zeta_mod._refine_root([-2, 0, 1], 1 << bits, 2 << bits, bits,
+                                     False, True) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1 << 80), min_size=1, max_size=12),
+           st.lists(st.integers(0, 1 << 70), min_size=1, max_size=6),
+           st.sampled_from([8, 64, 128]))
+    def test_scale_evaluation_is_monotone(self, coeffs, radii, bits):
+        # sum |c_i| r^i in truncated fixed point does not decrease in r, so
+        # one evaluation at the largest radius is the largest of all of them
+        values = [zeta_mod._fixed_horner(coeffs, r, 0, bits) for r in sorted(radii)]
+        assert all(im == 0 for _, im in values)
+        assert all(u[0] <= v[0] for u, v in zip(values, values[1:]))
+        assert (zeta_mod._fixed_horner(coeffs, max(radii), 0, bits)[0]
+                == max(v[0] for v in values))
+
+    def test_one_scale_evaluation_at_the_largest_radius(self, monkeypatch):
+        # the certificate evaluates P at each root kept (one per conjugate
+        # pair, and the split-off real roots) and sum |c_i| r^i once
+        p = zeta_checked(extremal(family("type1"), 24), 2)
+        int_p = _integer_coeffs(list(p.coeffs))[0]
+        abs_p = [abs(c) for c in int_p]
+        assert abs_p != int_p
+        calls = []
+
+        def spy(*args, _fn=zeta_mod._fixed_horner):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta_mod, "_fixed_horner", spy)
+        rh_check(p)
+        residual = [args for args in calls if args[0] == int_p]
+        scale = [args for args in calls if args[0] == abs_p]
+        # deg P = 14: six conjugate pairs and the roots +-1/sqrt(2)
+        assert len(residual) == 8 and len(scale) == 1 and len(calls) == 9
+        _, r_max, zi, bits = scale[0]
+        radii = [isqrt(zr * zr + zi * zi) for _, zr, zi, _ in residual]
+        assert len(set(radii)) > 1  # rounding leaves the moduli a unit apart
+        assert zi == 0 and r_max == max(radii)
+        monkeypatch.undo()
+        assert zeta_mod._fixed_horner(abs_p, r_max, 0, bits)[0] == max(
+            zeta_mod._fixed_horner(abs_p, r, 0, bits)[0] for r in radii)
 
     @pytest.mark.parametrize("fam_name,n", [
         ("type1", 150), ("type4", 151), ("q43", 150), ("q43-odd", 150), ("ozeki", 156),
