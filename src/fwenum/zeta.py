@@ -11,12 +11,13 @@ R(s), s = qT + 1/T, of half the degree.  When the signs of R at dyadic
 points prove all its roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)),
 RH holds exactly and the roots are refined and lifted on Python ints; each
 refined root is closed by a sign change that a fixed-point truncation bound
-decides, with exact evaluation when the bound does not.  Otherwise Aberth iteration
-with deterministic seeding finds the roots of R, first in hardware doubles
-and then in arbitrary precision with warm-started precision escalation, and
-each root s is lifted to its two roots T.  On either path a residual check
-on P itself certifies the lifted set.  mpmath is imported inside the
-functions of that step, so the exact routes run without loading it.
+decides, with exact evaluation when the bound does not.  Otherwise Aberth
+iteration with deterministic seeding finds the roots of R, first in hardware
+doubles and then in arbitrary precision with warm-started precision
+escalation, and each root s is lifted to its two roots T.  On either path a
+residual check on P itself certifies the lifted set.  mpmath is imported
+inside the functions of that step, so the exact routes run without loading
+it.
 """
 
 from __future__ import annotations
