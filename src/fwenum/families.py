@@ -27,6 +27,7 @@ from . import linalg, unipoly
 from .homopoly import (
     HomPoly,
     WeightProfile,
+    _check_q,
     _convolve,
     parse_poly,
     transform_sign,
@@ -125,10 +126,7 @@ class FamilySpec:
 
 
 def _w2(q) -> HomPoly:
-    q = Fraction(q)
-    if q <= 0 or q == 1:
-        raise ValueError("q must be positive and != 1")
-    return HomPoly(2, [1, 0, q - 1])
+    return HomPoly(2, [1, 0, _check_q(q) - 1])
 
 
 _PHI4 = parse_poly("x^4 - 6*x^2*y^2 + y^4")

@@ -279,11 +279,17 @@ class Mat2:
         return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
 
 
-def sigma_q(q: Rational) -> Mat2:
-    """MacWilliams matrix (1/sqrt(q)) [[1, q-1], [1, -1]]."""
+def _check_q(q: Rational) -> Fraction:
+    """q as a Fraction; raises ValueError unless q > 0 and q != 1."""
     q = Fraction(q)
     if q <= 0 or q == 1:
         raise ValueError("q must be positive and != 1")
+    return q
+
+
+def sigma_q(q: Rational) -> Mat2:
+    """MacWilliams matrix (1/sqrt(q)) [[1, q-1], [1, -1]]."""
+    q = _check_q(q)
     root, _ = sqrt_rational(q)
     inv = root.inverse()
     return Mat2(inv, (q - 1) * inv, inv, -inv)
@@ -352,19 +358,22 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
 
 
+def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
+    """f(x + (q-1)y, x - y): the MacWilliams transform without q^(-n/2)."""
+    return act_matrix(f, Mat2(1, q - 1, 1, -1))
+
+
 def macwilliams(f: HomPoly, q: Rational) -> HomPoly:
     """MacWilliams transform f^{sigma_q} = q^(-n/2) f(x + (q-1)y, x - y).
 
     Coefficients stay rational whenever q^(n/2) is rational; otherwise they
     live in the quadratic extension containing sqrt(q).
     """
-    q = Fraction(q)
-    if q <= 0 or q == 1:
-        raise ValueError("q must be positive and != 1")
-    raw = act_matrix(f, Mat2(1, q - 1, 1, -1))
-    root, _ = sqrt_rational(q)
-    scale = simplify(root ** (-f.degree))
-    return raw * scale
+    q = _check_q(q)
+    scale = q ** -(f.degree // 2)
+    if f.degree % 2:
+        scale = simplify(scale * sqrt_rational(q)[0].inverse())
+    return _unscaled_macwilliams(f, q) * scale
 
 
 def transform_sign(f: HomPoly, q: Rational) -> int | None:
@@ -485,12 +494,13 @@ def min_weight(f: HomPoly) -> int:
 
 
 def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
-    """d, d_perp and the largest c dividing every nonzero weight of f."""
+    """d, d_perp and the largest c dividing every nonzero weight of f; d_perp
+    from the support of the MacWilliams image before its nonzero scale."""
     d = min_weight(f)
     divisibility = 0
     for i in f.support():
         divisibility = gcd(divisibility, i)
-    d_perp = _min_positive_support(macwilliams(f, q))
+    d_perp = _min_positive_support(_unscaled_macwilliams(f, _check_q(q)))
     return WeightProfile(d=d, d_perp=d_perp, divisibility=divisibility)
 
 

@@ -3,10 +3,10 @@ MDS enumerators, star operators and the theorem-level identity verifiers.
 
 The zeta polynomial is extracted by two independent exact routes: a forward
 substitution against the generating-function definition, and a triangular
-expansion over MDS enumerators.  Both run on Python ints with one known
-denominator and must agree; the comparison is kept as a permanent
-cross-oracle.  Root location is the only numerical step.  P is
-first folded exactly, on Python ints, with its functional equation into
+expansion over MDS enumerators.  One driver builds their right-hand side
+once; both solve it on Python ints and their integer results must agree, a
+comparison kept as a permanent cross-oracle.  Root location is the only
+numerical step.  P is first folded exactly, on Python ints, with its functional equation into
 R(s), s = qT + 1/T, of half the degree.  When the signs of R at dyadic
 points prove all its roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)),
 RH holds exactly and the roots are refined and lifted on Python ints; each
@@ -39,6 +39,7 @@ from .homopoly import (
     parse_poly,
     pochhammer,
     weight_profile,
+    _check_q,
     _integer_coeffs,
 )
 
@@ -161,17 +162,6 @@ class ZetaPoly:
         return json.dumps(payload)
 
 
-def _zeta_min_weight(w: HomPoly, q: Fraction) -> int:
-    """d of W from its weight profile, which also checks d, d_perp >= 2."""
-    profile = weight_profile(w, q)
-    if profile.d < 2 or profile.d_perp < 2:
-        raise ValueError(
-            f"zeta extraction needs d, d_perp >= 2; got d = {profile.d}, "
-            f"d_perp = {profile.d_perp}"
-        )
-    return profile.d
-
-
 def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     """The unique P of degree <= n - d matching the generating-function identity.
 
@@ -183,10 +173,28 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     diagonal C(n, i) and are solved by forward substitution, while those for
     i < d carry no unknown and are asserted consistent.
     """
+    return _extract(w, q, (_zeta_genfunc,))
+
+
+def _extract(w: HomPoly, q, routes) -> ZetaPoly:
+    """P from each of `routes`, which must agree.  d and the right-hand side
+    (R, L) of `_scaled_weights` are computed once; each route returns the
+    unknowns X_k = L b^k p_k (q = a/b) as ints, so equal lists mean equal P.
+    """
     q = Fraction(q)
-    d = _zeta_min_weight(w, q)
-    p = _zeta_genfunc(w, q, d)
-    return ZetaPoly(p.coeffs, p.q, w.degree, d)
+    profile = weight_profile(w, q)
+    n, d = w.degree, profile.d
+    if d < 2 or profile.d_perp < 2:
+        raise ValueError(
+            f"zeta extraction needs d, d_perp >= 2; got d = {d}, "
+            f"d_perp = {profile.d_perp}"
+        )
+    rhs, den = _scaled_weights(w, q, d)
+    first, *others = [route(rhs, q, n, d) for route in routes]
+    if any(x != first for x in others):
+        raise AssertionError("zeta oracle disagreement between the two methods")
+    b = q.denominator
+    return ZetaPoly([Fraction(x, den * b**k) for k, x in enumerate(first)], q, n, d)
 
 
 def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
@@ -195,7 +203,7 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
     Returns (R, L) with R_k = L b^k c_k for k = 0..n-d, where
     c_k = W_(d+k) / ((q - 1) C(n, d+k)), q = a/b and L is the lcm of the
     denominators of the c_k.  Raises ValueError unless W is in standard
-    form: monic in x^n with A_1 = ... = A_(d-1) = 0.
+    form, monic with A_1 = ... = A_(d-1) = 0 (the equations with no unknown).
     """
     n = w.degree
     if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
@@ -205,21 +213,14 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
     return [ck * q.denominator**k for k, ck in enumerate(c)], den
 
 
-def _unscale(ints: list[int], den: int, q: Fraction) -> ZetaPoly:
-    """P from the scaled unknowns X_k = L b^k p_k of either route."""
-    return ZetaPoly(tuple(Fraction(x, den * q.denominator**k)
-                          for k, x in enumerate(ints)), q)
-
-
-def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
-    """P by forward substitution on ints, without n and d, so no sign is computed.
+def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
+    """The scaled unknowns P_k = L b^k p_k by forward substitution on ints.
 
     With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
     integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and the
-    unknowns to the integers P_k = L b^k p_k (L as in `_scaled_weights`), so
+    right-hand side is R = `_scaled_weights`, so
     P_k = R_k - sum_(t>=1) S_t P_(k-t).
     """
-    rhs, den = _scaled_weights(w, q, d)
     a, b = q.numerator, q.denominator
     p = []
     for k, acc in enumerate(rhs):
@@ -231,7 +232,7 @@ def _zeta_genfunc(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
             s = a * s + (-binom * bpow if t % 2 else binom * bpow)
             acc -= s * p[k - t]
         p.append(acc)
-    return _unscale(p, den, q)
+    return p
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -277,11 +278,9 @@ def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
 
 def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
     """MDS weight enumerator M_{n,d}; monic, minimum weight exactly d."""
-    q = Fraction(q)
     if not (2 <= d <= n):
         raise ValueError("need 2 <= d <= n")
-    if q <= 0 or q == 1:
-        raise ValueError("q must be positive and != 1")
+    q = _check_q(q)
     poly = _mds_poly(n, d, q)
     assert poly.coeffs[d] != 0
     return MDSEnumerator(n=n, d=d, q=q, poly=poly)
@@ -328,27 +327,23 @@ def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
     weights d, d+1, ... in increasing order; then P(T) = sum(a_i T^i).  This
     must always agree with zeta_from_genfunc and is kept as a cross-oracle.
     """
-    q = Fraction(q)
-    d = _zeta_min_weight(w, q)
-    p = _zeta_mds(w, q, d)
-    return ZetaPoly(p.coeffs, p.q, w.degree, d)
+    return _extract(w, q, (_zeta_mds,))
 
 
-def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
-    """P by the MDS expansion on ints, without n and d, so no sign is computed.
+def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
+    """The scaled unknowns A_k = L b^k a_k by the MDS expansion on ints.
 
     At the weight d+k the expansion reads W_(d+k) / C(n, d+k) =
     sum_(i<=k) a_i F(d+k, k-i+1) / b^(k-i+1) (`_mds_weight_table`), and
     F(w, 1) = a - b.  Every F is a multiple of a - b, since a^r - b^r is;
-    that exact division is checked.  With E = F / (a - b) and the scaled
-    unknowns A_k = L b^k a_k of `_scaled_weights`, A_k = R_k -
-    sum_(i<k) A_i E(d+k, k-i+1).  The route reads W only through R and L; it
-    shares nothing with the generating-function route beyond them.
+    that exact division is checked.  With E = F / (a - b) and the right-hand
+    side R of `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1).
+    The route reads W only through R; it shares nothing with the
+    generating-function route beyond it.
     """
-    rhs, den = _scaled_weights(w, q, d)
     a_minus_b = q.numerator - q.denominator
     coeffs = []
-    for k, row in enumerate(_mds_weight_table(w.degree, d, q)):
+    for k, row in enumerate(_mds_weight_table(n, d, q)):
         acc = rhs[k]
         for i, f in enumerate(row[:0:-1]):  # F(d+k, k-i+1) for i = 0..k-1
             e, rem = divmod(f, a_minus_b)
@@ -357,26 +352,20 @@ def _zeta_mds(w: HomPoly, q: Fraction, d: int) -> ZetaPoly:
                     f"MDS weight F({d + k}, {k - i + 1}) is not a multiple of a - b")
             acc -= coeffs[i] * e
         coeffs.append(acc)
-    return _unscale(coeffs, den, q)
+    return coeffs
 
 
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
-    The weight profile (a MacWilliams transform) is computed once; each
-    route then extracts P from W and d on its own, both as O(n^2) integer
-    forward substitutions: the generating-function route on the series S_t,
-    the MDS route on the Pascal table of MDS weights.  Neither reads the
-    other's series, table or result.  The functional equation is tested
-    once, on the agreed P.
+    d and the right-hand side are computed once (`_extract`); each route
+    solves it on its own, both as O(n^2) integer forward substitutions: the
+    generating-function route on the series S_t, the MDS route on the Pascal
+    table of MDS weights.  Neither reads the other's series, table or result.
+    Their integer results are compared and one ZetaPoly is built, so the
+    functional equation is tested once.
     """
-    q = Fraction(q)
-    d = _zeta_min_weight(w, q)
-    p1 = _zeta_genfunc(w, q, d)
-    p2 = _zeta_mds(w, q, d)
-    if p1 != p2:
-        raise AssertionError("zeta oracle disagreement between the two methods")
-    return ZetaPoly(p1.coeffs, p1.q, w.degree, d)
+    return _extract(w, q, (_zeta_genfunc, _zeta_mds))
 
 
 # -- functional equation -----------------------------------------------------------
@@ -952,7 +941,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     if not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
         raise ValueError(f"rh_check needs precision_bits in "
                          f"[{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {prec}")
-    qf = p.q
+    qf = _check_q(p.q)
     if deg == 0:
         return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
                         tolerance, prec)
@@ -1183,12 +1172,12 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
     times (n-3)_4 or 3 (n-2)_3, is `_closed_form`."""
     _require_identity_data(fam, "the identity")
     n = w.degree
-    d = _zeta_min_weight(w, fam.q)
-    m = d - 2
+    p = zeta_from_genfunc(w, fam.q)
+    m = p.d - 2
     if m < 2 or m % 2:
         raise ValueError("the identity needs even d - 2 >= 2")
-    pc = list(_zeta_genfunc(w, fam.q, d).coeffs)
-    closed = _closed_form(w, fam, d)
+    pc = list(p.coeffs)
+    closed = _closed_form(w, fam, p.d)
     if fam.name == "type1":
         weights, normaliser = pc, pochhammer(n - 3, 4)
     else:

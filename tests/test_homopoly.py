@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fwenum.homopoly import (
     HomPoly,
@@ -22,6 +22,7 @@ from fwenum.homopoly import (
     transform_sign,
     weight_profile,
 )
+from fwenum import homopoly
 from fwenum.scalar import QuadElem
 from fwenum.zeta import verify_duursma_lemma
 
@@ -327,6 +328,38 @@ class TestWeightProfile:
                 profile(HomPoly.monomial(5, 0))  # bare x^n
             with pytest.raises(ValueError, match="monic"):
                 profile(parse_poly("2*x^2 + y^2"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+               fractions, min_size=n, max_size=n).filter(any)),
+           st.sampled_from([2, 3, 4, Fraction(4, 3)]))
+    # (x + (q-1)y)^n transforms to q^(n/2) x^n, which has no positive weight
+    @example([Fraction(1)], 2)
+    @example([Fraction(4), Fraction(4)], 3)
+    def test_d_perp_matches_the_transform(self, tail, q):
+        # monic with a positive weight; odd degrees take sqrt(q) in the
+        # reference transform but not in the shortcut
+        f = HomPoly(len(tail), [Fraction(1), *tail])
+        def reference():
+            return homopoly._min_positive_support(macwilliams(f, q))
+        try:
+            d_perp = weight_profile(f, q).d_perp
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ref_exc:
+                reference()
+            assert str(ref_exc.value) == str(exc)
+            return
+        assert d_perp == reference()
+
+    def test_no_transform_and_no_square_root(self, printed, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("weight_profile must not take this path")
+
+        monkeypatch.setattr(homopoly, "macwilliams", forbidden)
+        monkeypatch.setattr(QuadElem, "__pow__", forbidden)
+        p = weight_profile(parse_poly("x^5 + y^5"), 2)  # odd degree, sqrt(2)
+        assert (p.d, p.d_perp) == (5, 2)
+        assert weight_profile(printed["w12"], 2).d_perp == 4
 
 
 class TestPochhammer:

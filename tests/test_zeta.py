@@ -143,16 +143,35 @@ class TestHighDegree:
     def test_zeta_checked_runs_and_matches_both_routes(self, high_extremal,
                                                        monkeypatch):
         fam, w = high_extremal
-        results = {}
+        results, rhs_seen = {}, {}
         for route in ("_zeta_genfunc", "_zeta_mds"):
-            def spy(w_, q_, d_, _route=route, _fn=getattr(zeta_mod, route)):
-                results[_route] = _fn(w_, q_, d_)
+            def spy(rhs, q_, n_, d_, _route=route, _fn=getattr(zeta_mod, route)):
+                rhs_seen[_route] = rhs
+                results[_route] = _fn(rhs, q_, n_, d_)
                 return results[_route]
             monkeypatch.setattr(zeta_mod, route, spy)
         p = zeta_checked(w, fam.q)
         assert set(results) == {"_zeta_genfunc", "_zeta_mds"}
-        assert results["_zeta_genfunc"] == results["_zeta_mds"] == p
+        assert rhs_seen["_zeta_genfunc"] is rhs_seen["_zeta_mds"]
+        assert results["_zeta_genfunc"] == results["_zeta_mds"]
+        # the routes return p's coefficients scaled by L b^k
+        _, den = zeta_mod._scaled_weights(w, fam.q, p.d)
+        b = fam.q.denominator
+        unscaled = [F(x, den * b**k) for k, x in enumerate(results["_zeta_mds"])]
+        assert ZetaPoly(unscaled, fam.q) == p
         assert p.sign == fam.sign and p.degree == w.degree + 2 - 2 * p.d
+
+    def test_zeta_checked_builds_the_right_hand_side_once(self, high_extremal,
+                                                          monkeypatch):
+        fam, w = high_extremal
+        calls = []
+        for name in ("_scaled_weights", "_zeta_genfunc", "_zeta_mds"):
+            def spy(*args, _name=name, _fn=getattr(zeta_mod, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(zeta_mod, name, spy)
+        zeta_checked(w, fam.q)
+        assert sorted(calls) == ["_scaled_weights", "_zeta_genfunc", "_zeta_mds"]
 
 
 class TestMDS:
@@ -241,12 +260,18 @@ class TestMDSWeightTable:
 
     @pytest.mark.parametrize("route", ["_zeta_genfunc", "_zeta_mds"])
     def test_both_routes_require_standard_form(self, route, printed):
-        w = printed["w12"]  # d = 4
+        w = printed["w12"]  # d = 4, q = 2, so the scaled unknowns are L p_k
         extract = getattr(zeta_mod, route)
-        assert extract(w, F(2), 4) == zeta_from_genfunc(w, 2)
+        rhs, den = zeta_mod._scaled_weights(w, F(2), 4)
+        p = zeta_from_genfunc(w, 2)
+        assert ZetaPoly([F(x, den) for x in extract(rhs, F(2), 12, 4)], 2) == p
+        # both routes read W only through the right-hand side, which checks it
         for bad_w, d in [(w, 5), (w * 2, 4)]:
             with pytest.raises(ValueError, match="standard form"):
-                extract(bad_w, F(2), d)
+                zeta_mod._scaled_weights(bad_w, F(2), d)
+        public = {"_zeta_genfunc": zeta_from_genfunc, "_zeta_mds": zeta_from_mds}
+        with pytest.raises(ValueError, match="monic"):
+            public[route](w * 2, 2)
 
 
 class TestFunctionalEquation:
@@ -567,6 +592,11 @@ class TestRHCheck:
     def test_precision_out_of_range_rejected(self, bits):
         with pytest.raises(ValueError, match="precision_bits"):
             rh_check(ZetaPoly((F(1), F(-2), F(2)), 2), 1e-9, bits)
+
+    @pytest.mark.parametrize("q", [0, -2, 1])
+    def test_bad_q_rejected(self, q):
+        with pytest.raises(ValueError, match=r"^q must be positive and != 1$"):
+            rh_check(ZetaPoly((F(1), F(-2), F(2)), q), 1e-9)
 
     @pytest.mark.parametrize("tolerance", [float("inf"), 0.0, -1e-9, float("nan")])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
