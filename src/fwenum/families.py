@@ -26,13 +26,13 @@ from math import comb, factorial, lcm
 from . import linalg, unipoly
 from .homopoly import (
     HomPoly,
-    WeightProfile,
     _check_q,
     _convolve,
     parse_poly,
     transform_sign,
     weight_profile,
 )
+from .record import Record
 
 __all__ = [
     "FamilySpec",
@@ -64,50 +64,32 @@ class ExtremalConstructionError(RuntimeError):
     """The cancellation system violated the bound/uniqueness contract."""
 
 
-class FamilySpec:
+class FamilySpec(Record):
     """A formal-weight-enumerator family and its invariant-ring data.
 
     This is the one table of per-family facts.  The bound, the star operator
     and the degree classes they apply to follow from q, c, parity and the
     generators; a field holds only what cannot be derived from the others.
-    Specs compare and hash by identity, so they are cheap cache keys.
+    The fields after parity default to False or None.  Specs compare and hash
+    by identity, so they are cheap cache keys.
     """
 
-    __slots__ = ("name", "q", "c", "even_gen", "odd_gen", "parity",
-                 "bound_proven_on_class_only", "has_star", "group",
-                 "divisor_base", "diff_operator")
-
-    def __init__(
-        self,
-        name: str,
-        q: Fraction,
-        c: int,  # every nonzero weight of a member is a multiple of c
-        even_gen: HomPoly,  # invariant generator
-        odd_gen: HomPoly,  # anti-invariant generator
-        parity: int,  # required parity (mod 2) of the odd_gen exponent
+    __slots__ = (
+        "name", "q",
+        "c",  # every nonzero weight of a member is a multiple of c
+        "even_gen",  # invariant generator
+        "odd_gen",  # anti-invariant generator
+        "parity",  # required parity (mod 2) of the odd_gen exponent
         # the bound is proven only for n - parity*deg(odd_gen) = 0 mod 2*deg(odd_gen)
-        bound_proven_on_class_only: bool = False,
-        has_star: bool = False,  # the star operator of zeta.star_operator applies
-        # matgroup.named_group whose Molien series counts the ring
-        group: str | None = None,
+        "bound_proven_on_class_only",
+        "has_star",  # the star operator of zeta.star_operator applies
+        "group",  # matgroup.named_group whose Molien series counts the ring
         # divisor base a and operator p of the differential identities (type1, type4)
-        divisor_base: HomPoly | None = None,
-        diff_operator: HomPoly | None = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "even_gen", even_gen)
-        object.__setattr__(self, "odd_gen", odd_gen)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "bound_proven_on_class_only", bound_proven_on_class_only)
-        object.__setattr__(self, "has_star", has_star)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "divisor_base", divisor_base)
-        object.__setattr__(self, "diff_operator", diff_operator)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FamilySpec is immutable")
+        "divisor_base",
+        "diff_operator",
+    )
+    _defaults = {"bound_proven_on_class_only": False, "has_star": False,
+                 "group": None, "divisor_base": None, "diff_operator": None}
 
     @property
     def sign(self) -> int:
@@ -120,9 +102,6 @@ class FamilySpec:
         when members carry odd powers of odd_gen, even_gen and odd_gen^2
         otherwise."""
         return self.even_gen.degree, self.odd_gen.degree * (2 - self.parity)
-
-    def bound(self, n: int) -> "Bound":
-        return bound(self, n)
 
 
 def _w2(q) -> HomPoly:
@@ -269,17 +248,10 @@ def expand_in_generators(f: HomPoly, fam: FamilySpec) -> list[Fraction]:
     return x
 
 
-class Bound:
+class Bound(Record):
     """Upper bound for the minimum weight at a given degree."""
 
     __slots__ = ("d_max", "proven")
-
-    def __init__(self, d_max: int, proven: bool):
-        object.__setattr__(self, "d_max", d_max)
-        object.__setattr__(self, "proven", proven)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Bound is immutable")
 
 
 def bound(fam: FamilySpec, n: int) -> Bound:
@@ -467,18 +439,8 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
 # -- membership predicate -----------------------------------------------------------
 
 
-class FweResult:
+class FweResult(Record):
     __slots__ = ("ok", "sign", "profile", "reason")
-
-    def __init__(self, ok: bool, sign: int | None, profile: WeightProfile | None,
-                 reason: str):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FweResult is immutable")
 
 
 def is_fwe(f: HomPoly, q, c: int) -> FweResult:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm, perm
 
 from . import unipoly
+from .record import Record
 from .scalar import (
     Fraction as Rational,
     MixedExtensionError,
@@ -83,7 +84,7 @@ def _convolve(left: list[int], right: list[int], limit: int | None = None) -> li
     return out
 
 
-class HomPoly:
+class HomPoly(Record):
     """Homogeneous polynomial sum(coeffs[i] * x^(n-i) y^i, i = 0..n)."""
 
     __slots__ = ("degree", "coeffs")
@@ -98,9 +99,6 @@ class HomPoly:
             )
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("HomPoly is immutable")
 
     # -- constructors ---------------------------------------------------------
 
@@ -218,7 +216,7 @@ class HomPoly:
         return cls(obj["degree"], [Fraction(c) for c in obj["coeffs"]])
 
 
-class Mat2:
+class Mat2(Record):
     """2x2 matrix acting on (x, y); entries are exact scalars.
 
     Matrices compare and hash by their entries, so group closure collects
@@ -233,9 +231,6 @@ class Mat2:
         object.__setattr__(self, "b", _norm_scalar(b))
         object.__setattr__(self, "c", _norm_scalar(c))
         object.__setattr__(self, "d", _norm_scalar(d))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -458,18 +453,10 @@ def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
 # -- weight profile ---------------------------------------------------------------
 
 
-class WeightProfile:
+class WeightProfile(Record):
     """Minimum weight, dual minimum weight and divisibility of an enumerator."""
 
     __slots__ = ("d", "d_perp", "divisibility")
-
-    def __init__(self, d: int, d_perp: int, divisibility: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "d_perp", d_perp)
-        object.__setattr__(self, "divisibility", divisibility)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeightProfile is immutable")
 
 
 def _min_positive_support(f: HomPoly) -> int:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import unipoly
 from .families import FAMILIES, ring_dimension
 from .homopoly import Mat2, sigma_q, TAU
+from .record import Record
 from .scalar import NotRationalError, QuadElem, simplify
 
 __all__ = [
@@ -33,15 +34,8 @@ class GroupClosureError(RuntimeError):
     """Closure exceeded the cap: the generated group is infinite or too large."""
 
 
-class MatrixGroup:
+class MatrixGroup(Record):
     __slots__ = ("elements", "generators")
-
-    def __init__(self, elements: frozenset, generators: tuple):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MatrixGroup is immutable")
 
     @property
     def order(self) -> int:

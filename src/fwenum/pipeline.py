@@ -11,46 +11,23 @@ import json
 import time
 
 from .families import ExtremalConstructionError, basis_exponents, bound, extremal
+from .record import Record
 from .zeta import RHConvergenceError, rh_check, zeta_checked
 
 __all__ = ["ScanRow", "ScanReport", "scan_degree", "scan_family"]
 
 
-class ScanRow:
+class ScanRow(Record):
     """One degree of a scan; a step that failed leaves the later fields None."""
 
     __slots__ = ("n", "d", "bound_proven", "status", "hard", "deg_p", "fe_sign",
                  "rh_deviation", "rh_residual", "rh_pass")
-
-    def __init__(self, n: int, d: int | None, bound_proven: bool, status: str,
-                 hard: bool, deg_p: int | None = None, fe_sign: int | None = None,
-                 rh_deviation: float | None = None, rh_residual: float | None = None,
-                 rh_pass: bool | None = None):
-        self.n = n
-        self.d = d
-        self.bound_proven = bound_proven
-        self.status = status
-        self.hard = hard
-        self.deg_p = deg_p
-        self.fe_sign = fe_sign
-        self.rh_deviation = rh_deviation
-        self.rh_residual = rh_residual
-        self.rh_pass = rh_pass
+    _defaults = dict.fromkeys(__slots__[5:])
 
 
-class ScanReport:
+class ScanReport(Record):
     __slots__ = ("family", "n_min", "n_max", "tolerance", "precision_bits", "rows",
                  "elapsed")
-
-    def __init__(self, family: str, n_min: int, n_max: int, tolerance: float,
-                 precision_bits: int, rows: list[ScanRow], elapsed: float):
-        self.family = family
-        self.n_min = n_min
-        self.n_max = n_max
-        self.tolerance = tolerance
-        self.precision_bits = precision_bits
-        self.rows = rows
-        self.elapsed = elapsed
 
     @property
     def hard_failures(self) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .record import Record
+
 Rational = Fraction
 
 
@@ -49,7 +51,7 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     return s, d * m
 
 
-class QuadElem:
+class QuadElem(Record):
     """Element a + b*sqrt(D) of the real quadratic extension Q(sqrt(D)).
 
     D is a squarefree positive integer.  Elements with b == 0 are stored with
@@ -75,9 +77,6 @@ class QuadElem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadElem is immutable")
 
     # -- coercion helpers ---------------------------------------------------
 

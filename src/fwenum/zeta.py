@@ -28,8 +28,16 @@ from fractions import Fraction
 from math import comb, cos, gcd, inf, isfinite, isqrt, ldexp, pi
 
 from . import unipoly
-from .families import FAMILIES, FamilySpec, extremal, family, member_with_min_weight
+from .families import (
+    FAMILIES,
+    FamilySpec,
+    bound,
+    extremal,
+    family,
+    member_with_min_weight,
+)
 from .homopoly import (
+    TAU,
     HomPoly,
     Mat2,
     act_matrix,
@@ -38,10 +46,13 @@ from .homopoly import (
     min_weight,
     parse_poly,
     pochhammer,
+    sigma_q,
     weight_profile,
     _check_q,
+    _dehomogenize,
     _integer_coeffs,
 )
+from .record import Record
 
 __all__ = [
     "ZetaPoly",
@@ -98,7 +109,7 @@ class RHConvergenceError(RuntimeError):
 # -- zeta polynomial ------------------------------------------------------------
 
 
-class ZetaPoly:
+class ZetaPoly(Record):
     """P(T) together with the parameters of the enumerator it came from.
 
     Polys compare and hash by q and the coefficients alone.  Given n and d
@@ -119,9 +130,6 @@ class ZetaPoly:
         if sign is None and n is not None and d is not None:
             sign = functional_equation_check(self)
         object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ZetaPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -238,17 +246,8 @@ def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
 # -- MDS enumerators ------------------------------------------------------------
 
 
-class MDSEnumerator:
+class MDSEnumerator(Record):
     __slots__ = ("n", "d", "q", "poly")
-
-    def __init__(self, n: int, d: int, q: Fraction, poly: HomPoly):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MDSEnumerator is immutable")
 
 
 def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
@@ -414,24 +413,10 @@ def _fe_sign(c: list[int], q: Fraction, two_g: int) -> int | None:
 # -- numerical Riemann hypothesis ---------------------------------------------------
 
 
-class RHReport:
+class RHReport(Record):
+    # roots are mpmath mpc values at the final precision
     __slots__ = ("roots", "target_modulus", "max_abs_deviation", "max_residual",
                  "passed", "tolerance", "precision_bits")
-
-    def __init__(self, roots: tuple, target_modulus: float, max_abs_deviation: float,
-                 max_residual: float, passed: bool, tolerance: float,
-                 precision_bits: int):
-        # mpmath mpc values at the final precision
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "target_modulus", target_modulus)
-        object.__setattr__(self, "max_abs_deviation", max_abs_deviation)
-        object.__setattr__(self, "max_residual", max_residual)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "precision_bits", precision_bits)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RHReport is immutable")
 
     def to_json(self) -> str:
         import mpmath as mp
@@ -1040,16 +1025,8 @@ def _star_image(w: HomPoly, fam: FamilySpec) -> HomPoly:
     return diff_op(p, w) * Fraction(1, n * (n - 1))
 
 
-class StarCheck:
+class StarCheck(Record):
     __slots__ = ("ok", "maps_to_extremal", "zeta_factor_matches")
-
-    def __init__(self, ok: bool, maps_to_extremal: bool, zeta_factor_matches: bool):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "maps_to_extremal", maps_to_extremal)
-        object.__setattr__(self, "zeta_factor_matches", zeta_factor_matches)
-
-    def __setattr__(self, *args):
-        raise AttributeError("StarCheck is immutable")
 
 
 def _star_check(fam: FamilySpec, w: HomPoly) -> StarCheck:
@@ -1103,18 +1080,8 @@ def _require_identity_data(fam: FamilySpec, statement: str) -> None:
         raise ValueError(f"{statement} covers type1 and type4 only")
 
 
-class DivisibilityCheck:
+class DivisibilityCheck(Record):
     __slots__ = ("ok", "divides", "cofactor_divisible", "cofactor")
-
-    def __init__(self, ok: bool, divides: bool, cofactor_divisible: bool,
-                 cofactor: HomPoly | None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "divides", divides)
-        object.__setattr__(self, "cofactor_divisible", cofactor_divisible)
-        object.__setattr__(self, "cofactor", cofactor)
-
-    def __setattr__(self, *args):
-        raise AttributeError("DivisibilityCheck is immutable")
 
 
 def verify_divisibility_prop(w: HomPoly, fam: FamilySpec) -> DivisibilityCheck:
@@ -1202,8 +1169,6 @@ def _proportionality(f: HomPoly, g: HomPoly):
 
 def _coprime(a: HomPoly, b: HomPoly) -> bool:
     """No common homogeneous factor (x, y or a dehomogenized core factor)."""
-    from .homopoly import _dehomogenize
-
     ax, ay, acore = _dehomogenize(a)
     bx, by, bcore = _dehomogenize(b)
     if (ax and bx) or (ay and by):
@@ -1211,31 +1176,14 @@ def _coprime(a: HomPoly, b: HomPoly) -> bool:
     return unipoly.degree(unipoly.gcd(acore, bcore)) == 0
 
 
-class DuursmaOkudaResult:
+class DuursmaOkudaResult(Record):
+    """Verdict of `verify_duursma_okuda`; the constants c1, c2, c3 default to
+    None and the part flags to False, as when a precondition fails."""
+
     __slots__ = ("preconditions_ok", "failed_precondition", "c1", "c2", "c3",
                  "part1_ok", "part2_applicable", "part2_ok", "part2_coprime_applicable",
                  "part2_coprime_ok", "part3_applicable", "part3_ok")
-
-    def __init__(self, preconditions_ok: bool, failed_precondition: str, c1=None,
-                 c2=None, c3=None, part1_ok: bool = False, part2_applicable: bool = False,
-                 part2_ok: bool = False, part2_coprime_applicable: bool = False,
-                 part2_coprime_ok: bool = False, part3_applicable: bool = False,
-                 part3_ok: bool = False):
-        object.__setattr__(self, "preconditions_ok", preconditions_ok)
-        object.__setattr__(self, "failed_precondition", failed_precondition)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "part1_ok", part1_ok)
-        object.__setattr__(self, "part2_applicable", part2_applicable)
-        object.__setattr__(self, "part2_ok", part2_ok)
-        object.__setattr__(self, "part2_coprime_applicable", part2_coprime_applicable)
-        object.__setattr__(self, "part2_coprime_ok", part2_coprime_ok)
-        object.__setattr__(self, "part3_applicable", part3_applicable)
-        object.__setattr__(self, "part3_ok", part3_ok)
-
-    def __setattr__(self, *args):
-        raise AttributeError("DuursmaOkudaResult is immutable")
+    _defaults = dict.fromkeys(("c1", "c2", "c3")) | dict.fromkeys(__slots__[5:], False)
 
     @property
     def ok(self) -> bool:
@@ -1302,16 +1250,8 @@ def verify_duursma_lemma(p: HomPoly, big_a: HomPoly, sigma: Mat2) -> bool:
 # -- randomized suites -----------------------------------------------------------------
 
 
-class SuiteReport:
+class SuiteReport(Record):
     __slots__ = ("total", "part1", "part2", "part3", "failures")
-
-    def __init__(self, total: int, part1: tuple[int, int], part2: tuple[int, int],
-                 part3: tuple[int, int], failures: list):
-        self.total = total
-        self.part1 = part1
-        self.part2 = part2
-        self.part3 = part3
-        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -1327,8 +1267,6 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
     canonical family operator, a matrix with verified eigen-behaviour and a
     divisor drawn from the divisibility statement.  Deterministic per seed.
     """
-    from .homopoly import sigma_q, TAU
-
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
@@ -1356,7 +1294,7 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
         fam = family(fam_name)
         setup = setups[fam_name]
         n = rng.choice(setup["degrees"])
-        d_cap = fam.bound(n).d_max
+        d_cap = bound(fam, n).d_max
         d_target = rng.choice([d for d in range(4, d_cap + 1, 2)] or [4])
         w = member_with_min_weight(fam, n, d_target, rng)
         if w is None:
@@ -1390,8 +1328,6 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
 
 def run_duursma_lemma_suite(samples: int = 100, seed: int = 20240811) -> tuple[int, int]:
     """Random (p, A, sigma) instances of the chain-rule identity."""
-    from .homopoly import sigma_q
-
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)

@@ -2,10 +2,14 @@
 compare and hash by value, by identity or not at all, and the one repr that
 an ordering depends on."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import fwenum
 from fwenum.families import Bound, FamilySpec, bound, family, is_fwe, _gen_power
 from fwenum.homopoly import Mat2, WeightProfile, parse_poly, weight_profile
 from fwenum.matgroup import (
@@ -13,6 +17,8 @@ from fwenum.matgroup import (
     RationalFunctionSeries,
     named_group,
 )
+from fwenum.pipeline import scan_degree, scan_family
+from fwenum.record import Record
 from fwenum.zeta import (
     DivisibilityCheck,
     DuursmaOkudaResult,
@@ -21,6 +27,7 @@ from fwenum.zeta import (
     ZetaPoly,
     mds_enumerator,
     rh_check,
+    run_duursma_okuda_suite,
 )
 
 F = Fraction
@@ -39,6 +46,9 @@ FROZEN = {
     "StarCheck": (lambda: StarCheck(True, True, True), "ok"),
     "DivisibilityCheck": (lambda: DivisibilityCheck(False, False, False, None), "ok"),
     "DuursmaOkudaResult": (lambda: DuursmaOkudaResult(False, "no"), "part1_ok"),
+    "ScanRow": (lambda: scan_degree(family("type1"), 8, 1e-9, 128), "status"),
+    "ScanReport": (lambda: scan_family(family("type1"), 4, 6, 1e-9, 128), "rows"),
+    "SuiteReport": (lambda: run_duursma_okuda_suite(1, seed=1), "failures"),
 }
 
 
@@ -122,3 +132,60 @@ def test_constructor_signatures():
     assert (report.passed, report.precision_bits) == (True, 128)
     result = DuursmaOkudaResult(True, "", 1, 2, 3, True)
     assert (result.c3, result.part1_ok, result.part3_ok) == (3, True, False)
+
+
+class Pair(Record):
+    __slots__ = ("left", "right", "note")
+    _defaults = {"note": "none"}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((1, 2, 3, 4), {}, "Pair takes 3 fields"),
+        ((1, 2), {"colour": 3}, "Pair has no field 'colour'"),
+        ((1, 2), {"left": 3}, "Pair got field 'left' twice"),
+        ((1,), {}, "Pair is missing field 'right'"),
+        ((), {"left": 1, "note": 2}, "Pair is missing field 'right'"),
+    ])
+    def test_bad_call_shapes_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Pair(*args, **kwargs)
+
+    def test_defaults_fill_only_the_fields_left_out(self):
+        pair = Pair(1, 2)
+        assert (pair.left, pair.right, pair.note) == (1, 2, "none")
+        pair = Pair(right=2, left=1, note="given")
+        assert (pair.left, pair.right, pair.note) == (1, 2, "given")
+        assert Pair(1, 2, None).note is None
+        assert Pair(1, right=2).note == "none"
+        with pytest.raises(TypeError, match="'left'"):
+            Pair(right=2)
+
+    def test_immutable_and_compared_by_identity(self):
+        pair = Pair(1, 2)
+        with pytest.raises(AttributeError, match="Pair is immutable"):
+            pair.left = 3
+        assert pair != Pair(1, 2) and pair == pair
+        assert hash(pair) == object.__hash__(pair)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(fwenum.__path__):
+        module = importlib.import_module(f"fwenum.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_every_slotted_class_is_a_record():
+    classes = list(_package_classes())
+    assert Record in classes and RationalFunctionSeries in classes
+    for cls in classes:
+        if cls is Record:
+            continue
+        own_slots = "__slots__" in vars(cls)
+        if cls is RationalFunctionSeries:
+            assert own_slots and not issubclass(cls, Record)
+        elif issubclass(cls, Record) or own_slots:
+            assert issubclass(cls, Record) and own_slots, cls.__name__
+        assert "__setattr__" not in vars(cls), cls.__name__
