@@ -28,9 +28,12 @@ from .homopoly import (
     HomPoly,
     _check_q,
     _convolve,
+    _fractions,
+    _image_sign,
+    _integer_coeffs,
+    _profile_and_image,
     parse_poly,
     transform_sign,
-    weight_profile,
 )
 from .record import Record
 
@@ -423,16 +426,17 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
     space = _cancellation_space(fam, n, d_target)
     if not space:
         return None
+    # the members on one common denominator, combined on ints
+    flat, _ = _integer_coeffs([c for member in space for c in member.coeffs])
+    rows = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
     for _ in range(32):
-        w = HomPoly.zero(n)
-        for member in space:
-            w = w + member * rng.randint(-9, 9)
-        lead = w.coeffs[0]
-        if lead == 0:
-            continue
-        w = w * (1 / lead)
-        if w.coeffs[d_target]:
-            return w
+        w = [0] * (n + 1)
+        for row in rows:
+            r = rng.randint(-9, 9)
+            w = [a + r * b for a, b in zip(w, row)]
+        lead = w[0]
+        if lead and w[d_target]:
+            return HomPoly(n, _fractions(w, lead))
     return None
 
 
@@ -451,10 +455,10 @@ def is_fwe(f: HomPoly, q, c: int) -> FweResult:
     """
     q = Fraction(q)
     try:
-        profile = weight_profile(f, q)
+        profile, image = _profile_and_image(f, q)
     except ValueError as exc:
         return FweResult(False, None, None, str(exc))
-    sign = transform_sign(f, q)
+    sign = _image_sign(f, image, q)
     if sign != -1:
         return FweResult(False, sign, profile, f"transform sign is {sign}, not -1")
     if profile.divisibility % c:

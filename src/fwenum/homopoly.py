@@ -6,15 +6,16 @@ degree so that degree contracts of the differential operators stay total.
 Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
 MacWilliams transforms, matrix actions over a quadratic extension).
 
-Products and matrix actions on rational polynomials run on Python ints: each
-rational operand is scaled to integers by the lcm of its denominators, the
-convolution (`_convolve`, which also serves the truncated series products of
-`families.extremal`) or expansion runs on ints, and one Fraction is built per
-output coefficient.  A matrix that is a scalar multiple lam * M of a rational
-M, such as sigma_q(q), acts as lam^n times the integer action of M.  Only other
+Products, matrix actions, p(D) and exact division on rational polynomials
+run on Python ints: each rational operand is scaled to integers by the lcm of
+its denominators, the convolution (`_convolve`, which also serves the
+truncated series products of `families.extremal`), expansion, derivative sum
+or long division runs on ints, and one Fraction is built per output
+coefficient.  A matrix that is a scalar multiple lam * M of a rational M, such
+as sigma_q(q), acts as lam^n times the integer action of M.  Only other
 irrational matrices, and polynomials with irrational coefficients, run on
 Fraction / QuadElem scalars: actions in the Horner loop, products in
-`unipoly.mul`.
+`unipoly.mul`, division in `unipoly.div_exact`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, perm
 
 from . import unipoly
@@ -54,20 +56,27 @@ __all__ = [
 
 
 def _norm_scalar(c):
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, QuadElem):
         return simplify(c)
-    if isinstance(c, Fraction):
-        return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:
     """Rational coefficients as (ints, den) with ints[i] / den == coeffs[i],
     den the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    dens = [c.denominator for c in coeffs]  # a list: see HomPoly.__init__
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def _fractions(ints: list[int], scale: int, c=1) -> list[Fraction]:
+    """[v * c / scale for v in ints] for a rational c, one normalisation each."""
+    num, den = c.numerator, scale * c.denominator
+    return [Fraction(v * num, den) for v in ints]
 
 
 def _convolve(left: list[int], right: list[int], limit: int | None = None) -> list[int]:
@@ -90,7 +99,11 @@ class HomPoly(Record):
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs):
-        coeffs = tuple(_norm_scalar(c) for c in coeffs)
+        # built from a list, not a generator: a tuple made from a generator
+        # starts with room for 10 items and is then resized to fit, and the
+        # tuples that hot paths free that way pile up on CPython's per-size
+        # tuple free lists (0.8 MiB of peak memory on the verifier suites)
+        coeffs = tuple([_norm_scalar(c) for c in coeffs])
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != degree + 1:
@@ -172,9 +185,7 @@ class HomPoly(Record):
         if self.is_rational() and other.is_rational():
             left, den_l = _integer_coeffs(self.coeffs)
             right, den_r = _integer_coeffs(other.coeffs)
-            out = _convolve(left, right)
-            scale = den_l * den_r
-            return HomPoly(n, [Fraction(v, scale) for v in out])
+            return HomPoly(n, _fractions(_convolve(left, right), den_l * den_r))
         out = unipoly.mul(self.coeffs, other.coeffs)
         return HomPoly(n, out + [Fraction(0)] * (n + 1 - len(out)))
 
@@ -320,42 +331,74 @@ def _act_horner(coeffs, a, b, c, d, one) -> list:
     return acc
 
 
+@lru_cache(maxsize=64)
+def _rational_multiple(sigma: Mat2) -> tuple | None:
+    """(lam, ints, den) with sigma == lam * M and M = ints / den, for a sigma
+    with irrational entries; lam is its first nonzero entry (sigma_q(q), its
+    transpose, their rational multiples).  None when M is not rational."""
+    entries = (sigma.a, sigma.b, sigma.c, sigma.d)
+    lam = next(e for e in entries if e)
+    try:
+        ratios = [simplify(e / lam) for e in entries]
+    except MixedExtensionError:  # entries from two extensions
+        return None
+    if not all(isinstance(r, Fraction) for r in ratios):
+        return None
+    ints, den = _integer_coeffs(ratios)
+    return lam, tuple(ints), den
+
+
+@lru_cache(maxsize=256)
+def _scalar_power(lam: QuadElem, n: int):
+    return simplify(lam**n)
+
+
 def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
 
-    When sigma and f are rational, both are scaled to integers, the expansion
-    runs on Python ints and the common denominator is divided out once.  When
-    f is rational and sigma = lam * M with M rational, lam the first nonzero
-    entry of sigma (sigma_q(q), its transpose, their rational multiples), the
-    integer expansion runs on M and the result is multiplied once by lam^n.
-    Only entries of the form a + b*sqrt(D) that are not one common multiple
-    of a rational matrix, or an f with irrational coefficients, take the
-    generic Horner loop on Fraction / QuadElem scalars.
+    When f is rational and sigma = lam * M with M rational (lam = 1 for a
+    rational sigma), both f and M are scaled to integers, the expansion runs
+    on Python ints, and the common denominator and lam^n are applied once per
+    coefficient.  For an irrational sigma the split and lam^n are cached, per
+    matrix and per (lam, n); a rational sigma is cheaper to scale than to
+    look up.  Only a sigma with entries of the form a + b*sqrt(D) that are
+    not one common multiple of a rational matrix, or an f with irrational
+    coefficients, takes the generic Horner loop on Fraction / QuadElem scalars.
     """
     n = f.degree
     entries = (sigma.a, sigma.b, sigma.c, sigma.d)
-    rational_f = f.is_rational()
-    lam = None
-    if rational_f and any(isinstance(e, QuadElem) for e in entries):
-        lam = next(e for e in entries if e)
-        try:
-            ratios = tuple(simplify(e / lam) for e in entries)
-        except MixedExtensionError:  # entries from two extensions
-            ratios = entries
-        if all(isinstance(r, Fraction) for r in ratios):
-            entries = ratios
-    if rational_f and all(isinstance(e, Fraction) for e in entries):
-        ints, den_s = _integer_coeffs(entries)
-        coeffs, den_f = _integer_coeffs(f.coeffs)
-        scale = den_f * den_s**n
-        out = HomPoly(n, [Fraction(v, scale) for v in _act_horner(coeffs, *ints, 1)])
-        return out if lam is None else out * simplify(lam**n)
-    return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
+    split = None
+    if f.is_rational():
+        if any(isinstance(e, QuadElem) for e in entries):
+            split = _rational_multiple(sigma)
+        else:
+            split = None, *_integer_coeffs(entries)
+    if split is None:
+        return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
+    lam, ints, den_s = split
+    coeffs, den_f = _integer_coeffs(f.coeffs)
+    out = _act_horner(coeffs, *ints, 1)
+    scale = den_f * den_s**n
+    lam_n = 1 if lam is None else _scalar_power(lam, n)
+    if isinstance(lam_n, QuadElem):
+        return HomPoly(n, [
+            QuadElem(a, b, lam_n.d)
+            for a, b in zip(_fractions(out, scale, lam_n.a), _fractions(out, scale, lam_n.b))
+        ])
+    return HomPoly(n, _fractions(out, scale, lam_n))
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
     """f(x + (q-1)y, x - y): the MacWilliams transform without q^(-n/2)."""
     return act_matrix(f, Mat2(1, q - 1, 1, -1))
+
+
+def _macwilliams_scale(n: int, q: Fraction):
+    """q^(-n/2), the factor between the unscaled and the true transform."""
+    scale = q ** -(n // 2)
+    if n % 2:
+        scale = simplify(scale * sqrt_rational(q)[0].inverse())
+    return scale
 
 
 def macwilliams(f: HomPoly, q: Rational) -> HomPoly:
@@ -365,15 +408,12 @@ def macwilliams(f: HomPoly, q: Rational) -> HomPoly:
     live in the quadratic extension containing sqrt(q).
     """
     q = _check_q(q)
-    scale = q ** -(f.degree // 2)
-    if f.degree % 2:
-        scale = simplify(scale * sqrt_rational(q)[0].inverse())
-    return _unscaled_macwilliams(f, q) * scale
+    return _unscaled_macwilliams(f, q) * _macwilliams_scale(f.degree, q)
 
 
-def transform_sign(f: HomPoly, q: Rational) -> int | None:
-    """+1 / -1 when f^{sigma_q} equals +f / -f exactly, else None."""
-    g = macwilliams(f, q)
+def _image_sign(f: HomPoly, image: HomPoly, q: Fraction) -> int | None:
+    """`transform_sign` of f read off its unscaled MacWilliams image."""
+    g = image * _macwilliams_scale(f.degree, q)
     if g == f:
         return 1
     if g == -f:
@@ -381,25 +421,45 @@ def transform_sign(f: HomPoly, q: Rational) -> int | None:
     return None
 
 
+def transform_sign(f: HomPoly, q: Rational) -> int | None:
+    """+1 / -1 when f^{sigma_q} equals +f / -f exactly, else None."""
+    q = _check_q(q)
+    return _image_sign(f, _unscaled_macwilliams(f, q), q)
+
+
 # -- differential operators ----------------------------------------------------
 
 
+def _diff_terms(pc, fc, n: int, zero) -> list:
+    """Coefficients of p(D) f from those of p (degree m) and f (degree n), on
+    whatever scalars are passed in: d^(m-j)/dx^(m-j) d^j/dy^j takes
+    x^(n-i) y^i to perm(n-i, m-j) perm(i, j) x^(n-m-i+j) y^(i-j)."""
+    m = len(pc) - 1
+    out = [zero] * (n - m + 1)
+    for j, pj in enumerate(pc):
+        if not pj:
+            continue
+        for i in range(j, n - m + j + 1):
+            ci = fc[i]
+            if ci:
+                out[i - j] = out[i - j] + pj * ci * (perm(n - i, m - j) * perm(i, j))
+    return out
+
+
 def diff_op(p: HomPoly, f: HomPoly) -> HomPoly:
-    """Apply p(D), the operator with x -> d/dx and y -> d/dy, to f."""
+    """Apply p(D), the operator with x -> d/dx and y -> d/dy, to f.
+
+    On rational p and f the terms accumulate on their integer coefficient
+    lists and the two denominators are divided out once.
+    """
     m, n = p.degree, f.degree
     if m > n:
         raise ValueError(f"operator degree {m} exceeds polynomial degree {n}")
-    out = [Fraction(0)] * (n - m + 1)
-    for j, pj in enumerate(p.coeffs):
-        if not pj:
-            continue
-        # d^(m-j)/dx^(m-j) d^j/dy^j acting on x^(n-i) y^i
-        for i, ci in enumerate(f.coeffs):
-            if not ci or i < j or n - i < m - j:
-                continue
-            k = perm(n - i, m - j) * perm(i, j)
-            out[i - j] = out[i - j] + pj * ci * k
-    return HomPoly(n - m, out)
+    if p.is_rational() and f.is_rational():
+        pc, den_p = _integer_coeffs(p.coeffs)
+        fc, den_f = _integer_coeffs(f.coeffs)
+        return HomPoly(n - m, _fractions(_diff_terms(pc, fc, n, 0), den_p * den_f))
+    return HomPoly(n - m, _diff_terms(p.coeffs, f.coeffs, n, Fraction(0)))
 
 
 def pochhammer(a: Rational, n: int) -> Rational:
@@ -427,6 +487,34 @@ def _dehomogenize(f: HomPoly) -> tuple[int, int, list]:
     return f.degree - hi, lo, list(f.coeffs[lo : hi + 1])
 
 
+def _divide_rational(f: list, a: list) -> list[Fraction] | None:
+    """f / a for rational coefficient lists, or None when a does not divide f.
+
+    Both are scaled to integers and a is made primitive; by Gauss's lemma the
+    quotient of an integer list by a primitive one is integral when exact, so
+    the long division runs on ints and stops at the first leading
+    coefficient that does not divide.
+    """
+    f_int, den_f = _integer_coeffs(f)
+    a_int, den_a = _integer_coeffs(a)
+    content = gcd(*a_int)
+    a_int = [c // content for c in a_int]
+    m = len(a_int) - 1
+    lead = a_int[m]
+    rem = f_int
+    quot = [0] * max(len(f_int) - m, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + m], lead)
+        if r:
+            return None
+        if c:
+            quot[k] = c
+            rem[k : k + m] = [v - c * b for v, b in zip(rem[k : k + m], a_int)]
+    if any(rem[:m]):
+        return None
+    return _fractions(quot, den_f * content, den_a)
+
+
 def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
     """Exact cofactor g with a*g == f, or None when a does not divide f."""
     if a.is_zero():
@@ -439,7 +527,10 @@ def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
     fx, fy, fcore = _dehomogenize(f)
     if fx < ax or fy < ay:
         return None
-    quot = unipoly.div_exact(fcore, acore)
+    if a.is_rational() and f.is_rational():
+        quot = _divide_rational(fcore, acore)
+    else:
+        quot = unipoly.div_exact(fcore, acore)
     if quot is None:
         return None
     n = f.degree - a.degree
@@ -480,15 +571,22 @@ def min_weight(f: HomPoly) -> int:
     return _min_positive_support(f)
 
 
-def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
-    """d, d_perp and the largest c dividing every nonzero weight of f; d_perp
-    from the support of the MacWilliams image before its nonzero scale."""
+def _profile_and_image(f: HomPoly, q: Rational) -> tuple[WeightProfile, HomPoly]:
+    """`weight_profile(f, q)` and the unscaled MacWilliams image that d_perp is
+    read from, so that `families.is_fwe` expands the image once."""
     d = min_weight(f)
     divisibility = 0
     for i in f.support():
         divisibility = gcd(divisibility, i)
-    d_perp = _min_positive_support(_unscaled_macwilliams(f, _check_q(q)))
-    return WeightProfile(d=d, d_perp=d_perp, divisibility=divisibility)
+    image = _unscaled_macwilliams(f, _check_q(q))
+    return WeightProfile(d=d, d_perp=_min_positive_support(image),
+                         divisibility=divisibility), image
+
+
+def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
+    """d, d_perp and the largest c dividing every nonzero weight of f; d_perp
+    from the support of the MacWilliams image before its nonzero scale."""
+    return _profile_and_image(f, q)[0]
 
 
 # -- parsing / printing -----------------------------------------------------------

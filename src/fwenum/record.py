@@ -6,7 +6,8 @@ class Record:
 
     Fields are given positionally in slot order or by name; a field given
     neither way takes its value from the class's `_defaults`.  Records compare
-    and hash by identity unless the subclass defines otherwise.
+    and hash by identity unless the subclass defines otherwise, and copy and
+    pickle by calling the class on their field values.
     """
 
     __slots__ = ()
@@ -38,3 +39,9 @@ class Record:
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuild through the constructor, which takes the fields in slot order
+        # (HomPoly, Mat2, QuadElem and ZetaPoly too); the default slot-state
+        # restore would call __setattr__
+        return type(self), tuple([getattr(self, field) for field in type(self).__slots__])

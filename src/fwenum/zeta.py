@@ -1157,14 +1157,29 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
 
 
 def _proportionality(f: HomPoly, g: HomPoly):
-    """Scalar c with g == c*f, or None; f must be nonzero."""
+    """Scalar c with g == c*f, or None; f must be nonzero.
+
+    With f_k the first nonzero coefficient of f, g == c*f exactly when
+    g_i f_k == g_k f_i for every i; rational lists are compared so on their
+    integer forms, without building c*f.
+    """
     if f.is_zero():
         return None
     if f.degree != g.degree:
         return None
     idx = f.support()[0]
-    c = g.coeffs[idx] / f.coeffs[idx]
-    return c if g == f * c else None
+    fc, gc = f.coeffs, g.coeffs
+    if f.is_rational() and g.is_rational():
+        fc, gc = _integer_coeffs(fc)[0], _integer_coeffs(gc)[0]
+    fk, gk = fc[idx], gc[idx]
+    if any(gi * fk != gk * fi for fi, gi in zip(fc, gc)):
+        return None
+    return g.coeffs[idx] / f.coeffs[idx]
+
+
+def _scales_by(f: HomPoly, g: HomPoly, c) -> bool:
+    """g == c*f for a nonzero scalar c, decided without building c*f."""
+    return g.is_zero() if f.is_zero() else _proportionality(f, g) == c
 
 
 def _coprime(a: HomPoly, b: HomPoly) -> bool:
@@ -1217,7 +1232,7 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
     c3 = _proportionality(a, a_sigma) if a is not None else None
 
     image = diff_op(p, big_a)
-    part1 = act_matrix(image, sigma) == image * (c2 / c1)
+    part1 = _scales_by(image, act_matrix(image, sigma), c2 / c1)
 
     part2_applicable = part2_ok = False
     coprime_applicable = coprime_ok = False
@@ -1233,7 +1248,7 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
                 coprime_ok = divide_exact(a * a_sigma, image) is not None
             if c3:
                 part3_applicable = True
-                part3_ok = act_matrix(cof, sigma) == cof * (c2 / (c1 * c3))
+                part3_ok = _scales_by(cof, act_matrix(cof, sigma), c2 / (c1 * c3))
     return DuursmaOkudaResult(
         True, "", c1, c2, c3, part1, part2_applicable, part2_ok,
         coprime_applicable, coprime_ok, part3_applicable, part3_ok,

@@ -338,6 +338,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "lemma-duursma", "--samples", "15")
         assert code == 0 and "15/15 pass" in out
 
+    # the exact reports at the benchmark's suite size: the instance counts move
+    # with any change in the suites' random draws or in which parts apply
+    @pytest.mark.parametrize("seed,seen", [(1, 190), (2, 188), (3, 205)])
+    def test_suite_reports_pinned(self, capsys, seed, seen):
+        args = ("--samples", "150", "--seed", str(seed))
+        okuda = (f"part (i): {seen}/{seen} pass\npart (ii): {seen}/{seen} pass\n"
+                 "part (iii): 150/150 pass\n")
+        assert run(capsys, "verify", "th-duursma-okuda", *args)[:2] == (0, okuda)
+        assert run(capsys, "verify", "lemma-duursma", *args)[:2] == (0, "150/150 pass\n")
+
     def test_star(self, capsys):
         code, out, _ = run(capsys, "verify", "star", "--family", "q43", "-n", "12")
         assert code == 0

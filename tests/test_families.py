@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwenum import families
+from fwenum import families, homopoly
 from fwenum.families import (
     FAMILIES,
     Bound,
@@ -361,6 +361,19 @@ class TestIsFwe:
     def test_divisibility_mismatch(self, printed):
         res = is_fwe(printed["w11"], 4, 4)  # weights 4,6,8,10: gcd 2, not 4
         assert not res.ok and res.sign == -1
+
+    def test_one_macwilliams_expansion(self, monkeypatch):
+        # d_perp and the sign are both read off one unscaled image
+        f = extremal(family("type1"), 40)
+        degrees = []
+        act = homopoly.act_matrix
+        monkeypatch.setattr(homopoly, "act_matrix",
+                            lambda g, sigma: degrees.append(g.degree) or act(g, sigma))
+        res = is_fwe(f, 2, 4)
+        assert degrees == [40]
+        assert (res.ok, res.reason) == (False, "weights are not divisible by 4")
+        assert (res.sign, res.profile.d_perp) == (transform_sign(f, 2),
+                                                  weight_profile(f, 2).d_perp) == (-1, 10)
 
 
 class TestBurmann:

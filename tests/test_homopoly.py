@@ -273,6 +273,116 @@ class TestDiffOp:
         assert verify_duursma_lemma(p, big_a, sigma)
 
 
+def reference_diff_op(p, f):
+    """p(D) f term by term on the scalars given: c x^(m-j) y^j of p takes
+    x^a y^b of f to c (a)_(m-j) (b)_j x^(a-m+j) y^(b-j), falling factorials."""
+    m, n = p.degree, f.degree
+    out = HomPoly.zero(n - m)
+    for j, pj in enumerate(p.coeffs):
+        for i, ci in enumerate(f.coeffs):
+            a, b = n - i, i
+            if not (pj and ci) or a < m - j or b < j:
+                continue
+            k = 1
+            for t in range(m - j):
+                k *= a - t
+            for t in range(j):
+                k *= b - t
+            out = out + HomPoly.monomial(a - m + j, b - j, pj * ci * k)
+    return out
+
+
+class TestDiffOpAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(hom_polys(max_degree=4), hom_polys(min_degree=4, max_degree=12))
+    def test_rational(self, p, f):
+        assert diff_op(p, f) == reference_diff_op(p, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 3), st.integers(3, 9), st.sampled_from([2, 3, 5]))
+    def test_quadratic(self, data, m, n, rad):
+        scalars = st.one_of(fractions, st.builds(lambda a, b: QuadElem(a, b, rad),
+                                                 fractions, fractions))
+        p = HomPoly(m, [data.draw(scalars) for _ in range(m + 1)])
+        f = HomPoly(n, [data.draw(scalars) for _ in range(n + 1)])
+        assert diff_op(p, f) == reference_diff_op(p, f)
+
+    def test_one_denominator_per_operand(self):
+        p = parse_poly("1/2*x^2 + 1/3*y^2")
+        f = parse_poly("3/4*x^4 + 5/7*x^2*y^2 + y^4")
+        assert diff_op(p, f) == reference_diff_op(p, f) == parse_poly(
+            "209/42*x^2 + 33/7*y^2")
+
+
+def reference_quotient(a, f):
+    """The cofactor g of degree n - m with a*g == f, by Fraction long division
+    of f(1, y) by a(1, y); None when it leaves a remainder or needs y^k with
+    k > n - m."""
+    num = list(f.coeffs)
+    den = list(a.coeffs)
+    while not den[-1]:
+        den.pop()
+    quot = [Fraction(0)] * (f.degree - a.degree + 1)
+    while True:
+        while num and not num[-1]:
+            num.pop()
+        if len(num) < len(den):
+            break
+        k = len(num) - len(den)
+        if k >= len(quot):
+            return None
+        c = num[-1] / den[-1]
+        quot[k] = c
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    return None if num else HomPoly(f.degree - a.degree, quot)
+
+
+@st.composite
+def divisors(draw):
+    """x^i y^j * c * core with core an integer list times a content of 1, 2 or
+    6 whose end coefficients are rarely +-1, and c a nonzero rational."""
+    m = draw(st.integers(0, 3))
+    core = [draw(st.integers(-6, 6)) for _ in range(m + 1)]
+    core[0], core[-1] = core[0] or 2, core[-1] or -3
+    content = draw(st.sampled_from([1, 2, 6]))
+    c = draw(fractions.filter(bool))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return HomPoly.monomial(i, j) * HomPoly(m, [v * content for v in core]) * c
+
+
+class TestDivideExactAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(divisors(), hom_polys(max_degree=5).filter(lambda g: not g.is_zero()))
+    def test_cofactor_of_a_product(self, a, g):
+        assert divide_exact(a, a * g) == g == reference_quotient(a, a * g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(divisors(), hom_polys(min_degree=2, max_degree=8))
+    def test_verdict_matches_long_division(self, a, f):
+        if a.degree <= f.degree and not f.is_zero():
+            assert divide_exact(a, f) == reference_quotient(a, f)
+
+    @pytest.mark.parametrize("a,g", [
+        ("6*x + 4*y", "x^2 - 1/5*y^2"),             # content 2
+        ("3*x^2 + 2*x*y - 5*y^2", "7/2*x - y"),     # leading coefficient 3 and -5
+        ("1/6*x^3*y - 1/4*x^2*y^2", "2*x^2 + y^2"),  # x^2 y factor, rational core
+    ])
+    def test_named_divisors(self, a, g):
+        a, g = parse_poly(a), parse_poly(g)
+        assert divide_exact(a, a * g) == g
+
+    @pytest.mark.parametrize("a,f", [
+        ("3*x + 2*y", "x^2 + y^2"),              # 3 does not divide the first step
+        ("4*x + 6*y", "x^2 + y^2"),              # content 2, then 3 does not divide
+        ("x*y^2", "x^3 + x*y^2"),                # y^2 does not divide
+        ("x + y", "x^3 + 2*x^2*y + 2*x*y^2"),    # remainder in the last step
+    ])
+    def test_non_divisors(self, a, f):
+        a, f = parse_poly(a), parse_poly(f)
+        assert divide_exact(a, f) is None is reference_quotient(a, f)
+
+
 class TestDivideExact:
     def test_constructed_product(self):
         assert divide_exact(parse_poly("x*y"), parse_poly("x^3*y + x*y^3")) == \

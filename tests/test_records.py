@@ -2,8 +2,10 @@
 compare and hash by value, by identity or not at all, and the one repr that
 an ordering depends on."""
 
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 
 import fwenum
 from fwenum.families import Bound, FamilySpec, bound, family, is_fwe, _gen_power
-from fwenum.homopoly import Mat2, WeightProfile, parse_poly, weight_profile
+from fwenum.homopoly import HomPoly, Mat2, WeightProfile, parse_poly, weight_profile
 from fwenum.matgroup import (
     MatrixGroup,
     RationalFunctionSeries,
@@ -19,6 +21,7 @@ from fwenum.matgroup import (
 )
 from fwenum.pipeline import scan_degree, scan_family
 from fwenum.record import Record
+from fwenum.scalar import QuadElem
 from fwenum.zeta import (
     DivisibilityCheck,
     DuursmaOkudaResult,
@@ -189,3 +192,35 @@ def test_every_slotted_class_is_a_record():
         elif issubclass(cls, Record) or own_slots:
             assert issubclass(cls, Record) and own_slots, cls.__name__
         assert "__setattr__" not in vars(cls), cls.__name__
+
+
+# one instance of every record class
+INSTANCES = {name: make for name, (make, _) in FROZEN.items()} | {
+    "HomPoly": lambda: parse_poly("x^3 - 1/2*x*y^2"),
+    "QuadElem": lambda: QuadElem(F(1, 2), -3, 5),
+}
+
+
+def _value(x):
+    """x with every record that compares by identity replaced by its class and
+    the values of its fields, recursively."""
+    if isinstance(x, Record) and type(x).__eq__ is object.__eq__:
+        return type(x), tuple(_value(getattr(x, field)) for field in type(x).__slots__)
+    if isinstance(x, (tuple, list)):
+        return type(x)(_value(v) for v in x)
+    return x
+
+
+def test_instances_cover_every_record_class():
+    records = {cls.__name__ for cls in _package_classes()
+               if issubclass(cls, Record) and cls is not Record}
+    assert set(INSTANCES) == records and HomPoly.__name__ in records
+
+
+@pytest.mark.parametrize("make", INSTANCES.values(), ids=INSTANCES.keys())
+def test_copy_deepcopy_and_pickle_give_equal_records(make):
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin is not record
+        assert _value(twin) == _value(record)

@@ -30,6 +30,7 @@ from fwenum.homopoly import (
 from fwenum.scalar import simplify, sqrt_rational
 from fwenum.zeta import (
     DIFF_OPERATORS,
+    _proportionality,
     RHConvergenceError,
     ZetaPoly,
     functional_equation_check,
@@ -1282,6 +1283,36 @@ def test_identities_reject_undecomposable_degree(fam_name, n, delta, verifier):
     with pytest.raises(ValueError,
                        match=rf"^degree does not decompose as {delta}\(d-1\) \+ 2v$"):
         verifier(w, fam)
+
+
+class TestProportionality:
+    @pytest.mark.parametrize("c", [F(-3, 7), F(5), F(1)])
+    def test_proportional_pair(self, c):
+        f = parse_poly("2/3*x^3*y - x*y^3 + 5*y^4")
+        assert _proportionality(f, f * c) == c
+
+    def test_not_proportional(self):
+        f = parse_poly("x^2 + 1/2*x*y")
+        assert _proportionality(f, parse_poly("2*x^2 + x*y + y^2")) is None
+        assert _proportionality(f, parse_poly("2*x^2 + 2*x*y")) is None
+        assert _proportionality(parse_poly("x*y + y^2"), parse_poly("x^2 + x*y + y^2")) is None
+
+    def test_zero(self):
+        f = parse_poly("x^2 - y^2")
+        assert _proportionality(f, HomPoly.zero(2)) == 0
+        assert _proportionality(HomPoly.zero(2), f) is None
+
+    def test_degree_mismatch(self):
+        assert _proportionality(parse_poly("x^2"), parse_poly("x^3")) is None
+
+    def test_quadratic(self):
+        r2 = sqrt_rational(F(2))[0]
+        f = parse_poly("x^2 + 3*x*y - y^2")
+        assert _proportionality(f, f * r2) == r2
+        g = HomPoly(2, [r2, 3 * r2, F(-1)])
+        assert _proportionality(f, g) is None
+        assert _proportionality(g, g * F(2, 3)) == F(2, 3)
+        assert _proportionality(g, g * r2) == r2
 
 
 class TestDuursmaOkuda:
