@@ -28,10 +28,9 @@ from .homopoly import (
     HomPoly,
     _check_q,
     _convolve,
-    _fractions,
     _image_sign,
-    _integer_coeffs,
     _profile_and_image,
+    _rational,
     parse_poly,
     transform_sign,
 )
@@ -426,9 +425,9 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
     space = _cancellation_space(fam, n, d_target)
     if not space:
         return None
-    # the members on one common denominator, combined on ints
-    flat, _ = _integer_coeffs([c for member in space for c in member.coeffs])
-    rows = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
+    # the members' stored integers on one common denominator, combined on ints
+    den = lcm(*[member._den for member in space])
+    rows = [[v * (den // member._den) for v in member._nums] for member in space]
     for _ in range(32):
         w = [0] * (n + 1)
         for row in rows:
@@ -436,7 +435,7 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
             w = [a + r * b for a, b in zip(w, row)]
         lead = w[0]
         if lead and w[d_target]:
-            return HomPoly(n, _fractions(w, lead))
+            return _rational(n, w, lead)
     return None
 
 

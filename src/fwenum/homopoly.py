@@ -1,21 +1,23 @@
 """Homogeneous bivariate polynomial algebra over exact scalars.
 
-A ``HomPoly`` of degree n stores n+1 coefficients indexed by the exponent of
-y, so ``coeffs[i]`` multiplies x^(n-i) y^i.  The zero polynomial keeps its
+A ``HomPoly`` of degree n has n+1 coefficients indexed by the exponent of y,
+so ``coeffs[i]`` multiplies x^(n-i) y^i.  The zero polynomial keeps its
 degree so that degree contracts of the differential operators stay total.
 Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
 MacWilliams transforms, matrix actions over a quadratic extension).
 
-Products, matrix actions, p(D) and exact division on rational polynomials
-run on Python ints: each rational operand is scaled to integers by the lcm of
-its denominators, the convolution (`_convolve`, which also serves the
-truncated series products of `families.extremal`), expansion, derivative sum
-or long division runs on ints, and one Fraction is built per output
-coefficient.  A matrix that is a scalar multiple lam * M of a rational M, such
-as sigma_q(q), acts as lam^n times the integer action of M.  Only other
-irrational matrices, and polynomials with irrational coefficients, run on
-Fraction / QuadElem scalars: actions in the Horner loop, products in
-`unipoly.mul`, division in `unipoly.div_exact`.
+A rational polynomial is stored as integer numerators over one positive
+denominator in lowest terms; `coeffs`, the tuple of Fractions, is built from
+them on first read.  Sums, scalar and polynomial products, matrix actions,
+p(D) and exact division of rational polynomials read those integers and
+build their results from integers (the convolution `_convolve` also serves
+the truncated series products of `families.extremal`), with one gcd
+normalisation per result and no Fraction in between.  A matrix that is a
+scalar multiple lam * M of a rational M, such as sigma_q(q), acts as lam^n
+times the integer action of M.  Only other irrational matrices, and
+polynomials with irrational coefficients, which keep their coefficient
+tuple, run on Fraction / QuadElem scalars: actions in the Horner loop,
+products in `unipoly.mul`, division in `unipoly.div_exact`.
 """
 
 from __future__ import annotations
@@ -67,16 +69,10 @@ def _norm_scalar(c):
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:
     """Rational coefficients as (ints, den) with ints[i] / den == coeffs[i],
-    den the lcm of their denominators."""
+    den the lcm of their denominators (so gcd(den, *ints) == 1)."""
     dens = [c.denominator for c in coeffs]  # a list: see HomPoly.__init__
     den = lcm(*dens)
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
-
-
-def _fractions(ints: list[int], scale: int, c=1) -> list[Fraction]:
-    """[v * c / scale for v in ints] for a rational c, one normalisation each."""
-    num, den = c.numerator, scale * c.denominator
-    return [Fraction(v * num, den) for v in ints]
 
 
 def _convolve(left: list[int], right: list[int], limit: int | None = None) -> list[int]:
@@ -94,9 +90,16 @@ def _convolve(left: list[int], right: list[int], limit: int | None = None) -> li
 
 
 class HomPoly(Record):
-    """Homogeneous polynomial sum(coeffs[i] * x^(n-i) y^i, i = 0..n)."""
+    """Homogeneous polynomial sum(coeffs[i] * x^(n-i) y^i, i = 0..n).
 
-    __slots__ = ("degree", "coeffs")
+    A rational polynomial keeps `_nums`, a tuple of integer numerators, over
+    `_den` > 0 with gcd(_den, *_nums) == 1, so equal polynomials store equal
+    integers; `_coeffs` caches the Fraction tuple once `coeffs` is read.  A
+    polynomial with an irrational coefficient keeps only `_coeffs`, and
+    `_nums` and `_den` are None.
+    """
+
+    __slots__ = ("degree", "_nums", "_den", "_coeffs")
 
     def __init__(self, degree: int, coeffs):
         # built from a list, not a generator: a tuple made from a generator
@@ -110,14 +113,30 @@ class HomPoly(Record):
             raise ValueError(
                 f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        nums = den = None
+        if not any(isinstance(c, QuadElem) for c in coeffs):
+            nums, den = _integer_coeffs(coeffs)
+            nums = tuple(nums)
+        _store(self, degree, nums, den, coeffs)
+
+    def __reduce__(self):
+        # the slots are not the constructor's arguments
+        return HomPoly, (self.degree, self.coeffs)
+
+    @property
+    def coeffs(self) -> tuple:
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self._den
+            coeffs = tuple([Fraction(v, den) for v in self._nums])
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree, [Fraction(0)] * (degree + 1))
+        return _rational(degree, [0] * (degree + 1), 1)
 
     @classmethod
     def from_terms(cls, degree: int, terms: dict) -> "HomPoly":
@@ -133,29 +152,35 @@ class HomPoly(Record):
 
     @classmethod
     def one(cls) -> "HomPoly":
-        return cls(0, [Fraction(1)])
+        return _rational(0, [1], 1)
 
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.coeffs if self._nums is None else self._nums)
 
     def is_rational(self) -> bool:
-        return all(not isinstance(c, QuadElem) for c in self.coeffs)
+        return self._nums is not None
 
     def support(self) -> list[int]:
         """y-exponents with a nonzero coefficient."""
-        return [i for i, c in enumerate(self.coeffs) if c]
+        values = self.coeffs if self._nums is None else self._nums
+        return [i for i, c in enumerate(values) if c]
 
     def __eq__(self, other):
         if not isinstance(other, HomPoly):
             return NotImplemented
-        return self.degree == other.degree and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        if self.degree != other.degree:
+            return False
+        if self._nums is not None or other._nums is not None:
+            # an irrational coefficient never equals a rational one
+            return self._den == other._den and self._nums == other._nums
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        if self._nums is None:
+            return hash((self.degree, self.coeffs))
+        return hash((self.degree, self._den, self._nums))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -164,6 +189,12 @@ class HomPoly(Record):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degree")
+        if self._nums is not None and other._nums is not None:
+            den = lcm(self._den, other._den)
+            ls, lo = den // self._den, den // other._den
+            return _rational(
+                self.degree, [a * ls + b * lo for a, b in zip(self._nums, other._nums)], den
+            )
         return HomPoly(
             self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -174,18 +205,21 @@ class HomPoly(Record):
         return self + (-other)
 
     def __neg__(self):
+        if self._nums is not None:
+            return _rational(self.degree, [-v for v in self._nums], self._den)
         return HomPoly(self.degree, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and self._nums is not None:
+            return _rational(self.degree, [v * other.numerator for v in self._nums],
+                             self._den * other.denominator)
         if isinstance(other, (int, Fraction, QuadElem)):
             return HomPoly(self.degree, [c * other for c in self.coeffs])
         if not isinstance(other, HomPoly):
             return NotImplemented
         n = self.degree + other.degree
-        if self.is_rational() and other.is_rational():
-            left, den_l = _integer_coeffs(self.coeffs)
-            right, den_r = _integer_coeffs(other.coeffs)
-            return HomPoly(n, _fractions(_convolve(left, right), den_l * den_r))
+        if self._nums is not None and other._nums is not None:
+            return _rational(n, _convolve(self._nums, other._nums), self._den * other._den)
         out = unipoly.mul(self.coeffs, other.coeffs)
         return HomPoly(n, out + [Fraction(0)] * (n + 1 - len(out)))
 
@@ -225,6 +259,26 @@ class HomPoly(Record):
     def from_json(cls, text: str) -> "HomPoly":
         obj = json.loads(text)
         return cls(obj["degree"], [Fraction(c) for c in obj["coeffs"]])
+
+
+def _store(f: HomPoly, degree: int, nums, den, coeffs) -> HomPoly:
+    object.__setattr__(f, "degree", degree)
+    object.__setattr__(f, "_nums", nums)
+    object.__setattr__(f, "_den", den)
+    object.__setattr__(f, "_coeffs", coeffs)
+    return f
+
+
+def _rational(degree: int, nums: list[int], den: int) -> HomPoly:
+    """The rational HomPoly with coefficients nums[i] / den (den != 0), in
+    lowest terms."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return _store(object.__new__(HomPoly), degree, tuple(nums), den, None)
 
 
 class Mat2(Record):
@@ -357,13 +411,15 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
 
     When f is rational and sigma = lam * M with M rational (lam = 1 for a
-    rational sigma), both f and M are scaled to integers, the expansion runs
-    on Python ints, and the common denominator and lam^n are applied once per
-    coefficient.  For an irrational sigma the split and lam^n are cached, per
-    matrix and per (lam, n); a rational sigma is cheaper to scale than to
-    look up.  Only a sigma with entries of the form a + b*sqrt(D) that are
-    not one common multiple of a rational matrix, or an f with irrational
-    coefficients, takes the generic Horner loop on Fraction / QuadElem scalars.
+    rational sigma), M is scaled to integers and the expansion runs on the
+    stored integers of f; the result is those integers over f's denominator
+    times M's to the n, times lam^n: a rational lam^n goes into the integers
+    and the denominator, an irrational one gives one QuadElem per coefficient.
+    For an irrational sigma the split and lam^n are cached, per matrix and
+    per (lam, n); a rational sigma is cheaper to scale than to look up.  Only
+    a sigma with entries of the form a + b*sqrt(D) that are not one common
+    multiple of a rational matrix, or an f with irrational coefficients,
+    takes the generic Horner loop on Fraction / QuadElem scalars.
     """
     n = f.degree
     entries = (sigma.a, sigma.b, sigma.c, sigma.d)
@@ -376,16 +432,21 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     if split is None:
         return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
     lam, ints, den_s = split
-    coeffs, den_f = _integer_coeffs(f.coeffs)
-    out = _act_horner(coeffs, *ints, 1)
-    scale = den_f * den_s**n
+    out = _act_horner(f._nums, *ints, 1)
+    scale = f._den * den_s**n
     lam_n = 1 if lam is None else _scalar_power(lam, n)
     if isinstance(lam_n, QuadElem):
+        a, b = lam_n.a, lam_n.b
+        den_a, den_b = scale * a.denominator, scale * b.denominator
         return HomPoly(n, [
-            QuadElem(a, b, lam_n.d)
-            for a, b in zip(_fractions(out, scale, lam_n.a), _fractions(out, scale, lam_n.b))
+            QuadElem(Fraction(v * a.numerator, den_a), Fraction(v * b.numerator, den_b),
+                     lam_n.d)
+            for v in out
         ])
-    return HomPoly(n, _fractions(out, scale, lam_n))
+    if lam_n != 1:
+        out = [v * lam_n.numerator for v in out]
+        scale *= lam_n.denominator
+    return _rational(n, out, scale)
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
@@ -449,16 +510,14 @@ def _diff_terms(pc, fc, n: int, zero) -> list:
 def diff_op(p: HomPoly, f: HomPoly) -> HomPoly:
     """Apply p(D), the operator with x -> d/dx and y -> d/dy, to f.
 
-    On rational p and f the terms accumulate on their integer coefficient
-    lists and the two denominators are divided out once.
+    On rational p and f the terms accumulate on their stored integers, over
+    the product of the two denominators.
     """
     m, n = p.degree, f.degree
     if m > n:
         raise ValueError(f"operator degree {m} exceeds polynomial degree {n}")
     if p.is_rational() and f.is_rational():
-        pc, den_p = _integer_coeffs(p.coeffs)
-        fc, den_f = _integer_coeffs(f.coeffs)
-        return HomPoly(n - m, _fractions(_diff_terms(pc, fc, n, 0), den_p * den_f))
+        return _rational(n - m, _diff_terms(p._nums, f._nums, n, 0), p._den * f._den)
     return HomPoly(n - m, _diff_terms(p.coeffs, f.coeffs, n, Fraction(0)))
 
 
@@ -476,68 +535,78 @@ def pochhammer(a: Rational, n: int) -> Rational:
 # -- exact division --------------------------------------------------------------
 
 
-def _dehomogenize(f: HomPoly) -> tuple[int, int, list]:
+def _dehomogenize(f: HomPoly, values) -> tuple[int, int, list]:
     """Split f = x^xpow y^ypow * core; returns (xpow, ypow, core coeff list).
 
-    The core list is indexed by the y-exponent and has nonzero first and last
-    entries; f must be nonzero.
+    `values` are f's coefficients, or its stored integers; the core list is
+    their slice from the first to the last nonzero one, indexed by the
+    y-exponent.  f must be nonzero.
     """
     idx = f.support()
     lo, hi = idx[0], idx[-1]
-    return f.degree - hi, lo, list(f.coeffs[lo : hi + 1])
+    return f.degree - hi, lo, list(values[lo : hi + 1])
 
 
-def _divide_rational(f: list, a: list) -> list[Fraction] | None:
-    """f / a for rational coefficient lists, or None when a does not divide f.
+def _divide_ints(f: list[int], a: list[int]) -> tuple[list[int], int] | None:
+    """(quot, content) with f == quot * (a / content) for integer lists,
+    content the gcd of a, or None when a does not divide f.
 
-    Both are scaled to integers and a is made primitive; by Gauss's lemma the
-    quotient of an integer list by a primitive one is integral when exact, so
-    the long division runs on ints and stops at the first leading
-    coefficient that does not divide.
+    a is made primitive; by Gauss's lemma the quotient of an integer list by
+    a primitive one is integral when exact, so the long division runs on
+    ints and stops at the first leading coefficient that does not divide.
+    f is consumed as the remainder.
     """
-    f_int, den_f = _integer_coeffs(f)
-    a_int, den_a = _integer_coeffs(a)
-    content = gcd(*a_int)
-    a_int = [c // content for c in a_int]
-    m = len(a_int) - 1
-    lead = a_int[m]
-    rem = f_int
-    quot = [0] * max(len(f_int) - m, 0)
+    content = gcd(*a)
+    a = [c // content for c in a]
+    m = len(a) - 1
+    lead = a[m]
+    rem = f
+    quot = [0] * max(len(f) - m, 0)
     for k in range(len(quot) - 1, -1, -1):
         c, r = divmod(rem[k + m], lead)
         if r:
             return None
         if c:
             quot[k] = c
-            rem[k : k + m] = [v - c * b for v, b in zip(rem[k : k + m], a_int)]
+            rem[k : k + m] = [v - c * b for v, b in zip(rem[k : k + m], a)]
     if any(rem[:m]):
         return None
-    return _fractions(quot, den_f * content, den_a)
+    return quot, content
 
 
 def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
-    """Exact cofactor g with a*g == f, or None when a does not divide f."""
+    """Exact cofactor g with a*g == f, or None when a does not divide f.
+
+    Both are split off their powers of x and y.  On rational a and f the
+    cores are slices of the stored integers, divided by `_divide_ints`, and
+    g is the integer quotient times den_a / (den_f * content(core of a)).
+    """
     if a.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.degree > f.degree:
         raise ValueError("divisor degree exceeds dividend degree")
     if f.is_zero():
         return HomPoly.zero(f.degree - a.degree)
-    ax, ay, acore = _dehomogenize(a)
-    fx, fy, fcore = _dehomogenize(f)
+    rational = a.is_rational() and f.is_rational()
+    ax, ay, acore = _dehomogenize(a, a._nums if rational else a.coeffs)
+    fx, fy, fcore = _dehomogenize(f, f._nums if rational else f.coeffs)
     if fx < ax or fy < ay:
         return None
-    if a.is_rational() and f.is_rational():
-        quot = _divide_rational(fcore, acore)
-    else:
-        quot = unipoly.div_exact(fcore, acore)
+    n = f.degree - a.degree
+    dy = fy - ay
+    if rational:
+        divided = _divide_ints(fcore, acore)
+        if divided is None:
+            return None
+        quot, content = divided
+        nums = [0] * (n + 1)
+        nums[dy : dy + len(quot)] = [v * a._den for v in quot]
+        return _rational(n, nums, f._den * content)
+    quot = unipoly.div_exact(fcore, acore)
     if quot is None:
         return None
-    n = f.degree - a.degree
     coeffs = [Fraction(0)] * (n + 1)
-    dy = fy - ay
-    for k, c in enumerate(quot):
-        coeffs[dy + k] = c
+    coeffs[dy : dy + len(quot)] = quot
     return HomPoly(n, coeffs)
 
 
@@ -551,8 +620,8 @@ class WeightProfile(Record):
 
 
 def _min_positive_support(f: HomPoly) -> int:
-    for i in range(1, f.degree + 1):
-        if f.coeffs[i]:
+    for i in f.support():
+        if i:
             return i
     raise ValueError("polynomial has no positive-weight term")
 

@@ -42,6 +42,6 @@ class Record:
 
     def __reduce__(self):
         # rebuild through the constructor, which takes the fields in slot order
-        # (HomPoly, Mat2, QuadElem and ZetaPoly too); the default slot-state
-        # restore would call __setattr__
+        # (Mat2, QuadElem and ZetaPoly too; HomPoly overrides this); the
+        # default slot-state restore would call __setattr__
         return type(self), tuple([getattr(self, field) for field in type(self).__slots__])

@@ -1,9 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fwenum.homopoly import (
     HomPoly,
@@ -410,6 +411,165 @@ class TestDivideExact:
         got = divide_exact(a, f)
         if got is not None:
             assert a * got == f
+
+
+def assert_canonical(f):
+    """f's stored integers are in lowest terms over a positive denominator,
+    its coefficients are Fractions, and a rebuild from them equals f."""
+    assert f.is_rational()
+    assert type(f.coeffs) is tuple and all(type(c) is Fraction for c in f.coeffs)
+    assert f._den > 0 and gcd(f._den, *f._nums) == 1
+    assert f.coeffs == tuple(Fraction(v, f._den) for v in f._nums)
+    twin = HomPoly(f.degree, list(f.coeffs))
+    assert twin == f and hash(twin) == hash(f)
+
+
+def fraction_product(f, g):
+    """The coefficients of f * g by the Fraction convolution."""
+    out = [Fraction(0)] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+# (Fraction-built, kernel-built) pairs of the same polynomial
+SAME_POLY = {
+    "product": (lambda: parse_poly("1/3*x^2 + 3/2*x*y - 3*y^2"),
+                lambda: parse_poly("1/2*x + 3*y") * parse_poly("2/3*x - y")),
+    "power": (lambda: parse_poly("1/8*x^3 + 3/4*x^2*y + 3/2*x*y^2 + y^3"),
+              lambda: parse_poly("1/2*x + y") ** 3),
+    "rational action": (lambda: parse_poly("1/2*x^2 + x*y + 5/6*y^2"),
+                        lambda: act_matrix(parse_poly("1/2*x^2 + 1/3*y^2"),
+                                           Mat2(1, 1, 0, 1))),
+    "sigma_q(2) action": (lambda: HomPoly(2, [1, 0, 1]),
+                          lambda: act_matrix(parse_poly("x^2 + y^2"), sigma_q(2))),
+    "diff_op": (lambda: parse_poly("1/2*x^2 + 1/2*y^2"),
+                lambda: diff_op(parse_poly("1/2*y"), parse_poly("x^2*y + 1/3*y^3"))),
+    "divide_exact": (lambda: parse_poly("1/2*x - 1/4*y"),
+                     lambda: divide_exact(parse_poly("2*x + y"),
+                                          parse_poly("x^2 - 1/4*y^2"))),
+    "negation": (lambda: parse_poly("-1/2*x + y"), lambda: -parse_poly("1/2*x - y")),
+    "scalar": (lambda: HomPoly(1, [1, 2]), lambda: parse_poly("3*x + 6*y") * Fraction(1, 3)),
+    "zero": (lambda: HomPoly(2, [0, 0, 0]),
+             lambda: parse_poly("1/2*x^2 - y^2") - parse_poly("1/2*x^2 - y^2")),
+    "degree zero": (lambda: parse_poly("7/2"),
+                    lambda: HomPoly.one() * Fraction(-7, 2) * -1),
+    "QuadElem with no root": (lambda: parse_poly("2*x + y"),
+                              lambda: HomPoly(1, [QuadElem(2), QuadElem(1, 0, 3)])),
+}
+
+
+class TestIntegerStorage:
+    """Rational polys store integers over one denominator; whichever route
+    builds them, equal polys compare, hash, print and serialize alike."""
+
+    @pytest.mark.parametrize("built,computed", SAME_POLY.values(), ids=SAME_POLY.keys())
+    def test_same_poly_two_ways(self, built, computed):
+        left, right = built(), computed()
+        assert left == right and hash(left) == hash(right)
+        assert len({left, right}) == 1
+        assert left.coeffs == right.coeffs
+        for f in (left, right):
+            assert_canonical(f)
+        assert str(left) == str(right)
+        assert left.to_json() == right.to_json()
+        assert left.support() == right.support()
+
+    def test_integers_are_reduced_over_a_positive_denominator(self):
+        f = homopoly._rational(2, [2, 0, -4], -6)  # as member_with_min_weight divides by w[0]
+        assert (f._nums, f._den) == ((-1, 0, 2), 3)
+        assert f == parse_poly("-1/3*x^2 + 2/3*y^2")
+        assert_canonical(f)
+
+    def test_irrational_poly_keeps_its_tuple(self):
+        f = HomPoly(1, [QuadElem(0, 1, 2), 1])
+        assert not f.is_rational() and f._nums is None
+        assert f != HomPoly(1, [0, 1]) and f == HomPoly(1, [QuadElem(0, 1, 2), Fraction(1)])
+        assert hash(f) == hash(HomPoly(1, [QuadElem(0, 1, 2), Fraction(1)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        hom_polys(min_degree=n, max_degree=n), hom_polys(min_degree=n, max_degree=n))))
+    def test_sum_difference_negation(self, pair):
+        f, g = pair
+        for got, want in ((f + g, [a + b for a, b in zip(f.coeffs, g.coeffs)]),
+                          (f - g, [a - b for a, b in zip(f.coeffs, g.coeffs)]),
+                          (-f, [-a for a in f.coeffs])):
+            assert got.coeffs == tuple(want)
+            assert_canonical(got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(hom_polys(max_degree=8),
+           st.one_of(fractions, st.integers(-5, 5), st.just(0), st.just(Fraction(-3, 7))))
+    def test_scalar_product(self, f, c):
+        for got in (f * c, c * f):
+            assert got.coeffs == tuple(a * c for a in f.coeffs)
+            assert_canonical(got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_factors, rational_factors)
+    def test_product(self, f, g):
+        got = f * g
+        assert got.coeffs == fraction_product(f, g)
+        assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_polys(max_degree=4), st.integers(0, 5))
+    @example(HomPoly(1, [Fraction(1, 6), Fraction(5, 8)]), 5)  # denominators 6^5 8^5...
+    @example(HomPoly(1, [Fraction(2, 3), Fraction(4, 3)]), 4)  # ... and a content of 2^4
+    def test_power_comes_back_in_lowest_terms(self, f, k):
+        want = HomPoly.one()
+        for _ in range(k):
+            want = HomPoly(want.degree + f.degree, fraction_product(want, f))
+        got = f ** k
+        assert got.coeffs == want.coeffs
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_zero_of_each_degree(self, n):
+        zero = HomPoly.zero(n)
+        f = HomPoly(n, [Fraction(k - 3, k + 1) for k in range(n + 1)])
+        sigma = Mat2(Fraction(1, 2), 3, -1, Fraction(2, 5))
+        results = [zero, f * 0, f * Fraction(0), f - f, zero * f, -zero,
+                   act_matrix(zero, sigma), diff_op(HomPoly.one(), zero)]
+        results.append(divide_exact(parse_poly("2*x - 3*y"), zero * parse_poly("x")))
+        for got in results:
+            assert got.is_zero() and got.support() == []
+            assert got.degree in (n, 2 * n) and got == HomPoly.zero(got.degree)
+            assert got._den == 1 and set(got._nums) == {0}
+            assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_polys(max_degree=10), invertible_mats())
+    def test_action(self, f, m):
+        got = act_matrix(f, m)
+        assert got.coeffs == naive_action(f, m).coeffs
+        assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_polys(max_degree=3), hom_polys(min_degree=3, max_degree=9))
+    def test_diff_op(self, p, f):
+        got = diff_op(p, f)
+        assert got.coeffs == reference_diff_op(p, f).coeffs
+        assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(divisors(), hom_polys(max_degree=5))
+    def test_divide_exact(self, a, g):
+        got = divide_exact(a, a * g)
+        assert got.coeffs == g.coeffs
+        assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(divisors().filter(lambda a: a.degree), hom_polys(max_degree=4),
+           st.integers(0, 8), fractions.filter(bool))
+    def test_divide_exact_non_divisor(self, a, g, i, c):
+        # a*g plus one term: a divides it exactly when the long division does
+        f = a * g
+        f = f + HomPoly.monomial(f.degree - i % (f.degree + 1), i % (f.degree + 1), c)
+        assume(reference_quotient(a, f) is None)
+        assert divide_exact(a, f) is None
 
 
 class TestWeightProfile:
