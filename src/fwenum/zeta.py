@@ -651,15 +651,15 @@ def _conjugate_pairs(roots: list) -> list:
 
 
 def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
-    """The report of a certified root set, sorted by (re, im), with the
-    largest deviation of |root| from `target`, at the caller's mp precision.
+    """The report of a certified root set, given sorted by (re, im), with
+    the largest deviation of |root| from `target`, at the caller's mp
+    precision.
 
     Both paths list each non-real pair exactly conjugate, and |conj(z)| is
     |z| bit for bit, so the deviation is taken over the roots with im >= 0.
     """
     import mpmath as mp
 
-    roots.sort(key=lambda t: (t.real, t.imag))
     max_dev = max(abs(abs(z) - target) for z in roots if z.imag >= 0)
     return RHReport(
         roots=tuple(roots),
@@ -847,10 +847,13 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
                 f"{mp.nstr(ratio, 5)} * max sum |c_i| |z|^i exceeds 2^-{bits // 2}"
             )
         target = 1 / mp.sqrt(_mp_rational(q))
-        roots = [mp.mpc(sign * target) for sign in signs]
-        for zr, zi in upper:
+        # in (re, im) order with no mpf comparison: every upper root has
+        # |re| < 1/sqrt(q), and ldexp does not reorder the fixed-point ints
+        roots = [mp.mpc(-target) for sign in signs if sign < 0]
+        for zr, zi in sorted(upper):
             z = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
-            roots += [z, z.conjugate()]
+            roots += [z.conjugate(), z]
+        roots += [mp.mpc(target) for sign in signs if sign > 0]
         max_res = mp.ldexp(mp.sqrt(mp.mpf(max_res2)), -bits) / abs(int_p[-1])
         report = _rh_report(roots, target, max_res, tolerance, bits)
         return report if report.passed else None
@@ -976,6 +979,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                         f"{mp.nstr(max_res / scale, 5)} * max sum |c_i| |z|^i "
                         f"exceeds 2^-{prec // 2}"
                     )
+                roots.sort(key=lambda t: (t.real, t.imag))
                 return _rh_report(roots, target, max_res / abs_coeffs[-1],
                                   tolerance, prec)
         previous = roots
@@ -1222,7 +1226,15 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
     when a is supplied) are verified, not assumed; their failure is reported
     separately from a conclusion failure.
     """
-    c1 = _proportionality(p, act_matrix(p, sigma.transpose()))
+    a_sigma = act_matrix(a, sigma) if a is not None else None
+    return _duursma_okuda(p, act_matrix(p, sigma.transpose()), big_a, sigma, a, a_sigma)
+
+
+def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
+                   a: HomPoly | None, a_sigma: HomPoly | None) -> DuursmaOkudaResult:
+    """`verify_duursma_okuda` given p_image = p^(t sigma) and a_sigma =
+    a^sigma, which `run_duursma_okuda_suite` expands once per call."""
+    c1 = _proportionality(p, p_image)
     if c1 is None or not c1:
         return DuursmaOkudaResult(False, "p^(t sigma) is not proportional to p")
     c2 = _proportionality(big_a, act_matrix(big_a, sigma))
@@ -1230,7 +1242,6 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
         return DuursmaOkudaResult(False, "A^sigma is not proportional to A", c1)
     # a^sigma = c3 a is required by part (iii) only; without it parts (i)
     # and (ii) still apply
-    a_sigma = act_matrix(a, sigma) if a is not None else None
     c3 = _proportionality(a, a_sigma) if a is not None else None
 
     image = diff_op(p, big_a)
@@ -1303,7 +1314,16 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
                          parse_poly("x^2 - y^2")],
         },
     }
-    powers = {}  # (divisor base, exponent) -> its power, for this call only
+    # for this call only: (divisor base, exponent) -> its power, and
+    # (poly, matrix) -> its image for the transports that instances repeat,
+    # p^(t sigma) of the family operator and a^sigma of the divisor powers
+    powers, images = {}, {}
+
+    def transport(f: HomPoly, m: Mat2) -> HomPoly:
+        if (f, m) not in images:
+            images[f, m] = act_matrix(f, m)
+        return images[f, m]
+
     p1 = p2 = p3 = seen1 = seen2 = seen3 = 0
     failures = []
     count = 0
@@ -1324,7 +1344,9 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
         if key not in powers:
             powers[key] = base ** (d_target - 3)
         a = powers[key]
-        res = verify_duursma_okuda(DIFF_OPERATORS[fam_name], w, sigma, a=a)
+        p = DIFF_OPERATORS[fam_name]
+        res = _duursma_okuda(p, transport(p, sigma.transpose()), w, sigma, a,
+                             transport(a, sigma))
         count += 1
         if not res.preconditions_ok:
             failures.append((fam_name, n, d_target, res.failed_precondition))

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -200,6 +200,78 @@ class TestActMatrix:
         f = HomPoly(1, [QuadElem(0, 1, 3), Fraction(1)])
         with pytest.raises(MixedExtensionError):
             act_matrix(f, sigma_q(2))  # sqrt(2) entries against sqrt(3) coeffs
+
+
+def slot_bits(nums, m):
+    return 8 * homopoly._slot_bytes(nums, *m)
+
+
+@st.composite
+def packed_cases(draw):
+    """Integer coefficients of 3 to 1100 bits (so slots on both sides of the
+    packed cap) and an integer matrix, possibly singular or zero."""
+    n = draw(st.integers(0, 24))
+    size = 2 ** draw(st.sampled_from([3, 64, 600, 1100]))
+    nums = [draw(st.integers(-size, size)) for _ in range(n + 1)]
+    return nums, [draw(st.integers(-4, 4)) for _ in range(4)]
+
+
+class TestPackedAction:
+    """The Kronecker-packed integer action against the list Horner loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_cases())
+    @example(([0] * 7, [1, 1, 1, -1]))  # the zero polynomial
+    @example(([-5], [2, -3, 0, 4]))  # degree 0
+    @example(([3, -1, 4, 1, -5], [0, 0, 0, 0]))  # the zero matrix
+    @example(([2, 7, -1, 8], [2, 4, 1, 2]))  # singular, a = 2c and b = 2d
+    @example(([-1, 0, 2**900, -(2**900)], [0, -3, 4, 0]))  # a packed slot
+    @example(([2**1100, -1, 0, 5], [1, 1, 1, -1]))  # a slot above the cap
+    def test_matches_list_horner(self, case):
+        nums, m = case
+        width = homopoly._slot_bytes(nums, *m)
+        assert homopoly._act_packed(nums, *m, width) == homopoly._act_horner(nums, *m, 1)
+
+    def test_examples_land_on_both_sides_of_the_cap(self):
+        cap = homopoly._PACKED_SLOT_BITS
+        assert slot_bits([-1, 0, 2**900, -(2**900)], [0, -3, 4, 0]) <= cap
+        assert slot_bits([2**1100, -1, 0, 5], [1, 1, 1, -1]) > cap
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 129])
+    def test_unpack_extreme_digits(self, width):
+        top = 2 ** (8 * width - 1) - 1
+        digits = [top, -top, 0, -top, top, 0, 0]
+        packed = sum(r << (8 * width * i) for i, r in enumerate(digits))
+        assert homopoly._unpack(packed, len(digits), width) == digits
+        assert homopoly._unpack(0, 3, width) == [0, 0, 0]
+
+    def test_slot_holds_the_largest_coefficient(self):
+        # (x + y)^n: the middle coefficient C(n, n/2) is near the bound 2^n
+        m = [1, 1, 1, 1]
+        for n in range(0, 40):
+            nums = [0] * n + [1]
+            width = homopoly._slot_bytes(nums, *m)
+            out = homopoly._act_packed(nums, *m, width)
+            assert out == [comb(n, i) for i in range(n + 1)]
+            assert max(out).bit_length() < 8 * width
+
+    def test_act_matrix_above_the_cap_matches_naive(self):
+        rng = random.Random(24)
+        f = HomPoly(24, [Fraction(rng.randint(-(2**1000), 2**1000), rng.choice([1, 3, 7]))
+                         for _ in range(25)])
+        m = Mat2(Fraction(1, 2), 3, -1, Fraction(2, 5))
+        ints, _ = homopoly._integer_coeffs([m.a, m.b, m.c, m.d])
+        assert slot_bits(f._nums, ints) > homopoly._PACKED_SLOT_BITS
+        assert act_matrix(f, m) == naive_action(f, m)
+
+    def test_act_matrix_below_the_cap_matches_naive(self):
+        rng = random.Random(25)
+        f = HomPoly(24, [Fraction(rng.randint(-(2**800), 2**800), rng.choice([1, 3, 7]))
+                         for _ in range(25)])
+        m = Mat2(Fraction(1, 2), 3, -1, Fraction(2, 5))
+        ints, _ = homopoly._integer_coeffs([m.a, m.b, m.c, m.d])
+        assert slot_bits(f._nums, ints) <= homopoly._PACKED_SLOT_BITS
+        assert act_matrix(f, m) == naive_action(f, m)
 
 
 class TestMacwilliams:
