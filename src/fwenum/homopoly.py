@@ -22,9 +22,9 @@ products in `unipoly.mul`, division in `unipoly.div_exact`.
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
 coefficient of the result, so a step is a few C-level big-int operations
-instead of two per coefficient, and the result is decoded once.  Slots wider
-than 1024 bits, about where the packed loop stops winning, keep the loop on
-coefficient lists.
+instead of several per coefficient, and the result is decoded once.  Slots
+wider than 1024 bits, about where the packed loop stops winning, keep the
+loop on coefficient lists.
 """
 
 from __future__ import annotations
@@ -427,9 +427,9 @@ def _act_packed(nums, a, b, c, d, width: int) -> list[int]:
     """`_act_horner` on ints by Kronecker substitution: each polynomial is
     the one int p(x = 1, y = 2^B), B = 8 `width`, so multiplying by
     a x + b y is a*p + (b*p << B), and each Horner step is a few big-int
-    operations instead of one per coefficient.  Evaluation at y = 2^B is a
-    ring homomorphism, so the result is decoded once, and it decodes exactly
-    when `width` is at least `_slot_bytes(nums, a, b, c, d)`.
+    operations instead of several per coefficient.  Evaluation at y = 2^B is
+    a ring homomorphism, so the result is decoded once, and it decodes
+    exactly when `width` is at least `_slot_bytes(nums, a, b, c, d)`.
     """
     shift = 8 * width
     n = len(nums) - 1
