@@ -27,7 +27,6 @@ from . import linalg, unipoly
 from .homopoly import (
     HomPoly,
     _check_q,
-    _convolve,
     _image_sign,
     _profile_and_image,
     _rational,
@@ -35,6 +34,7 @@ from .homopoly import (
     transform_sign,
 )
 from .record import Record
+from .unipoly import _convolve
 
 __all__ = [
     "FamilySpec",

@@ -10,14 +10,15 @@ A rational polynomial is stored as integer numerators over one positive
 denominator in lowest terms; `coeffs`, the tuple of Fractions, is built from
 them on first read.  Sums, scalar and polynomial products, matrix actions,
 p(D) and exact division of rational polynomials read those integers and
-build their results from integers (the convolution `_convolve` also serves
-the truncated series products of `families.extremal`), with one gcd
+build their results from integers on the kernel of `unipoly` (the
+convolution `_convolve`, the exact division `divide_ints`), with one gcd
 normalisation per result and no Fraction in between.  A matrix that is a
 scalar multiple lam * M of a rational M, such as sigma_q(q), acts as lam^n
 times the integer action of M.  Only other irrational matrices, and
 polynomials with irrational coefficients, which keep their coefficient
 tuple, run on Fraction / QuadElem scalars: actions in the Horner loop,
-products in `unipoly.mul`, division in `unipoly.div_exact`.
+products in `unipoly.mul`, division in `unipoly.div_exact` on Fraction /
+QuadElem lists.
 
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
@@ -36,6 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm, perm
 
 from . import unipoly
+from .unipoly import _convolve
 from .record import Record
 from .scalar import (
     Fraction as Rational,
@@ -80,20 +82,6 @@ def _integer_coeffs(coeffs) -> tuple[list[int], int]:
     dens = [c.denominator for c in coeffs]  # a list: see HomPoly.__init__
     den = lcm(*dens)
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
-
-
-def _convolve(left: list[int], right: list[int], limit: int | None = None) -> list[int]:
-    """Product of two integer coefficient lists in ascending order; with
-    `limit`, its first `limit` coefficients, zero-padded (a series product
-    mod y^limit)."""
-    size = len(left) + len(right) - 1 if limit is None else limit
-    out = [0] * size
-    width = len(right)
-    for i, a in enumerate(left[:size]):
-        if a:
-            window = out[i : i + width]
-            out[i : i + width] = [s + a * b for s, b in zip(window, right)]
-    return out
 
 
 class HomPoly(Record):
@@ -613,39 +601,12 @@ def _dehomogenize(f: HomPoly, values) -> tuple[int, int, list]:
     return f.degree - hi, lo, list(values[lo : hi + 1])
 
 
-def _divide_ints(f: list[int], a: list[int]) -> tuple[list[int], int] | None:
-    """(quot, content) with f == quot * (a / content) for integer lists,
-    content the gcd of a, or None when a does not divide f.
-
-    a is made primitive; by Gauss's lemma the quotient of an integer list by
-    a primitive one is integral when exact, so the long division runs on
-    ints and stops at the first leading coefficient that does not divide.
-    f is consumed as the remainder.
-    """
-    content = gcd(*a)
-    a = [c // content for c in a]
-    m = len(a) - 1
-    lead = a[m]
-    rem = f
-    quot = [0] * max(len(f) - m, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[k + m], lead)
-        if r:
-            return None
-        if c:
-            quot[k] = c
-            rem[k : k + m] = [v - c * b for v, b in zip(rem[k : k + m], a)]
-    if any(rem[:m]):
-        return None
-    return quot, content
-
-
 def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
     """Exact cofactor g with a*g == f, or None when a does not divide f.
 
     Both are split off their powers of x and y.  On rational a and f the
-    cores are slices of the stored integers, divided by `_divide_ints`, and
-    g is the integer quotient times den_a / (den_f * content(core of a)).
+    cores are slices of the stored integers, divided by
+    `unipoly.divide_ints`, and g is the integer quotient times den_a / (den_f * content(core of a)).
     """
     if a.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -661,7 +622,7 @@ def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
     n = f.degree - a.degree
     dy = fy - ay
     if rational:
-        divided = _divide_ints(fcore, acore)
+        divided = unipoly.divide_ints(fcore, acore)
         if divided is None:
             return None
         quot, content = divided

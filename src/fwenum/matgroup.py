@@ -2,21 +2,25 @@
 
 Group elements are compared by exact structural equality of their entries, so
 the closure is reliable over any real quadratic extension.  The Molien series
-is computed as an exact rational function and reduced; any square-root
-contributions of individual elements must cancel in the sum, which is
-asserted rather than assumed.
+is summed as an exact rational function on the integer kernel of `unipoly`:
+a term 1/d with d = d0 + d1 sqrt(D) is rewritten over the rational norm
+d0^2 - D d1^2, so the rational part and the sqrt(D) part are sums of integer
+fractions.  The sqrt(D) part must sum to zero, which is checked rather than
+assumed (classes need not come in conjugate pairs).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from . import unipoly
 from .families import FAMILIES, ring_dimension
 from .homopoly import Mat2, sigma_q, TAU
 from .record import Record
-from .scalar import NotRationalError, QuadElem, simplify
+from .scalar import NotRationalError, simplify
+from .unipoly import _convolve
 
 __all__ = [
     "MatrixGroup",
@@ -120,49 +124,56 @@ class RationalFunctionSeries:
         return f"({num}) / ({den})"
 
 
-def _char_denominator(m: Mat2) -> list:
-    """det(I - l*A) = 1 - tr(A) l + det(A) l^2 as a coefficient list."""
-    return unipoly.trim([Fraction(1), simplify(-m.trace()), simplify(m.det())])
+def _char_denominator(m: Mat2) -> tuple:
+    """det(I - l*A) = 1 - tr(A) l + det(A) l^2 as a coefficient tuple."""
+    return tuple(unipoly.trim([Fraction(1), simplify(-m.trace()), simplify(m.det())]))
+
+
+def _add(frac: tuple[list[int], list[int]], num: list[int], den: list[int]):
+    """frac + num/den for fractions of integer lists, in lowest terms: no
+    common factor of positive degree and no common integer factor."""
+    num = unipoly.add(_convolve(frac[0], den), _convolve(num, frac[1]))
+    if not num:
+        return [], [1]
+    den = _convolve(frac[1], den)
+    g = unipoly.gcd(num, den)
+    if len(g) > 1:
+        num = unipoly.divide_ints(num, g)[0]
+        den = unipoly.divide_ints(den, g)[0]
+    c = gcd(*num, *den)
+    return [v // c for v in num], [v // c for v in den]
 
 
 def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries:
     """Exact Molien series (1/|G|) sum(1/det(I - l*A)) of a finite group.
 
-    The per-element terms may involve sqrt(D); the summed series must be
-    rational, which is asserted.  The result is reduced and normalised to a
-    denominator with constant term 1.
+    The elements with one (trace, det) share a term k/d.  With d scaled to
+    (u0 + u1 sqrt(D)) / e over integer lists and N = u0^2 - D u1^2,
+    k/d = k e u0 / N - (k e u1 / N) sqrt(D); the rational parts and, per D,
+    the sqrt(D) parts are summed as reduced integer fractions.  Every sqrt(D)
+    part must sum to zero, else NotRationalError.  The result is scaled by
+    1/|G| and normalised to a denominator with constant term 1; that reduced
+    form is unique, so the order of the classes does not matter.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    # elements with one (trace, det) give one term; sum each once, times its
-    # multiplicity, in first-seen order
-    counts = Counter(tuple(_char_denominator(m)) for m in group.sorted_elements())
-    num, den = [], [Fraction(1)]
-    for d, k in counts.items():
-        # num/den + k/d = (num*d + k*den) / (den*d), reduced as we go
-        num = unipoly.add(unipoly.mul(num, d), unipoly.scale(den, k))
-        den = unipoly.mul(den, d)
-        g = unipoly.gcd(num, den)
-        if unipoly.degree(g) > 0:
-            num = unipoly.div_exact(num, g)
-            den = unipoly.div_exact(den, g)
-    num = unipoly.scale(num, Fraction(1, group.order))
-    rational_num, rational_den = [], []
-    for coeffs, out in ((num, rational_num), (den, rational_den)):
-        for c in coeffs:
-            c = simplify(c)
-            if isinstance(c, QuadElem):
-                raise NotRationalError(
-                    "Molien series has an irrational residue; closure is incomplete"
-                )
-            out.append(c)
-    # normalise the constant term of the denominator to 1
-    c0 = rational_den[0]
-    if c0 == 0:
-        raise NotRationalError("Molien denominator vanishes at 0")
-    rational_num = [c / c0 for c in rational_num]
-    rational_den = [c / c0 for c in rational_den]
-    series = RationalFunctionSeries(rational_num, rational_den)
+    rational = [], [1]
+    surds = {}  # D -> the sum of the sqrt(D) parts
+    for d, k in Counter(_char_denominator(m) for m in group.elements).items():
+        root, u0, u1, e = unipoly.split_surd(d)
+        if root == 1:
+            rational = _add(rational, [k * e], u0)
+            continue
+        norm = unipoly.surd_norm(u0, u1, root)
+        rational = _add(rational, [k * e * v for v in u0], norm)
+        surds[root] = _add(surds.get(root, ([], [1])), [-k * e * v for v in u1], norm)
+    if any(num for num, _ in surds.values()):
+        raise NotRationalError(
+            "Molien series has an irrational residue; closure is incomplete"
+        )
+    num, den = rational
+    series = RationalFunctionSeries([Fraction(c, den[0] * group.order) for c in num],
+                                    [Fraction(c, den[0]) for c in den])
     series.series(terms)
     return series
 

@@ -1,15 +1,27 @@
-"""Dense univariate polynomial helpers over an exact field.
+"""Dense univariate polynomials as coefficient lists, ascending in the exponent.
 
-Polynomials are plain lists of scalars (Fraction or QuadElem) in ascending
-order of the exponent; the zero polynomial is [].  These are internal
-building blocks shared by exact division, Molien series, zeta-polynomial
-arithmetic and the products of HomPolys with irrational (QuadElem)
-coefficients; all operations are exact.
+The zero polynomial is [].  Two kinds of list share the module:
+
+- Integer lists carry the exact rational work, with no Fraction in between.
+  A rational polynomial is an integer list up to a rational factor:
+  `content` and `primitive`, the pseudo-division `pseudo_divmod`, the
+  primitive-PRS `gcd` (Knuth, TAOCP vol. 2, 4.6.1), the Gauss-lemma exact
+  division `divide_ints` and the product `_convolve`.  `split_surd` writes a
+  list over Q(sqrt(D)) as two integer lists, and `surd_norm` gives their
+  rational norm.  Consumers: the Molien series of `matgroup`, the
+  coprimality test of `zeta`, `homopoly.divide_exact`, the products of
+  rational HomPolys and the series of `families.extremal`.
+- Fraction and QuadElem lists serve what stays irrational or is a series:
+  `mul`, `divmod_` and `div_exact` for HomPolys with QuadElem coefficients,
+  the truncated series products and quotients, and the term printer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _gcd, lcm
+
+from .scalar import MixedExtensionError, QuadElem
 
 
 def trim(p: list) -> list:
@@ -44,6 +56,138 @@ def scale(p: list, c) -> list:
     if not c:
         return []
     return [ci * c for ci in p]
+
+
+# -- the integer kernel ------------------------------------------------------------
+
+
+def _convolve(left: list[int], right: list[int], limit: int | None = None) -> list[int]:
+    """Product of two integer coefficient lists in ascending order; with
+    `limit`, its first `limit` coefficients, zero-padded (a series product
+    mod y^limit)."""
+    size = len(left) + len(right) - 1 if limit is None else limit
+    out = [0] * size
+    width = len(right)
+    for i, a in enumerate(left[:size]):
+        if a:
+            window = out[i : i + width]
+            out[i : i + width] = [s + a * b for s, b in zip(window, right)]
+    return out
+
+
+def content(p: list[int]) -> int:
+    """The gcd of the coefficients; 0 for the zero polynomial."""
+    return _gcd(*p)
+
+
+def primitive(p: list[int]) -> list[int]:
+    """p over its content, trimmed, with a positive leading coefficient."""
+    p = trim(list(p))
+    if not p:
+        return p
+    c = _gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return [v // c for v in p]
+
+
+def pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^k * a == q * b + r and deg r < deg b, where
+    k = max(deg a - deg b + 1, 0); b must be nonzero.
+
+    The division of Knuth's Algorithm R: each step multiplies the partial
+    remainder by lc(b) instead of dividing by it, so it stays on ints.
+    """
+    m = degree(b)
+    if m < 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = trim(list(a))
+    k = len(rem) - m
+    if k <= 0:
+        return [], rem
+    lead = b[m]
+    quot = [0] * k
+    for j in range(k - 1, -1, -1):
+        c = rem.pop()  # the coefficient of x^(m + j)
+        quot[j] = c * lead**j
+        rem = [lead * v for v in rem]
+        if c:
+            rem[j:] = [v - c * w for v, w in zip(rem[j:], b)]
+    return quot, trim(rem)
+
+
+def gcd(p: list[int], q: list[int]) -> list[int]:
+    """The gcd over Q of two integer lists, as a primitive list with a
+    positive leading coefficient; [] when both are zero.
+
+    A primitive remainder sequence: every pseudo-remainder is divided by its
+    content, so no coefficient grows beyond what the sequence needs.
+    """
+    a, b = primitive(p), primitive(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, primitive(pseudo_divmod(a, b)[1])
+    return a
+
+
+def divide_ints(f: list[int], a: list[int]) -> tuple[list[int], int] | None:
+    """(quot, content) with f == quot * (a / content) for integer lists,
+    content the gcd of a, or None when a does not divide f.
+
+    a is made primitive; by Gauss's lemma the quotient of an integer list by
+    a primitive one is integral when exact, so the long division runs on
+    ints and stops at the first leading coefficient that does not divide.
+    f is consumed as the remainder.
+    """
+    c = content(a)
+    a = [v // c for v in a]
+    m = len(a) - 1
+    lead = a[m]
+    rem = f
+    quot = [0] * max(len(f) - m, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + m], lead)
+        if r:
+            return None
+        if q:
+            quot[k] = q
+            rem[k : k + m] = [v - q * b for v, b in zip(rem[k : k + m], a)]
+    if any(rem[:m]):
+        return None
+    return quot, c
+
+
+def split_surd(p: list) -> tuple[int, list[int], list[int], int]:
+    """(d, p0, p1, den) with p == (p0 + p1 * sqrt(d)) / den, for a list of
+    rationals and QuadElems over one Q(sqrt(d)): p0 and p1 are integer lists
+    as long as p, den > 0 is the lcm of the denominators, and d == 1 with p1
+    all zero when p is rational.  Raises MixedExtensionError for two
+    extensions."""
+    d = 1
+    rat, irr = [], []
+    for c in p:
+        if isinstance(c, QuadElem):
+            if c.b and c.d != d:
+                if d != 1:
+                    raise MixedExtensionError(f"cannot combine sqrt({d}) with sqrt({c.d})")
+                d = c.d
+            rat.append(c.a)
+            irr.append(c.b)
+        else:
+            rat.append(c)
+            irr.append(0)
+    den = lcm(*[c.denominator for c in rat + irr])
+    return (d, [c.numerator * (den // c.denominator) for c in rat],
+            [c.numerator * (den // c.denominator) for c in irr], den)
+
+
+def surd_norm(p0: list[int], p1: list[int], d: int) -> list[int]:
+    """p0^2 - d * p1^2: the product of p0 + p1 sqrt(d) and its conjugate."""
+    return add(_convolve(p0, p0), [-d * v for v in _convolve(p1, p1)])
+
+
+# -- Fraction and QuadElem lists -----------------------------------------------------
 
 
 def mul(p: list, q: list) -> list:
@@ -84,19 +228,6 @@ def div_exact(p: list, q: list) -> list | None:
     """Exact quotient p/q, or None when the division leaves a remainder."""
     quot, rem = divmod_(p, q)
     return quot if is_zero(rem) else None
-
-
-def gcd(p: list, q: list) -> list:
-    """Monic gcd via the Euclidean algorithm (scalars form a field)."""
-    a, b = trim(list(p)), trim(list(q))
-    while not is_zero(b):
-        _, r = divmod_(a, b)
-        a, b = b, r
-    da = degree(a)
-    if da < 0:
-        return []
-    lead = a[da]
-    return [c / lead for c in a]
 
 
 def series_mul(p: list, q: list, terms: int) -> list:

@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fwenum import unipoly
 from fwenum.families import FAMILIES, ring_dimension
 from fwenum.homopoly import Mat2, TAU, act_matrix, sigma_q
-from fwenum.scalar import NotRationalError
+from fwenum.scalar import NotRationalError, QuadElem, simplify
 from fwenum.matgroup import (
     GroupClosureError,
     MatrixGroup,
@@ -13,6 +15,7 @@ from fwenum.matgroup import (
     molien_series,
     named_group,
 )
+from test_unipoly import fraction_gcd
 
 EXPECTED = {
     "g1minus": (8, [2, 4]),
@@ -27,6 +30,27 @@ GROUP_FOR_FAMILY = {
     "q43-odd": "g43minus",
     "q43": "g43",
 }
+
+
+def fraction_molien(group: MatrixGroup) -> tuple[list, list]:
+    """(num, den) of the Molien series by the Fraction / QuadElem sum: each
+    class term added over a common denominator and reduced by the field
+    Euclid gcd; the reference for `molien_series`."""
+    counts = Counter(tuple(unipoly.trim([Fraction(1), simplify(-m.trace()),
+                                         simplify(m.det())]))
+                     for m in group.sorted_elements())
+    num, den = [], [Fraction(1)]
+    for d, k in counts.items():
+        num = unipoly.add(unipoly.mul(num, d), unipoly.scale(den, k))
+        den = unipoly.mul(den, d)
+        g = fraction_gcd(num, den)
+        if unipoly.degree(g) > 0:
+            num = unipoly.div_exact(num, g)
+            den = unipoly.div_exact(den, g)
+    num = [simplify(c / group.order) for c in num]
+    den = [simplify(c) for c in den]
+    assert not any(isinstance(c, QuadElem) for c in num + den)
+    return [c / den[0] for c in num], [c / den[0] for c in den]
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +122,40 @@ def test_irrational_residue_rejected():
     group = MatrixGroup(elements=frozenset({Mat2.identity(), m}), generators=(m,))
     with pytest.raises(NotRationalError):
         molien_series(group, 5)
+
+
+def test_uncancelled_irrational_classes_rejected():
+    # conjugate classes with unequal counts: rotations by 45 degrees (trace
+    # sqrt(2)) once, by 135 and 225 degrees (trace -sqrt(2)) twice
+    h = QuadElem(0, Fraction(1, 2), 2)  # sqrt(2) / 2
+    rotations = [Mat2(h, -h, h, h), Mat2(-h, -h, h, -h), Mat2(-h, h, -h, -h)]
+    assert [m.trace() for m in rotations] == [2 * h, -2 * h, -2 * h]
+    group = MatrixGroup(elements=frozenset([Mat2.identity(), *rotations]),
+                        generators=tuple(rotations))
+    with pytest.raises(NotRationalError):
+        molien_series(group, 5)
+    # with the partner of the single class added the residue cancels
+    group = MatrixGroup(elements=group.elements | {Mat2(h, h, -h, h)},
+                        generators=group.generators)
+    assert molien_series(group, 5).num
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_cyclic_subgroups_match_the_fraction_reference(groups, name):
+    # the cyclic groups have numerators other than 1 and their own
+    # conjugate classes
+    for g in groups[name].sorted_elements():
+        cyclic = group_closure([g])
+        series = molien_series(cyclic, 41)
+        num, den = fraction_molien(cyclic)
+        assert (series.num, series.den) == (num, den)
+        assert series.series(41) == unipoly.series_div(num, den, 41)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_named_groups_match_the_fraction_reference(groups, name):
+    series = molien_series(groups[name], 61)
+    assert (series.num, series.den) == fraction_molien(groups[name])
 
 
 def test_series_prefix_of_g43():
