@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm, perm
 
 from . import unipoly
-from .unipoly import _convolve
+from .unipoly import _convolve, _integer_coeffs
 from .record import Record
 from .scalar import (
     Fraction as Rational,
@@ -74,14 +74,6 @@ def _norm_scalar(c):
     if isinstance(c, QuadElem):
         return simplify(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _integer_coeffs(coeffs) -> tuple[list[int], int]:
-    """Rational coefficients as (ints, den) with ints[i] / den == coeffs[i],
-    den the lcm of their denominators (so gcd(den, *ints) == 1)."""
-    dens = [c.denominator for c in coeffs]  # a list: see HomPoly.__init__
-    den = lcm(*dens)
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
 class HomPoly(Record):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 from . import unipoly
 from .families import FAMILIES, ring_dimension
@@ -140,7 +139,7 @@ def _add(frac: tuple[list[int], list[int]], num: list[int], den: list[int]):
     if len(g) > 1:
         num = unipoly.divide_ints(num, g)[0]
         den = unipoly.divide_ints(den, g)[0]
-    c = gcd(*num, *den)
+    c = unipoly.content(num + den)
     return [v // c for v in num], [v // c for v in den]
 
 

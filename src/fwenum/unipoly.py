@@ -6,11 +6,12 @@ The zero polynomial is [].  Two kinds of list share the module:
   A rational polynomial is an integer list up to a rational factor:
   `content` and `primitive`, the pseudo-division `pseudo_divmod`, the
   primitive-PRS `gcd` (Knuth, TAOCP vol. 2, 4.6.1), the Gauss-lemma exact
-  division `divide_ints` and the product `_convolve`.  `split_surd` writes a
-  list over Q(sqrt(D)) as two integer lists, and `surd_norm` gives their
-  rational norm.  Consumers: the Molien series of `matgroup`, the
-  coprimality test of `zeta`, `homopoly.divide_exact`, the products of
-  rational HomPolys and the series of `families.extremal`.
+  division `divide_ints` and the product `_convolve`; `_integer_coeffs`
+  clears the denominators of a rational list.  `split_surd` writes a list
+  over Q(sqrt(D)) as two integer lists, and `surd_norm` gives their rational
+  norm.  Consumers: the Molien series of `matgroup`, the coprimality test
+  of `zeta`, the integer storage of `homopoly.HomPoly` with its products
+  and exact division, and the series of `families.extremal`.
 - Fraction and QuadElem lists serve what stays irrational or is a series:
   `mul`, `divmod_` and `div_exact` for HomPolys with QuadElem coefficients,
   the truncated series products and quotients, and the term printer.
@@ -75,6 +76,14 @@ def _convolve(left: list[int], right: list[int], limit: int | None = None) -> li
     return out
 
 
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """Rational coefficients as (ints, den) with ints[i] / den == coeffs[i],
+    den the lcm of their denominators (so gcd(den, *ints) == 1)."""
+    dens = [c.denominator for c in coeffs]  # a list: see homopoly.HomPoly.__init__
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
 def content(p: list[int]) -> int:
     """The gcd of the coefficients; 0 for the zero polynomial."""
     return _gcd(*p)
@@ -85,7 +94,7 @@ def primitive(p: list[int]) -> list[int]:
     p = trim(list(p))
     if not p:
         return p
-    c = _gcd(*p)
+    c = content(p)
     if p[-1] < 0:
         c = -c
     return [v // c for v in p]
@@ -177,9 +186,8 @@ def split_surd(p: list) -> tuple[int, list[int], list[int], int]:
         else:
             rat.append(c)
             irr.append(0)
-    den = lcm(*[c.denominator for c in rat + irr])
-    return (d, [c.numerator * (den // c.denominator) for c in rat],
-            [c.numerator * (den // c.denominator) for c in irr], den)
+    ints, den = _integer_coeffs(rat + irr)
+    return d, ints[: len(p)], ints[len(p) :], den
 
 
 def surd_norm(p0: list[int], p1: list[int], d: int) -> list[int]:

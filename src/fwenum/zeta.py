@@ -50,10 +50,9 @@ from .homopoly import (
     weight_profile,
     _check_q,
     _dehomogenize,
-    _integer_coeffs,
 )
 from .record import Record
-from .unipoly import _convolve
+from .unipoly import _convolve, _integer_coeffs
 
 __all__ = [
     "ZetaPoly",
