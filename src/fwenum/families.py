@@ -28,8 +28,8 @@ from .homopoly import (
     HomPoly,
     _check_q,
     _image_sign,
+    _poly,
     _profile_and_image,
-    _rational,
     parse_poly,
     transform_sign,
 )
@@ -240,9 +240,8 @@ def expand_in_generators(f: HomPoly, fam: FamilySpec) -> list[Fraction]:
     elems = basis(fam, f.degree)
     if not elems:
         raise NotInRingError(f"no degree-{f.degree} basis in family {fam.name}")
-    rows = [[b.coeffs[i] for b in elems] for i in range(f.degree + 1)]
-    rhs = list(f.coeffs)
-    x, unique = linalg.solve(rows, rhs)
+    *columns, rhs = _common_scale(elems + [f])
+    x, unique = linalg.solve(list(zip(*columns)), rhs)
     if x is None:
         raise NotInRingError(f"polynomial is not in the {fam.name} ring")
     if not unique:
@@ -276,12 +275,20 @@ def classical_bound(name: str, n: int) -> int:
     raise ValueError(f"no classical bound for {name!r}")
 
 
+def _common_scale(polys: list[HomPoly]) -> list[list[Fraction]]:
+    """The coefficients of rational polys times the lcm of their denominators,
+    read from their stored integers: scaling every equation of a linear
+    system by one constant keeps its reduced row echelon form."""
+    den = lcm(*[f._den for f in polys])
+    return [[Fraction(v * (den // f._den)) for v in f._nums] for f in polys]
+
+
 @lru_cache(maxsize=256)
 def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[HomPoly, ...]:
     """The members of degree n with A_1 = ... = A_(d-1) = 0: one HomPoly per
     vector of the nullspace of that exact system over basis(fam, n)."""
     elems = basis(fam, n)
-    rows = [[b.coeffs[i] for b in elems] for i in range(1, d)]
+    rows = list(zip(*_common_scale(elems)))[1:d]
     space = []
     for vec in linalg.nullspace(rows, len(elems)):
         w = HomPoly.zero(n)
@@ -360,15 +367,15 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
         raise ExtremalConstructionError(
             f"{fam.name}: 2*deg(odd_gen) is not a multiple of deg(even_gen)"
         )
-    if even.coeffs[0] != 1 or odd.coeffs[0] != 1:  # b_0 = E(1,0)^(-L) O(1,0)^(-p)
+    if even._nums[0] != even._den or odd._nums[0] != odd._den:  # b_0 = E(1,0)^(-L) O(1,0)^(-p)
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
         )
     big_j, rho = divmod((n - parity * odd.degree) // even.degree, k)
     # at y = D*z the generators have integer coefficients
-    den = lcm(*(c.denominator for c in even.coeffs + odd.coeffs))
-    e_d = [int(c) for c in _scaled(even.coeffs, den)]
-    o_d = [int(c) for c in _scaled(odd.coeffs, den)]
+    den = lcm(even._den, odd._den)
+    e_d = [c // even._den for c in _scaled(even._nums, den)]
+    o_d = [c // odd._den for c in _scaled(odd._nums, den)]
     k_d = _series_power(e_d, k, 2 * odd.degree + 1)
     h_d = [a - b for a, b in zip(k_d, _convolve(o_d, o_d))]
     v = next(i for i, c in enumerate(h_d) if c)
@@ -407,11 +414,8 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d}"
         )
-    out, power = [], 1
-    for c in acc:
-        out.append(Fraction(c, power))
-        power *= den * tau
-    return HomPoly(n, out)
+    step = den * tau  # coefficient i is acc[i] / step^i
+    return _poly(n, [c * step ** (n - i) for i, c in enumerate(acc)], step**n)
 
 
 def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPoly | None:
@@ -435,7 +439,7 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
             w = [a + r * b for a, b in zip(w, row)]
         lead = w[0]
         if lead and w[d_target]:
-            return _rational(n, w, lead)
+            return _poly(n, w, lead)
     return None
 
 

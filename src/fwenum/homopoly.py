@@ -6,19 +6,17 @@ degree so that degree contracts of the differential operators stay total.
 Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
 MacWilliams transforms, matrix actions over a quadratic extension).
 
-A rational polynomial is stored as integer numerators over one positive
-denominator in lowest terms; `coeffs`, the tuple of Fractions, is built from
-them on first read.  Sums, scalar and polynomial products, matrix actions,
-p(D) and exact division of rational polynomials read those integers and
-build their results from integers on the kernel of `unipoly` (the
-convolution `_convolve`, the exact division `divide_ints`), with one gcd
-normalisation per result and no Fraction in between.  A matrix that is a
-scalar multiple lam * M of a rational M, such as sigma_q(q), acts as lam^n
-times the integer action of M.  Only other irrational matrices, and
-polynomials with irrational coefficients, which keep their coefficient
-tuple, run on Fraction / QuadElem scalars: actions in the Horner loop,
-products in `unipoly.mul`, division in `unipoly.div_exact` on Fraction /
-QuadElem lists.
+Every polynomial is stored on integers as f = (f0 + f1 sqrt(D)) / den, f0
+and f1 integer tuples, D squarefree, den > 0 in lowest terms; a rational
+polynomial has no f1.  `coeffs`, the tuple of Fractions and QuadElems, is
+built on each read.  Sums work part by part, products and p(D) are
+(f0 g0 + D f1 g1) + (f0 g1 + f1 g0) sqrt(D) on `unipoly._convolve` (one call
+when both are rational), and exact division by an irrational a divides
+f * conj(a) by the rational a * conj(a) with `unipoly.divide_ints`; each
+result is normalised by one gcd.  A matrix that is a scalar multiple lam * M
+of a rational M, such as sigma_q(q), acts on each part as the integer action
+of M, times lam^n.  Only other irrational matrices run the Horner loop on
+Fraction / QuadElem scalars, and their result is split into parts once.
 
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
@@ -79,32 +77,25 @@ def _norm_scalar(c):
 class HomPoly(Record):
     """Homogeneous polynomial sum(coeffs[i] * x^(n-i) y^i, i = 0..n).
 
-    A rational polynomial keeps `_nums`, a tuple of integer numerators, over
-    `_den` > 0 with gcd(_den, *_nums) == 1, so equal polynomials store equal
-    integers; `_coeffs` caches the Fraction tuple once `coeffs` is read.  A
-    polynomial with an irrational coefficient keeps only `_coeffs`, and
-    `_nums` and `_den` are None.
+    Stored as (_nums + _surd * sqrt(_root)) / _den: `_nums` and `_surd` are
+    integer tuples, `_root` is squarefree and `_den` > 0 with
+    gcd(_den, *_nums, *_surd) == 1.  A rational polynomial has `_surd` None
+    and `_root` 1, so equal polynomials store equal integers.
     """
 
-    __slots__ = ("degree", "_nums", "_den", "_coeffs")
+    __slots__ = ("degree", "_nums", "_surd", "_root", "_den")
 
     def __init__(self, degree: int, coeffs):
-        # built from a list, not a generator: a tuple made from a generator
-        # starts with room for 10 items and is then resized to fit, and the
-        # tuples that hot paths free that way pile up on CPython's per-size
-        # tuple free lists (0.8 MiB of peak memory on the verifier suites)
-        coeffs = tuple([_norm_scalar(c) for c in coeffs])
+        coeffs = [_norm_scalar(c) for c in coeffs]
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != degree + 1:
             raise ValueError(
                 f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}"
             )
-        nums = den = None
-        if not any(isinstance(c, QuadElem) for c in coeffs):
-            nums, den = _integer_coeffs(coeffs)
-            nums = tuple(nums)
-        _store(self, degree, nums, den, coeffs)
+        # in lowest terms already; root is 1 exactly when every sqrt part is 0
+        root, nums, surd, den = unipoly.split_surd(coeffs)
+        _store(self, degree, nums, den, surd if root != 1 else None, root)
 
     def __reduce__(self):
         # the slots are not the constructor's arguments
@@ -112,18 +103,13 @@ class HomPoly(Record):
 
     @property
     def coeffs(self) -> tuple:
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self._den
-            coeffs = tuple([Fraction(v, den) for v in self._nums])
-            object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
+        return tuple([_coefficient(self, i) for i in range(self.degree + 1)])
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
-        return _rational(degree, [0] * (degree + 1), 1)
+        return _poly(degree, [0] * (degree + 1), 1)
 
     @classmethod
     def from_terms(cls, degree: int, terms: dict) -> "HomPoly":
@@ -139,35 +125,31 @@ class HomPoly(Record):
 
     @classmethod
     def one(cls) -> "HomPoly":
-        return _rational(0, [1], 1)
+        return _poly(0, [1], 1)
 
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs if self._nums is None else self._nums)
+        return self._surd is None and not any(self._nums)
 
     def is_rational(self) -> bool:
-        return self._nums is not None
+        return self._surd is None
 
     def support(self) -> list[int]:
         """y-exponents with a nonzero coefficient."""
-        values = self.coeffs if self._nums is None else self._nums
-        return [i for i, c in enumerate(values) if c]
+        if self._surd is None:
+            return [i for i, c in enumerate(self._nums) if c]
+        return [i for i, (u, v) in enumerate(zip(self._nums, self._surd)) if u or v]
 
     def __eq__(self, other):
         if not isinstance(other, HomPoly):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        if self._nums is not None or other._nums is not None:
-            # an irrational coefficient never equals a rational one
-            return self._den == other._den and self._nums == other._nums
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.degree == other.degree and self._den == other._den
+                and self._nums == other._nums and self._surd == other._surd
+                and self._root == other._root)
 
     def __hash__(self):
-        if self._nums is None:
-            return hash((self.degree, self.coeffs))
-        return hash((self.degree, self._den, self._nums))
+        return hash((self.degree, self._den, self._nums, self._surd, self._root))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -176,15 +158,15 @@ class HomPoly(Record):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degree")
-        if self._nums is not None and other._nums is not None:
-            den = lcm(self._den, other._den)
-            ls, lo = den // self._den, den // other._den
-            return _rational(
-                self.degree, [a * ls + b * lo for a, b in zip(self._nums, other._nums)], den
-            )
-        return HomPoly(
-            self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        den = lcm(self._den, other._den)
+        ls, lo = den // self._den, den // other._den
+        nums = [a * ls + b * lo for a, b in zip(self._nums, other._nums)]
+        surd = None
+        if self._surd is not None or other._surd is not None:
+            zeros = (0,) * len(nums)
+            surd = [a * ls + b * lo
+                    for a, b in zip(self._surd or zeros, other._surd or zeros)]
+        return _poly(self.degree, nums, den, surd, _common_root(self, other))
 
     def __sub__(self, other):
         if not isinstance(other, HomPoly):
@@ -192,23 +174,17 @@ class HomPoly(Record):
         return self + (-other)
 
     def __neg__(self):
-        if self._nums is not None:
-            return _rational(self.degree, [-v for v in self._nums], self._den)
-        return HomPoly(self.degree, [-c for c in self.coeffs])
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and self._nums is not None:
-            return _rational(self.degree, [v * other.numerator for v in self._nums],
-                             self._den * other.denominator)
         if isinstance(other, (int, Fraction, QuadElem)):
-            return HomPoly(self.degree, [c * other for c in self.coeffs])
-        if not isinstance(other, HomPoly):
+            other = HomPoly(0, [other])
+        elif not isinstance(other, HomPoly):
             return NotImplemented
-        n = self.degree + other.degree
-        if self._nums is not None and other._nums is not None:
-            return _rational(n, _convolve(self._nums, other._nums), self._den * other._den)
-        out = unipoly.mul(self.coeffs, other.coeffs)
-        return HomPoly(n, out + [Fraction(0)] * (n + 1 - len(out)))
+        # the product commutes, and _convolve loops over its left operand
+        f, g = (self, other) if self.degree <= other.degree else (other, self)
+        nums, surd, root = _bilinear(_convolve, f, g)
+        return _poly(f.degree + g.degree, nums, f._den * g._den, surd, root)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QuadElem)):
@@ -248,24 +224,68 @@ class HomPoly(Record):
         return cls(obj["degree"], [Fraction(c) for c in obj["coeffs"]])
 
 
-def _store(f: HomPoly, degree: int, nums, den, coeffs) -> HomPoly:
+def _store(f: HomPoly, degree: int, nums, den: int, surd, root: int) -> HomPoly:
+    # tuples built from lists, not generators: a tuple made from a generator
+    # starts with room for 10 items and is then resized to fit, and the
+    # tuples that hot paths free that way pile up on CPython's per-size tuple
+    # free lists (0.8 MiB of peak memory on the verifier suites)
     object.__setattr__(f, "degree", degree)
-    object.__setattr__(f, "_nums", nums)
+    object.__setattr__(f, "_nums", tuple(nums))
+    object.__setattr__(f, "_surd", None if surd is None else tuple(surd))
+    object.__setattr__(f, "_root", root)
     object.__setattr__(f, "_den", den)
-    object.__setattr__(f, "_coeffs", coeffs)
     return f
 
 
-def _rational(degree: int, nums: list[int], den: int) -> HomPoly:
-    """The rational HomPoly with coefficients nums[i] / den (den != 0), in
-    lowest terms."""
-    g = gcd(den, *nums)
+def _poly(degree: int, nums: list[int], den: int, surd: list[int] | None = None,
+          root: int = 1) -> HomPoly:
+    """The HomPoly (nums + surd * sqrt(root)) / den (den != 0) in canonical
+    form: one gcd over den and both parts, and no sqrt part when surd is None
+    or all zero."""
+    if surd is not None and not any(surd):
+        surd, root = None, 1
+    g = gcd(den, *nums) if surd is None else gcd(den, *nums, *surd)
     if den < 0:
         g = -g
     if g != 1:
         nums = [v // g for v in nums]
+        surd = None if surd is None else [v // g for v in surd]
         den //= g
-    return _store(object.__new__(HomPoly), degree, tuple(nums), den, None)
+    return _store(object.__new__(HomPoly), degree, nums, den, surd, root)
+
+
+def _coefficient(f: HomPoly, i: int):
+    """f.coeffs[i], without building the tuple."""
+    c = Fraction(f._nums[i], f._den)
+    if f._surd is None or not f._surd[i]:
+        return c
+    return QuadElem(c, Fraction(f._surd[i], f._den), f._root)
+
+
+def _common_root(f: HomPoly, g: HomPoly) -> int:
+    """The D of the field Q(sqrt(D)) that holds f and g."""
+    if f._root == 1 or f._root == g._root:
+        return g._root
+    if g._root == 1:
+        return f._root
+    raise MixedExtensionError(f"cannot combine sqrt({f._root}) with sqrt({g._root})")
+
+
+def _bilinear(op, f: HomPoly, g: HomPoly) -> tuple[list[int], list[int] | None, int]:
+    """op, a bilinear map of integer lists, on f = f0 + f1 sqrt(D) and
+    g = g0 + g1 sqrt(D): (f0 g0 + D f1 g1, f0 g1 + f1 g0, D) from the stored
+    parts, with no sqrt part (None) and D = 1 when f and g are rational."""
+    nums = op(f._nums, g._nums)
+    if f._surd is None and g._surd is None:
+        return nums, None, 1
+    root = _common_root(f, g)
+    surd = None if f._surd is None else op(f._surd, g._nums)
+    if g._surd is not None:
+        cross = op(f._nums, g._surd)
+        surd = cross if surd is None else [a + b for a, b in zip(surd, cross)]
+        if f._surd is not None:
+            nums = [a + root * b for a, b in zip(nums, op(f._surd, g._surd))]
+    return nums, surd, root
 
 
 class Mat2(Record):
@@ -441,58 +461,41 @@ def _rational_multiple(sigma: Mat2) -> tuple | None:
 
 
 @lru_cache(maxsize=256)
-def _scalar_power(lam: QuadElem, n: int):
-    return simplify(lam**n)
+def _scalar_power(lam: QuadElem, n: int) -> HomPoly:
+    return HomPoly(0, [lam**n])  # a constant polynomial
+
+
+def _act_ints(nums, a, b, c, d) -> list[int]:
+    """The integer action of (a, b; c, d) on nums: packed while a slot of the
+    result is at most `_PACKED_SLOT_BITS` wide (the measured crossover)."""
+    width = _slot_bytes(nums, a, b, c, d)
+    if 8 * width <= _PACKED_SLOT_BITS:
+        return _act_packed(nums, a, b, c, d, width)
+    return _act_horner(nums, a, b, c, d, 1)
 
 
 def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
 
-    When f is rational and sigma = lam * M with M rational (lam = 1 for a
-    rational sigma), M is scaled to integers and the expansion runs on the
-    stored integers of f, packed into one int per polynomial (`_act_packed`)
-    when a slot that holds every result coefficient is at most
-    `_PACKED_SLOT_BITS` wide (the measured crossover), on lists
-    (`_act_horner`) when it is wider.  The result is those integers over f's
-    denominator times M's to the n, times lam^n: a rational lam^n goes into
-    the integers and the denominator, an irrational one gives one QuadElem
-    per coefficient.
-    For an irrational sigma the split and lam^n are cached, per matrix and
-    per (lam, n); a rational sigma is cheaper to scale than to look up.  Only
-    a sigma with entries of the form a + b*sqrt(D) that are not one common
-    multiple of a rational matrix, or an f with irrational coefficients,
-    takes the generic Horner loop on Fraction / QuadElem scalars.
+    When sigma = lam * M with M rational (lam = 1 for a rational sigma), M
+    is scaled to integers and acts on each stored part of f (`_act_ints`),
+    over f's denominator times M's to the n, times lam^n.  The split and
+    lam^n of an irrational sigma are cached; a rational sigma is cheaper to
+    scale than to look up.  Only a sigma over Q(sqrt(D)) that is not a
+    multiple of a rational matrix takes the Horner loop on its entries.
     """
     n = f.degree
     entries = (sigma.a, sigma.b, sigma.c, sigma.d)
-    split = None
-    if f.is_rational():
-        if any(isinstance(e, QuadElem) for e in entries):
-            split = _rational_multiple(sigma)
-        else:
-            split = None, *_integer_coeffs(entries)
-    if split is None:
-        return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
-    lam, ints, den_s = split
-    width = _slot_bytes(f._nums, *ints)
-    if 8 * width <= _PACKED_SLOT_BITS:
-        out = _act_packed(f._nums, *ints, width)
+    if any(isinstance(e, QuadElem) for e in entries):
+        split = _rational_multiple(sigma)
+        if split is None:
+            return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
     else:
-        out = _act_horner(f._nums, *ints, 1)
-    scale = f._den * den_s**n
-    lam_n = 1 if lam is None else _scalar_power(lam, n)
-    if isinstance(lam_n, QuadElem):
-        a, b = lam_n.a, lam_n.b
-        den_a, den_b = scale * a.denominator, scale * b.denominator
-        return HomPoly(n, [
-            QuadElem(Fraction(v * a.numerator, den_a), Fraction(v * b.numerator, den_b),
-                     lam_n.d)
-            for v in out
-        ])
-    if lam_n != 1:
-        out = [v * lam_n.numerator for v in out]
-        scale *= lam_n.denominator
-    return _rational(n, out, scale)
+        split = None, *_integer_coeffs(entries)
+    lam, ints, den_s = split
+    surd = None if f._surd is None else _act_ints(f._surd, *ints)
+    image = _poly(n, _act_ints(f._nums, *ints), f._den * den_s**n, surd, f._root)
+    return image if lam is None else image * _scalar_power(lam, n)
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
@@ -537,34 +540,33 @@ def transform_sign(f: HomPoly, q: Rational) -> int | None:
 # -- differential operators ----------------------------------------------------
 
 
-def _diff_terms(pc, fc, n: int, zero) -> list:
+def _diff_terms(pc: list[int], fc: list[int], n: int) -> list[int]:
     """Coefficients of p(D) f from those of p (degree m) and f (degree n), on
-    whatever scalars are passed in: d^(m-j)/dx^(m-j) d^j/dy^j takes
-    x^(n-i) y^i to perm(n-i, m-j) perm(i, j) x^(n-m-i+j) y^(i-j)."""
+    ints: d^(m-j)/dx^(m-j) d^j/dy^j takes x^(n-i) y^i to
+    perm(n-i, m-j) perm(i, j) x^(n-m-i+j) y^(i-j)."""
     m = len(pc) - 1
-    out = [zero] * (n - m + 1)
+    out = [0] * (n - m + 1)
     for j, pj in enumerate(pc):
         if not pj:
             continue
         for i in range(j, n - m + j + 1):
             ci = fc[i]
             if ci:
-                out[i - j] = out[i - j] + pj * ci * (perm(n - i, m - j) * perm(i, j))
+                out[i - j] += pj * ci * (perm(n - i, m - j) * perm(i, j))
     return out
 
 
 def diff_op(p: HomPoly, f: HomPoly) -> HomPoly:
     """Apply p(D), the operator with x -> d/dx and y -> d/dy, to f.
 
-    On rational p and f the terms accumulate on their stored integers, over
-    the product of the two denominators.
+    p(D) is bilinear in p and f, so the terms accumulate on their stored
+    integer parts (`_bilinear`), over the product of the two denominators.
     """
     m, n = p.degree, f.degree
     if m > n:
         raise ValueError(f"operator degree {m} exceeds polynomial degree {n}")
-    if p.is_rational() and f.is_rational():
-        return _rational(n - m, _diff_terms(p._nums, f._nums, n, 0), p._den * f._den)
-    return HomPoly(n - m, _diff_terms(p.coeffs, f.coeffs, n, Fraction(0)))
+    nums, surd, root = _bilinear(lambda pc, fc: _diff_terms(pc, fc, n), p, f)
+    return _poly(n - m, nums, p._den * f._den, surd, root)
 
 
 def pochhammer(a: Rational, n: int) -> Rational:
@@ -581,24 +583,23 @@ def pochhammer(a: Rational, n: int) -> Rational:
 # -- exact division --------------------------------------------------------------
 
 
-def _dehomogenize(f: HomPoly, values) -> tuple[int, int, list]:
-    """Split f = x^xpow y^ypow * core; returns (xpow, ypow, core coeff list).
-
-    `values` are f's coefficients, or its stored integers; the core list is
-    their slice from the first to the last nonzero one, indexed by the
-    y-exponent.  f must be nonzero.
-    """
+def _dehomogenize(f: HomPoly) -> tuple[int, int, list[int], list[int] | None]:
+    """Split f = x^xpow y^ypow * core; returns (xpow, ypow, core0, core1),
+    the slices of f's stored parts from its first to its last nonzero
+    coefficient (core1 None when f is rational).  f must be nonzero."""
     idx = f.support()
     lo, hi = idx[0], idx[-1]
-    return f.degree - hi, lo, list(values[lo : hi + 1])
+    surd = None if f._surd is None else list(f._surd[lo : hi + 1])
+    return f.degree - hi, lo, list(f._nums[lo : hi + 1]), surd
 
 
 def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
     """Exact cofactor g with a*g == f, or None when a does not divide f.
 
-    Both are split off their powers of x and y.  On rational a and f the
-    cores are slices of the stored integers, divided by
-    `unipoly.divide_ints`, and g is the integer quotient times den_a / (den_f * content(core of a)).
+    An irrational a is replaced by the rational a * conj(a), and f by
+    f * conj(a).  Both are split off their powers of x and y, each part of
+    f's core is divided by a's with `unipoly.divide_ints`, and g is the
+    integer quotient times den_a / (den_f * content(core of a)).
     """
     if a.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -606,27 +607,25 @@ def divide_exact(a: HomPoly, f: HomPoly) -> HomPoly | None:
         raise ValueError("divisor degree exceeds dividend degree")
     if f.is_zero():
         return HomPoly.zero(f.degree - a.degree)
-    rational = a.is_rational() and f.is_rational()
-    ax, ay, acore = _dehomogenize(a, a._nums if rational else a.coeffs)
-    fx, fy, fcore = _dehomogenize(f, f._nums if rational else f.coeffs)
+    if a._surd is not None:
+        conj = _poly(a.degree, a._nums, a._den, [-v for v in a._surd], a._root)
+        return divide_exact(a * conj, f * conj)
+    ax, ay, acore, _ = _dehomogenize(a)
+    fx, fy, *fcore = _dehomogenize(f)
     if fx < ax or fy < ay:
         return None
     n = f.degree - a.degree
     dy = fy - ay
-    if rational:
-        divided = unipoly.divide_ints(fcore, acore)
-        if divided is None:
-            return None
-        quot, content = divided
-        nums = [0] * (n + 1)
-        nums[dy : dy + len(quot)] = [v * a._den for v in quot]
-        return _rational(n, nums, f._den * content)
-    quot = unipoly.div_exact(fcore, acore)
-    if quot is None:
-        return None
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[dy : dy + len(quot)] = quot
-    return HomPoly(n, coeffs)
+    parts = [None, None]
+    for k, core in enumerate(fcore):
+        if core is not None:
+            divided = unipoly.divide_ints(core, acore)
+            if divided is None:
+                return None
+            quot, content = divided
+            parts[k] = [0] * (n + 1)
+            parts[k][dy : dy + len(quot)] = [v * a._den for v in quot]
+    return _poly(n, parts[0], f._den * content, parts[1], f._root)
 
 
 # -- weight profile ---------------------------------------------------------------
@@ -652,9 +651,9 @@ def min_weight(f: HomPoly) -> int:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no weight profile")
-    if f.coeffs[0] != 1:
+    if _coefficient(f, 0) != 1:
         raise ValueError("enumerator must be monic in x^n")
-    if not any(f.coeffs[1:]):
+    if f.support() == [0]:
         raise ValueError("x^n alone is not a weight enumerator")
     return _min_positive_support(f)
 

@@ -10,11 +10,11 @@ The zero polynomial is [].  Two kinds of list share the module:
   clears the denominators of a rational list.  `split_surd` writes a list
   over Q(sqrt(D)) as two integer lists, and `surd_norm` gives their rational
   norm.  Consumers: the Molien series of `matgroup`, the coprimality test
-  of `zeta`, the integer storage of `homopoly.HomPoly` with its products
-  and exact division, and the series of `families.extremal`.
-- Fraction and QuadElem lists serve what stays irrational or is a series:
-  `mul`, `divmod_` and `div_exact` for HomPolys with QuadElem coefficients,
-  the truncated series products and quotients, and the term printer.
+  of `zeta`, every `homopoly.HomPoly` (its integer parts, their products
+  and exact division), and the series of `families.extremal`.
+- Fraction and QuadElem lists serve series and references: `mul` for
+  `matgroup` and the star and binomial checks of `zeta`, `divmod_` and
+  `div_exact` for the tests, the truncated series, and the term printer.
 """
 
 from __future__ import annotations

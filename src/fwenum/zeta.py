@@ -49,6 +49,8 @@ from .homopoly import (
     sigma_q,
     weight_profile,
     _check_q,
+    _coefficient,
+    _common_root,
     _dehomogenize,
 )
 from .record import Record
@@ -213,11 +215,11 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
     denominators of the c_k.  Raises ValueError unless W is in standard
     form, monic with A_1 = ... = A_(d-1) = 0 (the equations with no unknown).
     """
-    n = w.degree
-    if w.coeffs[0] != 1 or any(w.coeffs[1:d]):
+    n, nums = w.degree, w._nums
+    if not w.is_rational() or nums[0] != w._den or any(nums[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
-    c, den = _integer_coeffs([w.coeffs[i] / ((q - 1) * comb(n, i))
-                              for i in range(d, n + 1)])
+    scale = (q - 1) * w._den
+    c, den = _integer_coeffs([nums[i] / (scale * comb(n, i)) for i in range(d, n + 1)])
     return [ck * q.denominator**k for k, ck in enumerate(c)], den
 
 
@@ -1111,7 +1113,7 @@ def _closed_form(w: HomPoly, fam: FamilySpec, d: int) -> HomPoly:
     v2 = n - delta * (d - 1)
     if v2 < 0 or v2 % 2:
         raise ValueError(f"degree does not decompose as {delta}(d-1) + 2v")
-    scalar = pochhammer(d - 2, 3) * w.coeffs[d]
+    scalar = pochhammer(d - 2, 3) * _coefficient(w, d)
     if fam.name == "type1":
         scalar *= n - d
     return fam.divisor_base ** (d - 3) * fam.even_gen ** (v2 // 2) * fam.odd_gen * scalar
@@ -1164,22 +1166,20 @@ def _proportionality(f: HomPoly, g: HomPoly):
     """Scalar c with g == c*f, or None; f must be nonzero.
 
     With f_k the first nonzero coefficient of f, g == c*f exactly when
-    g_i f_k == g_k f_i for every i; rational polys are compared so on their
-    stored integers, and c = (g_k / den_g) / (f_k / den_f) is built from
-    them, without building c*f.
+    f_k g == g_k f, and then c = g_k / f_k.  Rational polys are compared
+    coefficient by coefficient on their stored integers, without building
+    c*f; polys over Q(sqrt(D)) by the two products on their stored parts.
     """
-    if f.is_zero():
-        return None
-    if f.degree != g.degree:
+    if f.is_zero() or f.degree != g.degree:
         return None
     idx = f.support()[0]
-    rational = f.is_rational() and g.is_rational()
-    fc, gc = (f._nums, g._nums) if rational else (f.coeffs, g.coeffs)
-    fk, gk = fc[idx], gc[idx]
-    if any(gi * fk != gk * fi for fi, gi in zip(fc, gc)):
+    fk, gk = _coefficient(f, idx), _coefficient(g, idx)
+    if f.is_rational() and g.is_rational():
+        a, c = f._nums[idx], g._nums[idx]
+        if any(x * a != c * u for u, x in zip(f._nums, g._nums)):
+            return None
+    elif g * fk != f * gk:
         return None
-    if rational:
-        return Fraction(gk * f._den, fk * g._den)
     return gk / fk
 
 
@@ -1191,23 +1191,20 @@ def _scales_by(f: HomPoly, g: HomPoly, c) -> bool:
 def _coprime(a: HomPoly, b: HomPoly) -> bool:
     """No common homogeneous factor (x, y or a dehomogenized core factor).
 
-    Rational cores go to the integer gcd.  Cores over Q(sqrt(D)), written
+    Rational cores go to the integer gcd.  Cores over Q(sqrt(D)), stored as
     a0 + a1 sqrt(D) and b0 + b1 sqrt(D) on integer lists, share a root
     exactly when the rational polynomials a0^2 - D a1^2, b0^2 - D b1^2 and
     a0 b1 - a1 b0 do: a common root of the cores is a root of all three, and
     a root of all three is a common root of the cores or of their conjugates.
     """
-    ax, ay, acore = _dehomogenize(a, a._nums if a.is_rational() else a.coeffs)
-    bx, by, bcore = _dehomogenize(b, b._nums if b.is_rational() else b.coeffs)
+    ax, ay, a0, a1 = _dehomogenize(a)
+    bx, by, b0, b1 = _dehomogenize(b)
     if (ax and bx) or (ay and by):
         return False
-    if a.is_rational() and b.is_rational():
-        return unipoly.degree(unipoly.gcd(acore, bcore)) == 0
-    # one split over both cores: a common scale, and MixedExtensionError for
-    # two extensions
-    d, p0, p1, _ = unipoly.split_surd(acore + bcore)
-    m = len(acore)
-    a0, a1, b0, b1 = p0[:m], p1[:m], p0[m:], p1[m:]
+    if a1 is None and b1 is None:
+        return unipoly.degree(unipoly.gcd(a0, b0)) == 0
+    d = _common_root(a, b)
+    a1, b1 = a1 or [0] * len(a0), b1 or [0] * len(b0)
     cross = unipoly.add(_convolve(a0, b1), [-v for v in _convolve(a1, b0)])
     common = unipoly.gcd(unipoly.surd_norm(a0, a1, d), unipoly.surd_norm(b0, b1, d))
     return unipoly.degree(unipoly.gcd(common, cross)) == 0

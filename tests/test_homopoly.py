@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -23,9 +24,9 @@ from fwenum.homopoly import (
     transform_sign,
     weight_profile,
 )
-from fwenum import homopoly
-from fwenum.scalar import QuadElem
-from fwenum.zeta import verify_duursma_lemma
+from fwenum import homopoly, unipoly
+from fwenum.scalar import QuadElem, simplify
+from fwenum.zeta import run_duursma_lemma_suite, verify_duursma_lemma
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 
@@ -415,6 +416,24 @@ def divisors(draw):
     return HomPoly.monomial(i, j) * HomPoly(m, [v * content for v in core]) * c
 
 
+surds3 = st.builds(lambda a, b: QuadElem(a, b, 3), fractions, fractions)
+
+
+@st.composite
+def surd_divisors(draw):
+    """A divisor from `divisors` times x - sqrt(3) y or times a linear form
+    over Q(sqrt(3)) with an irrational coefficient."""
+    linear = draw(st.one_of(st.just([1, -SQRT3]), st.lists(surds3, min_size=2, max_size=2)
+                            .filter(lambda c: any(isinstance(v, QuadElem) for v in c))))
+    return draw(divisors()) * HomPoly(1, linear)
+
+
+@st.composite
+def surd_polys(draw, max_degree=5, min_degree=0):
+    n = draw(st.integers(min_degree, max_degree))
+    return HomPoly(n, [draw(st.one_of(fractions, surds3)) for _ in range(n + 1)])
+
+
 class TestDivideExactAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(divisors(), hom_polys(max_degree=5).filter(lambda g: not g.is_zero()))
@@ -426,6 +445,29 @@ class TestDivideExactAgainstReference:
     def test_verdict_matches_long_division(self, a, f):
         if a.degree <= f.degree and not f.is_zero():
             assert divide_exact(a, f) == reference_quotient(a, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(surd_divisors(), surd_polys(max_degree=4).filter(lambda g: not g.is_zero()))
+    def test_cofactor_over_q_sqrt3(self, a, g):
+        assert divide_exact(a, a * g) == g == reference_quotient(a, a * g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(surd_divisors(), surd_polys(min_degree=2, max_degree=7))
+    def test_verdict_over_q_sqrt3(self, a, f):
+        if a.degree <= f.degree and not f.is_zero():
+            assert divide_exact(a, f) == reference_quotient(a, f)
+
+    @pytest.mark.parametrize("core,f", [
+        ("2*x^2 + y^2", "x^4 - 1/3*y^4"),            # cofactor over Q(sqrt(3))
+        ("3*x + 2*y", "x^3 + x*y^2"),                # not a divisor
+        ("x*y", "x^3*y + x*y^3"),                    # x y factor, rational cofactor
+    ])
+    def test_named_divisors_over_q_sqrt3(self, core, f):
+        # (x - sqrt(3) y) * core against f * (x - sqrt(3) y) and f itself
+        a = HomPoly(1, [1, -SQRT3]) * parse_poly(core)
+        f = parse_poly(f)
+        for dividend in (f * HomPoly(1, [1, -SQRT3]), f):
+            assert divide_exact(a, dividend) == reference_quotient(a, dividend)
 
     @pytest.mark.parametrize("a,g", [
         ("6*x + 4*y", "x^2 - 1/5*y^2"),             # content 2
@@ -476,13 +518,25 @@ class TestDivideExact:
             assert a * got == f
 
 
-def assert_canonical(f):
-    """f's stored integers are in lowest terms over a positive denominator,
-    its coefficients are Fractions, and a rebuild from them equals f."""
-    assert f.is_rational()
-    assert type(f.coeffs) is tuple and all(type(c) is Fraction for c in f.coeffs)
-    assert f._den > 0 and gcd(f._den, *f._nums) == 1
-    assert f.coeffs == tuple(Fraction(v, f._den) for v in f._nums)
+def assert_canonical(f, rational=True):
+    """f's stored integer parts are in lowest terms over a positive
+    denominator, a sqrt(D) part is stored only when it is nonzero, its
+    coefficients are Fractions (QuadElems where the sqrt(D) part is nonzero),
+    and a rebuild from them equals f."""
+    assert f.is_rational() == rational
+    assert type(f.coeffs) is tuple
+    if rational:
+        assert f._surd is None and f._root == 1
+        assert all(type(c) is Fraction for c in f.coeffs)
+        assert f._den > 0 and gcd(f._den, *f._nums) == 1
+        assert f.coeffs == tuple(Fraction(v, f._den) for v in f._nums)
+    else:
+        assert any(f._surd) and f._root > 1 and len(f._surd) == len(f._nums)
+        assert f._den > 0 and gcd(f._den, *f._nums, *f._surd) == 1
+        want = tuple(simplify(QuadElem(Fraction(u, f._den), Fraction(v, f._den), f._root))
+                     for u, v in zip(f._nums, f._surd))
+        assert f.coeffs == want
+        assert [type(c) for c in f.coeffs] == [type(c) for c in want]
     twin = HomPoly(f.degree, list(f.coeffs))
     assert twin == f and hash(twin) == hash(f)
 
@@ -497,6 +551,7 @@ def fraction_product(f, g):
 
 
 # (Fraction-built, kernel-built) pairs of the same polynomial
+SQRT3 = QuadElem(0, 1, 3)
 SAME_POLY = {
     "product": (lambda: parse_poly("1/3*x^2 + 3/2*x*y - 3*y^2"),
                 lambda: parse_poly("1/2*x + 3*y") * parse_poly("2/3*x - y")),
@@ -520,6 +575,19 @@ SAME_POLY = {
                     lambda: HomPoly.one() * Fraction(-7, 2) * -1),
     "QuadElem with no root": (lambda: parse_poly("2*x + y"),
                               lambda: HomPoly(1, [QuadElem(2), QuadElem(1, 0, 3)])),
+    # over Q(sqrt(3)): the odd-degree transforms and sigma_q(4/3) instances of
+    # the lemma suite, and a product with both parts
+    "odd macwilliams over Q(sqrt(3))": (
+        lambda: HomPoly(3, [c * SQRT3 for c in (Fraction(15, 16), Fraction(-5, 16),
+                                                Fraction(-3, 16), Fraction(65, 144))]),
+        lambda: macwilliams(parse_poly("x^3 + 2*x*y^2 - 1/2*y^3"), Fraction(4, 3))),
+    "sigma_q(4/3) action": (
+        lambda: naive_action(parse_poly("1/2*x^3 - x^2*y + 3*y^3"), sigma_q(Fraction(4, 3))),
+        lambda: act_matrix(parse_poly("1/2*x^3 - x^2*y + 3*y^3"), sigma_q(Fraction(4, 3)))),
+    "product over Q(sqrt(3))": (lambda: HomPoly(2, [2, 2 * SQRT3 - 1, -SQRT3]),
+                                lambda: HomPoly(1, [1, SQRT3]) * parse_poly("2*x - y")),
+    "sqrt(2) parts cancel": (lambda: parse_poly("2*x^2"),
+                             lambda: HomPoly(1, [QuadElem(0, 1, 2), 0]) ** 2),
 }
 
 
@@ -534,22 +602,31 @@ class TestIntegerStorage:
         assert len({left, right}) == 1
         assert left.coeffs == right.coeffs
         for f in (left, right):
-            assert_canonical(f)
-        assert str(left) == str(right)
-        assert left.to_json() == right.to_json()
+            assert_canonical(f, rational=left.is_rational())
+            copy = pickle.loads(pickle.dumps(f))
+            assert copy == f and hash(copy) == hash(f) and copy.coeffs == f.coeffs
+        if left.is_rational():  # the text forms print rational coefficients only
+            assert str(left) == str(right)
+            assert left.to_json() == right.to_json()
         assert left.support() == right.support()
 
     def test_integers_are_reduced_over_a_positive_denominator(self):
-        f = homopoly._rational(2, [2, 0, -4], -6)  # as member_with_min_weight divides by w[0]
+        f = homopoly._poly(2, [2, 0, -4], -6)  # as member_with_min_weight divides by w[0]
         assert (f._nums, f._den) == ((-1, 0, 2), 3)
         assert f == parse_poly("-1/3*x^2 + 2/3*y^2")
         assert_canonical(f)
 
     def test_irrational_poly_keeps_its_tuple(self):
         f = HomPoly(1, [QuadElem(0, 1, 2), 1])
-        assert not f.is_rational() and f._nums is None
+        assert not f.is_rational()
         assert f != HomPoly(1, [0, 1]) and f == HomPoly(1, [QuadElem(0, 1, 2), Fraction(1)])
         assert hash(f) == hash(HomPoly(1, [QuadElem(0, 1, 2), Fraction(1)]))
+
+    def test_mixed_extensions_rejected_at_construction(self):
+        with pytest.raises(MixedExtensionError):
+            HomPoly(1, [QuadElem(0, 1, 2), QuadElem(0, 1, 3)])
+        with pytest.raises(MixedExtensionError):
+            HomPoly(2, [QuadElem(1, 1, 5), 0, QuadElem(0, 2, 3)])
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
@@ -633,6 +710,34 @@ class TestIntegerStorage:
         f = f + HomPoly.monomial(f.degree - i % (f.degree + 1), i % (f.degree + 1), c)
         assume(reference_quotient(a, f) is None)
         assert divide_exact(a, f) is None
+
+
+class TestSurdKernels:
+    """Polys over Q(sqrt(D)) run on their stored integer parts, never on the
+    Fraction / QuadElem list kernels `unipoly.mul` and `unipoly.div_exact`."""
+
+    @pytest.fixture
+    def no_list_kernels(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a Fraction / QuadElem list kernel ran")
+        monkeypatch.setattr(unipoly, "mul", forbidden)
+        monkeypatch.setattr(unipoly, "div_exact", forbidden)
+
+    def test_product_division_and_diff_op(self, no_list_kernels):
+        a = HomPoly(2, [1, -SQRT3, Fraction(1, 2)])
+        g = HomPoly(3, [SQRT3, 0, Fraction(-2, 3), 1 + SQRT3])
+        f = a * g
+        assert f.coeffs == fraction_product(a, g)
+        assert f == HomPoly(5, list(fraction_product(a, g)))
+        assert divide_exact(a, f) == g == reference_quotient(a, f)
+        off = f + HomPoly.monomial(5, 0)
+        assert divide_exact(a, off) is None is reference_quotient(a, off)
+        p = HomPoly(1, [SQRT3, 2])
+        assert diff_op(p, g) == reference_diff_op(p, g)
+        assert diff_op(a, f) == reference_diff_op(a, f)
+
+    def test_lemma_suite(self, no_list_kernels):
+        assert run_duursma_lemma_suite(150, 1) == (150, 150)
 
 
 class TestWeightProfile:
