@@ -275,12 +275,11 @@ def classical_bound(name: str, n: int) -> int:
     raise ValueError(f"no classical bound for {name!r}")
 
 
-def _common_scale(polys: list[HomPoly]) -> list[list[Fraction]]:
-    """The coefficients of rational polys times the lcm of their denominators,
-    read from their stored integers: scaling every equation of a linear
-    system by one constant keeps its reduced row echelon form."""
+def _common_scale(polys: list[HomPoly]) -> list[list[int]]:
+    """The stored integers of rational polys over one common denominator:
+    scaling a linear system by a constant keeps its reduced row echelon form."""
     den = lcm(*[f._den for f in polys])
-    return [[Fraction(v * (den // f._den)) for v in f._nums] for f in polys]
+    return [[v * (den // f._den) for v in f._nums] for f in polys]
 
 
 @lru_cache(maxsize=256)
@@ -430,8 +429,7 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
     if not space:
         return None
     # the members' stored integers on one common denominator, combined on ints
-    den = lcm(*[member._den for member in space])
-    rows = [[v * (den // member._den) for v in member._nums] for member in space]
+    rows = _common_scale(space)
     for _ in range(32):
         w = [0] * (n + 1)
         for row in rows:

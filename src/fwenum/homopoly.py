@@ -226,9 +226,9 @@ class HomPoly(Record):
 
 def _store(f: HomPoly, degree: int, nums, den: int, surd, root: int) -> HomPoly:
     # tuples built from lists, not generators: a tuple made from a generator
-    # starts with room for 10 items and is then resized to fit, and the
-    # tuples that hot paths free that way pile up on CPython's per-size tuple
-    # free lists (0.8 MiB of peak memory on the verifier suites)
+    # starts with room for 10 items and is resized to fit, and the tuples hot
+    # paths free that way pile up on CPython's per-size free lists (0.8 MiB
+    # of peak memory on the verifier suites)
     object.__setattr__(f, "degree", degree)
     object.__setattr__(f, "_nums", tuple(nums))
     object.__setattr__(f, "_surd", None if surd is None else tuple(surd))
@@ -479,10 +479,10 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
 
     When sigma = lam * M with M rational (lam = 1 for a rational sigma), M
     is scaled to integers and acts on each stored part of f (`_act_ints`),
-    over f's denominator times M's to the n, times lam^n.  The split and
-    lam^n of an irrational sigma are cached; a rational sigma is cheaper to
-    scale than to look up.  Only a sigma over Q(sqrt(D)) that is not a
-    multiple of a rational matrix takes the Horner loop on its entries.
+    over f's denominator times M's to the n, times lam^n, normalised once.
+    The split and lam^n of an irrational sigma are cached; a rational sigma
+    is cheaper to scale than to look up.  Only a sigma over Q(sqrt(D)) that
+    is not a multiple of a rational matrix takes the Horner loop.
     """
     n = f.degree
     entries = (sigma.a, sigma.b, sigma.c, sigma.d)
@@ -493,9 +493,15 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     else:
         split = None, *_integer_coeffs(entries)
     lam, ints, den_s = split
+    nums = _act_ints(f._nums, *ints)
     surd = None if f._surd is None else _act_ints(f._surd, *ints)
-    image = _poly(n, _act_ints(f._nums, *ints), f._den * den_s**n, surd, f._root)
-    return image if lam is None else image * _scalar_power(lam, n)
+    den, root = f._den * den_s**n, f._root
+    if lam is not None:  # times lam^n on the same ints, before the one normalisation
+        power = _scalar_power(lam, n)
+        image = _store(object.__new__(HomPoly), n, nums, den, surd, root)
+        nums, surd, root = _bilinear(_convolve, power, image)
+        den *= power._den
+    return _poly(n, nums, den, surd, root)
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:

@@ -1,7 +1,7 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are lists of row lists of Fractions.  Everything here is exact;
-there is no pivoting heuristic beyond picking the first nonzero entry.
+Matrices are lists of row lists of Fractions or ints, results are Fractions;
+everything is exact, and the pivot is the first nonzero entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1, m[r][c])
         m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:

@@ -1166,21 +1166,20 @@ def _proportionality(f: HomPoly, g: HomPoly):
     """Scalar c with g == c*f, or None; f must be nonzero.
 
     With f_k the first nonzero coefficient of f, g == c*f exactly when
-    f_k g == g_k f, and then c = g_k / f_k.  Rational polys are compared
-    coefficient by coefficient on their stored integers, without building
-    c*f; polys over Q(sqrt(D)) by the two products on their stored parts.
+    f_k g == g_k f, and then c = g_k / f_k: compared on the stored parts of
+    f = (f0 + f1 sqrt(D)) / den (f1 = 0 if rational) up to the first mismatch.
     """
     if f.is_zero() or f.degree != g.degree:
         return None
     idx = f.support()[0]
-    fk, gk = _coefficient(f, idx), _coefficient(g, idx)
-    if f.is_rational() and g.is_rational():
-        a, c = f._nums[idx], g._nums[idx]
-        if any(x * a != c * u for u, x in zip(f._nums, g._nums)):
-            return None
-    elif g * fk != f * gk:
+    root, zeros = _common_root(f, g), (0,) * (f.degree + 1)
+    f0, f1, g0, g1 = f._nums, f._surd or zeros, g._nums, g._surd or zeros
+    a0, a1, c0, c1 = f0[idx], f1[idx], g0[idx], g1[idx]
+    if any(u * a0 + root * v * a1 != x * c0 + root * y * c1
+           or u * a1 + v * a0 != x * c1 + y * c0
+           for u, v, x, y in zip(g0, g1, f0, f1)):
         return None
-    return gk / fk
+    return _coefficient(g, idx) / _coefficient(f, idx)
 
 
 def _scales_by(f: HomPoly, g: HomPoly, c) -> bool:
@@ -1191,18 +1190,15 @@ def _scales_by(f: HomPoly, g: HomPoly, c) -> bool:
 def _coprime(a: HomPoly, b: HomPoly) -> bool:
     """No common homogeneous factor (x, y or a dehomogenized core factor).
 
-    Rational cores go to the integer gcd.  Cores over Q(sqrt(D)), stored as
-    a0 + a1 sqrt(D) and b0 + b1 sqrt(D) on integer lists, share a root
-    exactly when the rational polynomials a0^2 - D a1^2, b0^2 - D b1^2 and
-    a0 b1 - a1 b0 do: a common root of the cores is a root of all three, and
-    a root of all three is a common root of the cores or of their conjugates.
+    The cores a0 + a1 sqrt(D) and b0 + b1 sqrt(D) (stored integer lists, a1 = 0
+    when rational) share a root exactly when a0^2 - D a1^2, b0^2 - D b1^2 and
+    a0 b1 - a1 b0 do: a common root of the cores is a root of all three, and a
+    root of all three is a common root of the cores or of their conjugates.
     """
     ax, ay, a0, a1 = _dehomogenize(a)
     bx, by, b0, b1 = _dehomogenize(b)
     if (ax and bx) or (ay and by):
         return False
-    if a1 is None and b1 is None:
-        return unipoly.degree(unipoly.gcd(a0, b0)) == 0
     d = _common_root(a, b)
     a1, b1 = a1 or [0] * len(a0), b1 or [0] * len(b0)
     cross = unipoly.add(_convolve(a0, b1), [-v for v in _convolve(a1, b0)])

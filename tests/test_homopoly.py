@@ -202,6 +202,13 @@ class TestActMatrix:
         with pytest.raises(MixedExtensionError):
             act_matrix(f, sigma_q(2))  # sqrt(2) entries against sqrt(3) coeffs
 
+    def test_mixed_extension_at_even_degree(self):
+        # lam^2 = 1/2 is rational, so the image stays over Q(sqrt(3))
+        f = HomPoly(2, [SQRT3, 1, 0])
+        image = act_matrix(f, sigma_q(2))
+        assert image == naive_action(f, sigma_q(2))
+        assert not image.is_rational()
+
 
 def slot_bits(nums, m):
     return 8 * homopoly._slot_bytes(nums, *m)

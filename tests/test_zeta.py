@@ -1313,6 +1313,13 @@ class TestProportionality:
         assert _proportionality(f, g) is None
         assert _proportionality(g, g * F(2, 3)) == F(2, 3)
         assert _proportionality(g, g * r2) == r2
+        f = HomPoly(2, [r2, 0, 2 * r2])  # a leading coefficient with no rational part
+        twin = parse_poly("2*x^2 + 4*y^2")  # r2 * f
+        assert _proportionality(f, HomPoly.zero(2)) == 0
+        assert _proportionality(f, twin) == r2
+        assert _proportionality(twin, f) == r2 / 2
+        assert _proportionality(f, parse_poly("2*x^2 + 3*y^2")) is None
+        assert _proportionality(twin, f + HomPoly.monomial(1, 1)) is None
 
 
 class TestDuursmaOkuda:
