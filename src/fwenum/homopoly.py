@@ -13,10 +13,11 @@ built on each read.  Sums work part by part, products and p(D) are
 (f0 g0 + D f1 g1) + (f0 g1 + f1 g0) sqrt(D) on `unipoly._convolve` (one call
 when both are rational), and exact division by an irrational a divides
 f * conj(a) by the rational a * conj(a) with `unipoly.divide_ints`; each
-result is normalised by one gcd.  A matrix that is a scalar multiple lam * M
-of a rational M, such as sigma_q(q), acts on each part as the integer action
-of M, times lam^n.  Only other irrational matrices run the Horner loop on
-Fraction / QuadElem scalars, and their result is split into parts once.
+result is normalised by one gcd.  A `Mat2` is stored the same way on its
+four entries, M = (M0 + M1 sqrt(D)) / den.  A rational M, or a pure surd
+M1 sqrt(D) / den such as sigma_q(q), acts on each part as the integer action
+of M0 or M1 (times sqrt(D)^n on the ints).  Only a matrix with both parts
+nonzero runs the Horner loop on Fraction / QuadElem scalars.
 
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
@@ -31,11 +32,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, perm
 
 from . import unipoly
-from .unipoly import _convolve, _integer_coeffs
+from .unipoly import _convolve
 from .record import Record
 from .scalar import (
     Fraction as Rational,
@@ -209,7 +209,9 @@ class HomPoly(Record):
         return format_poly(self)
 
     def __repr__(self):
-        return f"HomPoly({format_poly(self)!r})"
+        if self._surd is None:  # the text form prints rational polys only
+            return f"HomPoly({format_poly(self)!r})"
+        return f"HomPoly({self.degree}, {list(self.coeffs)!r})"
 
     def to_json(self) -> str:
         if not self.is_rational():
@@ -237,11 +239,10 @@ def _store(f: HomPoly, degree: int, nums, den: int, surd, root: int) -> HomPoly:
     return f
 
 
-def _poly(degree: int, nums: list[int], den: int, surd: list[int] | None = None,
-          root: int = 1) -> HomPoly:
-    """The HomPoly (nums + surd * sqrt(root)) / den (den != 0) in canonical
-    form: one gcd over den and both parts, and no sqrt part when surd is None
-    or all zero."""
+def _lowest(nums: list[int], den: int, surd: list[int] | None, root: int) -> tuple:
+    """(nums, den, surd, root) for (nums + surd * sqrt(root)) / den (den != 0)
+    in canonical form: one gcd over den and both parts, and no sqrt part
+    (None, root 1) when surd is None or all zero."""
     if surd is not None and not any(surd):
         surd, root = None, 1
     g = gcd(den, *nums) if surd is None else gcd(den, *nums, *surd)
@@ -251,18 +252,27 @@ def _poly(degree: int, nums: list[int], den: int, surd: list[int] | None = None,
         nums = [v // g for v in nums]
         surd = None if surd is None else [v // g for v in surd]
         den //= g
-    return _store(object.__new__(HomPoly), degree, nums, den, surd, root)
+    return nums, den, surd, root
 
 
-def _coefficient(f: HomPoly, i: int):
-    """f.coeffs[i], without building the tuple."""
-    c = Fraction(f._nums[i], f._den)
-    if f._surd is None or not f._surd[i]:
-        return c
-    return QuadElem(c, Fraction(f._surd[i], f._den), f._root)
+def _poly(degree: int, nums: list[int], den: int, surd: list[int] | None = None,
+          root: int = 1) -> HomPoly:
+    """The HomPoly (nums + surd * sqrt(root)) / den in canonical form."""
+    return _store(object.__new__(HomPoly), degree, *_lowest(nums, den, surd, root))
 
 
-def _common_root(f: HomPoly, g: HomPoly) -> int:
+def _scalar(u: int, v: int, den: int, root: int):
+    """(u + v sqrt(root)) / den: a Fraction, or a QuadElem when v != 0."""
+    c = Fraction(u, den)
+    return QuadElem(c, Fraction(v, den), root) if v else c
+
+
+def _coefficient(f: HomPoly | Mat2, i: int):
+    """f.coeffs[i], without building the tuple; entry i of a Mat2."""
+    return _scalar(f._nums[i], 0 if f._surd is None else f._surd[i], f._den, f._root)
+
+
+def _common_root(f: HomPoly | Mat2, g: HomPoly | Mat2) -> int:
     """The D of the field Q(sqrt(D)) that holds f and g."""
     if f._root == 1 or f._root == g._root:
         return g._root
@@ -271,10 +281,11 @@ def _common_root(f: HomPoly, g: HomPoly) -> int:
     raise MixedExtensionError(f"cannot combine sqrt({f._root}) with sqrt({g._root})")
 
 
-def _bilinear(op, f: HomPoly, g: HomPoly) -> tuple[list[int], list[int] | None, int]:
+def _bilinear(op, f, g) -> tuple[list[int], list[int] | None, int]:
     """op, a bilinear map of integer lists, on f = f0 + f1 sqrt(D) and
-    g = g0 + g1 sqrt(D): (f0 g0 + D f1 g1, f0 g1 + f1 g0, D) from the stored
-    parts, with no sqrt part (None) and D = 1 when f and g are rational."""
+    g = g0 + g1 sqrt(D), two HomPolys or two Mat2s: (f0 g0 + D f1 g1,
+    f0 g1 + f1 g0, D) from the stored parts, with no sqrt part (None) and
+    D = 1 when f and g are rational."""
     nums = op(f._nums, g._nums)
     if f._surd is None and g._surd is None:
         return nums, None, 1
@@ -289,28 +300,39 @@ def _bilinear(op, f: HomPoly, g: HomPoly) -> tuple[list[int], list[int] | None, 
 
 
 class Mat2(Record):
-    """2x2 matrix acting on (x, y); entries are exact scalars.
+    """2x2 matrix (a, b; c, d) acting on (x, y); entries are exact scalars.
 
-    Matrices compare and hash by their entries, so group closure collects
-    each element once; the repr lists the entries, and
-    `MatrixGroup.sorted_elements` orders by it.
+    Stored as a HomPoly is, on the entries (a, b, c, d): integer 4-tuples
+    (_nums + _surd * sqrt(_root)) / _den in lowest terms, `_surd` None when
+    rational; entries from two extensions raise MixedExtensionError.  Every
+    operation but `inverse` runs on those ints, and `a` to `d` are built on
+    read.  Matrices compare and hash by the ints, so group closure collects
+    each element once; `MatrixGroup.sorted_elements` orders by the repr.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_nums", "_surd", "_root", "_den")
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", _norm_scalar(a))
-        object.__setattr__(self, "b", _norm_scalar(b))
-        object.__setattr__(self, "c", _norm_scalar(c))
-        object.__setattr__(self, "d", _norm_scalar(d))
+        root, nums, surd, den = unipoly.split_surd([_norm_scalar(e) for e in (a, b, c, d)])
+        super().__init__(tuple(nums), tuple(surd) if root != 1 else None, root, den)
+
+    def __reduce__(self):
+        # the slots are not the constructor's arguments
+        return Mat2, (self.a, self.b, self.c, self.d)
+
+    a = property(lambda self: _coefficient(self, 0))
+    b = property(lambda self: _coefficient(self, 1))
+    c = property(lambda self: _coefficient(self, 2))
+    d = property(lambda self: _coefficient(self, 3))
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return (self._den == other._den and self._nums == other._nums
+                and self._surd == other._surd and self._root == other._root)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self._den, self._nums, self._surd, self._root))
 
     def __repr__(self):
         return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
@@ -320,30 +342,52 @@ class Mat2(Record):
         return cls(1, 0, 0, 1)
 
     def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        nums, surd, root = _bilinear(_matmul_ints, self, o)
+        return _mat(nums, self._den * o._den, surd, root)
+
+    def _parts_map(self, op) -> "Mat2":
+        """op, a linear map of integer 4-lists, on both stored parts."""
+        surd = None if self._surd is None else op(self._surd)
+        return _mat(op(self._nums), self._den, surd, self._root)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return self._parts_map(lambda m: [-v for v in m])
+
+    def _det_parts(self) -> tuple[int, int, int]:
+        """(u, v, D) with det = (u + v sqrt(D)) / _den^2."""
+        (u,), surd, root = _bilinear(lambda m, n: [m[0] * n[3] - m[1] * n[2]], self, self)
+        return u, surd[0] if surd else 0, root
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        u, v, root = self._det_parts()
+        return _scalar(u, v, self._den**2, root)
 
     def trace(self):
-        return self.a + self.d
+        v = 0 if self._surd is None else self._surd[0] + self._surd[3]
+        return _scalar(self._nums[0] + self._nums[3], v, self._den, self._root)
 
     def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
+        return self._parts_map(lambda m: [m[0], m[2], m[1], m[3]])
 
     def inverse(self) -> "Mat2":
         dt = self.det()
         if not dt:
             raise ZeroDivisionError("matrix is singular")
         return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+
+
+def _matmul_ints(m: list[int], n: list[int]) -> list[int]:
+    """The product of two integer matrices, each as (a, b, c, d)."""
+    return [m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]]
+
+
+def _mat(nums: list[int], den: int, surd: list[int] | None = None, root: int = 1) -> Mat2:
+    """The Mat2 (nums + surd * sqrt(root)) / den in canonical form."""
+    nums, den, surd, root = _lowest(nums, den, surd, root)
+    m = object.__new__(Mat2)
+    Record.__init__(m, tuple(nums), None if surd is None else tuple(surd), root, den)
+    return m
 
 
 def _check_q(q: Rational) -> Fraction:
@@ -443,28 +487,6 @@ def _act_packed(nums, a, b, c, d, width: int) -> list[int]:
     return _unpack(acc, n + 1, width)
 
 
-@lru_cache(maxsize=64)
-def _rational_multiple(sigma: Mat2) -> tuple | None:
-    """(lam, ints, den) with sigma == lam * M and M = ints / den, for a sigma
-    with irrational entries; lam is its first nonzero entry (sigma_q(q), its
-    transpose, their rational multiples).  None when M is not rational."""
-    entries = (sigma.a, sigma.b, sigma.c, sigma.d)
-    lam = next(e for e in entries if e)
-    try:
-        ratios = [simplify(e / lam) for e in entries]
-    except MixedExtensionError:  # entries from two extensions
-        return None
-    if not all(isinstance(r, Fraction) for r in ratios):
-        return None
-    ints, den = _integer_coeffs(ratios)
-    return lam, tuple(ints), den
-
-
-@lru_cache(maxsize=256)
-def _scalar_power(lam: QuadElem, n: int) -> HomPoly:
-    return HomPoly(0, [lam**n])  # a constant polynomial
-
-
 def _act_ints(nums, a, b, c, d) -> list[int]:
     """The integer action of (a, b; c, d) on nums: packed while a slot of the
     result is at most `_PACKED_SLOT_BITS` wide (the measured crossover)."""
@@ -477,30 +499,31 @@ def _act_ints(nums, a, b, c, d) -> list[int]:
 def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     """f^sigma(x, y) = f(a x + b y, c x + d y), expanded and collected.
 
-    When sigma = lam * M with M rational (lam = 1 for a rational sigma), M
-    is scaled to integers and acts on each stored part of f (`_act_ints`),
-    over f's denominator times M's to the n, times lam^n, normalised once.
-    The split and lam^n of an irrational sigma are cached; a rational sigma
-    is cheaper to scale than to look up.  Only a sigma over Q(sqrt(D)) that
-    is not a multiple of a rational matrix takes the Horner loop.
+    The split of sigma is read from its storage.  A rational sigma = M0 / den
+    acts by its integers M0 on each stored part of f (`_act_ints`), over f's
+    denominator times den^n.  A pure surd sigma = M1 sqrt(D) / den, such as
+    sigma_q(q) (1 / sqrt(a/b) = sqrt(ab) / a), acts by M1 the same way, times
+    sqrt(D)^n = D^(n // 2), and times sqrt(D) when n is odd, on the ints of
+    each part; the image is normalised once.  Only a sigma with both parts
+    nonzero takes the Horner loop on Fraction / QuadElem scalars.
     """
     n = f.degree
-    entries = (sigma.a, sigma.b, sigma.c, sigma.d)
-    if any(isinstance(e, QuadElem) for e in entries):
-        split = _rational_multiple(sigma)
-        if split is None:
+    ints = sigma._nums
+    if sigma._surd is not None:
+        if any(ints):
+            entries = sigma.a, sigma.b, sigma.c, sigma.d
             return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
-    else:
-        split = None, *_integer_coeffs(entries)
-    lam, ints, den_s = split
+        ints = sigma._surd
     nums = _act_ints(f._nums, *ints)
     surd = None if f._surd is None else _act_ints(f._surd, *ints)
-    den, root = f._den * den_s**n, f._root
-    if lam is not None:  # times lam^n on the same ints, before the one normalisation
-        power = _scalar_power(lam, n)
-        image = _store(object.__new__(HomPoly), n, nums, den, surd, root)
-        nums, surd, root = _bilinear(_convolve, power, image)
-        den *= power._den
+    den, root = f._den * sigma._den**n, f._root
+    if sigma._surd is not None:
+        big_d, scale = sigma._root, sigma._root ** (n // 2)
+        if n % 2:  # (p0 + p1 sqrt(D)) sqrt(D) = D p1 + p0 sqrt(D)
+            root = _common_root(f, sigma)
+            nums, surd = [big_d * v for v in surd or [0] * (n + 1)], nums
+        nums = [scale * v for v in nums]
+        surd = None if surd is None else [scale * v for v in surd]
     return _poly(n, nums, den, surd, root)
 
 

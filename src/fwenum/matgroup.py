@@ -1,8 +1,8 @@
 """Finite closure of 2x2 matrix groups and exact Molien series.
 
-Group elements are compared by exact structural equality of their entries, so
-the closure is reliable over any real quadratic extension.  The Molien series
-is summed as an exact rational function on the integer kernel of `unipoly`:
+Group elements multiply and compare on the integer parts of `Mat2`, so the
+closure is exact over any real quadratic extension.  The Molien series, its
+prefix too, is summed as an exact rational function on the integer kernel:
 a term 1/d with d = d0 + d1 sqrt(D) is rewritten over the rational norm
 d0^2 - D d1^2, so the rational part and the sqrt(D) part are sums of integer
 fractions.  The sqrt(D) part must sum to zero, which is checked rather than
@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from . import unipoly
 from .families import FAMILIES, ring_dimension
-from .homopoly import Mat2, sigma_q, TAU
+from .homopoly import Mat2, sigma_q, TAU, _lowest
 from .record import Record
-from .scalar import NotRationalError, simplify
-from .unipoly import _convolve
+from .scalar import NotRationalError
+from .unipoly import _convolve, _integer_coeffs
 
 __all__ = [
     "MatrixGroup",
@@ -106,9 +106,20 @@ class RationalFunctionSeries:
         return cls([Fraction(1)], den)
 
     def series(self, terms: int) -> list[Fraction]:
-        """First `terms` Taylor coefficients at l = 0."""
+        """First `terms` Taylor coefficients at l = 0.
+
+        On ints: with num = p / a and den = u / b, coefficient k is
+        b s_k / (a u0^(k+1)) for the integers s_k = p_k u0^k - sum over j of
+        u_j u0^(j-1) s_(k-j); u0 = 1 in every Molien series.  A zero u0 raises
+        ZeroDivisionError.
+        """
         if len(self._series) < terms:
-            self._series = unipoly.series_div(self.num, self.den, terms)
+            (p, a), (u, b) = _integer_coeffs(self.num), _integer_coeffs(self.den)
+            s = [v * u[0]**k for k, v in enumerate(p[:terms])] + [0] * (terms - len(p))
+            steps = [(j, v * u[0] ** (j - 1)) for j, v in enumerate(u) if j and v]
+            for k in range(terms):
+                s[k] -= sum([w * s[k - j] for j, w in steps if j <= k])
+            self._series = [Fraction(b * v, a * u[0] ** (k + 1)) for k, v in enumerate(s)]
         return self._series[:terms]
 
     def __eq__(self, other):
@@ -124,8 +135,15 @@ class RationalFunctionSeries:
 
 
 def _char_denominator(m: Mat2) -> tuple:
-    """det(I - l*A) = 1 - tr(A) l + det(A) l^2 as a coefficient tuple."""
-    return tuple(unipoly.trim([Fraction(1), simplify(-m.trace()), simplify(m.det())]))
+    """det(I - l*A) = 1 - tr(A) l + det(A) l^2 as (D, u0, u1, e), the list
+    (u0 + u1 sqrt(D)) / e in lowest terms (u1 None when it is rational), from
+    the stored integer parts of A = (M0 + M1 sqrt(D)) / den, over den^2."""
+    den, nums, surd = m._den, m._nums, m._surd
+    det0, det1, root = m._det_parts()
+    tr1 = 0 if surd is None else surd[0] + surd[3]
+    u0, e, u1, root = _lowest([den * den, -den * (nums[0] + nums[3]), det0], den * den,
+                              [0, -den * tr1, det1], root)
+    return root, tuple(u0), None if u1 is None else tuple(u1), e
 
 
 def _add(frac: tuple[list[int], list[int]], num: list[int], den: list[int]):
@@ -158,9 +176,8 @@ def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries
         raise ValueError("terms must be >= 1")
     rational = [], [1]
     surds = {}  # D -> the sum of the sqrt(D) parts
-    for d, k in Counter(_char_denominator(m) for m in group.elements).items():
-        root, u0, u1, e = unipoly.split_surd(d)
-        if root == 1:
+    for (root, u0, u1, e), k in Counter(_char_denominator(m) for m in group.elements).items():
+        if u1 is None:
             rational = _add(rational, [k * e], u0)
             continue
         norm = unipoly.surd_norm(u0, u1, root)

@@ -12,9 +12,9 @@ The zero polynomial is [].  Two kinds of list share the module:
   norm.  Consumers: the Molien series of `matgroup`, the coprimality test
   of `zeta`, every `homopoly.HomPoly` (its integer parts, their products
   and exact division), and the series of `families.extremal`.
-- Fraction and QuadElem lists serve series and references: `mul` for
-  `matgroup` and the star and binomial checks of `zeta`, `divmod_` and
-  `div_exact` for the tests, the truncated series, and the term printer.
+- Fraction and QuadElem lists serve references: `mul` for `matgroup` and
+  the star and binomial checks of `zeta`, and `divmod_`, `div_exact` and the
+  truncated series `series_div` for the tests; and the term printer.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 import random
@@ -11,6 +12,7 @@ from fwenum.homopoly import (
     HomPoly,
     Mat2,
     MixedExtensionError,
+    TAU,
     act_matrix,
     diff_op,
     divide_exact,
@@ -268,7 +270,7 @@ class TestPackedAction:
         f = HomPoly(24, [Fraction(rng.randint(-(2**bits), 2**bits), rng.choice([1, 3, 7]))
                          for _ in range(25)])
         m = Mat2(Fraction(1, 2), 3, -1, Fraction(2, 5))
-        ints, _ = homopoly._integer_coeffs([m.a, m.b, m.c, m.d])
+        ints, _ = unipoly._integer_coeffs([m.a, m.b, m.c, m.d])
         assert (slot_bits(f._nums, ints) <= homopoly._PACKED_SLOT_BITS) == packed
         assert act_matrix(f, m) == naive_action(f, m)
 
@@ -745,6 +747,154 @@ class TestSurdKernels:
 
     def test_lemma_suite(self, no_list_kernels):
         assert run_duursma_lemma_suite(150, 1) == (150, 150)
+
+
+class EntryMat2:
+    """The entrywise Mat2 that the integer storage replaced: four Fraction /
+    QuadElem entries and the ring operations on them; the reference for
+    `Mat2`."""
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = (homopoly._norm_scalar(e) for e in (a, b, c, d))
+
+    def entries(self):
+        return self.a, self.b, self.c, self.d
+
+    def __eq__(self, other):
+        return self.entries() == other.entries()
+
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __repr__(self):
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __matmul__(self, o):
+        return EntryMat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
+                         self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
+
+    def __neg__(self):
+        return EntryMat2(-self.a, -self.b, -self.c, -self.d)
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def trace(self):
+        return self.a + self.d
+
+    def transpose(self):
+        return EntryMat2(self.a, self.c, self.b, self.d)
+
+    def inverse(self):
+        dt = self.det()
+        return EntryMat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+
+
+def assert_same_matrix(got, want):
+    """Mat2 `got` has the entries of EntryMat2 `want`, of the same types, and
+    the same repr."""
+    entries = (got.a, got.b, got.c, got.d)
+    assert entries == want.entries()
+    assert [type(e) for e in entries] == [type(e) for e in want.entries()]
+    assert repr(got) == repr(want)
+
+
+def assert_same_scalar(got, want):
+    # the entrywise det and trace of QuadElems stay QuadElems when their sqrt
+    # parts cancel; the integer storage gives the Fraction
+    assert got == want and type(got) is type(simplify(want))
+
+
+@st.composite
+def entry_pairs(draw):
+    """Entries of two matrices over Q or over one Q(sqrt(D)), D in {2, 3, 5};
+    the second is sometimes the first."""
+    rad = draw(st.sampled_from([1, 2, 3, 5]))
+    scalars = fractions if rad == 1 else st.one_of(
+        fractions, st.builds(lambda a, b: QuadElem(a, b, rad), fractions, fractions))
+    left = [draw(scalars) for _ in range(4)]
+    right = left if draw(st.booleans()) else [draw(scalars) for _ in range(4)]
+    return left, right
+
+
+class TestMat2Storage:
+    """Mat2 on integer parts (M0 + M1 sqrt(D)) / den against the entrywise
+    reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entry_pairs())
+    def test_operations_match_the_entrywise_reference(self, pair):
+        (left, right), refs = pair, [EntryMat2(*e) for e in pair]
+        m, n = Mat2(*left), Mat2(*right)
+        ref_m, ref_n = refs
+        assert_same_matrix(m, ref_m)
+        assert_same_matrix(m @ n, ref_m @ ref_n)
+        assert_same_matrix(n @ m, ref_n @ ref_m)
+        assert_same_matrix(-m, -ref_m)
+        assert_same_matrix(m.transpose(), ref_m.transpose())
+        assert_same_scalar(m.det(), ref_m.det())
+        assert_same_scalar(m.trace(), ref_m.trace())
+        if ref_m.det():
+            assert_same_matrix(m.inverse(), ref_m.inverse())
+            assert m @ m.inverse() == Mat2.identity()
+        assert (m == n) == (ref_m == ref_n)
+        if m == n:
+            assert hash(m) == hash(n)
+        product = m @ n  # rebuilt from the reference's entries
+        twin = Mat2(*(ref_m @ ref_n).entries())
+        assert twin == product and hash(twin) == hash(product)
+
+    @pytest.mark.parametrize("built,computed", [
+        (lambda: Mat2(0, 1, 1, 0), lambda: sigma_q(2) @ TAU @ sigma_q(2)),
+        (lambda: Mat2(-1, 0, 0, -1), lambda: -(sigma_q(4) @ sigma_q(4))),
+        (lambda: Mat2(*[e * SQRT3 for e in (Fraction(1, 2), Fraction(1, 6),
+                                             Fraction(1, 2), Fraction(-1, 2))]),
+         lambda: sigma_q(Fraction(4, 3)).transpose().transpose()),
+        (lambda: Mat2(Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2)),
+         lambda: (sigma_q(Fraction(4, 3)) @ TAU) @ (sigma_q(Fraction(4, 3)) @ TAU)),
+        (lambda: Mat2(0, -SQRT3 / 3, SQRT3, 0),
+         lambda: sigma_q(Fraction(4, 3)) @ TAU @ sigma_q(Fraction(4, 3)) @ TAU
+         @ sigma_q(Fraction(4, 3)) @ TAU),
+    ], ids=["sigma_2 tau sigma_2", "-sigma_4^2", "sigma_4/3 twice transposed",
+            "(sigma_4/3 tau)^2", "(sigma_4/3 tau)^3"])
+    def test_same_matrix_two_ways(self, built, computed):
+        left, right = built(), computed()
+        assert left == right and hash(left) == hash(right) and len({left, right}) == 1
+        assert repr(left) == repr(right)
+        for m in (left, right):
+            for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+            assert (m._den > 0 and gcd(m._den, *m._nums, *(m._surd or ())) == 1
+                    and (m._surd is None) == (m._root == 1))
+
+    def test_entries_from_two_extensions_raise_when_built(self):
+        # the entrywise Mat2 took these and raised at the first product
+        with pytest.raises(MixedExtensionError):
+            Mat2(QuadElem(0, 1, 2), QuadElem(0, 1, 3), 0, 1)
+        with pytest.raises(MixedExtensionError):
+            Mat2(1, QuadElem(1, 1, 5), QuadElem(0, 2, 3), 1)
+        with pytest.raises(MixedExtensionError):
+            sigma_q(2) @ sigma_q(Fraction(4, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 14), invertible_mats())
+    def test_action_by_a_multiple_with_both_parts(self, data, n, m):
+        # lam = 1 + sqrt(2): M0 and M1 are both nonzero, the Horner path
+        lam = QuadElem(1, 1, 2)
+        sigma = Mat2(*(lam * e for e in (m.a, m.b, m.c, m.d)))
+        assert sigma._surd is not None and any(sigma._nums)
+        coeffs = st.one_of(fractions, st.builds(lambda a, b: QuadElem(a, b, 2),
+                                                fractions, fractions))
+        f = HomPoly(n, [data.draw(coeffs) for _ in range(n + 1)])
+        assert act_matrix(f, sigma) == naive_action(f, sigma)
+
+    def test_irrational_poly_repr(self):
+        f = HomPoly(1, [QuadElem(0, 1, 2), 1])
+        assert repr(f) == "HomPoly(1, [sqrt(2), Fraction(1, 1)])"
+        assert repr(act_matrix(parse_poly("x^3 - y^3"), sigma_q(Fraction(4, 3)))) == (
+            "HomPoly(3, [Fraction(0, 1), 3/2*sqrt(3), -sqrt(3), 7/18*sqrt(3)])")
+        # the rational repr is the text form, as before
+        assert repr(parse_poly("x^2 + 1/3*y^2")) == "HomPoly('x^2 + 1/3*y^2')"
 
 
 class TestWeightProfile:

@@ -2,8 +2,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fwenum import unipoly
+from fwenum import homopoly, matgroup, unipoly
 from fwenum.families import FAMILIES, ring_dimension
 from fwenum.homopoly import Mat2, TAU, act_matrix, sigma_q
 from fwenum.scalar import NotRationalError, QuadElem, simplify
@@ -12,9 +13,11 @@ from fwenum.matgroup import (
     MatrixGroup,
     RationalFunctionSeries,
     group_closure,
+    molien_basis_mismatches,
     molien_series,
     named_group,
 )
+from fwenum.zeta import run_duursma_okuda_suite
 from test_unipoly import fraction_gcd
 
 EXPECTED = {
@@ -29,6 +32,70 @@ GROUP_FOR_FAMILY = {
     "type4": "g4minus",
     "q43-odd": "g43minus",
     "q43": "g43",
+}
+
+
+# repr of every element of each named group in `sorted_elements()` order,
+# captured from the entrywise Mat2 that the integer storage replaced
+SORTED_REPRS = {
+    "g1minus": [
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+        "Mat2(a=Fraction(0, 1), b=Fraction(-1, 1), c=Fraction(-1, 1), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=Fraction(-1, 1), c=Fraction(1, 1), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-1, 1), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(1, 1), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+    ],
+    "g4minus": [
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-3, 2), c=Fraction(-1, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-3, 2), c=Fraction(1, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(3, 2), c=Fraction(-1, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(3, 2), c=Fraction(1, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+    ],
+    "g43minus": [
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-1, 2), c=Fraction(-3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-1, 2), c=Fraction(3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(1, 2), c=Fraction(-3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(1, 2), c=Fraction(3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(-1, 2), c=Fraction(-3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(-1, 2), c=Fraction(3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(-3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(3, 2), d=Fraction(-1, 2))",
+    ],
+    "g43": [
+        "Mat2(a=-1/2*sqrt(3), b=-1/6*sqrt(3), c=-1/2*sqrt(3), d=1/2*sqrt(3))",
+        "Mat2(a=-1/2*sqrt(3), b=-1/6*sqrt(3), c=1/2*sqrt(3), d=-1/2*sqrt(3))",
+        "Mat2(a=-1/2*sqrt(3), b=1/6*sqrt(3), c=-1/2*sqrt(3), d=-1/2*sqrt(3))",
+        "Mat2(a=-1/2*sqrt(3), b=1/6*sqrt(3), c=1/2*sqrt(3), d=1/2*sqrt(3))",
+        "Mat2(a=1/2*sqrt(3), b=-1/6*sqrt(3), c=-1/2*sqrt(3), d=-1/2*sqrt(3))",
+        "Mat2(a=1/2*sqrt(3), b=-1/6*sqrt(3), c=1/2*sqrt(3), d=1/2*sqrt(3))",
+        "Mat2(a=1/2*sqrt(3), b=1/6*sqrt(3), c=-1/2*sqrt(3), d=1/2*sqrt(3))",
+        "Mat2(a=1/2*sqrt(3), b=1/6*sqrt(3), c=1/2*sqrt(3), d=-1/2*sqrt(3))",
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(-1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-1, 2), c=Fraction(-3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(-1, 2), c=Fraction(3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(1, 2), c=Fraction(-3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(-1, 2), b=Fraction(1, 2), c=Fraction(3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(0, 1), b=-1/3*sqrt(3), c=-sqrt(3), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=-1/3*sqrt(3), c=sqrt(3), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=1/3*sqrt(3), c=-sqrt(3), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(0, 1), b=1/3*sqrt(3), c=sqrt(3), d=Fraction(0, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(-1, 1))",
+        "Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(-1, 2), c=Fraction(-3, 2), d=Fraction(-1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(-1, 2), c=Fraction(3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(-3, 2), d=Fraction(1, 2))",
+        "Mat2(a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(3, 2), d=Fraction(-1, 2))",
+    ],
 }
 
 
@@ -170,3 +237,53 @@ def test_molien_matches_ring_dimension_to_40(fam_name):
     coeffs = series.series(41)
     for n in range(41):
         assert coeffs[n] == ring_dimension(fam, n), (fam_name, n)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_sorted_elements_are_pinned(groups, name):
+    reprs = [repr(m) for m in groups[name].sorted_elements()]
+    assert reprs == SORTED_REPRS[name] and len(reprs) == EXPECTED[name][0]
+
+
+def test_suites_run_no_scalar_matrix_arithmetic(monkeypatch):
+    # every matrix of the Duursma-Okuda suite and of the four closures is
+    # rational or a pure surd, so the action and the closure run on ints
+    horner, products, closing = [], [], []
+    act_horner, mul, closure = homopoly._act_horner, QuadElem.__mul__, matgroup.group_closure
+
+    def spy_horner(coeffs, a, b, c, d, one):
+        if not isinstance(one, int):
+            horner.append(one)
+        return act_horner(coeffs, a, b, c, d, one)
+
+    def spy_mul(self, other):
+        if closing:
+            products.append(self)
+        return mul(self, other)
+
+    def spy_closure(*args, **kwargs):
+        closing.append(True)
+        try:
+            return closure(*args, **kwargs)
+        finally:
+            closing.pop()
+
+    monkeypatch.setattr(homopoly, "_act_horner", spy_horner)
+    monkeypatch.setattr(QuadElem, "__mul__", spy_mul)
+    monkeypatch.setattr(QuadElem, "__rmul__", spy_mul)
+    monkeypatch.setattr(matgroup, "group_closure", spy_closure)
+    assert run_duursma_okuda_suite(150, 1).ok
+    assert molien_basis_mismatches(40) == ([], 4)
+    assert horner == [] and products == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
+       st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5)
+       .filter(lambda den: den[0]), st.integers(1, 30))
+def test_series_on_ints_matches_fraction_division(num, den, terms):
+    # den[0] other than 1 and fractional coefficients on both sides
+    series = RationalFunctionSeries(num, den)
+    want = unipoly.series_div(series.num, series.den, terms)
+    assert series.series(terms) == want
+    assert all(type(c) is Fraction for c in series.series(terms))

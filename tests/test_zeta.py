@@ -18,7 +18,6 @@ from fwenum.homopoly import (
     HomPoly,
     Mat2,
     TAU,
-    _integer_coeffs,
     act_matrix,
     diff_op,
     divide_exact,
@@ -28,6 +27,7 @@ from fwenum.homopoly import (
     transform_sign,
 )
 from fwenum.scalar import simplify, sqrt_rational
+from fwenum.unipoly import _integer_coeffs
 from fwenum.zeta import (
     DIFF_OPERATORS,
     _proportionality,
