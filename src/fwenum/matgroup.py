@@ -115,6 +115,8 @@ class RationalFunctionSeries:
         """
         if len(self._series) < terms:
             (p, a), (u, b) = _integer_coeffs(self.num), _integer_coeffs(self.den)
+            if not u[0]:
+                raise ZeroDivisionError("series expansion needs den(0) != 0")
             s = [v * u[0]**k for k, v in enumerate(p[:terms])] + [0] * (terms - len(p))
             steps = [(j, v * u[0] ** (j - 1)) for j, v in enumerate(u) if j and v]
             for k in range(terms):

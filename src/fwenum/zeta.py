@@ -3,21 +3,22 @@ MDS enumerators, star operators and the theorem-level identity verifiers.
 
 The zeta polynomial is extracted by two independent exact routes: a forward
 substitution against the generating-function definition, and a triangular
-expansion over MDS enumerators.  One driver builds their right-hand side
-once; both solve it on Python ints and their integer results must agree, a
-comparison kept as a permanent cross-oracle.  Root location is the only
-numerical step.  P is first folded exactly, on Python ints, with its functional equation into
-R(s), s = qT + 1/T, of half the degree.  When the signs of R at dyadic
-points prove all its roots real, simple and inside (-2 sqrt(q), 2 sqrt(q)),
-RH holds exactly and the roots are refined and lifted on Python ints; each
-refined root is closed by a sign change that a fixed-point truncation bound
-decides, with exact evaluation when the bound does not.  Otherwise Aberth
-iteration with deterministic seeding finds the roots of R, first in hardware
-doubles and then in arbitrary precision with warm-started precision
-escalation, and each root s is lifted to its two roots T.  On either path a
-residual check on P itself certifies the lifted set.  mpmath is imported
-inside the functions of that step, so the exact routes run without loading
-it.
+expansion over MDS enumerators.  One driver builds their right-hand side once;
+both solve it on Python ints and their integer results must agree, a
+comparison kept as a permanent cross-oracle; `ZetaPoly` stores P on those ints
+over one denominator, and every step below reads them.  Root location is the
+only numerical step.  P is first folded exactly, on Python ints, with its
+functional equation into R(s), s = qT + 1/T, of half the degree.  When the
+signs of R at dyadic points prove all its roots real, simple and inside (-2
+sqrt(q), 2 sqrt(q)), RH holds exactly and the roots are refined and lifted on
+Python ints; each refined root is closed by a sign change that a fixed-point
+truncation bound decides, with exact evaluation when the bound does not.
+Otherwise Aberth iteration with deterministic seeding finds the roots of R,
+first in hardware doubles and then in arbitrary precision with warm-started
+precision escalation, and each root s is lifted to its two roots T.  On either
+path a residual check on P itself certifies the lifted set.  mpmath is
+imported inside the functions of that step, so the exact routes run without
+loading it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .homopoly import (
     _coefficient,
     _common_root,
     _dehomogenize,
+    _poly,
 )
 from .record import Record
 from .unipoly import _convolve, _integer_coeffs
@@ -114,28 +116,29 @@ class RHConvergenceError(RuntimeError):
 class ZetaPoly(Record):
     """P(T) together with the parameters of the enumerator it came from.
 
+    Stored as `_nums` / `_den`: ascending ints with no trailing zeros ((0,)
+    for P = 0) over `_den` > 0 in lowest terms; `coeffs` is built on read.
     Polys compare and hash by q and the coefficients alone.  Given n and d
     but no sign, the sign of the functional equation is computed.
     """
 
-    __slots__ = ("coeffs", "q", "n", "d", "sign")
+    __slots__ = ("_nums", "_den", "q", "n", "d", "sign")
 
     def __init__(self, coeffs, q, n: int | None = None, d: int | None = None,
                  sign: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "q", Fraction(q))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        if sign is None and n is not None and d is not None:
-            sign = functional_equation_check(self)
-        object.__setattr__(self, "sign", sign)
+        _store_zeta(self, *_integer_coeffs([Fraction(c) for c in coeffs]), q, n, d, sign)
+
+    def __reduce__(self):
+        # the slots are not the constructor's arguments
+        return ZetaPoly, (self.coeffs, self.q, self.n, self.d, self.sign)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple([Fraction(c, self._den) for c in self._nums])
 
     @property
     def degree(self) -> int:
-        return unipoly.degree(list(self.coeffs))
+        return unipoly.degree(self._nums)
 
     @property
     def genus(self) -> Fraction | None:
@@ -146,10 +149,10 @@ class ZetaPoly(Record):
     def __eq__(self, other):
         if not isinstance(other, ZetaPoly):
             return NotImplemented
-        return self.q == other.q and self.coeffs == other.coeffs
+        return self.q == other.q and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.q, self.coeffs))
+        return hash((self.q, self._den, self._nums))
 
     def __str__(self):
         return unipoly.to_string(list(self.coeffs), "T")
@@ -170,6 +173,17 @@ class ZetaPoly(Record):
             "coeffs": [str(c) for c in self.coeffs],
         }
         return json.dumps(payload)
+
+
+def _store_zeta(p: ZetaPoly, nums: list[int], den: int, q, n, d, sign) -> ZetaPoly:
+    """Fill p with P = nums / den (den > 0), trimmed and reduced by one gcd;
+    q is checked and, given n and d but no sign, the sign is computed."""
+    nums = unipoly.trim(nums)
+    g = gcd(den, *nums)
+    Record.__init__(p, tuple([v // g for v in nums]) or (0,), den // g, _check_q(q), n, d, sign)
+    if sign is None and n is not None and d is not None:
+        object.__setattr__(p, "sign", functional_equation_check(p))
+    return p
 
 
 def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
@@ -203,8 +217,9 @@ def _extract(w: HomPoly, q, routes) -> ZetaPoly:
     first, *others = [route(rhs, q, n, d) for route in routes]
     if any(x != first for x in others):
         raise AssertionError("zeta oracle disagreement between the two methods")
-    b = q.denominator
-    return ZetaPoly([Fraction(x, den * b**k) for k, x in enumerate(first)], q, n, d)
+    b, top = q.denominator, len(first) - 1  # p_k = X_k b^(top-k) / (den b^top)
+    nums = [x * b**(top - k) for k, x in enumerate(first)]
+    return _store_zeta(object.__new__(ZetaPoly), nums, den * b**top, q, n, d, None)
 
 
 def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
@@ -260,12 +275,12 @@ def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
     divided by b^m.
     """
     a, b = q.numerator, q.denominator
+    top = n - d + 1
     apow, bpow = [1], [1]
-    for _ in range(n - d + 1):
+    for _ in range(top):
         apow.append(apow[-1] * a)
         bpow.append(bpow[-1] * b)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
+    nums = [bpow[top]] + [0] * n
     for w_ in range(d, n + 1):
         m = w_ - d + 1
         acc, binom = 0, 1  # binom = C(w_, j)
@@ -273,8 +288,8 @@ def _mds_poly(n: int, d: int, q: Fraction) -> HomPoly:
             term = binom * (apow[m - j] * bpow[j] - bpow[m])
             acc += -term if j % 2 else term
             binom = binom * (w_ - j) // (j + 1)
-        coeffs[w_] = Fraction(comb(n, w_) * acc, bpow[m])
-    return HomPoly(n, coeffs)
+        nums[w_] = comb(n, w_) * acc * bpow[top - m]
+    return _poly(n, nums, bpow[top])
 
 
 def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
@@ -283,7 +298,7 @@ def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
         raise ValueError("need 2 <= d <= n")
     q = _check_q(q)
     poly = _mds_poly(n, d, q)
-    assert poly.coeffs[d] != 0
+    assert poly._nums[d] != 0
     return MDSEnumerator(n=n, d=d, q=q, poly=poly)
 
 
@@ -380,7 +395,7 @@ def functional_equation_check(p: ZetaPoly) -> int | None:
     """
     if p.n is None or p.d is None:
         return None
-    return _fe_sign(_integer_coeffs(p.coeffs)[0], p.q, p.n + 2 - 2 * p.d)
+    return _fe_sign(list(p._nums), p.q, p.n + 2 - 2 * p.d)
 
 
 def _fe_sign(c: list[int], q: Fraction, two_g: int) -> int | None:
@@ -550,7 +565,7 @@ def _fold(c: list[int], den: int, q: Fraction):
     without one.
 
     `c` are P's integer coefficients over the positive denominator `den`
-    (`_integer_coeffs`).  Roots of P are the roots sign/sqrt(q) for each of
+    (as `ZetaPoly` stores them).  Roots of P are the roots sign/sqrt(q) for each of
     `signs`, plus both roots T of qT^2 - sT + 1 for every root s of R.  With
     2g = deg P and P(T) = eps P(1/(qT)) q^g T^(2g) (`_fe_sign`), s = qT + 1/T
     gives
@@ -923,20 +938,19 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
 
     if not 0 < tolerance < inf:
         raise ValueError(f"rh_check needs a finite tolerance > 0, got {tolerance!r}")
-    coeffs = list(p.coeffs)  # ZetaPoly trims trailing zeros
-    deg = len(coeffs) - 1
-    if not any(coeffs):
+    int_coeffs = list(p._nums)  # ZetaPoly trims trailing zeros
+    deg = len(int_coeffs) - 1
+    if not any(int_coeffs):
         raise ValueError("rh_check needs a nonzero P")
     prec = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
     if not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
         raise ValueError(f"rh_check needs precision_bits in "
                          f"[{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {prec}")
-    qf = _check_q(p.q)
+    qf = p.q  # checked by ZetaPoly
     if deg == 0:
         return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
                         tolerance, prec)
-    int_coeffs, den = _integer_coeffs(coeffs)
-    fold = _fold(int_coeffs, den, qf)
+    fold = _fold(int_coeffs, p._den, qf)
     int_r, signs = fold or (int_coeffs, ())
     r_deg = len(int_r) - 1
     if fold is not None:
@@ -995,10 +1009,6 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
 # -- star operators ------------------------------------------------------------------
 
 
-def _star_factor(q: Fraction) -> list[Fraction]:
-    return [1 / (q - 1), -2 / (q - 1), q / (q - 1)]
-
-
 def _require_star(fam: FamilySpec) -> None:
     if not fam.has_star:
         raise ValueError(f"no star operator for family {fam.name}")
@@ -1008,7 +1018,7 @@ def star_zeta_factor(fam: FamilySpec) -> list[Fraction]:
     """Quadratic zeta factor (1 - 2T + qT^2)/(q - 1) of the star operator,
     ascending coefficients."""
     _require_star(fam)
-    return _star_factor(fam.q)
+    return [1 / (fam.q - 1), -2 / (fam.q - 1), fam.q / (fam.q - 1)]
 
 
 def star_operator(w: HomPoly, fam: FamilySpec) -> HomPoly:
@@ -1042,7 +1052,10 @@ def _star_check(fam: FamilySpec, w: HomPoly) -> StarCheck:
     maps = w_star == extremal(fam, w.degree - 2)
     p = zeta_checked(w, fam.q)
     p_star = zeta_checked(w_star, fam.q)
-    zmatch = unipoly.mul(_star_factor(fam.q), list(p.coeffs)) == list(p_star.coeffs)
+    a, b = fam.q.numerator, fam.q.denominator
+    # P* = (b - 2b T + a T^2) P / (a - b), cross-multiplied on the stored ints
+    zmatch = ([v * p_star._den for v in _convolve([b, -2 * b, a], p._nums)]
+              == [v * (a - b) * p._den for v in p_star._nums])
     return StarCheck(ok=maps and zmatch, maps_to_extremal=maps,
                      zeta_factor_matches=zmatch)
 
@@ -1149,14 +1162,13 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
     m = p.d - 2
     if m < 2 or m % 2:
         raise ValueError("the identity needs even d - 2 >= 2")
-    pc = list(p.coeffs)
     closed = _closed_form(w, fam, p.d)
     if fam.name == "type1":
-        weights, normaliser = pc, pochhammer(n - 3, 4)
+        weights, normaliser = list(p._nums), pochhammer(n - 3, 4)
     else:
-        weights, normaliser = unipoly.mul(pc, [1, 2]), 3 * pochhammer(n - 2, 3)
+        weights, normaliser = _convolve(p._nums, [1, 2]), 3 * pochhammer(n - 2, 3)
     big_n = n - fam.odd_gen.degree
-    return _binomial_row_sum(weights, big_n, m - 1, big_n) * normaliser == closed
+    return _binomial_row_sum(weights, big_n, m - 1, big_n) * (normaliser / p._den) == closed
 
 
 # -- generalised invariant-operator theorem ------------------------------------------

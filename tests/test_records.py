@@ -8,11 +8,14 @@ import inspect
 import pickle
 import pkgutil
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fwenum
-from fwenum.families import Bound, FamilySpec, bound, family, is_fwe, _gen_power
+from fwenum import zeta as zeta_mod
+from fwenum.families import Bound, FamilySpec, bound, extremal, family, is_fwe, _gen_power
 from fwenum.homopoly import HomPoly, Mat2, WeightProfile, parse_poly, weight_profile
 from fwenum.matgroup import (
     MatrixGroup,
@@ -31,6 +34,7 @@ from fwenum.zeta import (
     mds_enumerator,
     rh_check,
     run_duursma_okuda_suite,
+    zeta_checked,
 )
 
 F = Fraction
@@ -101,6 +105,48 @@ class TestZetaPoly:
         assert len({bare, full}) == 1
         assert ZetaPoly((1, -2, 2, 0), 2) == bare  # trailing zeros are trimmed
         assert ZetaPoly((1, -2, 2), 3) != bare
+        # one zero poly, however it is given
+        empty, zero = ZetaPoly([], 2), ZetaPoly([0], 2)
+        assert empty == zero and hash(empty) == hash(zero)
+        assert empty.to_json() == zero.to_json() and empty.degree == -1
+
+    @pytest.mark.parametrize("q", [0, -2, 1])
+    def test_bad_q_rejected_at_construction(self, q):
+        with pytest.raises(ValueError, match=r"^q must be positive and != 1$"):
+            ZetaPoly((1, -2, 2), q)
+
+    @staticmethod
+    def assert_same(built, extracted):
+        assert built == extracted and hash(built) == hash(extracted)
+        for read in (lambda p: p.coeffs, str, lambda p: p.to_latex(),
+                     lambda p: p.to_json(), lambda p: p.sign):
+            assert read(built) == read(extracted)
+        assert all(type(c) is Fraction for c in built.coeffs)
+        for p in (built, extracted):
+            for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert twin == p and twin.to_json() == p.to_json()
+
+    @given(st.lists(st.fractions(-50, 50, max_denominator=30), min_size=1, max_size=7),
+           st.sampled_from([F(2), F(4), F(4, 3)]))
+    def test_constructor_and_extraction_store_alike(self, coeffs, q):
+        # _extract builds P from the routes' scaled ints X_k = den b^k p_k
+        # (n - d + 1 >= 1 of them); a stub route returns them for a
+        # right-hand side of denominator den
+        b = q.denominator
+        den = lcm(*[c.denominator for c in coeffs])
+        scaled = [int(c * den * b**k) for k, c in enumerate(coeffs)]
+        w = HomPoly(2, [1, 0, q - 1])  # n = d = 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeta_mod, "_scaled_weights", lambda w_, q_, d_: ([], den))
+            extracted = zeta_mod._extract(w, q, (lambda *args: scaled,))
+        self.assert_same(ZetaPoly(coeffs, q, 2, 2), extracted)
+
+    @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 21),
+                                            ("q43", 24), ("q43-odd", 18)])
+    def test_constructor_matches_zeta_checked(self, fam_name, n):
+        fam = family(fam_name)
+        p = zeta_checked(extremal(fam, n), fam.q)
+        self.assert_same(ZetaPoly(p.coeffs, p.q, p.n, p.d), p)
 
     def test_sign_is_computed_from_n_and_d_only(self):
         assert ZetaPoly((1, -2, 2), 2).sign is None
@@ -118,6 +164,10 @@ class TestRationalFunctionSeries:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(RationalFunctionSeries([1], [1, -1]))
+
+    def test_series_needs_a_nonzero_constant_term(self):
+        with pytest.raises(ZeroDivisionError, match=r"den\(0\) != 0"):
+            RationalFunctionSeries([1], [0, 1]).series(3)
 
 
 def test_constructor_signatures():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
 import fwenum
-from fwenum import unipoly, zeta as zeta_mod
+from fwenum import cli, unipoly, zeta as zeta_mod
 from fwenum.families import extremal, family, generator
 from fwenum.homopoly import (
     HomPoly,
@@ -125,6 +125,40 @@ class TestZetaExtraction:
         assert obj["q"] == "4/3" and obj["n"] == 12 and obj["d"] == 4
         assert obj["genus"] == "3" and obj["sign"] == 1
         assert obj["coeffs"][0] == "1/27"
+
+
+class TestIntegerStorage:
+    """The zeta steps read P's stored ints, with no Fraction round trip."""
+
+    @staticmethod
+    def callers(monkeypatch, module, name):
+        """Patch module.name with a spy; the list it fills holds the
+        (module, function) of each caller."""
+        calls, fn = [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            frame = sys._getframe(1)
+            calls.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_scan_converts_no_coefficients_back(self, monkeypatch, capsys):
+        calls = self.callers(monkeypatch, zeta_mod, "_integer_coeffs")
+        assert cli.main(["scan", "--family", "type1", "-n", "4..28"]) == 0
+        names = {name for _, name in calls}
+        assert "_scaled_weights" in names  # the spy sees the zeta module's calls
+        assert not names & {"rh_check", "functional_equation_check"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "star", "--family", "type1", "-n", "44"],
+        ["verify", "zeta-binomial", "--family", "type4", "-n", "45"],
+    ], ids=["star", "zeta-binomial"])
+    def test_verifiers_multiply_no_fractions(self, argv, monkeypatch, capsys):
+        calls = self.callers(monkeypatch, unipoly, "mul")
+        assert cli.main(argv) == 0
+        assert not [call for call in calls if call[0] == zeta_mod.__name__]
 
 
 @pytest.fixture(scope="module", params=[("type1", 140), ("q43", 120)],
