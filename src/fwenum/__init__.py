@@ -1,8 +1,9 @@
 """Exact computer algebra for divisible formal weight enumerators.
 
 Constructs the q = 2, 4 and 4/3 enumerator families (plus the q = 2,
-divisibility-4 family), computes their zeta polynomials by two independent
-exact methods, and verifies bounds, differential identities and the
+divisibility-4 family), computes their zeta polynomials by two exact
+methods that solve one triangular system with independently generated
+entries, and verifies bounds, differential identities and the
 Riemann-hypothesis property of the zeta roots.
 """
 

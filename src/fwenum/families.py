@@ -12,9 +12,12 @@ Buermann-Lagrange expansion of 1/(E^L O^p) in powers of t = h/E^k, a
 triangular system whose unknowns are read off one row each, on Python ints.
 It checks that every unknown is determined (dimension one), that the rows
 between them vanish, that the member is monic and that its A_(d_max) is
-nonzero, instead of trusting them.  The randomized suites draw combinations
-of the members with A_1..A_(d-1) = 0 from the nullspace of that exact
-system over the graded basis, one member per nullspace vector.
+nonzero, instead of trusting them.  The series that do not depend on n are
+cached per family and per (family, d) in two small bounded caches, so a
+scan pays per degree only for the solve and the member's Horner loop.  The
+randomized suites draw combinations of the members with A_1..A_(d-1) = 0
+from the nullspace of that exact system over the graded basis, one member
+per nullspace vector.
 """
 
 from __future__ import annotations
@@ -348,29 +351,22 @@ def extremal(fam: FamilySpec, n: int) -> HomPoly:
     return _extremal(fam, n, bound(fam, n).d_max)
 
 
-@lru_cache(maxsize=256)
-def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
-    """The Buermann-Lagrange solve of `extremal` at bound d, on Python ints.
+@lru_cache(maxsize=16)
+def _burmann_family(fam: FamilySpec) -> tuple:
+    """The degree-free data of `_extremal`, on Python ints: (k, v, M, E_M,
+    O_M, K_M, theta, tails), with E_M, O_M and K_M = E_M^k the generators at
+    y = M*w.
 
     D is the lcm of the generators' denominators and tau the leading
-    coefficient of h(1, D*z).  At y = M*w, M = D*tau, the generators E and O
-    are integer polynomials with constant term 1, so are their inverse series,
-    and h = tau^(v+1) * theta with theta an integer polynomial, theta[v] = 1.
-    The unknowns e_j = b_j * tau^((v+1)*j) are then the integers read off row
-    v*j of 1/(E^L O^p) - sum_(i<j) e_i (theta/E^k)^i, and the member at
-    y = M*w is O^p E^(L-kJ) * sum_j e_j (E^k)^(J-j) theta^j.
+    coefficient of h(1, D*z), h = E^k - O^2 of y-valuation v.  At y = M*w,
+    M = D*tau, the generators E and O are integer polynomials with constant
+    term 1, so are their inverse series, and h = tau^(v+1) * theta with theta
+    an integer polynomial, theta[v] = 1.  tails[rho] = E^rho O^p for
+    rho < k.  `_extremal` has checked that k is an integer and that the
+    generators are monic in x.
     """
-    even, odd, parity = fam.even_gen, fam.odd_gen, fam.parity
-    k, r = divmod(2 * odd.degree, even.degree)
-    if r:
-        raise ExtremalConstructionError(
-            f"{fam.name}: 2*deg(odd_gen) is not a multiple of deg(even_gen)"
-        )
-    if even._nums[0] != even._den or odd._nums[0] != odd._den:  # b_0 = E(1,0)^(-L) O(1,0)^(-p)
-        raise ExtremalConstructionError(
-            f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
-        )
-    big_j, rho = divmod((n - parity * odd.degree) // even.degree, k)
+    even, odd = fam.even_gen, fam.odd_gen
+    k = 2 * odd.degree // even.degree
     # at y = D*z the generators have integer coefficients
     den = lcm(even._den, odd._den)
     e_d = [c // even._den for c in _scaled(even._nums, den)]
@@ -378,19 +374,61 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
     k_d = _series_power(e_d, k, 2 * odd.degree + 1)
     h_d = [a - b for a, b in zip(k_d, _convolve(o_d, o_d))]
     v = next(i for i, c in enumerate(h_d) if c)
+    tau = h_d[v]
+    e_m, o_m, k_m = _scaled(e_d, tau), _scaled(o_d, tau), _scaled(k_d, tau)
+    theta = [c // tau ** (v + 1) for c in _scaled(h_d, tau)]  # exact, theta[v] = 1
+    tails = [o_m if fam.parity else [1]]
+    for _ in range(k - 1):
+        tails.append(_convolve(tails[-1], e_m))
+    # tuples: the cache hands these to every caller
+    return (k, v, den * tau, tuple(e_m), tuple(o_m), tuple(k_m), tuple(theta),
+            tuple(map(tuple, tails)))
+
+
+@lru_cache(maxsize=4)
+def _burmann_rows(fam: FamilySpec, d: int) -> tuple:
+    """The series of `_extremal` at bound d, mod y^d: (1/E, 1/O or None for
+    parity 0, Theta/E^k), at y = M*w as in `_burmann_family`.  The powers of
+    Theta/E^k stay per degree: near d = 150 they would hold 0.5 MB."""
+    k, _, _, e_m, o_m, _, theta, _ = _burmann_family(fam)
+    inv_e = _series_inverse(e_m[:d], d)
+    inv_o = tuple(_series_inverse(o_m[:d], d)) if fam.parity else None
+    ratio = _convolve(theta[:d], _series_power(inv_e, k, d), d)
+    # tuples: the cache hands these to every caller
+    return tuple(inv_e), inv_o, tuple(ratio)
+
+
+@lru_cache(maxsize=256)
+def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
+    """The Buermann-Lagrange solve of `extremal` at bound d, on Python ints.
+
+    The unknowns e_j = b_j * tau^((v+1)*j) are the integers read off row v*j
+    of 1/(E^L O^p) - sum_(i<j) e_i (theta/E^k)^i, and the member at y = M*w
+    is O^p E^(L-kJ) * sum_j e_j (E^k)^(J-j) theta^j (`_burmann_family` for
+    tau, theta and M).  Only the powers of 1/E and of Theta/E^k, the solve
+    and the member's Horner loop depend on n: the other series are cached per
+    family and per (family, d) (`_burmann_rows`).
+    """
+    even, odd, parity = fam.even_gen, fam.odd_gen, fam.parity
+    if 2 * odd.degree % even.degree:
+        raise ExtremalConstructionError(
+            f"{fam.name}: 2*deg(odd_gen) is not a multiple of deg(even_gen)"
+        )
+    if even._nums[0] != even._den or odd._nums[0] != odd._den:  # b_0 = E(1,0)^(-L) O(1,0)^(-p)
+        raise ExtremalConstructionError(
+            f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
+        )
+    k, v, step, _, _, k_m, theta, tails = _burmann_family(fam)
+    big_j, rho = divmod((n - parity * odd.degree) // even.degree, k)
     if v * big_j >= d:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space has dimension "
             f"{big_j - (d - 1) // v + 1}, expected 1"
         )
-    tau = h_d[v]
-    e_m, o_m, k_m = _scaled(e_d, tau), _scaled(o_d, tau), _scaled(k_d, tau)
-    theta = [c // tau ** (v + 1) for c in _scaled(h_d, tau)]  # exact, theta[v] = 1
-    inv_e = _series_inverse(e_m[:d], d)
-    ratio = _convolve(theta[:d], _series_power(inv_e, k, d), d)  # Theta / E^k
+    inv_e, inv_o, ratio = _burmann_rows(fam, d)
     rest = _series_power(inv_e, k * big_j + rho, d)  # 1 / (E^L O^p)
     if parity:
-        rest = _convolve(rest, _series_inverse(o_m[:d], d), d)
+        rest = _convolve(rest, inv_o, d)
     coeffs, ratio_power = [], [1] + [0] * (d - 1)
     for j in range(big_j + 1):
         if j:
@@ -406,15 +444,18 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
     for e_j in coeffs[1:]:
         theta_power = _convolve(theta, theta_power)
         acc = [a + e_j * b for a, b in zip(_convolve(k_m, acc), theta_power)]
-    acc = _convolve(acc, _series_power(e_m, rho, even.degree * rho + 1))
-    if parity:
-        acc = _convolve(acc, o_m)
+    acc = _convolve(acc, tails[rho])
     if not acc[d]:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d}"
         )
-    step = den * tau  # coefficient i is acc[i] / step^i
-    return _poly(n, [c * step ** (n - i) for i, c in enumerate(acc)], step**n)
+    # coefficient i is acc[i] / step^i: over step^n it is acc[i] step^(n-i)
+    nums, power = [0] * (n + 1), 1
+    for i in range(n, 0, -1):
+        nums[i] = acc[i] * power
+        power *= step
+    nums[0] = acc[0] * power
+    return _poly(n, nums, power)
 
 
 def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPoly | None:

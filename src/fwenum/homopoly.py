@@ -528,8 +528,25 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
-    """f(x + (q-1)y, x - y): the MacWilliams transform without q^(-n/2)."""
-    return act_matrix(f, Mat2(1, q - 1, 1, -1))
+    """f(x + (q-1)y, x - y): the MacWilliams transform without q^(-n/2).
+
+    With q = a/b it is g(x, y/b) for g = f(x + (a-b)y, x - by), the action of
+    the integer matrix (1, a-b; 1, -b), whose slots in `act_matrix` are
+    narrower than those of (b, a-b; b, -b) / b; coefficient i of g is then
+    divided by b^i.
+    """
+    a, b = q.numerator, q.denominator
+    image = act_matrix(f, Mat2(1, a - b, 1, -b))
+    if b == 1:
+        return image
+    n, power, scale = image.degree, 1, []
+    for _ in range(n + 1):  # b^(n-i) for i = n..0
+        scale.append(power)
+        power *= b
+    scale.reverse()
+    nums = [v * s for v, s in zip(image._nums, scale)]
+    surd = None if image._surd is None else [v * s for v, s in zip(image._surd, scale)]
+    return _poly(n, nums, image._den * scale[0], surd, image._root)
 
 
 def _macwilliams_scale(n: int, q: Fraction):

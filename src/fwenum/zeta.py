@@ -1,12 +1,16 @@
 """Zeta polynomials, functional equation, numerical Riemann-hypothesis checks,
 MDS enumerators, star operators and the theorem-level identity verifiers.
 
-The zeta polynomial is extracted by two independent exact routes: a forward
-substitution against the generating-function definition, and a triangular
-expansion over MDS enumerators.  One driver builds their right-hand side once;
-both solve it on Python ints and their integer results must agree, a
-comparison kept as a permanent cross-oracle; `ZetaPoly` stores P on those ints
-over one denominator, and every step below reads them.  Root location is the
+The zeta polynomial is extracted by two exact routes: a forward substitution
+against the generating-function definition, and a triangular expansion over
+MDS enumerators.  They are not independent: one driver builds d and the
+right-hand side once, and both solve one unit-triangular system on Python
+ints, since the MDS weight F(d+k, m) is (a - b) times the series entry
+S_(m-1)(d+k) of the generating-function route.  What differs is how the
+entries are generated: a series recurrence, or a Pascal recurrence with an
+exact division by a - b.  Their integer results must agree, so the comparison
+cross-checks those two recurrences; `ZetaPoly` stores P on those ints over
+one denominator, and every step below reads them.  Root location is the
 only numerical step.  P is first folded exactly, on Python ints, with its
 functional equation into R(s), s = qT + 1/T, of half the degree.  When the
 signs of R at dyadic points prove all its roots real, simple and inside (-2
@@ -16,7 +20,8 @@ truncation bound decides, with exact evaluation when the bound does not.
 Otherwise Aberth iteration with deterministic seeding finds the roots of R,
 first in hardware doubles and then in arbitrary precision with warm-started
 precision escalation, and each root s is lifted to its two roots T.  On either
-path a residual check on P itself certifies the lifted set.  mpmath is
+path a residual check on P itself certifies the lifted set, and the report
+takes each root's deviation from its raw mpmath parts.  mpmath is
 imported inside the functions of that step, so the exact routes run without
 loading it.
 """
@@ -26,7 +31,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb, cos, gcd, inf, isfinite, isqrt, ldexp, pi
+from functools import lru_cache
+from math import comb, cos, gcd, inf, isfinite, isqrt, lcm, ldexp, pi
 
 from . import unipoly
 from .families import (
@@ -227,15 +233,30 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
 
     Returns (R, L) with R_k = L b^k c_k for k = 0..n-d, where
     c_k = W_(d+k) / ((q - 1) C(n, d+k)), q = a/b and L is the lcm of the
-    denominators of the c_k.  Raises ValueError unless W is in standard
-    form, monic with A_1 = ... = A_(d-1) = 0 (the equations with no unknown).
+    denominators of the c_k.  With W stored as nums / den, each
+    c_k = nums[d+k] b / ((a - b) den C(n, d+k)) is reduced by one gcd to a
+    positive denominator, and the binomials follow their recurrence.  Raises
+    ValueError unless W is in standard form, monic with A_1 = ... = A_(d-1)
+    = 0 (the equations with no unknown).
     """
     n, nums = w.degree, w._nums
     if not w.is_rational() or nums[0] != w._den or any(nums[1:d]):
         raise ValueError("inconsistent zeta system: input is not of the standard form")
-    scale = (q - 1) * w._den
-    c, den = _integer_coeffs([nums[i] / (scale * comb(n, i)) for i in range(d, n + 1)])
-    return [ck * q.denominator**k for k, ck in enumerate(c)], den
+    a, b = q.numerator, q.denominator
+    # c_k = nums[d+k] top / (bottom C(n, d+k)) with bottom = |a - b| den > 0
+    top, bottom = (b, (a - b) * w._den) if a > b else (-b, (b - a) * w._den)
+    reduced, binom = [], comb(n, d)
+    for i in range(d, n + 1):
+        num, den = top * nums[i], bottom * binom
+        g = gcd(num, den)
+        reduced.append((num // g, den // g))
+        binom = binom * (n - i) // (i + 1)
+    big_l = lcm(*[den for _, den in reduced])
+    out, bpow = [], 1
+    for num, den in reduced:
+        out.append(num * (big_l // den) * bpow)
+        bpow *= b
+    return out, big_l
 
 
 def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
@@ -354,8 +375,9 @@ def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
     F(w, 1) = a - b.  Every F is a multiple of a - b, since a^r - b^r is;
     that exact division is checked.  With E = F / (a - b) and the right-hand
     side R of `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1).
-    The route reads W only through R; it shares nothing with the
-    generating-function route beyond it.
+    The route reads W only through R.  E(d+k, t+1) equals the series entry
+    S_t(d+k) of `_zeta_genfunc`, so this is the same triangular system with
+    the same R; only the recurrence for its entries is its own.
     """
     a_minus_b = q.numerator - q.denominator
     coeffs = []
@@ -374,12 +396,14 @@ def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
-    d and the right-hand side are computed once (`_extract`); each route
-    solves it on its own, both as O(n^2) integer forward substitutions: the
-    generating-function route on the series S_t, the MDS route on the Pascal
-    table of MDS weights.  Neither reads the other's series, table or result.
-    Their integer results are compared and one ZetaPoly is built, so the
-    functional equation is tested once.
+    d and the right-hand side are computed once (`_extract`), and both routes
+    run the same O(n^2) integer forward substitution: the MDS weights of
+    `_zeta_mds` are a - b times the series entries S_t of `_zeta_genfunc`.
+    Only the entries are generated apart, by the series recurrence and by
+    the Pascal table with its exact division by a - b, and neither reads the
+    other's series, table or result.  So the comparison checks those two
+    recurrences, not R, d or the solve.  Their integer results are compared
+    and one ZetaPoly is built, so the functional equation is tested once.
     """
     return _extract(w, q, (_zeta_genfunc, _zeta_mds))
 
@@ -667,23 +691,36 @@ def _conjugate_pairs(roots: list) -> list:
     return out + [mp.mpc(z.real) for z in lower]
 
 
-def _rh_report(roots: list, target, max_res, tolerance: float, bits: int) -> RHReport:
-    """The report of a certified root set, given sorted by (re, im), with
-    the largest deviation of |root| from `target`, at the caller's mp
-    precision.
+def _rh_report(roots: list, target: tuple, max_res: tuple, tolerance: float,
+               bits: int) -> RHReport:
+    """The report of a certified root set, given sorted by (re, im) as mpc,
+    with the largest deviation of |root| from `target` at `bits` bits;
+    `target` and `max_res` are raw mpf parts.
 
     Both paths list each non-real pair exactly conjugate, and |conj(z)| is
     |z| bit for bit, so the deviation is taken over the roots with im >= 0.
+    It is computed on mpmath's raw parts (`z._mpc_`), with the rounding to
+    nearest that mpf and mpc arithmetic use: ||z| - target| with |z| =
+    `mpf_hypot`, the same value the object arithmetic gives.
     """
-    import mpmath as mp
+    from mpmath import libmp
 
-    max_dev = max(abs(abs(z) - target) for z in roots if z.imag >= 0)
+    near = libmp.round_nearest
+    max_dev = libmp.fzero
+    for z in roots:
+        re, im = z._mpc_
+        if im[0]:  # im < 0
+            continue
+        modulus = libmp.mpf_hypot(re, im, bits, near)
+        dev = libmp.mpf_abs(libmp.mpf_sub(modulus, target, bits, near), bits, near)
+        if libmp.mpf_lt(max_dev, dev):
+            max_dev = dev
     return RHReport(
         roots=tuple(roots),
-        target_modulus=float(target),
-        max_abs_deviation=float(max_dev),
-        max_residual=float(max_res),
-        passed=bool(max_dev < mp.mpf(tolerance)),
+        target_modulus=libmp.to_float(target, rnd=near),
+        max_abs_deviation=libmp.to_float(max_dev, rnd=near),
+        max_residual=libmp.to_float(max_res, rnd=near),
+        passed=libmp.mpf_lt(max_dev, libmp.from_float(tolerance)),
         tolerance=tolerance,
         precision_bits=bits,
     )
@@ -705,6 +742,17 @@ def _scaled_value(c: list[int], a: int, k: int) -> int:
         shift += k
         acc = acc * a + (ci << shift)
     return acc
+
+
+@lru_cache(maxsize=4)
+def _tier_a_points(count: int, q: Fraction) -> tuple[int, ...]:
+    """The numerators a of the `count` Tier A points a / 2^60, ascending:
+    2 sqrt(q) cos(pi (j + 1/2) / count) rounded to 60 bits.  Neighbouring
+    degrees of a scan share a count, so a few entries keep every reuse."""
+    # 2 sqrt(q) 2^60, any q
+    radius = isqrt((q.numerator << 2 * _GRID_BITS + 2) // q.denominator)
+    return tuple(sorted(radius * round(ldexp(cos(pi * (j + 0.5) / count), 53)) >> 53
+                        for j in range(count)))
 
 
 def _sign_brackets(c: list[int], q: Fraction, points: list[int]):
@@ -773,11 +821,12 @@ def _refine_root(c: list[int], lo: int, hi: int, bits: int,
     work = bits + guard
     lo, hi = lo << guard, hi << guard
     x = (lo + hi) >> 1
+    top, shifted = c[-1] << work, [ci << work for ci in c[-2::-1]]
     for _ in range(2 * work):
-        p, dp = c[-1] << work, 0
-        for ci in c[-2::-1]:
+        p, dp = top, 0
+        for ci in shifted:
             dp = (dp * x >> work) + p
-            p = (p * x >> work) + (ci << work)
+            p = (p * x >> work) + ci
         if p == 0:
             break
         if (p > 0) == lo_positive:
@@ -800,7 +849,13 @@ def _refine_root(c: list[int], lo: int, hi: int, bits: int,
 
 def _fixed_horner(c: list[int], zr: int, zi: int, bits: int):
     """P(z) for z = (zr + i zi) / 2^bits in truncated fixed point: (re, im)
-    in units 2^-bits."""
+    in units 2^-bits.  A real z takes the real Horner loop: with zi = 0 the
+    imaginary part stays 0, and the real part gets the same ints."""
+    if not zi:
+        acc = c[-1] << bits
+        for ci in c[-2::-1]:
+            acc = (acc * zr >> bits) + (ci << bits)
+        return acc, 0
     ar, ai = c[-1] << bits, 0
     for ci in c[-2::-1]:
         ar, ai = ((ar * zr - ai * zi) >> bits) + (ci << bits), (ar * zi + ai * zr) >> bits
@@ -824,14 +879,11 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
     Tier A or a refinement fails, or when `bits` cannot resolve `tolerance`.
     """
     import mpmath as mp
+    from mpmath import libmp
 
     m = len(int_r) - 1
     num, den = q.numerator, q.denominator
-    count = 4 * (m + 1)
-    radius = isqrt((num << 2 * _GRID_BITS + 2) // den)  # 2 sqrt(q) 2^60, any q
-    points = sorted(radius * round(ldexp(cos(pi * (j + 0.5) / count), 53)) >> 53
-                    for j in range(count))
-    brackets = _sign_brackets(int_r, q, points)
+    brackets = _sign_brackets(int_r, q, _tier_a_points(4 * (m + 1), q))
     if brackets is None:
         return None
     shift = bits - _GRID_BITS
@@ -856,24 +908,32 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
         r_max = max(r_max, isqrt(zr * zr + zi * zi))
     # sum |c_i| r^i in truncated fixed point does not decrease as r grows
     max_scale = _fixed_horner([abs(c) for c in int_p], r_max, 0, bits)[0]
-    with mp.workprec(bits):
-        if max_res2 << bits > max_scale * max_scale:
+    if max_res2 << bits > max_scale * max_scale:
+        with mp.workprec(bits):
             ratio = mp.sqrt(mp.mpf(max_res2)) / max_scale
-            raise RHConvergenceError(
-                f"certified roots at {bits} bits, but max |P(z)| = "
-                f"{mp.nstr(ratio, 5)} * max sum |c_i| |z|^i exceeds 2^-{bits // 2}"
-            )
-        target = 1 / mp.sqrt(_mp_rational(q))
-        # in (re, im) order with no mpf comparison: every upper root has
-        # |re| < 1/sqrt(q), and ldexp does not reorder the fixed-point ints
-        roots = [mp.mpc(-target) for sign in signs if sign < 0]
-        for zr, zi in sorted(upper):
-            z = mp.mpc(mp.ldexp(zr, -bits), mp.ldexp(zi, -bits))
-            roots += [z.conjugate(), z]
-        roots += [mp.mpc(target) for sign in signs if sign > 0]
-        max_res = mp.ldexp(mp.sqrt(mp.mpf(max_res2)), -bits) / abs(int_p[-1])
-        report = _rh_report(roots, target, max_res, tolerance, bits)
-        return report if report.passed else None
+        raise RHConvergenceError(
+            f"certified roots at {bits} bits, but max |P(z)| = "
+            f"{mp.nstr(ratio, 5)} * max sum |c_i| |z|^i exceeds 2^-{bits // 2}"
+        )
+    # 1/sqrt(q), max |P(z)| / |c_m| and each root on mpmath's raw parts at
+    # `bits` bits, rounded to nearest as mpf and mpc arithmetic round them
+    near = libmp.round_nearest
+    q_mp = libmp.mpf_div(libmp.from_int(num, bits, near), libmp.from_int(den), bits, near)
+    target = libmp.mpf_rdiv_int(1, libmp.mpf_sqrt(q_mp, bits, near), bits, near)
+    res = libmp.mpf_sqrt(libmp.from_int(max_res2, bits, near), bits, near)
+    max_res = libmp.mpf_div(libmp.mpf_shift(res, -bits), libmp.from_int(abs(int_p[-1])),
+                            bits, near)
+    # in (re, im) order with no mpf comparison: every upper root has
+    # |re| < 1/sqrt(q), and rounding does not reorder the fixed-point ints
+    roots = [mp.make_mpc((libmp.mpf_neg(target), libmp.fzero))
+             for sign in signs if sign < 0]
+    for zr, zi in sorted(upper):
+        re = libmp.from_man_exp(zr, -bits, bits, near)
+        im = libmp.from_man_exp(zi, -bits, bits, near)
+        roots += [mp.make_mpc((re, libmp.mpf_neg(im))), mp.make_mpc((re, im))]
+    roots += [mp.make_mpc((target, libmp.fzero)) for sign in signs if sign > 0]
+    report = _rh_report(roots, target, max_res, tolerance, bits)
+    return report if report.passed else None
 
 
 def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
@@ -996,7 +1056,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                         f"exceeds 2^-{prec // 2}"
                     )
                 roots.sort(key=lambda t: (t.real, t.imag))
-                return _rh_report(roots, target, max_res / abs_coeffs[-1],
+                return _rh_report(roots, target._mpf_, (max_res / abs_coeffs[-1])._mpf_,
                                   tolerance, prec)
         previous = roots
         prec *= 2
@@ -1251,11 +1311,23 @@ def verify_duursma_okuda(p: HomPoly, big_a: HomPoly, sigma: Mat2,
     return _duursma_okuda(p, act_matrix(p, sigma.transpose()), big_a, sigma, a, a_sigma)
 
 
+def _once(memo: dict | None, key, make):
+    """make(), computed once per key of `memo`, or on every call without one."""
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
 def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
-                   a: HomPoly | None, a_sigma: HomPoly | None) -> DuursmaOkudaResult:
+                   a: HomPoly | None, a_sigma: HomPoly | None,
+                   memo: dict | None = None) -> DuursmaOkudaResult:
     """`verify_duursma_okuda` given p_image = p^(t sigma) and a_sigma =
-    a^sigma, which `run_duursma_okuda_suite` expands once per call."""
-    c1 = _proportionality(p, p_image)
+    a^sigma, which `run_duursma_okuda_suite` expands once per call.  With a
+    `memo`, c1 is computed once per (p, sigma), and c3, the coprimality of a
+    and a^sigma and their product once per (a, sigma)."""
+    c1 = _once(memo, ("c1", p, sigma), lambda: _proportionality(p, p_image))
     if c1 is None or not c1:
         return DuursmaOkudaResult(False, "p^(t sigma) is not proportional to p")
     c2 = _proportionality(big_a, act_matrix(big_a, sigma))
@@ -1263,7 +1335,8 @@ def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
         return DuursmaOkudaResult(False, "A^sigma is not proportional to A", c1)
     # a^sigma = c3 a is required by part (iii) only; without it parts (i)
     # and (ii) still apply
-    c3 = _proportionality(a, a_sigma) if a is not None else None
+    c3 = None if a is None else _once(memo, ("c3", a, sigma),
+                                      lambda: _proportionality(a, a_sigma))
 
     image = diff_op(p, big_a)
     part1 = _scales_by(image, act_matrix(image, sigma), c2 / c1)
@@ -1277,9 +1350,11 @@ def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
         if cof is not None:
             part2_applicable = True
             part2_ok = divide_exact(a_sigma, image) is not None
-            if not image.is_zero() and _coprime(a, a_sigma):
+            if not image.is_zero() and _once(memo, ("coprime", a, sigma),
+                                             lambda: _coprime(a, a_sigma)):
                 coprime_applicable = True
-                coprime_ok = divide_exact(a * a_sigma, image) is not None
+                product = _once(memo, ("product", a, sigma), lambda: a * a_sigma)
+                coprime_ok = divide_exact(product, image) is not None
             if c3:
                 part3_applicable = True
                 part3_ok = _scales_by(cof, act_matrix(cof, sigma), c2 / (c1 * c3))
@@ -1335,16 +1410,14 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
                          parse_poly("x^2 - y^2")],
         },
     }
-    # for this call only: (divisor base, exponent) -> its power, (poly,
-    # matrix) -> its image for the transports that instances repeat, p^(t
-    # sigma) of the family operator and a^sigma of the divisor powers, and
-    # (p, A, sigma, a) -> the verdict of an instance drawn again
-    powers, images, results = {}, {}, {}
+    # for this call only: the powers of the divisor bases, the transports
+    # that instances repeat (p^(t sigma) of the family operator and a^sigma
+    # of the divisor powers), what `_duursma_okuda` derives from them, and
+    # the verdict of an instance drawn again
+    memo = {}
 
     def transport(f: HomPoly, m: Mat2) -> HomPoly:
-        if (f, m) not in images:
-            images[f, m] = act_matrix(f, m)
-        return images[f, m]
+        return _once(memo, ("image", f, m), lambda: act_matrix(f, m))
 
     p1 = p2 = p3 = seen1 = seen2 = seen3 = 0
     failures = []
@@ -1362,16 +1435,10 @@ def run_duursma_okuda_suite(samples: int = 100, seed: int = 20240811) -> SuiteRe
         w = w * Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
         sigma = rng.choice(setup["sigmas"])
         base = rng.choice(setup["divisors"])
-        key = (base, d_target - 3)
-        if key not in powers:
-            powers[key] = base ** (d_target - 3)
-        a = powers[key]
+        a = _once(memo, ("power", base, d_target - 3), lambda: base ** (d_target - 3))
         p = DIFF_OPERATORS[fam_name]
-        instance = (p, w, sigma, a)
-        if instance not in results:
-            results[instance] = _duursma_okuda(p, transport(p, sigma.transpose()), w,
-                                               sigma, a, transport(a, sigma))
-        res = results[instance]
+        res = _once(memo, ("result", p, w, sigma, a), lambda: _duursma_okuda(
+            p, transport(p, sigma.transpose()), w, sigma, a, transport(a, sigma), memo))
         count += 1
         if not res.preconditions_ok:
             failures.append((fam_name, n, d_target, res.failed_precondition))
