@@ -875,8 +875,10 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
     signs) and lifted to T = (s +- i sqrt(4q - s^2)) / (2q) with `isqrt`;
     the split-off roots sign/sqrt(q) are added as in the Aberth path.  The
     residual certificate of `rh_check` is then run on ints, with the scale
-    sum |c_i| |z|^i evaluated once, at the largest |z|.  None (decline) when
-    Tier A or a refinement fails, or when `bits` cannot resolve `tolerance`.
+    sum |c_i| |z|^i evaluated once, at the largest |z|.  The report's numbers
+    and roots are built from mpmath's raw parts at `bits` bits, with no mpf
+    object arithmetic.  None (decline) when Tier A or a refinement fails, or
+    when `bits` cannot resolve `tolerance`.
     """
     import mpmath as mp
     from mpmath import libmp
