@@ -16,8 +16,8 @@ nonzero, instead of trusting them.  The series that do not depend on n are
 cached per family and per (family, d) in two small bounded caches, so a
 scan pays per degree only for the solve and the member's Horner loop.  The
 randomized suites draw combinations of the members with A_1..A_(d-1) = 0
-from the nullspace of that exact system over the graded basis, one member
-per nullspace vector.
+from the nullspace of that exact system over the graded basis, one integer
+row per nullspace vector.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 
 from . import linalg, unipoly
 from .homopoly import (
@@ -286,19 +287,16 @@ def _common_scale(polys: list[HomPoly]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=256)
-def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[HomPoly, ...]:
-    """The members of degree n with A_1 = ... = A_(d-1) = 0: one HomPoly per
-    vector of the nullspace of that exact system over basis(fam, n)."""
-    elems = basis(fam, n)
-    rows = list(zip(*_common_scale(elems)))[1:d]
-    space = []
-    for vec in linalg.nullspace(rows, len(elems)):
-        w = HomPoly.zero(n)
-        for cj, b in zip(vec, elems):
-            if cj:
-                w = w + b * cj
-        space.append(w)
-    return tuple(space)
+def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The members of degree n with A_1 = ... = A_(d-1) = 0, one integer row
+    per vector of the nullspace of that exact system over basis(fam, n); all
+    rows are off by one common factor, which a member's lead divides out."""
+    columns = _common_scale(basis(fam, n))
+    rows = list(zip(*columns))
+    vectors = linalg.nullspace(rows[1:d], len(columns))
+    den = lcm(*[c.denominator for vec in vectors for c in vec])
+    ints = [[c.numerator * (den // c.denominator) for c in vec] for vec in vectors]
+    return tuple(tuple([sum(map(mul, vec, row)) for row in rows]) for vec in ints)
 
 
 def _series_power(f: list[int], m: int, limit: int) -> list[int]:
@@ -398,7 +396,7 @@ def _burmann_rows(fam: FamilySpec, d: int) -> tuple:
     return tuple(inv_e), inv_o, tuple(ratio)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
     """The Buermann-Lagrange solve of `extremal` at bound d, on Python ints.
 
@@ -466,11 +464,7 @@ def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPo
     rng.randint(-9, 9) per vector of the cancellation space, so the result
     is deterministic for a seeded rng.
     """
-    space = _cancellation_space(fam, n, d_target)
-    if not space:
-        return None
-    # the members' stored integers on one common denominator, combined on ints
-    rows = _common_scale(space)
+    rows = _cancellation_space(fam, n, d_target)
     for _ in range(32):
         w = [0] * (n + 1)
         for row in rows:

@@ -3,8 +3,8 @@
 A ``HomPoly`` of degree n has n+1 coefficients indexed by the exponent of y,
 so ``coeffs[i]`` multiplies x^(n-i) y^i.  The zero polynomial keeps its
 degree so that degree contracts of the differential operators stay total.
-Scalars are Fractions, or QuadElem when a square root of q enters (odd-degree
-MacWilliams transforms, matrix actions over a quadratic extension).
+Coefficients read as Fractions, or QuadElems when a square root of q enters
+(odd-degree MacWilliams transforms, matrix actions over Q(sqrt(D))).
 
 Every polynomial is stored on integers as f = (f0 + f1 sqrt(D)) / den, f0
 and f1 integer tuples, D squarefree, den > 0 in lowest terms; a rational
@@ -16,8 +16,9 @@ f * conj(a) by the rational a * conj(a) with `unipoly.divide_ints`; each
 result is normalised by one gcd.  A `Mat2` is stored the same way on its
 four entries, M = (M0 + M1 sqrt(D)) / den.  A rational M, or a pure surd
 M1 sqrt(D) / den such as sigma_q(q), acts on each part as the integer action
-of M0 or M1 (times sqrt(D)^n on the ints).  Only a matrix with both parts
-nonzero runs the Horner loop on Fraction / QuadElem scalars.
+of M0 or M1 (times sqrt(D)^n); sigma_q, q^(-n/2) and inverses are built on
+ints.  Only a matrix with both parts nonzero, which no caller builds, runs
+the Horner loop on Fraction / QuadElem scalars.
 
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
@@ -32,7 +33,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, perm
+from operator import mul
 
 from . import unipoly
 from .unipoly import _convolve
@@ -43,7 +46,7 @@ from .scalar import (
     NotRationalError,
     QuadElem,
     simplify,
-    sqrt_rational,
+    squarefree_decompose,
 )
 
 __all__ = [
@@ -305,9 +308,9 @@ class Mat2(Record):
     Stored as a HomPoly is, on the entries (a, b, c, d): integer 4-tuples
     (_nums + _surd * sqrt(_root)) / _den in lowest terms, `_surd` None when
     rational; entries from two extensions raise MixedExtensionError.  Every
-    operation but `inverse` runs on those ints, and `a` to `d` are built on
-    read.  Matrices compare and hash by the ints, so group closure collects
-    each element once; `MatrixGroup.sorted_elements` orders by the repr.
+    operation runs on those ints, and `a` to `d` are built on read.  Matrices
+    compare and hash by the ints, so group closure collects each element
+    once; `MatrixGroup.sorted_elements` orders by the repr.
     """
 
     __slots__ = ("_nums", "_surd", "_root", "_den")
@@ -339,7 +342,7 @@ class Mat2(Record):
 
     @classmethod
     def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
+        return _mat([1, 0, 0, 1], 1)
 
     def __matmul__(self, o: "Mat2") -> "Mat2":
         nums, surd, root = _bilinear(_matmul_ints, self, o)
@@ -370,10 +373,13 @@ class Mat2(Record):
         return self._parts_map(lambda m: [m[0], m[2], m[1], m[3]])
 
     def inverse(self) -> "Mat2":
-        dt = self.det()
-        if not dt:
+        """adj(M) / det, with 1/det = den^2 (u - v sqrt(D)) / (u^2 - D v^2)."""
+        u, v, root = self._det_parts()
+        if not (u or v):
             raise ZeroDivisionError("matrix is singular")
-        return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+        c0, c1 = self._den**2 * u, -self._den**2 * v
+        scale = _mat([c0, 0, 0, c0], u * u - root * v * v, [c1, 0, 0, c1], root)
+        return self._parts_map(lambda m: [m[3], -m[1], -m[2], m[0]]) @ scale
 
 
 def _matmul_ints(m: list[int], n: list[int]) -> list[int]:
@@ -398,12 +404,19 @@ def _check_q(q: Rational) -> Fraction:
     return q
 
 
+def _over_sqrt(q: Fraction, nums: list[int], den: int) -> tuple:
+    """(nums, den, surd, root) of the values nums / den divided by sqrt(q):
+    with q = a/b and ab = s^2 D, D squarefree, 1/sqrt(q) = s sqrt(D) / a."""
+    s, root = squarefree_decompose(q.numerator * q.denominator)
+    nums, den = [s * v for v in nums], den * q.numerator
+    return (nums, den, None, 1) if root == 1 else ([0] * len(nums), den, nums, root)
+
+
 def sigma_q(q: Rational) -> Mat2:
     """MacWilliams matrix (1/sqrt(q)) [[1, q-1], [1, -1]]."""
     q = _check_q(q)
-    root, _ = sqrt_rational(q)
-    inv = root.inverse()
-    return Mat2(inv, (q - 1) * inv, inv, -inv)
+    a, b = q.numerator, q.denominator
+    return _mat(*_over_sqrt(q, [b, a - b, b, -b], b))
 
 
 TAU = Mat2(1, 0, 0, -1)
@@ -502,10 +515,9 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     The split of sigma is read from its storage.  A rational sigma = M0 / den
     acts by its integers M0 on each stored part of f (`_act_ints`), over f's
     denominator times den^n.  A pure surd sigma = M1 sqrt(D) / den, such as
-    sigma_q(q) (1 / sqrt(a/b) = sqrt(ab) / a), acts by M1 the same way, times
-    sqrt(D)^n = D^(n // 2), and times sqrt(D) when n is odd, on the ints of
-    each part; the image is normalised once.  Only a sigma with both parts
-    nonzero takes the Horner loop on Fraction / QuadElem scalars.
+    sigma_q(q), acts by M1 the same way, and the image is multiplied by
+    sqrt(D)^n = (1/D)^(-n/2).  Only a sigma with both parts nonzero takes the
+    Horner loop on Fraction / QuadElem scalars.
     """
     n = f.degree
     ints = sigma._nums
@@ -516,15 +528,10 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
         ints = sigma._surd
     nums = _act_ints(f._nums, *ints)
     surd = None if f._surd is None else _act_ints(f._surd, *ints)
-    den, root = f._den * sigma._den**n, f._root
-    if sigma._surd is not None:
-        big_d, scale = sigma._root, sigma._root ** (n // 2)
-        if n % 2:  # (p0 + p1 sqrt(D)) sqrt(D) = D p1 + p0 sqrt(D)
-            root = _common_root(f, sigma)
-            nums, surd = [big_d * v for v in surd or [0] * (n + 1)], nums
-        nums = [scale * v for v in nums]
-        surd = None if surd is None else [scale * v for v in surd]
-    return _poly(n, nums, den, surd, root)
+    image = _poly(n, nums, f._den * sigma._den**n, surd, f._root)
+    if sigma._surd is None:
+        return image
+    return image * _macwilliams_scale(n, Fraction(1, sigma._root))  # sqrt(D)^n
 
 
 def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
@@ -536,25 +543,22 @@ def _unscaled_macwilliams(f: HomPoly, q: Fraction) -> HomPoly:
     divided by b^i.
     """
     a, b = q.numerator, q.denominator
-    image = act_matrix(f, Mat2(1, a - b, 1, -b))
+    image = act_matrix(f, _mat([1, a - b, 1, -b], 1))
     if b == 1:
         return image
-    n, power, scale = image.degree, 1, []
-    for _ in range(n + 1):  # b^(n-i) for i = n..0
-        scale.append(power)
-        power *= b
-    scale.reverse()
+    n = image.degree
+    scale = list(accumulate([b] * n, mul, initial=1))[::-1]  # b^(n-i) at i
     nums = [v * s for v, s in zip(image._nums, scale)]
     surd = None if image._surd is None else [v * s for v, s in zip(image._surd, scale)]
     return _poly(n, nums, image._den * scale[0], surd, image._root)
 
 
-def _macwilliams_scale(n: int, q: Fraction):
-    """q^(-n/2), the factor between the unscaled and the true transform."""
-    scale = q ** -(n // 2)
-    if n % 2:
-        scale = simplify(scale * sqrt_rational(q)[0].inverse())
-    return scale
+def _macwilliams_scale(n: int, q: Fraction) -> HomPoly:
+    """q^(-n/2) as a polynomial of degree 0: the factor between the unscaled
+    and the true transform, or sqrt(D)^n for q = 1/D."""
+    k = n // 2
+    parts = [q.denominator**k], q.numerator**k
+    return _poly(0, *(_over_sqrt(q, *parts) if n % 2 else parts))
 
 
 def macwilliams(f: HomPoly, q: Rational) -> HomPoly:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import unipoly
 from .families import FAMILIES, ring_dimension
-from .homopoly import Mat2, sigma_q, TAU, _lowest
+from .homopoly import Mat2, sigma_q, TAU, _lowest, _mat
 from .record import Record
 from .scalar import NotRationalError
 from .unipoly import _convolve, _integer_coeffs
@@ -83,38 +83,42 @@ def group_closure(generators: list[Mat2], cap: int = 1024) -> MatrixGroup:
 class RationalFunctionSeries:
     """Rational function num(l)/den(l) over Q with a cached series prefix.
 
-    Series are equal when they are the same rational function, and are not
-    hashable."""
+    Stored on ints as num = p / a and den = u / b, p and u trimmed integer
+    lists; `num` and `den`, Fraction lists, are built on read.  Series are
+    equal when they are the same rational function, and are not hashable."""
 
-    __slots__ = ("num", "den", "_series")
+    __slots__ = ("_p", "_a", "_u", "_b", "_series")
 
-    def __init__(self, num: list, den: list):
-        self.num = unipoly.trim([Fraction(c) for c in num])
-        self.den = unipoly.trim([Fraction(c) for c in den])
-        if unipoly.is_zero(self.den):
+    def __init__(self, num: list, den: list, ints: tuple | None = None):
+        # `ints`, the parts (p, a, u, b), skips the Fractions
+        if ints is None:
+            ints = (*_integer_coeffs(unipoly.trim([Fraction(c) for c in num])),
+                    *_integer_coeffs(unipoly.trim([Fraction(c) for c in den])))
+        self._p, self._a, self._u, self._b = ints
+        if not self._u:
             raise ZeroDivisionError("zero denominator")
         self._series = []
+
+    num = property(lambda self: [Fraction(v, self._a) for v in self._p])
+    den = property(lambda self: [Fraction(v, self._b) for v in self._u])
 
     @classmethod
     def one_over(cls, powers: list[int]) -> "RationalFunctionSeries":
         """Build 1 / prod((1 - l^k) for k in powers)."""
-        den = [Fraction(1)]
+        den = [1]
         for k in powers:
-            factor = [Fraction(0)] * (k + 1)
-            factor[0], factor[k] = Fraction(1), Fraction(-1)
-            den = unipoly.mul(den, factor)
-        return cls([Fraction(1)], den)
+            den = _convolve(den, [1] + [0] * (k - 1) + [-1])
+        return cls(None, None, ints=([1], 1, den, 1))
 
     def series(self, terms: int) -> list[Fraction]:
         """First `terms` Taylor coefficients at l = 0.
 
-        On ints: with num = p / a and den = u / b, coefficient k is
-        b s_k / (a u0^(k+1)) for the integers s_k = p_k u0^k - sum over j of
-        u_j u0^(j-1) s_(k-j); u0 = 1 in every Molien series.  A zero u0 raises
-        ZeroDivisionError.
+        Coefficient k is b s_k / (a u0^(k+1)) for the integers
+        s_k = p_k u0^k - sum over j of u_j u0^(j-1) s_(k-j); u0 = 1 in every
+        Molien series.  A zero u0 raises ZeroDivisionError.
         """
         if len(self._series) < terms:
-            (p, a), (u, b) = _integer_coeffs(self.num), _integer_coeffs(self.den)
+            p, a, u, b = self._p, self._a, self._u, self._b
             if not u[0]:
                 raise ZeroDivisionError("series expansion needs den(0) != 0")
             s = [v * u[0]**k for k, v in enumerate(p[:terms])] + [0] * (terms - len(p))
@@ -128,7 +132,9 @@ class RationalFunctionSeries:
         if not isinstance(other, RationalFunctionSeries):
             return NotImplemented
         # cross-multiplication: exact identity of rational functions
-        return unipoly.mul(self.num, other.den) == unipoly.mul(other.num, self.den)
+        left = [v * other._a * self._b for v in _convolve(self._p, other._u)]
+        right = [v * self._a * other._b for v in _convolve(other._p, self._u)]
+        return unipoly.trim(left) == unipoly.trim(right)
 
     def __str__(self):
         num = unipoly.to_string(self.num, "λ")
@@ -190,14 +196,9 @@ def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries
             "Molien series has an irrational residue; closure is incomplete"
         )
     num, den = rational
-    series = RationalFunctionSeries([Fraction(c, den[0] * group.order) for c in num],
-                                    [Fraction(c, den[0]) for c in den])
+    series = RationalFunctionSeries(None, None, ints=(num, den[0] * group.order, den, den[0]))
     series.series(terms)
     return series
-
-
-def _eta_43() -> Mat2:
-    return Mat2(Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2))
 
 
 def _conjugated_tau(q) -> Mat2:
@@ -215,7 +216,7 @@ def named_group(name: str, cap: int = 1024) -> MatrixGroup:
     elif name == "g4minus":
         gens = [_conjugated_tau(4), TAU]
     elif name == "g43minus":
-        gens = [_eta_43(), TAU]
+        gens = [_mat([1, 1, -3, 1], 2), TAU]  # eta = (1, 1; -3, 1) / 2
     elif name == "g43":
         gens = [sigma_q(Fraction(4, 3)), TAU]
     else:

@@ -9,12 +9,13 @@ The zero polynomial is [].  Two kinds of list share the module:
   division `divide_ints` and the product `_convolve`; `_integer_coeffs`
   clears the denominators of a rational list.  `split_surd` writes a list
   over Q(sqrt(D)) as two integer lists, and `surd_norm` gives their rational
-  norm.  Consumers: the Molien series of `matgroup`, the coprimality, star
-  and binomial checks of `zeta`, every `homopoly.HomPoly` (its integer
-  parts, products and exact division), and the series of `families.extremal`.
-- Fraction and QuadElem lists serve references: `mul` for `series_mul` and
-  `matgroup`, and with `divmod_`, `div_exact` and the truncated series
-  `series_div` for the tests; and the term printer.
+  norm.  Consumers: the Molien series of `matgroup` (its sums, equality and
+  series prefix), the coprimality, star and binomial checks of `zeta`, every
+  `homopoly.HomPoly` (its integer parts, products and exact division), and
+  the series of `families.extremal`.
+- Fraction and QuadElem lists serve references: `mul` only `series_mul` and
+  the tests, and `divmod_`, `div_exact`, `scale` and the truncated series
+  `series_div` only the tests; and the term printer.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ settings.register_profile(
         HealthCheck.too_slow,
     ],
 )
+# the seed sweep: the same settings with fresh examples, drawn from the seed
+# given by `--hypothesis-profile sweep --hypothesis-seed N`
+settings.register_profile("sweep", settings.get_profile("deterministic"), derandomize=False)
 settings.load_profile("deterministic")
 
 

@@ -1,10 +1,11 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwenum import homopoly, matgroup, unipoly
+from fwenum import cli, families, homopoly, matgroup, unipoly, zeta
 from fwenum.families import FAMILIES, ring_dimension
 from fwenum.homopoly import Mat2, TAU, act_matrix, sigma_q
 from fwenum.scalar import NotRationalError, QuadElem, simplify
@@ -275,6 +276,58 @@ def test_suites_run_no_scalar_matrix_arithmetic(monkeypatch):
     assert run_duursma_okuda_suite(150, 1).ok
     assert molien_basis_mismatches(40) == ([], 4)
     assert horner == [] and products == []
+
+
+QUAD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                   "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
+                   "conjugate", "norm")
+
+
+def spy_stacks(monkeypatch, name):
+    """Patch unipoly.<name>, and each module's import of it, with a spy; the
+    list it returns holds, per call, the (module, function) of every frame
+    on the stack."""
+    fn, calls = getattr(unipoly, name), []
+
+    def spy(*args, **kwargs):
+        frame, stack = sys._getframe(1), []
+        while frame is not None:
+            stack.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+            frame = frame.f_back
+        calls.append(stack)
+        return fn(*args, **kwargs)
+
+    for module in (unipoly, homopoly, matgroup, families, zeta):
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_commands_run_on_integer_parts(monkeypatch, capsys):
+    # sigma_q, the MacWilliams scale and matrix, and the Molien series prefix
+    # are built from integer parts: no QuadElem arithmetic, no split of a
+    # Fraction / QuadElem list, no denominators cleared on each series read
+    quad = []
+    for name in QUAD_ARITHMETIC:
+        def spy(*args, _fn=getattr(QuadElem, name), _name=name):
+            quad.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(QuadElem, name, spy)
+    splits = spy_stacks(monkeypatch, "split_surd")
+    clears = spy_stacks(monkeypatch, "_integer_coeffs")
+    assert QuadElem(1, 1, 3) * 2 and quad == ["__mul__"]  # the spies fire
+    quad.clear()
+    for argv in (["verify", "th-duursma-okuda", "--samples", "20"],
+                 ["verify", "lemma-duursma", "--samples", "20"],
+                 ["verify", "molien-basis"],
+                 ["molien", "--group", "g43"],
+                 ["scan", "--family", "q43-odd", "-n", "6..30"]):
+        assert cli.main(argv) == 0, argv
+    assert quad == []
+    assert splits and clears  # the suites' random input is split at the edge
+    kernels = {"sigma_q", "_unscaled_macwilliams", "_macwilliams_scale"}
+    assert [s for s in splits if kernels & {name for _, name in s}] == []
+    assert [s for s in clears if ("fwenum.matgroup", "series") in s] == []
 
 
 @settings(max_examples=100, deadline=None)
