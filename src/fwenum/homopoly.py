@@ -180,7 +180,9 @@ class HomPoly(Record):
         return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
+            other = _poly(0, [other.numerator], other.denominator)
+        elif isinstance(other, QuadElem):
             other = HomPoly(0, [other])
         elif not isinstance(other, HomPoly):
             return NotImplemented

@@ -5,10 +5,11 @@ The zeta polynomial is extracted by two exact routes: a forward substitution
 against the generating-function definition, and a triangular expansion over
 MDS enumerators.  They are not independent: one driver builds d and the
 right-hand side once, and both solve one unit-triangular system on Python
-ints, since the MDS weight F(d+k, m) is (a - b) times the series entry
+ints, since the MDS weight F(d+k, m) over a - b is the series entry
 S_(m-1)(d+k) of the generating-function route.  What differs is how the
-entries are generated: a series recurrence, or a Pascal recurrence with an
-exact division by a - b.  Their integer results must agree, so the comparison
+entries are generated: a series recurrence in t, or a Pascal recurrence in
+the weight, streamed one row at a time from a seed row whose exact division
+by a - b is checked.  Their integer results must agree, so the comparison
 cross-checks those two recurrences; `ZetaPoly` stores P on those ints over
 one denominator, and every step below reads them.  Root location is the
 only numerical step.  P is first folded exactly, on Python ints, with its
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, cos, gcd, inf, isfinite, isqrt, lcm, ldexp, pi
+from operator import mul
 
 from . import unipoly
 from .families import (
@@ -59,6 +62,7 @@ from .homopoly import (
     _coefficient,
     _common_root,
     _dehomogenize,
+    _mat,
     _poly,
 )
 from .record import Record
@@ -323,38 +327,50 @@ def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
     return MDSEnumerator(n=n, d=d, q=q, poly=poly)
 
 
-def _mds_weight_table(n: int, d: int, q: Fraction) -> list[list[int]]:
-    """The MDS weights F(w, m) = b^m sum_j (-1)^j C(w, j) (q^(m-j) - 1) on ints.
+def _mds_seed_row(n: int, d: int, q: Fraction) -> list[int]:
+    """The MDS weights F(d-1, m) for m = 0..n-d+1, on ints.
 
-    Row k holds F(d+k, m) for m = 1..k+1, so that the coefficient of M_(n,d+i)
-    at the weight d+k is C(n, d+k) F(d+k, k-i+1) / b^(k-i+1) (`_mds_poly`,
-    q = a/b).  O(n^2) in all: the q-part G(w, m) = sum_(j<m) (-1)^j C(w, j)
-    a^(m-j) b^j follows the Pascal recurrence G(w, m) = G(w-1, m) -
-    b G(w-1, m-1), started at w = d-1 from G(w, m+1) = a (G(w, m) + (-1)^m
-    C(w, m) b^m), and the -1 part is b^m sum_(j<m) (-1)^j C(w, j) =
-    (-1)^(m-1) b^m C(w-1, m-1).
+    F(w, m) = b^m sum_(j<m) (-1)^j C(w, j) (q^(m-j) - 1) (q = a/b) splits into
+    the q-part G(w, m) = sum_(j<m) (-1)^j C(w, j) a^(m-j) b^j, which follows
+    G(w, m+1) = a (G(w, m) + (-1)^m C(w, m) b^m), and the -1 part
+    b^m sum_(j<m) (-1)^j C(w, j) = (-1)^(m-1) b^m C(w-1, m-1).
     """
     a, b = q.numerator, q.denominator
-    width = n - d + 1
-    bpow = [1]
-    for _ in range(width):
-        bpow.append(bpow[-1] * b)
-    g, binom = [0], 1  # G(d-1, m) for m = 0..width; binom = C(d-1, m)
-    for m in range(width):
-        term = binom * bpow[m]
-        g.append(a * (g[-1] + (-term if m % 2 else term)))
-        binom = binom * (d - 1 - m) // (m + 1)
-    table = []
-    for k in range(width):
-        w_ = d + k
-        g = [0] + [g[m] - b * g[m - 1] for m in range(1, width + 1)]
-        row, binom = [], 1  # binom = C(w_-1, m-1)
-        for m in range(1, k + 2):
-            ones = binom * bpow[m]
-            row.append(g[m] - (ones if m % 2 else -ones))
-            binom = binom * (w_ - m) // m
-        table.append(row)
-    return table
+    row, g, bpow = [0], 0, 1  # F(w, 0) = G(w, 0) = 0; bpow = b^(m-1)
+    binom_g, binom_h = 1, 1  # C(d-1, m-1), C(d-2, m-1)
+    for m in range(1, n - d + 2):
+        term = binom_g * bpow
+        g = a * (g + (term if m % 2 else -term))
+        bpow *= b
+        ones = binom_h * bpow
+        row.append(g - ones if m % 2 else g + ones)
+        binom_g = binom_g * (d - m) // m
+        binom_h = binom_h * (d - 1 - m) // m
+    return row
+
+
+def _mds_weight_table(n: int, d: int, q: Fraction) -> Iterator[list[int]]:
+    """The rows E(d+k, m) = F(d+k, m) / (a - b), m = 0..n-d+1, for k = 0..n-d.
+
+    F(w, m) is the MDS weight of `_mds_seed_row`: the coefficient of
+    M_(n,d+i) at the weight d+k is C(n, d+k) F(d+k, k-i+1) / b^(k-i+1)
+    (`_mds_poly`, q = a/b).  Both parts of F, and so F and E, follow the
+    Pascal recurrence in w, X(w, m) = X(w-1, m) - b X(w-1, m-1), with
+    E(w, 0) = 0 and E(w, 1) = 1.  Every F is a multiple of a - b, since
+    a^r - b^r is; by linearity the exact division is checked once, on the
+    seed row F(d-1, .), and each later row is one list step from the one
+    before.  Rows are yielded one at a time, so one row is alive.
+    """
+    a_minus_b, b = q.numerator - q.denominator, q.denominator
+    e = []
+    for m, f in enumerate(_mds_seed_row(n, d, q)):
+        x, rem = divmod(f, a_minus_b)
+        if rem:
+            raise AssertionError(f"MDS weight F({d - 1}, {m}) is not a multiple of a - b")
+        e.append(x)
+    for _ in range(n - d + 1):
+        e = [0] + [x - b * y for x, y in zip(e[1:], e)]
+        yield e
 
 
 def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
@@ -371,25 +387,17 @@ def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
     """The scaled unknowns A_k = L b^k a_k by the MDS expansion on ints.
 
     At the weight d+k the expansion reads W_(d+k) / C(n, d+k) =
-    sum_(i<=k) a_i F(d+k, k-i+1) / b^(k-i+1) (`_mds_weight_table`), and
-    F(w, 1) = a - b.  Every F is a multiple of a - b, since a^r - b^r is;
-    that exact division is checked.  With E = F / (a - b) and the right-hand
-    side R of `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1).
-    The route reads W only through R.  E(d+k, t+1) equals the series entry
-    S_t(d+k) of `_zeta_genfunc`, so this is the same triangular system with
-    the same R; only the recurrence for its entries is its own.
+    sum_(i<=k) a_i (a - b) E(d+k, k-i+1) / b^(k-i+1), with the rows E of
+    `_mds_weight_table` and E(w, 1) = 1.  With the right-hand side R of
+    `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1), one row at
+    a time.  The route reads W only through R.  E(d+k, t+1) equals the
+    series entry S_t(d+k) of `_zeta_genfunc`, so this is the same triangular
+    system with the same R; only the recurrence for its entries is its own,
+    in w where the series runs in t.
     """
-    a_minus_b = q.numerator - q.denominator
     coeffs = []
-    for k, row in enumerate(_mds_weight_table(n, d, q)):
-        acc = rhs[k]
-        for i, f in enumerate(row[:0:-1]):  # F(d+k, k-i+1) for i = 0..k-1
-            e, rem = divmod(f, a_minus_b)
-            if rem:
-                raise AssertionError(
-                    f"MDS weight F({d + k}, {k - i + 1}) is not a multiple of a - b")
-            acc -= coeffs[i] * e
-        coeffs.append(acc)
+    for k, e in enumerate(_mds_weight_table(n, d, q)):
+        coeffs.append(rhs[k] - sum(map(mul, coeffs, e[k + 1:1:-1])))
     return coeffs
 
 
@@ -397,13 +405,14 @@ def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
     d and the right-hand side are computed once (`_extract`), and both routes
-    run the same O(n^2) integer forward substitution: the MDS weights of
-    `_zeta_mds` are a - b times the series entries S_t of `_zeta_genfunc`.
-    Only the entries are generated apart, by the series recurrence and by
-    the Pascal table with its exact division by a - b, and neither reads the
-    other's series, table or result.  So the comparison checks those two
-    recurrences, not R, d or the solve.  Their integer results are compared
-    and one ZetaPoly is built, so the functional equation is tested once.
+    run the same O(n^2) integer forward substitution: the entries E of
+    `_zeta_mds` are the series entries S_t of `_zeta_genfunc`.  Only the
+    entries are generated apart, by the series recurrence in t and by the
+    Pascal recurrence in w, whose exact division by a - b is checked on its
+    seed row, and neither reads the other's series, rows or result.  So the
+    comparison checks those two recurrences, not R, d or the solve.  Their
+    integer results are compared and one ZetaPoly is built, so the
+    functional equation is tested once.
     """
     return _extract(w, q, (_zeta_genfunc, _zeta_mds))
 
@@ -1203,15 +1212,16 @@ def verify_extremal_diff_identity(w: HomPoly, fam: FamilySpec) -> bool:
     return diff_op(fam.diff_operator, w) == _closed_form(w, fam, d)
 
 
-def _binomial_row_sum(weights: list[Fraction], n_choose: int, y_start: int,
+def _binomial_row_sum(weights: list[int | Fraction], n_choose: int, y_start: int,
                       total_deg: int) -> HomPoly:
     """sum(weights[i] C(n_choose, y_start + i) (x - y)^(...) y^(y_start + i)),
     terms with y-exponent above total_deg dropped: the shear x -> x - y of
     sum(weights[i] C(n_choose, y_start + i) x^(...) y^(y_start + i))."""
     ys = range(y_start, total_deg + 1)
-    coeffs = [Fraction(0)] * y_start + [w * comb(n_choose, y) for w, y in zip(weights, ys)]
-    coeffs += [Fraction(0)] * (total_deg + 1 - len(coeffs))
-    return act_matrix(HomPoly(total_deg, coeffs), Mat2(1, -1, 0, 1))
+    nums, den = _integer_coeffs(weights)
+    coeffs = [0] * y_start + [w * comb(n_choose, y) for w, y in zip(nums, ys)]
+    coeffs += [0] * (total_deg + 1 - len(coeffs))
+    return act_matrix(_poly(total_deg, coeffs, den), _mat([1, -1, 0, 1], 1))
 
 
 def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:

@@ -283,19 +283,21 @@ QUAD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__m
                    "conjugate", "norm")
 
 
-def spy_stacks(monkeypatch, name):
+def spy_stacks(monkeypatch, name, args=None):
     """Patch unipoly.<name>, and each module's import of it, with a spy; the
     list it returns holds, per call, the (module, function) of every frame
-    on the stack."""
+    on the stack.  A list passed as `args` collects each call's arguments."""
     fn, calls = getattr(unipoly, name), []
 
-    def spy(*args, **kwargs):
+    def spy(*call_args, **kwargs):
         frame, stack = sys._getframe(1), []
         while frame is not None:
             stack.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
             frame = frame.f_back
         calls.append(stack)
-        return fn(*args, **kwargs)
+        if args is not None:
+            args.append(call_args)
+        return fn(*call_args, **kwargs)
 
     for module in (unipoly, homopoly, matgroup, families, zeta):
         if getattr(module, name, None) is fn:
@@ -328,6 +330,22 @@ def test_commands_run_on_integer_parts(monkeypatch, capsys):
     kernels = {"sigma_q", "_unscaled_macwilliams", "_macwilliams_scale"}
     assert [s for s in splits if kernels & {name for _, name in s}] == []
     assert [s for s in clears if ("fwenum.matgroup", "series") in s] == []
+
+
+def test_scalar_products_and_binomial_row_sums_are_not_split(monkeypatch, capsys):
+    # a HomPoly times an int or a Fraction, and the weights and the shear of
+    # `_binomial_row_sum`, are built from integer parts
+    args = []
+    splits = spy_stacks(monkeypatch, "split_surd", args)
+    for argv in (["verify", "zeta-binomial", "--family", "type1", "-n", "60"],
+                 ["verify", "zeta-binomial", "--family", "type4", "-n", "45"],
+                 ["verify", "th-duursma-okuda", "--samples", "20", "--seed", "1"]):
+        assert cli.main(argv) == 0, argv
+    assert splits  # the suite's random input is split at the edge
+    assert [s for s in splits if ("fwenum.zeta", "_binomial_row_sum") in s] == []
+    scalar = [p for s, (p,) in zip(splits, args)
+              if ("fwenum.homopoly", "__mul__") in s[:2] and not isinstance(p[0], QuadElem)]
+    assert scalar == []
 
 
 @settings(max_examples=100, deadline=None)

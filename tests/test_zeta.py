@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -25,6 +26,7 @@ from fwenum.homopoly import (
     parse_poly,
     sigma_q,
     transform_sign,
+    weight_profile,
 )
 from fwenum.scalar import simplify, sqrt_rational
 from fwenum.unipoly import _integer_coeffs
@@ -257,39 +259,39 @@ class TestMDSWeightTable:
     @pytest.mark.parametrize("q", [2, 3, 4, Q43])
     def test_matches_mds_poly(self, q):
         q = F(q)
-        b = q.denominator
+        a, b = q.numerator, q.denominator
         for n in range(2, 41):
             mds = {e: _mds_poly(n, e, q).coeffs for e in range(2, n + 1)}
             for d in range(2, n + 1):
-                table = zeta_mod._mds_weight_table(n, d, q)
-                assert [len(row) for row in table] == list(range(1, n - d + 2))
+                table = list(zeta_mod._mds_weight_table(n, d, q))
+                assert [len(row) for row in table] == [n - d + 2] * (n - d + 1)
                 for k, row in enumerate(table):
                     w = d + k
                     for i in range(k + 1):
                         m = k - i + 1
-                        assert F(comb(n, w) * row[m - 1], b ** m) == mds[d + i][w]
+                        assert F(comb(n, w) * (a - b) * row[m], b ** m) == mds[d + i][w]
 
     @pytest.mark.parametrize("q", [2, 3, 4, Q43])
     def test_entries_are_the_genfunc_series(self, q):
-        # F(d+k, m) = (a - b) S_(m-1)(d+k), with S_t(i) = b^t s_t and s the
-        # series of (1-T)^(i-1)/(1-qT): the two routes solve one triangular
-        # system, and only the recurrences for its entries differ
+        # E(d+k, m) = S_(m-1)(d+k), with S_t(i) = b^t s_t and s the series
+        # of (1-T)^(i-1)/(1-qT): the two routes solve one triangular system,
+        # and only the recurrences for its entries differ
         q = F(q)
-        a, b = q.numerator, q.denominator
+        b = q.denominator
         for n in range(2, 31):
             for d in range(2, n + 1):
                 for k, row in enumerate(zeta_mod._mds_weight_table(n, d, q)):
                     s_t, expected = F(0), []  # (1-T)^(i-1) times sum_t q^t T^t
                     for t in range(k + 1):
                         s_t = q * s_t + (-1) ** t * comb(d + k - 1, t)
-                        expected.append((a - b) * b**t * s_t)
-                    assert row == expected
+                        expected.append(b**t * s_t)
+                    assert row[:k + 2] == [0, *expected]
 
     @staticmethod
     def _corrupt(monkeypatch, delta):
         def corrupted(n, d, q, _fn=zeta_mod._mds_weight_table):
-            table = _fn(n, d, q)
-            table[1][1] += delta(q)  # F(d + 1, 2), which multiplies A_0 != 0
+            table = list(_fn(n, d, q))
+            table[1][2] += delta(q)  # E(d + 1, 2), which multiplies A_0 != 0
             return table
 
         monkeypatch.setattr(zeta_mod, "_mds_weight_table", corrupted)
@@ -299,7 +301,7 @@ class TestMDSWeightTable:
         fam = family(fam_name)
         w = extremal(fam, n)
         zeta_checked(w, fam.q)
-        # a multiple of a - b passes the exact division and changes P
+        # a change of E past the division check changes P
         self._corrupt(monkeypatch, lambda q: q.numerator - q.denominator)
         with pytest.raises(AssertionError, match="zeta oracle disagreement"):
             zeta_checked(w, fam.q)
@@ -307,9 +309,39 @@ class TestMDSWeightTable:
     def test_entry_not_divisible_by_a_minus_b_is_caught(self, monkeypatch):
         fam = family("type4")  # q = 4, a - b = 3
         w = extremal(fam, 15)
-        self._corrupt(monkeypatch, lambda q: 1)
+
+        def corrupted(n, d, q, _fn=zeta_mod._mds_seed_row):
+            row = _fn(n, d, q)
+            row[2] += 1  # F(d - 1, 2); the division is checked on this row
+            return row
+
+        monkeypatch.setattr(zeta_mod, "_mds_seed_row", corrupted)
         with pytest.raises(AssertionError, match="not a multiple of a - b"):
             zeta_checked(w, fam.q)
+
+    @staticmethod
+    def _system(fam_name, n):
+        fam = family(fam_name)
+        w = extremal(fam, n)
+        d = weight_profile(w, fam.q).d
+        return fam.q, d, zeta_mod._scaled_weights(w, fam.q, d)[0]
+
+    @pytest.mark.parametrize("fam_name,n", [
+        ("type1", 300), ("type4", 301), ("q43", 300), ("q43-odd", 302), ("ozeki", 300)])
+    def test_routes_agree_at_high_degree(self, fam_name, n):
+        q, d, rhs = self._system(fam_name, n)
+        assert zeta_mod._zeta_mds(rhs, q, n, d) == zeta_mod._zeta_genfunc(rhs, q, n, d)
+
+    def test_one_row_alive(self):
+        # the whole (n - d)^2 table of F would take about 7.9 MiB here
+        q, d, rhs = self._system("type1", 600)
+        tracemalloc.start()
+        try:
+            zeta_mod._zeta_mds(rhs, q, 600, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("route", ["_zeta_genfunc", "_zeta_mds"])
     def test_both_routes_require_standard_form(self, route, printed):
