@@ -10,11 +10,13 @@ solve: in the basis E^(L-kj) h^j, h = E^k - O^2 (E, O the even and odd
 generators, 2*deg O = k*deg E), the cancellation conditions are the
 Buermann-Lagrange expansion of 1/(E^L O^p) in powers of t = h/E^k, a
 triangular system whose unknowns are read off one row each, on Python ints.
+Every weight of a member is a multiple of c, so the solve runs on series in
+s = y^c, and every power of a generator is one `_power_series` recurrence.
 It checks that every unknown is determined (dimension one), that the rows
 between them vanish, that the member is monic and that its A_(d_max) is
 nonzero, instead of trusting them.  The series that do not depend on n are
-cached per family and per (family, d) in two small bounded caches, so a
-scan pays per degree only for the solve and the member's Horner loop.  The
+cached per family in one small bounded cache, so a scan pays per degree only
+for three power series, the solve and the member's Horner loop.  The
 randomized suites draw combinations of the members with A_1..A_(d-1) = 0
 from the nullspace of that exact system over the graded basis, one integer
 row per nullspace vector.
@@ -299,27 +301,22 @@ def _cancellation_space(fam: FamilySpec, n: int, d: int) -> tuple[tuple[int, ...
     return tuple(tuple([sum(map(mul, vec, row)) for row in rows]) for vec in ints)
 
 
-def _series_power(f: list[int], m: int, limit: int) -> list[int]:
-    """f^m mod y^limit for an integer series f, by binary powering."""
-    out = [1] + [0] * (limit - 1)
-    while m:
-        if m & 1:
-            out = _convolve(out, f, limit)
-        m >>= 1
-        if m:
-            f = _convolve(f, f, limit)
-    return out
-
-
-def _series_inverse(f: list[int], limit: int) -> list[int]:
-    """1/f mod y^limit for an integer series f with f[0] = 1, by Newton's
-    iteration g <- g - g*(f*g - 1), which doubles the correct prefix."""
-    g, m = [1], 1
-    while m < limit:
-        m = min(2 * m, limit)
-        err = _convolve(f[:m], g, m)
-        err[0] -= 1
-        g = [a - b for a, b in zip(g + [0] * (m - len(g)), _convolve(g, err, m))]
+def _power_series(f: list[int], alpha: int, limit: int) -> list[int]:
+    """g = f^alpha mod s^limit for an integer series f with f[0] = 1 and an
+    integer alpha, in O(limit * deg f) steps by J.C.P. Miller's recurrence
+    k g_k = sum_(j=1..deg f) ((alpha + 1) j - k) f_j g_(k-j), g_0 = 1 (Knuth,
+    TAOCP vol. 2, 4.7).  g is an integer series, so each division by k is
+    exact; a remainder raises AssertionError."""
+    f = f[1:limit]
+    lifted = [(alpha + 1) * j * c for j, c in enumerate(f, 1)]
+    g = [1]
+    for k in range(1, limit):
+        window = g[:-len(f) - 1:-1]  # g_(k-1), ..., g_(k-deg f) or g_0
+        total = sum(map(mul, lifted, window)) - k * sum(map(mul, f, window))
+        g_k, rem = divmod(total, k)
+        if rem:
+            raise AssertionError(f"power series coefficient {k} is not an integer")
+        g.append(g_k)
     return g
 
 
@@ -339,8 +336,9 @@ def extremal(fam: FamilySpec, n: int) -> HomPoly:
         sum_j b_j t^j = 1 / (E^L O^p)  (mod y^d),  t = h / E^k,
 
     a triangular system (t^j has valuation v*j) whose b_j is read off row
-    v*j; the member is then built by a Horner loop over j.  It checks, with
-    d = d_max, that every b_j is determined (v*J < d, the dimension-one
+    v*j; the member is then built by a Horner loop over j.  Both run on
+    series in s = y^c (`_extremal`), where row v*j is row v*j/c.  It checks,
+    with d = d_max, that every b_j is determined (v*J < d, the dimension-one
     condition), that the residual vanishes on every row below d (which
     covers the rows between multiples of v), that b_0 = 1 (the generators
     are monic in x) and that the coefficient at the bound is nonzero; it
@@ -351,63 +349,58 @@ def extremal(fam: FamilySpec, n: int) -> HomPoly:
 
 @lru_cache(maxsize=16)
 def _burmann_family(fam: FamilySpec) -> tuple:
-    """The degree-free data of `_extremal`, on Python ints: (k, v, M, E_M,
+    """The degree-free data of `_extremal`, on Python ints: (k, v_s, M, E_M,
     O_M, K_M, theta, tails), with E_M, O_M and K_M = E_M^k the generators at
-    y = M*w.
+    y = M*w, each a series in s = w^c.
 
-    D is the lcm of the generators' denominators and tau the leading
-    coefficient of h(1, D*z), h = E^k - O^2 of y-valuation v.  At y = M*w,
-    M = D*tau, the generators E and O are integer polynomials with constant
-    term 1, so are their inverse series, and h = tau^(v+1) * theta with theta
-    an integer polynomial, theta[v] = 1.  tails[rho] = E^rho O^p for
-    rho < k.  `_extremal` has checked that k is an integer and that the
-    generators are monic in x.
+    Every weight of a member is a multiple of c, so every series of the solve
+    lives in s; a generator term off the multiples of c raises
+    ExtremalConstructionError.  D is the lcm of the generators' denominators
+    and tau the leading coefficient of h(1, D*z), h = E^k - O^2 of
+    y-valuation v = c*v_s.  At y = M*w, M = D*tau, the generators E and O are
+    integer polynomials with constant term 1, so are their powers, and
+    h = tau^(v+1) * theta with theta an integer polynomial, theta[v_s] = 1.
+    tails[rho] = E^rho O^p for rho < k.  `_extremal` has checked that k is
+    an integer and that the generators are monic in x.
     """
-    even, odd = fam.even_gen, fam.odd_gen
+    even, odd, c = fam.even_gen, fam.odd_gen, fam.c
     k = 2 * odd.degree // even.degree
     # at y = D*z the generators have integer coefficients
     den = lcm(even._den, odd._den)
-    e_d = [c // even._den for c in _scaled(even._nums, den)]
-    o_d = [c // odd._den for c in _scaled(odd._nums, den)]
-    k_d = _series_power(e_d, k, 2 * odd.degree + 1)
-    h_d = [a - b for a, b in zip(k_d, _convolve(o_d, o_d))]
-    v = next(i for i, c in enumerate(h_d) if c)
-    tau = h_d[v]
-    e_m, o_m, k_m = _scaled(e_d, tau), _scaled(o_d, tau), _scaled(k_d, tau)
-    theta = [c // tau ** (v + 1) for c in _scaled(h_d, tau)]  # exact, theta[v] = 1
+    if any(v for gen in (even, odd) for i, v in enumerate(gen._nums) if i % c):
+        raise ExtremalConstructionError(
+            f"{fam.name}: a generator has a term off the multiples of c = {c}"
+        )
+    e_d, o_d = ([v // g._den for v in _scaled(g._nums[::c], den**c)]
+                for g in (even, odd))
+    size = 2 * odd.degree // c + 1  # E^k and O^2 have y-degree 2*deg(O)
+    k_d = _power_series(e_d, k, size)
+    h_d = [a - b for a, b in zip(k_d, _convolve(o_d, o_d, size))]
+    v_s = next(i for i, x in enumerate(h_d) if x)
+    tau = h_d[v_s]
+    e_m, o_m, k_m = (_scaled(f, tau**c) for f in (e_d, o_d, k_d))
+    theta = [x // tau ** (c * v_s + 1) for x in _scaled(h_d, tau**c)]  # exact
     tails = [o_m if fam.parity else [1]]
     for _ in range(k - 1):
         tails.append(_convolve(tails[-1], e_m))
     # tuples: the cache hands these to every caller
-    return (k, v, den * tau, tuple(e_m), tuple(o_m), tuple(k_m), tuple(theta),
+    return (k, v_s, den * tau, tuple(e_m), tuple(o_m), tuple(k_m), tuple(theta),
             tuple(map(tuple, tails)))
-
-
-@lru_cache(maxsize=4)
-def _burmann_rows(fam: FamilySpec, d: int) -> tuple:
-    """The series of `_extremal` at bound d, mod y^d: (1/E, 1/O or None for
-    parity 0, Theta/E^k), at y = M*w as in `_burmann_family`.  The powers of
-    Theta/E^k stay per degree: near d = 150 they would hold 0.5 MB."""
-    k, _, _, e_m, o_m, _, theta, _ = _burmann_family(fam)
-    inv_e = _series_inverse(e_m[:d], d)
-    inv_o = tuple(_series_inverse(o_m[:d], d)) if fam.parity else None
-    ratio = _convolve(theta[:d], _series_power(inv_e, k, d), d)
-    # tuples: the cache hands these to every caller
-    return tuple(inv_e), inv_o, tuple(ratio)
 
 
 @lru_cache(maxsize=32)
 def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
     """The Buermann-Lagrange solve of `extremal` at bound d, on Python ints.
 
-    The unknowns e_j = b_j * tau^((v+1)*j) are the integers read off row v*j
-    of 1/(E^L O^p) - sum_(i<j) e_i (theta/E^k)^i, and the member at y = M*w
-    is O^p E^(L-kJ) * sum_j e_j (E^k)^(J-j) theta^j (`_burmann_family` for
-    tau, theta and M).  Only the powers of 1/E and of Theta/E^k, the solve
-    and the member's Horner loop depend on n: the other series are cached per
-    family and per (family, d) (`_burmann_rows`).
+    Every series is in s = y^c (`_burmann_family` for v_s, tau, theta and
+    M), taken mod s^ceil(d/c), the rows s^i with c*i < d.  The unknowns
+    e_j = b_j * tau^((v+1)*j) are the integers read off row v_s*j of
+    1/(E^L O^p) - sum_(i<j) e_i (theta/E^k)^i, and the member at y = M*w is
+    O^p E^(L-kJ) * sum_j e_j (E^k)^(J-j) theta^j, spread back onto y once.
+    The powers E^(-L), O^(-1) and E^(-k) are `_power_series` calls, cheap
+    enough to pay per degree.
     """
-    even, odd, parity = fam.even_gen, fam.odd_gen, fam.parity
+    even, odd, parity, c = fam.even_gen, fam.odd_gen, fam.parity, fam.c
     if 2 * odd.degree % even.degree:
         raise ExtremalConstructionError(
             f"{fam.name}: 2*deg(odd_gen) is not a multiple of deg(even_gen)"
@@ -416,22 +409,23 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space is not monic-normalisable"
         )
-    k, v, step, _, _, k_m, theta, tails = _burmann_family(fam)
+    k, v_s, step, e_m, o_m, k_m, theta, tails = _burmann_family(fam)
     big_j, rho = divmod((n - parity * odd.degree) // even.degree, k)
-    if v * big_j >= d:
+    if c * v_s * big_j >= d:
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: cancellation space has dimension "
-            f"{big_j - (d - 1) // v + 1}, expected 1"
+            f"{big_j - (d - 1) // (c * v_s) + 1}, expected 1"
         )
-    inv_e, inv_o, ratio = _burmann_rows(fam, d)
-    rest = _series_power(inv_e, k * big_j + rho, d)  # 1 / (E^L O^p)
+    rows = -(-d // c)
+    rest = _power_series(e_m, -k * big_j - rho, rows)  # 1 / (E^L O^p)
     if parity:
-        rest = _convolve(rest, inv_o, d)
-    coeffs, ratio_power = [], [1] + [0] * (d - 1)
+        rest = _convolve(rest, _power_series(o_m, -1, rows), rows)
+    ratio = _convolve(theta[:rows], _power_series(e_m, -k, rows), rows)
+    coeffs, ratio_power = [], [1] + [0] * (rows - 1)
     for j in range(big_j + 1):
         if j:
-            ratio_power = _convolve(ratio_power, ratio, d)
-        e_j = rest[v * j]
+            ratio_power = _convolve(ratio_power, ratio, rows)
+        e_j = rest[v_s * j]
         coeffs.append(e_j)
         rest = [a - e_j * b for a, b in zip(rest, ratio_power)]
     if any(rest):
@@ -443,17 +437,17 @@ def _extremal(fam: FamilySpec, n: int, d: int) -> HomPoly:
         theta_power = _convolve(theta, theta_power)
         acc = [a + e_j * b for a, b in zip(_convolve(k_m, acc), theta_power)]
     acc = _convolve(acc, tails[rho])
-    if not acc[d]:
+    if d % c or not acc[d // c]:  # off the multiples of c, A_d = 0
         raise ExtremalConstructionError(
             f"{fam.name} degree {n}: coefficient vanishes at the bound d = {d}"
         )
-    # coefficient i is acc[i] / step^i: over step^n it is acc[i] step^(n-i)
-    nums, power = [0] * (n + 1), 1
-    for i in range(n, 0, -1):
-        nums[i] = acc[i] * power
-        power *= step
-    nums[0] = acc[0] * power
-    return _poly(n, nums, power)
+    # coefficient c*i is acc[i] / step^(c*i): over step^n it is acc[i] step^(n-c*i)
+    nums, stride = [0] * (n + 1), step**c
+    power = step ** (n - c * (len(acc) - 1))
+    for i in range(len(acc) - 1, -1, -1):
+        nums[c * i] = acc[i] * power
+        power *= stride
+    return _poly(n, nums, step**n)
 
 
 def member_with_min_weight(fam: FamilySpec, n: int, d_target: int, rng) -> HomPoly | None:

@@ -214,14 +214,18 @@ def _extract(w: HomPoly, q, routes) -> ZetaPoly:
     """P from each of `routes`, which must agree.  d and the right-hand side
     (R, L) of `_scaled_weights` are computed once; each route returns the
     unknowns X_k = L b^k p_k (q = a/b) as ints, so equal lists mean equal P.
+    d_perp >= 2 is read off the x^(n-1) y coefficient of the MacWilliams image
+    unexpanded: with d >= 2 the image is no multiple of x^n, which would make
+    w a multiple of (x + (q-1)y)^n, whose A_1 is nonzero.
     """
-    q = Fraction(q)
-    profile = weight_profile(w, q)
-    n, d = w.degree, profile.d
-    if d < 2 or profile.d_perp < 2:
+    d, q, n = min_weight(w), _check_q(q), w.degree
+    a, b = q.numerator, q.denominator
+    # b times that coefficient, (a - b) n sum f_i - a sum i f_i, on each part
+    if d < 2 or any((a - b) * n * sum(part) - a * sum(map(mul, range(n + 1), part))
+                    for part in (w._nums, w._surd) if part is not None):
+        d_perp = weight_profile(w, q).d_perp  # or "no positive-weight term"
         raise ValueError(
-            f"zeta extraction needs d, d_perp >= 2; got d = {d}, "
-            f"d_perp = {profile.d_perp}"
+            f"zeta extraction needs d, d_perp >= 2; got d = {d}, d_perp = {d_perp}"
         )
     rhs, den = _scaled_weights(w, q, d)
     first, *others = [route(rhs, q, n, d) for route in routes]

@@ -120,8 +120,15 @@ class TestZetaCommand:
     (["--poly", "2*x^4 + y^4", "-q", "2"], "enumerator must be monic in x^n"),
     (["--poly", "x^4 + x^3*y", "-q", "2"],
      "zeta extraction needs d, d_perp >= 2; got d = 1, d_perp = 1"),
+    (["--poly", "x^4 + 2*y^4", "-q", "2"],
+     "zeta extraction needs d, d_perp >= 2; got d = 4, d_perp = 1"),
+    (["--poly", "x^2 + x*y + y^2", "-q", "2"],
+     "zeta extraction needs d, d_perp >= 2; got d = 1, d_perp = 2"),
+    # (x + y)^2 maps to 4x^2 at q = 2: d_perp is undefined
+    (["--poly", "x^2 + 2*x*y + y^2", "-q", "2"], "polynomial has no positive-weight term"),
     (["--family", "type1", "-n", "7"], "family type1 has no members of degree 7"),
-], ids=["mixed-degree", "not-monic", "d-is-1", "no-members"])
+], ids=["mixed-degree", "not-monic", "d-is-1", "d-perp-is-1", "d-is-1-d-perp-is-2",
+        "image-is-a-power-of-x", "no-members"])
 def test_zeta_bad_input_reported(capsys, argv, message):
     code, out, err = run(capsys, "zeta", *argv)
     assert code == 2 and out == ""

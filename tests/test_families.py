@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwenum import families, homopoly
+from fwenum import families, homopoly, unipoly
 from fwenum.families import (
     FAMILIES,
     Bound,
@@ -281,6 +281,56 @@ class TestExtremalAgainstNullspace:
     def test_high_degree(self, fam_name, n):
         fam = family(fam_name)
         assert extremal(fam, n) == _extremal_by_nullspace(fam, n)
+
+    @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+    def test_cold_caches(self, fam_name):
+        # each call starts from empty caches, as the first call of a process does
+        fam = FAMILIES[fam_name]
+        degrees = [n for n in range(1, 97) if basis_exponents(fam, n)]
+        for n in degrees[:4] + degrees[-2:]:
+            families._burmann_family.cache_clear()
+            families._extremal.cache_clear()
+            assert extremal(fam, n) == _extremal_by_nullspace(fam, n), (fam_name, n)
+
+
+def _power_by_products(f, alpha, limit):
+    """f^alpha mod s^limit over Fractions: |alpha| series products of f, or
+    of 1/f for alpha < 0."""
+    base = [F(c) for c in f]
+    if alpha < 0:
+        base = unipoly.series_div([F(1)], base, limit)
+    out = [F(1)] + [F(0)] * (limit - 1)
+    for _ in range(abs(alpha)):
+        out = unipoly.series_mul(out, base, limit)
+    return out
+
+
+class TestPowerSeries:
+    @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+    def test_matches_repeated_products(self, fam_name):
+        # E and O in s = y^c, at the integer scale of the extremal solve
+        fam = FAMILIES[fam_name]
+        k, _, _, e_m, o_m, *_ = families._burmann_family(fam)
+        big_l = (84 - fam.parity * fam.odd_gen.degree) // fam.even_gen.degree
+        for f in (e_m, o_m):
+            for alpha in (k, -1, -k, -big_l):
+                assert families._power_series(f, alpha, 12) == \
+                    _power_by_products(f, alpha, 12), (fam_name, alpha)
+
+    def test_inexact_division_raises(self):
+        # (1 + s)^(1/2) = 1 + s/2 + ... is not an integer series
+        with pytest.raises(AssertionError, match="^power series coefficient 1 "
+                                                 "is not an integer$"):
+            families._power_series([1, 1], F(1, 2), 3)
+
+    def test_generator_off_the_multiples_of_c(self):
+        # the type1 generators carry y^2, so c = 4 is not a divisibility
+        fam = family("type1")
+        spec = FamilySpec("c4", fam.q, 4, fam.even_gen, fam.odd_gen, fam.parity)
+        with pytest.raises(ExtremalConstructionError,
+                           match=r"^c4: a generator has a term off the "
+                                 r"multiples of c = 4$"):
+            extremal(spec, 12)
 
 
 def _with_bound_shift(monkeypatch, shift):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
 import fwenum
-from fwenum import cli, unipoly, zeta as zeta_mod
+from fwenum import cli, homopoly, unipoly, zeta as zeta_mod
 from fwenum.families import extremal, family, generator
 from fwenum.homopoly import (
     HomPoly,
@@ -28,7 +28,7 @@ from fwenum.homopoly import (
     transform_sign,
     weight_profile,
 )
-from fwenum.scalar import simplify, sqrt_rational
+from fwenum.scalar import QuadElem, simplify, sqrt_rational
 from fwenum.unipoly import _integer_coeffs
 from fwenum.zeta import (
     DIFF_OPERATORS,
@@ -116,11 +116,39 @@ class TestZetaExtraction:
             assert route(w, Q43).sign == 1
 
     def test_d_perp_requirement(self):
-        # x^3 - 9xy^2 has d = 2 but d_perp... phi3 is anti-invariant so fine;
-        # a poly with d = 1 must be rejected
-        bad = parse_poly("x^3 + x^2*y")
-        with pytest.raises(ValueError):
-            zeta_from_genfunc(bad, 2)
+        # d and d_perp must both be at least 2: at q = 2, x^3 + x^2*y has
+        # d = 1, and x^4 + 2*y^4 has d = 4 but d_perp = 1
+        for text, d in (("x^3 + x^2*y", 1), ("x^4 + 2*y^4", 4)):
+            with pytest.raises(ValueError, match=f"got d = {d}, d_perp = 1$"):
+                zeta_from_genfunc(parse_poly(text), 2)
+
+    @given(st.sampled_from([F(2), F(4), Q43, F(1, 3)]), st.integers(3, 8),
+           st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+           st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+           st.lists(st.booleans(), min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_d_perp_read_off_one_image_coefficient(self, q, n, nums, surd, balance):
+        # monic members with d >= 2, over Q(sqrt(2)); where balance says so,
+        # A_2 is chosen on that part (rational, sqrt(2)) so that the part's
+        # x^(n-1) y coefficient of the image vanishes; d_perp >= 2 when both do
+        a, b = q.numerator, q.denominator
+        weight = [(a - b) * n - a * i for i in range(n + 1)]
+        rat = [F(1), F(0)] + [F(v) for v in nums[:n - 1]]
+        sur = [F(0), F(0)] + [F(v) for v in surd[:n - 1]]
+        for part, balanced in zip((rat, sur), balance):
+            if balanced:
+                assume(weight[2])
+                part[2] -= sum(c * v for c, v in zip(weight, part)) / weight[2]
+        assume(any(rat[2:]) or any(sur[2:]))
+        w = HomPoly(n, [QuadElem(r, v, 2) for r, v in zip(rat, sur)])
+        d_perp = weight_profile(w, q).d_perp
+        assert d_perp >= 2 or not all(balance)
+        try:
+            zeta_from_genfunc(w, q)
+            message = ""
+        except ValueError as exc:
+            message = str(exc)
+        assert message.startswith("zeta extraction needs") == (d_perp < 2)
 
     def test_json_schema(self, p12e):
         obj = json.loads(p12e.to_json())
@@ -211,6 +239,18 @@ class TestHighDegree:
             monkeypatch.setattr(zeta_mod, name, spy)
         zeta_checked(w, fam.q)
         assert sorted(calls) == ["_scaled_weights", "_zeta_genfunc", "_zeta_mds"]
+
+    def test_zeta_checked_expands_no_image(self, high_extremal, monkeypatch):
+        # d_perp >= 2 is read off one coefficient of the MacWilliams image
+        fam, w = high_extremal
+
+        def refuse(*args):
+            raise AssertionError("zeta_checked expanded a MacWilliams image")
+
+        for module in (homopoly, zeta_mod):
+            monkeypatch.setattr(module, "act_matrix", refuse)
+        monkeypatch.setattr(homopoly, "_unscaled_macwilliams", refuse)
+        assert zeta_checked(w, fam.q).sign == fam.sign
 
 
 class TestMDS:
@@ -707,8 +747,6 @@ class TestRHCheck:
         # this zeta polynomial has the exact root T = -sqrt(3)/2; the root
         # ordering must stay stable across precision escalation even when the
         # imaginary part wobbles around the negative real axis
-        from fwenum.scalar import QuadElem
-
         w16 = extremal(family("q43-odd"), 16)
         p = zeta_checked(w16, Q43)
         t = QuadElem(0, F(-1, 2), 3)  # -sqrt(3)/2, modulus 1/sqrt(4/3)
