@@ -1,30 +1,31 @@
 """Zeta polynomials, functional equation, numerical Riemann-hypothesis checks,
 MDS enumerators, star operators and the theorem-level identity verifiers.
 
-The zeta polynomial is extracted by two exact routes: a forward substitution
-against the generating-function definition, and a triangular expansion over
-MDS enumerators.  They are not independent: one driver builds d and the
-right-hand side once, and both solve one unit-triangular system on Python
-ints, since the MDS weight F(d+k, m) over a - b is the series entry
-S_(m-1)(d+k) of the generating-function route.  What differs is how the
-entries are generated: a series recurrence in t, or a Pascal recurrence in
-the weight, streamed one row at a time from a seed row whose exact division
-by a - b is checked.  Their integer results must agree, so the comparison
-cross-checks those two recurrences; `ZetaPoly` stores P on those ints over
-one denominator, and every step below reads them.  Root location is the
-only numerical step.  P is first folded exactly, on Python ints, with its
-functional equation into R(s), s = qT + 1/T, of half the degree.  When the
-signs of R at dyadic points prove all its roots real, simple and inside (-2
-sqrt(q), 2 sqrt(q)), RH holds exactly and the roots are refined and lifted on
-Python ints; each refined root is closed by a sign change that a fixed-point
-truncation bound decides, with exact evaluation when the bound does not.
-Otherwise Aberth iteration with deterministic seeding finds the roots of R,
-first in hardware doubles and then in arbitrary precision with warm-started
-precision escalation, and each root s is lifted to its two roots T.  On either
-path a residual check on P itself certifies the lifted set, and the report
-takes each root's deviation from its raw mpmath parts.  mpmath is
-imported inside the functions of that step, so the exact routes run without
-loading it.
+The zeta polynomial is extracted by two exact routes on Python ints that
+share only d and the right-hand side R, which `_extract` builds once.  The
+generating-function route evaluates the Lagrange-inversion closed form
+P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) by prefix sums, with
+no multiplication in its O(n^2) core.  The MDS route expands over MDS
+enumerators: a unit-triangular forward substitution whose entries follow a
+Pascal recurrence in the weight, streamed one row at a time from a seed row
+whose exact division by a - b (q = a/b) is checked.  Their integer results
+must agree, so the comparison checks both the entries and the solve;
+`ZetaPoly` stores P on those ints over one denominator, and every step below
+reads them.
+
+Root location is the only numerical step.  P is first folded exactly, on
+Python ints, with its functional equation into R(s), s = qT + 1/T, of half
+the degree.  When the signs of R at dyadic points prove all its roots real,
+simple and inside (-2 sqrt(q), 2 sqrt(q)), RH holds exactly and the roots are
+refined and lifted on Python ints; each refined root is closed by a sign
+change that a fixed-point truncation bound decides, with exact evaluation
+when the bound does not.  Otherwise Aberth iteration with deterministic
+seeding finds the roots of R, first in hardware doubles and then in arbitrary
+precision with warm-started precision escalation, and each root s is lifted
+to its two roots T.  On either path a residual check on P itself certifies the
+lifted set, and the report takes each root's deviation from its raw mpmath
+parts.  mpmath is imported inside the functions of that step, so the exact
+routes run without loading it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, cos, gcd, inf, isfinite, isqrt, lcm, ldexp, pi
 from operator import mul
 
@@ -201,11 +203,12 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
 
     The T^(n-d) coefficient of P(T) (y(1-T) + xT)^n / ((1-T)(1-qT)) is forced
     to equal (W - x^n)/(q - 1); that is n + 1 scalar equations for the n-d+1
-    unknown coefficients.  The equation for y^i x^(n-i) involves only p_k
-    with k <= i - d, with coefficient C(n, i) s_(i-d-k), where s is the series
-    of (1-T)^(i-1)/(1-qT); so the equations for i = d..n are triangular with
-    diagonal C(n, i) and are solved by forward substitution, while those for
-    i < d carry no unknown and are asserted consistent.
+    unknown coefficients.  Those for y^i x^(n-i), i < d, carry no unknown and
+    are checked by `_scaled_weights`; the one for i = d+k reads
+    c_k = [T^k] P(T) (1-T)^(d+k-1) / (1-qT), c_k = W_(d+k) / ((q-1) C(n, d+k)).
+    Lagrange inversion on T = x(1-T) sums them to
+    C(x) = sum_k c_k x^k = (1+x)^(-d) P(x/(1+x)) / (1 - qx/(1+x)), so
+    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) (`_zeta_genfunc`).
     """
     return _extract(w, q, (_zeta_genfunc,))
 
@@ -268,25 +271,36 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
 
 
 def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
-    """The scaled unknowns P_k = L b^k p_k by forward substitution on ints.
+    """The scaled unknowns X_k = L b^k p_k by the closed form, on ints.
 
-    With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
-    integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and the
-    right-hand side is R = `_scaled_weights`, so
-    P_k = R_k - sum_(t>=1) S_t P_(k-t).
+    Lagrange inversion of the generating-function identity gives
+    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(N+1), N = n - d, with
+    C(x) = sum_j c_j x^j and R_j = L b^j c_j (`_scaled_weights`, q = a/b).
+    With G_j = R_j b^(N-j) = L b^N c_j, Horner's rule in u = T/(1 - T) takes
+    acc <- G_j + u acc, and u acc is acc's prefix sums shifted by T; the
+    list for step j needs N - j + 1 terms, so the last is T^N.  d more
+    prefix-sum passes multiply by (1 - T)^(-d) and give H = L b^N (1 - T)^(-d)
+    C(u), and X_m = (b H_m - a H_(m-1)) / b^(N+1-m), an exact division that
+    is checked.  The O(N^2) core is additions only.
     """
     a, b = q.numerator, q.denominator
-    p = []
-    for k, acc in enumerate(rhs):
-        i = d + k
-        s, binom, bpow = 1, 1, 1  # S_t, C(i-1, t), b^t
-        for t in range(1, k + 1):
-            binom = binom * (i - t) // t
-            bpow *= b
-            s = a * s + (-binom * bpow if t % 2 else binom * bpow)
-            acc -= s * p[k - t]
-        p.append(acc)
-    return p
+    top = n - d
+    bpow = [1]
+    for _ in range(top + 1):
+        bpow.append(bpow[-1] * b)
+    acc = [rhs[top]]
+    for j in range(top - 1, -1, -1):
+        acc = [rhs[j] * bpow[top - j], *accumulate(acc)]
+    for _ in range(d):
+        acc = list(accumulate(acc))
+    out = []
+    for m, (h, prev) in enumerate(zip(acc, [0, *acc])):
+        x, rem = divmod(b * h - a * prev, bpow[top + 1 - m])
+        if rem:
+            raise AssertionError(
+                f"closed-form coefficient {m} is not a multiple of b^{top + 1 - m}")
+        out.append(x)
+    return out
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -394,10 +408,10 @@ def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
     sum_(i<=k) a_i (a - b) E(d+k, k-i+1) / b^(k-i+1), with the rows E of
     `_mds_weight_table` and E(w, 1) = 1.  With the right-hand side R of
     `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1), one row at
-    a time.  The route reads W only through R.  E(d+k, t+1) equals the
-    series entry S_t(d+k) of `_zeta_genfunc`, so this is the same triangular
-    system with the same R; only the recurrence for its entries is its own,
-    in w where the series runs in t.
+    a time.  The route reads W only through R.  E(d+k, t+1) is b^t times the
+    T^t coefficient of (1-T)^(d+k-1)/(1-qT), so this is the unit-triangular
+    system that the closed form of `_zeta_genfunc` inverts; the two routes
+    share only R and d.
     """
     coeffs = []
     for k, e in enumerate(_mds_weight_table(n, d, q)):
@@ -408,15 +422,15 @@ def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
-    d and the right-hand side are computed once (`_extract`), and both routes
-    run the same O(n^2) integer forward substitution: the entries E of
-    `_zeta_mds` are the series entries S_t of `_zeta_genfunc`.  Only the
-    entries are generated apart, by the series recurrence in t and by the
-    Pascal recurrence in w, whose exact division by a - b is checked on its
-    seed row, and neither reads the other's series, rows or result.  So the
-    comparison checks those two recurrences, not R, d or the solve.  Their
-    integer results are compared and one ZetaPoly is built, so the
-    functional equation is tested once.
+    d and the right-hand side R are computed once (`_extract`), and that is
+    all the routes share: `_zeta_genfunc` evaluates the closed form by
+    prefix sums and checks its final divisions by powers of b, while
+    `_zeta_mds` runs a forward substitution on MDS weights from its own
+    Pascal recurrence, whose exact division by a - b is checked on its seed
+    row.  Neither reads the other's series, rows or result, so the
+    comparison checks the entries and the solve, not R or d.  Their integer
+    results are compared and one ZetaPoly is built, so the functional
+    equation is tested once.
     """
     return _extract(w, q, (_zeta_genfunc, _zeta_mds))
 

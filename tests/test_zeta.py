@@ -57,6 +57,28 @@ F = Fraction
 Q43 = F(4, 3)
 
 
+def forward_substitution(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
+    """The scaled unknowns X_k = L b^k p_k by forward substitution on ints:
+    the reference for the closed form of `_zeta_genfunc`.
+
+    With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
+    integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and
+    X_k = R_k - sum_(t>=1) S_t X_(k-t).
+    """
+    a, b = q.numerator, q.denominator
+    p = []
+    for k, acc in enumerate(rhs):
+        i = d + k
+        s, binom, bpow = 1, 1, 1  # S_t, C(i-1, t), b^t
+        for t in range(1, k + 1):
+            binom = binom * (i - t) // t
+            bpow *= b
+            s = a * s + (-binom * bpow if t % 2 else binom * bpow)
+            acc -= s * p[k - t]
+        p.append(acc)
+    return p
+
+
 @pytest.fixture(scope="module")
 def p12e():
     return zeta_from_genfunc(extremal(family("q43"), 12), Q43)
@@ -314,8 +336,8 @@ class TestMDSWeightTable:
     @pytest.mark.parametrize("q", [2, 3, 4, Q43])
     def test_entries_are_the_genfunc_series(self, q):
         # E(d+k, m) = S_(m-1)(d+k), with S_t(i) = b^t s_t and s the series
-        # of (1-T)^(i-1)/(1-qT): the two routes solve one triangular system,
-        # and only the recurrences for its entries differ
+        # of (1-T)^(i-1)/(1-qT): the MDS route solves the triangular system
+        # that the closed form of `_zeta_genfunc` inverts
         q = F(q)
         b = q.denominator
         for n in range(2, 31):
@@ -397,6 +419,37 @@ class TestMDSWeightTable:
         public = {"_zeta_genfunc": zeta_from_genfunc, "_zeta_mds": zeta_from_mds}
         with pytest.raises(ValueError, match="monic"):
             public[route](w * 2, 2)
+
+
+class TestClosedForm:
+    """The closed form of `_zeta_genfunc` against the forward substitution it
+    replaced, and a mutation of its prefix sums that `zeta_checked` catches."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**128 + 1, 2**128 - 1), min_size=1, max_size=40),
+           st.sampled_from([F(2), F(3), F(4), Q43, F(3, 2), F(5, 3)]),
+           st.integers(1, 15))
+    def test_equals_forward_substitution(self, rhs, q, d):
+        n = d + len(rhs) - 1
+        assert zeta_mod._zeta_genfunc(rhs, q, n, d) == forward_substitution(rhs, q, n, d)
+
+    @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 15), ("q43", 12)])
+    def test_dropped_prefix_sum_is_caught(self, fam_name, n, monkeypatch):
+        fam = family(fam_name)
+        w = extremal(fam, n)
+        zeta_checked(w, fam.q)
+        # the route runs n - d shear passes and d passes of (1 - T)^(-1);
+        # the last of those n passes becomes the identity
+        calls = []
+
+        def dropping(iterable, _fn=zeta_mod.accumulate):
+            calls.append(None)
+            return iter(iterable) if len(calls) == n else _fn(iterable)
+
+        monkeypatch.setattr(zeta_mod, "accumulate", dropping)
+        with pytest.raises(AssertionError):
+            zeta_checked(w, fam.q)
+        assert len(calls) == n
 
 
 class TestFunctionalEquation:
