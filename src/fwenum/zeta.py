@@ -2,16 +2,15 @@
 MDS enumerators, star operators and the theorem-level identity verifiers.
 
 The zeta polynomial is extracted by two exact routes on Python ints that
-share only d and the right-hand side R, which `_extract` builds once.  The
-generating-function route evaluates the Lagrange-inversion closed form
-P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) by prefix sums, with
-no multiplication in its O(n^2) core.  The MDS route expands over MDS
-enumerators: a unit-triangular forward substitution whose entries follow a
-Pascal recurrence in the weight, streamed one row at a time from a seed row
-whose exact division by a - b (q = a/b) is checked.  Their integer results
-must agree, so the comparison checks both the entries and the solve;
-`ZetaPoly` stores P on those ints over one denominator, and every step below
-reads them.
+share only W and q.  The generating-function route builds the right-hand side
+R from d and W and evaluates the Lagrange-inversion closed form
+P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) by prefix sums.  The
+MDS route finds its own d and reads the binomial moments of W, in which the
+MDS basis is a convolution with q^r - 1, so P follows by a three-term
+recurrence.  Both are readings of one identity, not independent derivations:
+the comparison checks independent code on independent inputs (R and d
+against W).  `ZetaPoly` stores P on ints over one denominator, and every step
+below reads them.
 
 Root location is the only numerical step.  P is first folded exactly, on
 Python ints, with its functional equation into R(s), s = qT + 1/T, of half
@@ -32,12 +31,11 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, cos, gcd, inf, isfinite, isqrt, lcm, ldexp, pi
-from operator import mul
+from operator import add, mul
 
 from . import unipoly
 from .families import (
@@ -64,6 +62,7 @@ from .homopoly import (
     _coefficient,
     _common_root,
     _dehomogenize,
+    _lowest,
     _mat,
     _poly,
 )
@@ -210,16 +209,16 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     C(x) = sum_k c_k x^k = (1+x)^(-d) P(x/(1+x)) / (1 - qx/(1+x)), so
     P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) (`_zeta_genfunc`).
     """
-    return _extract(w, q, (_zeta_genfunc,))
+    return _extract(w, q, (_genfunc_route,))
 
 
 def _extract(w: HomPoly, q, routes) -> ZetaPoly:
-    """P from each of `routes`, which must agree.  d and the right-hand side
-    (R, L) of `_scaled_weights` are computed once; each route returns the
-    unknowns X_k = L b^k p_k (q = a/b) as ints, so equal lists mean equal P.
-    d_perp >= 2 is read off the x^(n-1) y coefficient of the MacWilliams image
-    unexpanded: with d >= 2 the image is no multiple of x^n, which would make
-    w a multiple of (x + (q-1)y)^n, whose A_1 is nonzero.
+    """P from each of `routes`, which must agree.  Each route reads only W
+    and q and returns P as (nums, den); the pairs are compared in lowest terms
+    (`_lowest`).  d_perp >= 2 is read off the x^(n-1) y coefficient of the
+    MacWilliams image unexpanded: with d >= 2 the image is no multiple of
+    x^n, which would make w a multiple of (x + (q-1)y)^n, whose A_1 is
+    nonzero.
     """
     d, q, n = min_weight(w), _check_q(q), w.degree
     a, b = q.numerator, q.denominator
@@ -230,17 +229,14 @@ def _extract(w: HomPoly, q, routes) -> ZetaPoly:
         raise ValueError(
             f"zeta extraction needs d, d_perp >= 2; got d = {d}, d_perp = {d_perp}"
         )
-    rhs, den = _scaled_weights(w, q, d)
-    first, *others = [route(rhs, q, n, d) for route in routes]
-    if any(x != first for x in others):
+    first, *others = [_lowest(*route(w, q), None, 1)[:2] for route in routes]
+    if any(p != first for p in others):
         raise AssertionError("zeta oracle disagreement between the two methods")
-    b, top = q.denominator, len(first) - 1  # p_k = X_k b^(top-k) / (den b^top)
-    nums = [x * b**(top - k) for k, x in enumerate(first)]
-    return _store_zeta(object.__new__(ZetaPoly), nums, den * b**top, q, n, d, None)
+    return _store_zeta(object.__new__(ZetaPoly), *first, q, n, d, None)
 
 
 def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
-    """The right-hand side that both routes solve against, on ints.
+    """The right-hand side of the generating-function route, on ints.
 
     Returns (R, L) with R_k = L b^k c_k for k = 0..n-d, where
     c_k = W_(d+k) / ((q - 1) C(n, d+k)), q = a/b and L is the lcm of the
@@ -303,6 +299,17 @@ def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
     return out
 
 
+def _genfunc_route(w: HomPoly, q: Fraction) -> tuple[list[int], int]:
+    """P as (nums, den) by the closed form: d of `min_weight`, the right-hand
+    side (R, L) of `_scaled_weights`, and the unknowns X_k = L b^k p_k of
+    `_zeta_genfunc` (q = a/b) brought over one denominator L b^(n-d)."""
+    d, n = min_weight(w), w.degree
+    rhs, den = _scaled_weights(w, q, d)
+    b, top = q.denominator, n - d  # p_k = X_k b^(top-k) / (L b^top)
+    nums = [x * b**(top - k) for k, x in enumerate(_zeta_genfunc(rhs, q, n, d))]
+    return nums, den * b**top
+
+
 # -- MDS enumerators ------------------------------------------------------------
 
 
@@ -345,94 +352,64 @@ def mds_enumerator(n: int, d: int, q) -> MDSEnumerator:
     return MDSEnumerator(n=n, d=d, q=q, poly=poly)
 
 
-def _mds_seed_row(n: int, d: int, q: Fraction) -> list[int]:
-    """The MDS weights F(d-1, m) for m = 0..n-d+1, on ints.
-
-    F(w, m) = b^m sum_(j<m) (-1)^j C(w, j) (q^(m-j) - 1) (q = a/b) splits into
-    the q-part G(w, m) = sum_(j<m) (-1)^j C(w, j) a^(m-j) b^j, which follows
-    G(w, m+1) = a (G(w, m) + (-1)^m C(w, m) b^m), and the -1 part
-    b^m sum_(j<m) (-1)^j C(w, j) = (-1)^(m-1) b^m C(w-1, m-1).
-    """
-    a, b = q.numerator, q.denominator
-    row, g, bpow = [0], 0, 1  # F(w, 0) = G(w, 0) = 0; bpow = b^(m-1)
-    binom_g, binom_h = 1, 1  # C(d-1, m-1), C(d-2, m-1)
-    for m in range(1, n - d + 2):
-        term = binom_g * bpow
-        g = a * (g + (term if m % 2 else -term))
-        bpow *= b
-        ones = binom_h * bpow
-        row.append(g - ones if m % 2 else g + ones)
-        binom_g = binom_g * (d - m) // m
-        binom_h = binom_h * (d - 1 - m) // m
-    return row
-
-
-def _mds_weight_table(n: int, d: int, q: Fraction) -> Iterator[list[int]]:
-    """The rows E(d+k, m) = F(d+k, m) / (a - b), m = 0..n-d+1, for k = 0..n-d.
-
-    F(w, m) is the MDS weight of `_mds_seed_row`: the coefficient of
-    M_(n,d+i) at the weight d+k is C(n, d+k) F(d+k, k-i+1) / b^(k-i+1)
-    (`_mds_poly`, q = a/b).  Both parts of F, and so F and E, follow the
-    Pascal recurrence in w, X(w, m) = X(w-1, m) - b X(w-1, m-1), with
-    E(w, 0) = 0 and E(w, 1) = 1.  Every F is a multiple of a - b, since
-    a^r - b^r is; by linearity the exact division is checked once, on the
-    seed row F(d-1, .), and each later row is one list step from the one
-    before.  Rows are yielded one at a time, so one row is alive.
-    """
-    a_minus_b, b = q.numerator - q.denominator, q.denominator
-    e = []
-    for m, f in enumerate(_mds_seed_row(n, d, q)):
-        x, rem = divmod(f, a_minus_b)
-        if rem:
-            raise AssertionError(f"MDS weight F({d - 1}, {m}) is not a multiple of a - b")
-        e.append(x)
-    for _ in range(n - d + 1):
-        e = [0] + [x - b * y for x, y in zip(e[1:], e)]
-        yield e
-
-
 def zeta_from_mds(w: HomPoly, q) -> ZetaPoly:
-    """Zeta polynomial from the triangular expansion over M_{n,d+i}.
+    """Zeta polynomial from the expansion over M_{n,d+i}.
 
-    Writing W - x^n = sum(a_i (M_{n,d+i} - x^n)) determines the a_i from the
-    weights d, d+1, ... in increasing order; then P(T) = sum(a_i T^i).  This
-    must always agree with zeta_from_genfunc and is kept as a cross-oracle.
+    Writing W - x^n = sum(p_i (M_{n,d+i} - x^n)) determines the p_i, and
+    P(T) = sum(p_i T^i).  `_zeta_mds` reads it in binomial moments, where it
+    is a convolution.  This must always agree with zeta_from_genfunc and is
+    kept as a cross-oracle.
     """
     return _extract(w, q, (_zeta_mds,))
 
 
-def _zeta_mds(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
-    """The scaled unknowns A_k = L b^k a_k by the MDS expansion on ints.
+def _zeta_mds(w: HomPoly, q: Fraction) -> tuple[list[int], int]:
+    """P as (nums, den) by the MDS expansion in binomial moments, on ints.
 
-    At the weight d+k the expansion reads W_(d+k) / C(n, d+k) =
-    sum_(i<=k) a_i (a - b) E(d+k, k-i+1) / b^(k-i+1), with the rows E of
-    `_mds_weight_table` and E(w, 1) = 1.  With the right-hand side R of
-    `_scaled_weights`, A_k = R_k - sum_(i<k) A_i E(d+k, k-i+1), one row at
-    a time.  The route reads W only through R.  E(d+k, t+1) is b^t times the
-    T^t coefficient of (1-T)^(d+k-1)/(1-qT), so this is the unit-triangular
-    system that the closed form of `_zeta_genfunc` inverts; the two routes
-    share only R and d.
+    The binomial moment B_t = sum_(u>=1) A_u C(n-u, t-u) of W - x^n is its
+    y^t coefficient at x = 1 + y.  For M_(n,e) - x^n it is
+    C(n, t) (q^(t-e+1) - 1) for t >= e - 1 (MacWilliams and Sloane, ch. 11),
+    so with beta_s = B_(d+s-1) / C(n, d+s-1) the expansion reads
+    beta_s = sum_i p_i (q^(s-i) - 1), a convolution with the series
+    (q - 1)T / ((1 - qT)(1 - T)).  Its inverse is three terms,
+    (a - b) p_k = b beta_(k+1) - (a + b) beta_k + a beta_(k-1) (q = a/b,
+    beta_0 = beta_(-1) = 0).  Horner's rule in y, h <- h (1 + y) + A_u y^u,
+    gives the B_t by additions only, and the beta_s go over the lcm L of the
+    binomials, so P is over den L (a - b), made positive.  The route finds
+    its own d, the least u >= 1 with A_u != 0, and reads W's integer parts,
+    never R.  Raises ValueError unless W is rational and monic.
     """
-    coeffs = []
-    for k, e in enumerate(_mds_weight_table(n, d, q)):
-        coeffs.append(rhs[k] - sum(map(mul, coeffs, e[k + 1:1:-1])))
-    return coeffs
+    nums, den, n = w._nums, w._den, w.degree
+    if not w.is_rational() or nums[0] != den:
+        raise ValueError("inconsistent zeta system: input is not of the standard form")
+    d = next(u for u in range(1, n + 1) if nums[u])
+    h = []  # den B_t for t = d..u after step u
+    for u in range(d, n + 1):
+        h = list(map(add, [*h, nums[u]], [0, *h]))
+    binoms = [comb(n, t) for t in range(d, n + 1)]
+    big_l = lcm(*binoms)
+    beta = [0, 0, *[x * (big_l // c) for x, c in zip(h, binoms)]]  # from beta_(-1)
+    a, b = q.numerator, q.denominator
+    sign = 1 if a > b else -1
+    return ([sign * (b * hi - (a + b) * mid + a * lo)
+             for lo, mid, hi in zip(beta, beta[1:], beta[2:])],
+            den * big_l * abs(a - b))
 
 
 def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
-    d and the right-hand side R are computed once (`_extract`), and that is
-    all the routes share: `_zeta_genfunc` evaluates the closed form by
-    prefix sums and checks its final divisions by powers of b, while
-    `_zeta_mds` runs a forward substitution on MDS weights from its own
-    Pascal recurrence, whose exact division by a - b is checked on its seed
-    row.  Neither reads the other's series, rows or result, so the
-    comparison checks the entries and the solve, not R or d.  Their integer
-    results are compared and one ZetaPoly is built, so the functional
-    equation is tested once.
+    The routes share only W and q.  `_genfunc_route` takes d from
+    `min_weight`, builds the right-hand side R and evaluates the closed form
+    by prefix sums, checking its final divisions by powers of b; `_zeta_mds`
+    finds its own d and reads the binomial moments of W.  The closed form
+    and the three-term recurrence are two readings of one identity, so the
+    comparison does not check the derivation: it checks each route's code on
+    its own inputs, R and d against W.  The two P are compared in lowest
+    terms and one ZetaPoly is built, so the functional equation is tested
+    once.
     """
-    return _extract(w, q, (_zeta_genfunc, _zeta_mds))
+    return _extract(w, q, (_genfunc_route, _zeta_mds))
 
 
 # -- functional equation -----------------------------------------------------------

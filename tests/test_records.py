@@ -129,16 +129,12 @@ class TestZetaPoly:
     @given(st.lists(st.fractions(-50, 50, max_denominator=30), min_size=1, max_size=7),
            st.sampled_from([F(2), F(4), F(4, 3)]))
     def test_constructor_and_extraction_store_alike(self, coeffs, q):
-        # _extract builds P from the routes' scaled ints X_k = den b^k p_k
-        # (n - d + 1 >= 1 of them); a stub route returns them for a
-        # right-hand side of denominator den
-        b = q.denominator
+        # _extract builds P from each route's (nums, den) in lowest terms; a
+        # stub route returns P unreduced, over a negative denominator
         den = lcm(*[c.denominator for c in coeffs])
-        scaled = [int(c * den * b**k) for k, c in enumerate(coeffs)]
+        nums = [int(c * den) * -6 for c in coeffs]
         w = HomPoly(2, [1, 0, q - 1])  # n = d = 2
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(zeta_mod, "_scaled_weights", lambda w_, q_, d_: ([], den))
-            extracted = zeta_mod._extract(w, q, (lambda *args: scaled,))
+        extracted = zeta_mod._extract(w, q, (lambda *args: (nums, -6 * den),))
         self.assert_same(ZetaPoly(coeffs, q, 2, 2), extracted)
 
     @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 21),

@@ -59,7 +59,8 @@ Q43 = F(4, 3)
 
 def forward_substitution(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
     """The scaled unknowns X_k = L b^k p_k by forward substitution on ints:
-    the reference for the closed form of `_zeta_genfunc`.
+    the reference for the closed form of `_zeta_genfunc` and for the binomial
+    moments of `_zeta_mds`.
 
     With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
     integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and
@@ -232,22 +233,26 @@ class TestHighDegree:
     def test_zeta_checked_runs_and_matches_both_routes(self, high_extremal,
                                                        monkeypatch):
         fam, w = high_extremal
-        results, rhs_seen = {}, {}
+        results, args_seen = {}, {}
         for route in ("_zeta_genfunc", "_zeta_mds"):
-            def spy(rhs, q_, n_, d_, _route=route, _fn=getattr(zeta_mod, route)):
-                rhs_seen[_route] = rhs
-                results[_route] = _fn(rhs, q_, n_, d_)
+            def spy(*args, _route=route, _fn=getattr(zeta_mod, route)):
+                args_seen[_route] = args
+                results[_route] = _fn(*args)
                 return results[_route]
             monkeypatch.setattr(zeta_mod, route, spy)
         p = zeta_checked(w, fam.q)
         assert set(results) == {"_zeta_genfunc", "_zeta_mds"}
-        assert rhs_seen["_zeta_genfunc"] is rhs_seen["_zeta_mds"]
-        assert results["_zeta_genfunc"] == results["_zeta_mds"]
-        # the routes return p's coefficients scaled by L b^k
+        # the MDS route is never handed R (or d): it reads W and q only
+        assert args_seen["_zeta_mds"] == (w, fam.q)
+        assert args_seen["_zeta_mds"][0] is w
+        # the closed form returns p's coefficients scaled by L b^k, the MDS
+        # route p over one denominator
         _, den = zeta_mod._scaled_weights(w, fam.q, p.d)
         b = fam.q.denominator
-        unscaled = [F(x, den * b**k) for k, x in enumerate(results["_zeta_mds"])]
+        unscaled = [F(x, den * b**k) for k, x in enumerate(results["_zeta_genfunc"])]
         assert ZetaPoly(unscaled, fam.q) == p
+        nums, mds_den = results["_zeta_mds"]
+        assert ZetaPoly([F(x, mds_den) for x in nums], fam.q) == p
         assert p.sign == fam.sign and p.degree == w.degree + 2 - 2 * p.d
 
     def test_zeta_checked_builds_the_right_hand_side_once(self, high_extremal,
@@ -315,91 +320,25 @@ class TestMDS:
 
 
 class TestMDSWeightTable:
-    """The integer table of `_zeta_mds` against the direct formula of
-    `_mds_poly`, and the checks of the MDS route that can fire."""
-
-    @pytest.mark.parametrize("q", [2, 3, 4, Q43])
-    def test_matches_mds_poly(self, q):
-        q = F(q)
-        a, b = q.numerator, q.denominator
-        for n in range(2, 41):
-            mds = {e: _mds_poly(n, e, q).coeffs for e in range(2, n + 1)}
-            for d in range(2, n + 1):
-                table = list(zeta_mod._mds_weight_table(n, d, q))
-                assert [len(row) for row in table] == [n - d + 2] * (n - d + 1)
-                for k, row in enumerate(table):
-                    w = d + k
-                    for i in range(k + 1):
-                        m = k - i + 1
-                        assert F(comb(n, w) * (a - b) * row[m], b ** m) == mds[d + i][w]
-
-    @pytest.mark.parametrize("q", [2, 3, 4, Q43])
-    def test_entries_are_the_genfunc_series(self, q):
-        # E(d+k, m) = S_(m-1)(d+k), with S_t(i) = b^t s_t and s the series
-        # of (1-T)^(i-1)/(1-qT): the MDS route solves the triangular system
-        # that the closed form of `_zeta_genfunc` inverts
-        q = F(q)
-        b = q.denominator
-        for n in range(2, 31):
-            for d in range(2, n + 1):
-                for k, row in enumerate(zeta_mod._mds_weight_table(n, d, q)):
-                    s_t, expected = F(0), []  # (1-T)^(i-1) times sum_t q^t T^t
-                    for t in range(k + 1):
-                        s_t = q * s_t + (-1) ** t * comb(d + k - 1, t)
-                        expected.append(b**t * s_t)
-                    assert row[:k + 2] == [0, *expected]
-
-    @staticmethod
-    def _corrupt(monkeypatch, delta):
-        def corrupted(n, d, q, _fn=zeta_mod._mds_weight_table):
-            table = list(_fn(n, d, q))
-            table[1][2] += delta(q)  # E(d + 1, 2), which multiplies A_0 != 0
-            return table
-
-        monkeypatch.setattr(zeta_mod, "_mds_weight_table", corrupted)
-
-    @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 15), ("q43", 12)])
-    def test_corrupted_entry_is_an_oracle_disagreement(self, fam_name, n, monkeypatch):
-        fam = family(fam_name)
-        w = extremal(fam, n)
-        zeta_checked(w, fam.q)
-        # a change of E past the division check changes P
-        self._corrupt(monkeypatch, lambda q: q.numerator - q.denominator)
-        with pytest.raises(AssertionError, match="zeta oracle disagreement"):
-            zeta_checked(w, fam.q)
-
-    def test_entry_not_divisible_by_a_minus_b_is_caught(self, monkeypatch):
-        fam = family("type4")  # q = 4, a - b = 3
-        w = extremal(fam, 15)
-
-        def corrupted(n, d, q, _fn=zeta_mod._mds_seed_row):
-            row = _fn(n, d, q)
-            row[2] += 1  # F(d - 1, 2); the division is checked on this row
-            return row
-
-        monkeypatch.setattr(zeta_mod, "_mds_seed_row", corrupted)
-        with pytest.raises(AssertionError, match="not a multiple of a - b"):
-            zeta_checked(w, fam.q)
-
-    @staticmethod
-    def _system(fam_name, n):
-        fam = family(fam_name)
-        w = extremal(fam, n)
-        d = weight_profile(w, fam.q).d
-        return fam.q, d, zeta_mod._scaled_weights(w, fam.q, d)[0]
+    """The MDS route `_zeta_mds` on W itself: agreement with the closed form
+    at high degree, its memory, and the checks of W it makes."""
 
     @pytest.mark.parametrize("fam_name,n", [
         ("type1", 300), ("type4", 301), ("q43", 300), ("q43-odd", 302), ("ozeki", 300)])
     def test_routes_agree_at_high_degree(self, fam_name, n):
-        q, d, rhs = self._system(fam_name, n)
-        assert zeta_mod._zeta_mds(rhs, q, n, d) == zeta_mod._zeta_genfunc(rhs, q, n, d)
+        fam = family(fam_name)
+        w = extremal(fam, n)
+        mds = homopoly._lowest(*zeta_mod._zeta_mds(w, fam.q), None, 1)
+        assert mds == homopoly._lowest(*zeta_mod._genfunc_route(w, fam.q), None, 1)
 
     def test_one_row_alive(self):
-        # the whole (n - d)^2 table of F would take about 7.9 MiB here
-        q, d, rhs = self._system("type1", 600)
+        # the route keeps O(n) ints: the moments B_t and the beta_s; the
+        # whole (n - d)^2 table of MDS weights would take about 7.9 MiB here
+        fam = family("type1")
+        w = extremal(fam, 600)
         tracemalloc.start()
         try:
-            zeta_mod._zeta_mds(rhs, q, 600, d)
+            zeta_mod._zeta_mds(w, fam.q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,14 +347,23 @@ class TestMDSWeightTable:
     @pytest.mark.parametrize("route", ["_zeta_genfunc", "_zeta_mds"])
     def test_both_routes_require_standard_form(self, route, printed):
         w = printed["w12"]  # d = 4, q = 2, so the scaled unknowns are L p_k
-        extract = getattr(zeta_mod, route)
-        rhs, den = zeta_mod._scaled_weights(w, F(2), 4)
         p = zeta_from_genfunc(w, 2)
-        assert ZetaPoly([F(x, den) for x in extract(rhs, F(2), 12, 4)], 2) == p
-        # both routes read W only through the right-hand side, which checks it
-        for bad_w, d in [(w, 5), (w * 2, 4)]:
+        surd_w = w + HomPoly(12, [0] * 12 + [QuadElem(0, 1, 2)])
+        # the closed form reads W only through the right-hand side, which
+        # checks it; the MDS route reads W and checks it itself
+        if route == "_zeta_genfunc":
+            rhs, den = zeta_mod._scaled_weights(w, F(2), 4)
+            nums = zeta_mod._zeta_genfunc(rhs, F(2), 12, 4)
+            bad = [(w, 5), (w * 2, 4), (surd_w, 4)]
+            read = zeta_mod._scaled_weights
+        else:
+            nums, den = zeta_mod._zeta_mds(w, F(2))
+            bad = [(w * 2,), (surd_w,)]
+            read = zeta_mod._zeta_mds
+        assert ZetaPoly([F(x, den) for x in nums], 2) == p
+        for bad_w, *d in bad:
             with pytest.raises(ValueError, match="standard form"):
-                zeta_mod._scaled_weights(bad_w, F(2), d)
+                read(bad_w, F(2), *d)
         public = {"_zeta_genfunc": zeta_from_genfunc, "_zeta_mds": zeta_from_mds}
         with pytest.raises(ValueError, match="monic"):
             public[route](w * 2, 2)
@@ -450,6 +398,64 @@ class TestClosedForm:
         with pytest.raises(AssertionError):
             zeta_checked(w, fam.q)
         assert len(calls) == n
+
+
+class TestBinomialMoments:
+    """The identity the MDS route rests on, the route against the forward
+    substitution, and the cross-check that now reaches R."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, Q43, F(1, 2)])
+    def test_mds_moments(self, q):
+        # B_t(M_(n,e) - x^n) = sum_(u>=1) A_u C(n-u, t-u) = C(n, t) (q^(t-e+1) - 1)
+        # for t >= e - 1, and 0 below, from the definition of `_mds_poly`
+        q = F(q)
+        for n in range(2, 41):
+            for e in range(2, n + 1):
+                m = _mds_poly(n, e, q)
+                for t in range(n + 1):
+                    moment = sum(m._nums[u] * comb(n - u, t - u) for u in range(1, t + 1))
+                    expected = comb(n, t) * (q ** (t - e + 1) - 1) if t >= e - 1 else 0
+                    assert F(moment, m._den) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12),
+           st.lists(st.integers(-2**64, 2**64), min_size=1, max_size=30),
+           st.sampled_from([F(2), F(3), F(4), Q43, F(3, 2), F(1, 2), F(3, 4)]))
+    def test_equals_forward_substitution(self, d, tail, q):
+        assume(tail[0] != 0)
+        n = d + len(tail) - 1
+        w = HomPoly(n, [1] + [0] * (d - 1) + tail)
+        rhs, den = zeta_mod._scaled_weights(w, q, d)
+        b = q.denominator
+        expected = [F(x, den * b**k) for k, x in enumerate(forward_substitution(rhs, q, n, d))]
+        nums, mds_den = zeta_mod._zeta_mds(w, q)
+        assert mds_den > 0 and [F(x, mds_den) for x in nums] == expected
+
+    @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 15), ("q43", 12),
+                                            ("q43-odd", 18), ("ozeki", 36)])
+    def test_corrupted_right_hand_side_is_an_oracle_disagreement(self, fam_name, n,
+                                                                 monkeypatch):
+        # R feeds the closed form only, so an error in it is a disagreement
+        fam = family(fam_name)
+        w = extremal(fam, n)
+        zeta_checked(w, fam.q)
+
+        def corrupted(w_, q_, d_, _fn=zeta_mod._scaled_weights):
+            rhs, den = _fn(w_, q_, d_)
+            rhs[1] += den
+            return rhs, den
+
+        monkeypatch.setattr(zeta_mod, "_scaled_weights", corrupted)
+        with pytest.raises(AssertionError, match="zeta oracle disagreement"):
+            zeta_checked(w, fam.q)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 4)])
+    def test_q_below_one(self, q):
+        # a - b < 0, so the route's denominator den L (a - b) changes sign
+        m = mds_enumerator(10, 4, q).poly
+        assert zeta_checked(m, q).coeffs == (F(1),)
+        assert zeta_from_mds(m, q) == ZetaPoly((1,), q, 10, 4)
+        assert zeta_mod._zeta_mds(m, q)[1] > 0
 
 
 class TestFunctionalEquation:
