@@ -320,8 +320,41 @@ class TestMDS:
 
 
 class TestMDSWeightTable:
-    """The MDS route `_zeta_mds` on W itself: agreement with the closed form
-    at high degree, its memory, and the checks of W it makes."""
+    """The MDS weights of `_mds_poly` against the generating-function series,
+    the MDS route `_zeta_mds` on expansions over them, its agreement with the
+    closed form at high degree, its memory, and the checks of W it makes."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, Q43])
+    def test_matches_mds_poly(self, q):
+        # W = sum_k p_k M_(n,d+k) with sum_k p_k = 1 is monic of minimum
+        # weight d, and the route must give back P(T) = sum_k p_k T^k
+        q = F(q)
+        for n in range(2, 41):
+            mds = {e: _mds_poly(n, e, q) for e in range(2, n + 1)}
+            for d in range(2, n + 1):
+                top = n - d
+                p = [F(2 * (k + 1), (top + 1) * (top + 2)) for k in range(top + 1)]
+                w = mds[d] * p[0]
+                for k in range(1, top + 1):
+                    w = w + mds[d + k] * p[k]
+                nums, den = zeta_mod._zeta_mds(w, q)
+                assert [F(x, den) for x in nums] == p
+
+    @pytest.mark.parametrize("q", [2, 3, 4, Q43])
+    def test_entries_are_the_genfunc_series(self, q):
+        # A_w(M_(n,e)) = C(n, w) (q - 1) s_(w-e), with s the series of
+        # (1-T)^(w-1)/(1-qT): the series whose convolution the MDS route
+        # inverts, against the alternating sum of `_mds_poly`
+        q = F(q)
+        for n in range(2, 31):
+            for e in range(2, n + 1):
+                coeffs = _mds_poly(n, e, q).coeffs
+                assert coeffs[0] == 1 and not any(coeffs[1:e])
+                for w in range(e, n + 1):
+                    s_t = F(0)  # (1-T)^(w-1) times sum_t q^t T^t
+                    for t in range(w - e + 1):
+                        s_t = q * s_t + (-1) ** t * comb(w - 1, t)
+                    assert coeffs[w] == comb(n, w) * (q - 1) * s_t
 
     @pytest.mark.parametrize("fam_name,n", [
         ("type1", 300), ("type4", 301), ("q43", 300), ("q43-odd", 302), ("ozeki", 300)])
