@@ -7,6 +7,11 @@ input the library rejects with ValueError, and an --output file that cannot
 be written, print `error: <message>` to stderr and exit 2.
 Reports are byte-identical across runs; timings go to stderr only when
 requested.
+
+Each call is parsed by its own command's parser (`command_parser`). The full
+five-command tree (`build_parser`) is built from the same argument functions,
+and only for top-level help and usage errors, so both print the same help and
+messages.
 """
 
 from __future__ import annotations
@@ -266,79 +271,117 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-# parse_args leaves the parser unchanged, so one parser serves every `main` call
+def _rh_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    parser.add_argument("--precision-bits", type=_precision_bits,
+                        default=DEFAULT_PRECISION_BITS)
+
+
+def _gen_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=sorted(fam_mod.FAMILIES))
+    parser.add_argument("--name",
+                        help="generator name (phi4, phi3, phi6, wh8, w12, w12prime, w2)")
+    parser.add_argument("--extremal", action="store_true")
+    parser.add_argument("--basis", action="store_true")
+    parser.add_argument("-n", type=int)
+    parser.add_argument("-q", type=_fraction, help="parameter for --name w2")
+    parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    parser.set_defaults(func=_cmd_gen)
+
+
+def _zeta_args(parser: argparse.ArgumentParser) -> None:
+    _rh_args(parser)
+    parser.add_argument("--family", choices=sorted(fam_mod.FAMILIES))
+    parser.add_argument("--extremal", action="store_true",
+                        help="accepted and ignored: --family always uses the extremal member")
+    parser.add_argument("--poly", help="polynomial text form")
+    parser.add_argument("-n", type=int)
+    parser.add_argument("-q", type=_fraction)
+    parser.add_argument("--rh", action="store_true")
+    parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    parser.set_defaults(func=_cmd_zeta)
+
+
+def _scan_args(parser: argparse.ArgumentParser) -> None:
+    _rh_args(parser)
+    parser.add_argument("--family", choices=sorted(fam_mod.FAMILIES), required=True)
+    parser.add_argument("-n", type=_degree_range, required=True, metavar="MIN..MAX")
+    parser.add_argument("--strict", action="store_true",
+                        help="conjecture failures also exit nonzero")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--output", help="write the report to a file instead of stdout")
+    parser.add_argument("--timing", action="store_true",
+                        help="print elapsed time to stderr")
+    parser.set_defaults(func=_cmd_scan)
+
+
+def _molien_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--group", choices=matgroup.GROUP_NAMES, required=True)
+    parser.add_argument("--terms", type=int, default=41)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(func=_cmd_molien)
+
+
+def _verify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("theorem", choices=(
+        "th-duursma-okuda", "lemma-duursma", "star", "star-q43-odd",
+        "divisibility", "diff-identity", "zeta-binomial", "molien-basis"))
+    parser.add_argument("--family", choices=sorted(fam_mod.FAMILIES), default="type1")
+    parser.add_argument("-n", type=int)
+    parser.add_argument("--samples", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=20240811)
+    parser.add_argument("--max-degree", type=int, default=40)
+    parser.add_argument("--max-k", type=int, default=4)
+    parser.set_defaults(func=_cmd_verify)
+
+
+# command -> (the function that adds its arguments, its line in top-level help)
+_COMMANDS = {
+    "gen": (_gen_args, "print generators, bases or extremal enumerators"),
+    "zeta": (_zeta_args, "zeta polynomial by both methods, optional RH check"),
+    "scan": (_scan_args, "extremal construction + zeta + RH over a degree range"),
+    "molien": (_molien_args, "group order and exact Molien series"),
+    "verify": (_verify_args, "run a theorem verifier"),
+}
+
+
+# parse_args leaves a parser unchanged, so one parser per command serves every
+# `main` call
+@lru_cache(maxsize=None)
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The standalone parser of one command, as its subparser in `build_parser`."""
+    parser = argparse.ArgumentParser(prog=f"fwenum {name}")
+    _COMMANDS[name][0](parser)
+    return parser
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The full command tree, for top-level help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="fwenum",
         description="Exact computations with divisible formal weight enumerators "
                     "and their zeta polynomials (q = 2, 4, 4/3).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fam_names = sorted(fam_mod.FAMILIES)
-    rh_options = argparse.ArgumentParser(add_help=False)
-    rh_options.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    rh_options.add_argument("--precision-bits", type=_precision_bits,
-                            default=DEFAULT_PRECISION_BITS)
-
-    gen = sub.add_parser("gen", help="print generators, bases or extremal enumerators")
-    gen.add_argument("--family", choices=fam_names)
-    gen.add_argument("--name", help="generator name (phi4, phi3, phi6, wh8, w12, w12prime, w2)")
-    gen.add_argument("--extremal", action="store_true")
-    gen.add_argument("--basis", action="store_true")
-    gen.add_argument("-n", type=int)
-    gen.add_argument("-q", type=_fraction, help="parameter for --name w2")
-    gen.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    gen.set_defaults(func=_cmd_gen)
-
-    zp = sub.add_parser("zeta", parents=[rh_options],
-                        help="zeta polynomial by both methods, optional RH check")
-    zp.add_argument("--family", choices=fam_names)
-    zp.add_argument("--extremal", action="store_true",
-                    help="accepted and ignored: --family always uses the extremal member")
-    zp.add_argument("--poly", help="polynomial text form")
-    zp.add_argument("-n", type=int)
-    zp.add_argument("-q", type=_fraction)
-    zp.add_argument("--rh", action="store_true")
-    zp.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    zp.set_defaults(func=_cmd_zeta)
-
-    scan = sub.add_parser("scan", parents=[rh_options],
-                          help="extremal construction + zeta + RH over a degree range")
-    scan.add_argument("--family", choices=fam_names, required=True)
-    scan.add_argument("-n", type=_degree_range, required=True, metavar="MIN..MAX")
-    scan.add_argument("--strict", action="store_true",
-                      help="conjecture failures also exit nonzero")
-    scan.add_argument("--format", choices=("text", "json"), default="text")
-    scan.add_argument("--output", help="write the report to a file instead of stdout")
-    scan.add_argument("--timing", action="store_true",
-                      help="print elapsed time to stderr")
-    scan.set_defaults(func=_cmd_scan)
-
-    molien = sub.add_parser("molien", help="group order and exact Molien series")
-    molien.add_argument("--group", choices=matgroup.GROUP_NAMES, required=True)
-    molien.add_argument("--terms", type=int, default=41)
-    molien.add_argument("--format", choices=("text", "json"), default="text")
-    molien.set_defaults(func=_cmd_molien)
-
-    verify = sub.add_parser("verify", help="run a theorem verifier")
-    verify.add_argument("theorem", choices=(
-        "th-duursma-okuda", "lemma-duursma", "star", "star-q43-odd",
-        "divisibility", "diff-identity", "zeta-binomial", "molien-basis"))
-    verify.add_argument("--family", choices=fam_names, default="type1")
-    verify.add_argument("-n", type=int)
-    verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=20240811)
-    verify.add_argument("--max-degree", type=int, default=40)
-    verify.add_argument("--max-k", type=int, default=4)
-    verify.set_defaults(func=_cmd_verify)
-
+    for name, (add_args, text) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # a call that names a command and leaves nothing over parses as the tree
+    # would; the tree itself reports the rest, so its messages stay as they are
+    if argv and argv[0] in _COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -5,13 +5,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fwenum
 from fwenum import cli, matgroup
 from fwenum.cli import main
 from fwenum.pipeline import scan_family
-from fwenum.families import extremal, family
+from fwenum.families import FAMILIES, extremal, family
 from fwenum.homopoly import parse_poly
+from fwenum.zeta import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 
 def run(capsys, *argv):
@@ -422,14 +424,18 @@ def test_scan_report_counts():
 
 
 def test_parser_built_once(capsys):
-    # a rejected command and a later run share the parser without leaking state
+    # a rejected command and later runs share each command's parser without
+    # leaking state: the options set before the rejected -n do not carry over
     with pytest.raises(SystemExit):
-        main(["scan", "--family", "type1", "-n", "30..10"])
+        main(["scan", "--format", "json", "--strict", "--family", "type1", "-n", "30..10"])
     assert run(capsys, "gen", "--name", "phi6")[0] == 0
-    before = cli.build_parser.cache_info()
+    before = cli.command_parser.cache_info()
     assert run(capsys, "gen", "--name", "phi4")[0] == 0
-    after = cli.build_parser.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 1
+    code, out, err = run(capsys, "scan", "--family", "type1", "-n", "8..8")
+    after = cli.command_parser.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2
+    report = scan_family(family("type1"), 8, 8, 1e-9, DEFAULT_PRECISION_BITS)
+    assert (code, out, err) == (0, report.to_text() + "\n", "")
 
 
 # Runs in a fresh interpreter, because this one already holds mpmath.  After
@@ -475,3 +481,209 @@ def test_mpmath_loaded_only_on_rh_path(capsys):
                          "--format", "json")
     assert (code, err) == (0, "")
     assert fresh["code"] == 0 and fresh["rh_out"] == out
+
+
+# -- one command's parser and the full tree read one grammar -------------------------
+#
+# `main` parses a call that names a command with that command's own parser, and
+# falls back to the full tree only when the call names none or leaves arguments
+# over.  Both routes must give the same Namespace, the same help and the same
+# usage errors.
+
+def tree_route(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_INTS = st.integers(-20, 200).map(str)
+_FAMILIES = st.sampled_from(sorted(FAMILIES))
+_FORMATS = st.sampled_from(["text", "json"])
+_RH_OPTIONS = {
+    "--tolerance": st.sampled_from(["1e-9", "0.5", "3", "2.5e-12"]),
+    "--precision-bits": st.integers(MIN_PRECISION_BITS, MAX_PRECISION_BITS).map(str),
+}
+# command -> {option: strategy of its value, None for a flag}
+_GRAMMAR = {
+    "gen": {
+        "--family": _FAMILIES,
+        "--name": st.sampled_from(["phi4", "w2", "w12prime", "x"]),
+        "--extremal": None,
+        "--basis": None,
+        "-n": _INTS,
+        "-q": st.fractions(0, 50, max_denominator=50).map(str),
+        "--format": st.sampled_from(["text", "json", "latex"]),
+    },
+    "zeta": {
+        **_RH_OPTIONS,
+        "--family": _FAMILIES,
+        "--extremal": None,
+        "--poly": st.sampled_from(["x^2+1/3*y^2", "x^4 + y^4"]),
+        "-n": _INTS,
+        "-q": st.sampled_from(["2", "4/3", "1/2"]),
+        "--rh": None,
+        "--format": st.sampled_from(["text", "json", "latex"]),
+    },
+    "scan": {
+        **_RH_OPTIONS,
+        "--family": _FAMILIES,
+        "-n": st.one_of(_INTS, st.tuples(st.integers(-5, 300), st.integers(0, 40)).map(
+            lambda t: f"{t[0]}..{t[0] + t[1]}")),
+        "--strict": None,
+        "--format": _FORMATS,
+        "--output": st.sampled_from(["report.txt", "out/r.json"]),
+        "--timing": None,
+    },
+    "molien": {
+        "--group": st.sampled_from(matgroup.GROUP_NAMES),
+        "--terms": _INTS,
+        "--format": _FORMATS,
+    },
+    "verify": {
+        "--family": _FAMILIES,
+        "-n": _INTS,
+        "--samples": _INTS,
+        "--seed": _INTS,
+        "--max-degree": _INTS,
+        "--max-k": _INTS,
+    },
+}
+_REQUIRED = {"scan": ("--family", "-n"), "molien": ("--group",)}
+_THEOREMS = ("th-duursma-okuda", "lemma-duursma", "star", "star-q43-odd",
+             "divisibility", "diff-identity", "zeta-binomial", "molien-basis")
+
+
+def _spellings(command, option):
+    """The option itself and, for a long option, each unambiguous abbreviation."""
+    if not option.startswith("--"):
+        return [option]
+    others = [o for o in (*_GRAMMAR[command], "--help") if o != option]
+    return [option[:k] for k in range(3, len(option) + 1)
+            if not any(o.startswith(option[:k]) for o in others)]
+
+
+@st.composite
+def command_argvs(draw, command):
+    grammar = _GRAMMAR[command]
+    options = list(_REQUIRED.get(command, ()))
+    options += draw(st.lists(st.sampled_from(sorted(grammar)), max_size=6))
+    groups = []
+    for option in draw(st.permutations(options)):
+        spelled = draw(st.sampled_from(_spellings(command, option)))
+        if grammar[option] is None:
+            groups.append([spelled])
+            continue
+        value = draw(grammar[option])
+        forms = [[spelled, value], [f"{spelled}={value}"]]
+        if not option.startswith("--"):
+            forms.append([spelled + value])  # -n12
+        groups.append(draw(st.sampled_from(forms)))
+    if command == "verify":
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(_THEOREMS))])
+    return [command] + [token for group in groups for token in group]
+
+
+@pytest.mark.parametrize("command", sorted(_GRAMMAR))
+def test_grammar_table_names_every_option(command):
+    # the property below draws from every option the command's parser has
+    parser = cli.command_parser(command)
+    options = {o for action in parser._actions for o in action.option_strings}
+    assert options - {"-h", "--help"} == set(_GRAMMAR[command])
+
+
+@pytest.mark.parametrize("command", sorted(_GRAMMAR))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_command_parser_matches_tree(command, data):
+    argv = data.draw(command_argvs(command))
+    args = cli._parse(argv)
+    assert args == tree_route(argv)
+    assert args.command == command
+
+
+_HELP_AND_USAGE_ERRORS = [
+    [],                                                   # no command
+    ["bogus"],                                            # unknown command
+    ["-h"],
+    ["--help"],
+    ["-h", "zeta"],
+    ["gen", "-h"],
+    ["zeta", "-h"],
+    ["scan", "-h"],
+    ["molien", "-h"],
+    ["verify", "-h"],
+    ["zeta", "--family", "type9", "-n", "12"],            # invalid choice
+    ["verify", "bogus"],
+    ["zeta", "--family", "type1", "-n", "12", "--bogus"],  # unrecognized argument
+    ["-x", "gen", "--name", "phi4"],
+    ["--version"],
+    ["gen", "--name", "phi4", "extra"],                   # leftover positional
+    ["scan", "--family", "type1"],                        # missing scan -n
+    ["verify"],
+    ["molien"],
+    ["zeta", "--fam", "type1", "-n", "12"],               # abbreviations
+    ["zeta", "--family", "type1", "-n", "8", "--rh", "--tol", "1e-6"],
+    ["zeta", "--he"],
+    ["zeta", "--f", "type1"],                             # ambiguous abbreviation
+    ["gen", "--family=type1", "-n12", "--extremal"],
+    ["zeta", "--family", "type1", "-n", "8", "--rh", "--precision-bits", "abc"],
+    ["scan", "--family", "type1", "-n", "8", "--tolerance", "0"],
+    ["scan", "--family", "type1", "-n", "30..10"],
+    ["molien", "--group", "g1minus", "--terms", "x"],
+    ["gen", "--name"],                                    # option without its value
+    ["zeta", "--bogus", "-h"],                            # help before the leftover
+]
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_USAGE_ERRORS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_match_tree(capsys, monkeypatch, argv):
+    own = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", tree_route)
+    assert outcome(capsys, argv) == own
+
+
+# Runs in a fresh interpreter, whose parser caches are empty: a valid call of
+# each command builds that command's parser and no full tree.
+_PARSER_BUILD_SCRIPT = """
+import contextlib, io, json
+import fwenum.cli as cli
+
+built = [(cli.command_parser.cache_info().currsize, cli.build_parser.cache_info().currsize)]
+for argv in (["gen", "--name", "phi4"],
+             ["zeta", "--family", "type1", "-n", "12", "--format", "json"],
+             ["scan", "--family", "type1", "-n", "8..10"],
+             ["molien", "--group", "g1minus", "--terms", "5"],
+             ["verify", "star", "--family", "type1", "-n", "12"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    built.append((cli.command_parser.cache_info().currsize,
+                  cli.build_parser.cache_info().currsize))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        cli.main(["-h"])
+    except SystemExit as exc:
+        code = exc.code
+built.append((cli.command_parser.cache_info().currsize, cli.build_parser.cache_info().currsize))
+print(json.dumps({"built": built, "code": code, "help": out.getvalue()}))
+"""
+
+
+def test_valid_calls_build_no_tree(capsys):
+    src = os.path.dirname(os.path.dirname(fwenum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSER_BUILD_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    fresh = json.loads(proc.stdout)
+    # import builds nothing; each command adds its own parser; -h builds the tree
+    assert fresh["built"] == [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0], [5, 1]]
+    assert fresh["code"] == 0 and fresh["help"].startswith("usage: fwenum [-h]")
