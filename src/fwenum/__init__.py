@@ -2,10 +2,10 @@
 
 Constructs the q = 2, 4 and 4/3 enumerator families (plus the q = 2,
 divisibility-4 family), computes their zeta polynomials by two exact
-methods that share only d and the right-hand side (a closed form by prefix
-sums and a triangular expansion over MDS enumerators), and verifies bounds,
-differential identities and the Riemann-hypothesis property of the zeta
-roots.
+methods that share only W and q (a closed form by prefix sums, and a
+three-term recurrence on the binomial moments of W in the MDS basis), and
+verifies bounds, differential identities and the Riemann-hypothesis property
+of the zeta roots.
 """
 
 from .families import (

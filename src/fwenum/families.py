@@ -37,7 +37,6 @@ from .homopoly import (
     _poly,
     _profile_and_image,
     parse_poly,
-    transform_sign,
 )
 from .record import Record
 from .unipoly import _convolve
@@ -122,12 +121,8 @@ _PHI6 = parse_poly("x^6 - 5*x^4*y^2 + 5/3*x^2*y^4 - 1/27*y^6")
 _WH8 = parse_poly("x^8 + 14*x^4*y^4 + y^8")
 _W12 = parse_poly("x^12 - 33*x^8*y^4 - 33*x^4*y^8 + y^12")
 # (1/81) x^2 y^2 (x^2-y^2)^2 (9x^2-y^2)^2; equals (W_2^6 - phi6^2)/12
-_W12PRIME = (
-    parse_poly("x^2*y^2")
-    * parse_poly("x^2 - y^2") ** 2
-    * parse_poly("9*x^2 - y^2") ** 2
-    * Fraction(1, 81)
-)
+_W12PRIME = parse_poly(
+    "x^10*y^2 - 20/9*x^8*y^4 + 118/81*x^6*y^6 - 20/81*x^4*y^8 + 1/81*x^2*y^10")
 
 _GENERATORS = {
     "phi4": _PHI4,
@@ -153,30 +148,22 @@ def generator(name: str, q=None) -> HomPoly:
         ) from None
 
 
-def _make_family(name, q, c, even_gen, odd_gen, parity, **extra):
-    q = Fraction(q)
-    if transform_sign(even_gen, q) != 1:
-        raise AssertionError(f"{name}: even generator is not invariant")
-    if transform_sign(odd_gen, q) != -1:
-        raise AssertionError(f"{name}: odd generator is not anti-invariant")
-    return FamilySpec(name, q, c, even_gen, odd_gen, parity, **extra)
-
-
+# even_gen is invariant and odd_gen anti-invariant under sigma_q, as the tests check
 FAMILIES: dict[str, FamilySpec] = {
-    "type1": _make_family(
-        "type1", 2, 2, _w2(2), _PHI4, 1, has_star=True, group="g1minus",
+    "type1": FamilySpec(
+        "type1", Fraction(2), 2, _w2(2), _PHI4, 1, has_star=True, group="g1minus",
         divisor_base=parse_poly("x^3*y - x*y^3"),
         diff_operator=parse_poly("x*y^3 - x^3*y")),
-    "type4": _make_family(
-        "type4", 4, 2, _w2(4), _PHI3, 1, has_star=True, group="g4minus",
+    "type4": FamilySpec(
+        "type4", Fraction(4), 2, _w2(4), _PHI3, 1, has_star=True, group="g4minus",
         divisor_base=parse_poly("x^2*y - y^3"),
         diff_operator=parse_poly("y^3 - 9*x^2*y")),
-    "q43": _make_family("q43", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 0,
-                        has_star=True, group="g43"),
-    "q43-odd": _make_family(
+    "q43": FamilySpec("q43", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 0,
+                      has_star=True, group="g43"),
+    "q43-odd": FamilySpec(
         "q43-odd", Fraction(4, 3), 2, _w2(Fraction(4, 3)), _PHI6, 1,
         bound_proven_on_class_only=True, group="g43minus"),
-    "ozeki": _make_family("ozeki", 2, 4, _WH8, _W12, 1),
+    "ozeki": FamilySpec("ozeki", Fraction(2), 4, _WH8, _W12, 1),
 }
 
 

@@ -209,7 +209,7 @@ def _conjugated_tau(q) -> Mat2:
 GROUP_NAMES = ("g1minus", "g4minus", "g43minus", "g43")
 
 
-def named_group(name: str, cap: int = 1024) -> MatrixGroup:
+def named_group(name: str) -> MatrixGroup:
     """The four concrete groups with printed orders 8, 6, 12 and 24."""
     if name == "g1minus":
         gens = [_conjugated_tau(2), TAU]
@@ -221,7 +221,7 @@ def named_group(name: str, cap: int = 1024) -> MatrixGroup:
         gens = [sigma_q(Fraction(4, 3)), TAU]
     else:
         raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
-    return group_closure(gens, cap=cap)
+    return group_closure(gens)
 
 
 def molien_basis_mismatches(max_degree: int) -> tuple[list[tuple[str, int]], int]:

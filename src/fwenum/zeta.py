@@ -853,13 +853,8 @@ def _refine_root(c: list[int], lo: int, hi: int, bits: int,
 
 def _fixed_horner(c: list[int], zr: int, zi: int, bits: int):
     """P(z) for z = (zr + i zi) / 2^bits in truncated fixed point: (re, im)
-    in units 2^-bits.  A real z takes the real Horner loop: with zi = 0 the
-    imaginary part stays 0, and the real part gets the same ints."""
-    if not zi:
-        acc = c[-1] << bits
-        for ci in c[-2::-1]:
-            acc = (acc * zr >> bits) + (ci << bits)
-        return acc, 0
+    in units 2^-bits, by one complex Horner loop; a real z (zi = 0) keeps
+    the imaginary part 0."""
     ar, ai = c[-1] << bits, 0
     for ci in c[-2::-1]:
         ar, ai = ((ar * zr - ai * zi) >> bits) + (ci << bits), (ar * zi + ai * zr) >> bits

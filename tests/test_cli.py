@@ -438,12 +438,23 @@ def test_parser_built_once(capsys):
     assert (code, out, err) == (0, report.to_text() + "\n", "")
 
 
-# Runs in a fresh interpreter, because this one already holds mpmath.  After
-# each step it records whether mpmath is loaded; the RH command's stdout is
+# Runs in a fresh interpreter, because this one already holds mpmath.  It
+# records the `fwenum/homopoly.py` functions that run during the import, and
+# after each step whether mpmath is loaded; the RH command's stdout is
 # returned for comparison with the in-process run.
 _IMPORT_BOUNDARY_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+
+ran = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.endswith(os.path.join("fwenum", "homopoly.py")):
+        ran.add(code.co_name)
+
+sys.setprofile(profile)
 import fwenum.cli
+sys.setprofile(None)
 
 def call(*argv):
     out = io.StringIO()
@@ -462,7 +473,8 @@ for argv in (["gen", "--name", "phi4"],
     loaded.append(modules())
 code, rh_out = call("zeta", "--family", "type1", "-n", "12", "--rh", "--format", "json")
 loaded.append(modules())
-print(json.dumps({"loaded": loaded, "code": code, "rh_out": rh_out}))
+print(json.dumps({"loaded": loaded, "code": code, "rh_out": rh_out,
+                  "import_ran": sorted(ran)}))
 """
 
 
@@ -477,6 +489,10 @@ def test_mpmath_loaded_only_on_rh_path(capsys):
     # import, gen, exact zeta and verify star load none of mpmath, dataclasses
     # and inspect; zeta --rh loads mpmath only
     assert fresh["loaded"] == [[], [], [], [], ["mpmath"]]
+    # the import builds the family table as data: it parses polynomials but
+    # computes no MacWilliams image
+    assert "parse_poly" in fresh["import_ran"]
+    assert "act_matrix" not in fresh["import_ran"]
     code, out, err = run(capsys, "zeta", "--family", "type1", "-n", "12", "--rh",
                          "--format", "json")
     assert (code, err) == (0, "")

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, pi
 
 import mpmath as mp
 import pytest
@@ -1090,6 +1090,34 @@ def _simple_roots_inside(case):
     return holds and p.degree > 0 and len({(z.real, z.imag) for z in known}) == len(known)
 
 
+# Tier A samples the fold R at s = 2 sqrt(q) cos(pi (j + 1/2) / N), N =
+# 4(deg R + 1), and certifies only when each root of R has a bracket of its
+# own between neighbouring points.  A root s = 2 sqrt(q) cos(theta) of R gives
+# P the roots T = e^(+-i theta) / sqrt(q), so theta = arg T over the roots with
+# im T > 0 (the real roots of P are split off and are not roots of R).  With
+# neighbouring theta more than pi/N + margin apart, some point between them
+# lies at least margin/2 from both; with every theta more than pi/(2N) +
+# margin from 0 and pi, the outer points lie at least margin from the roots,
+# outside all of them.  On [pi/(2N), pi - pi/(2N)], |ds/dtheta| = 2 sqrt(q)
+# sin(theta) > 2 sin(pi/40) > 0.15 for q >= 4/3 and N <= 20 (deg R <= 4), so
+# these separating points stay more than 7e-8 in s from the roots, far beyond
+# the 1e-14 by which rounding the points to 60 bits through a double cosine,
+# or theta to a double, moves them.  Tier A evaluates R exactly, so a root
+# near any other point changes no sign unless it equals that point exactly.
+_GRID_MARGIN = 1e-6
+
+
+def _roots_apart_on_the_grid(case):
+    _, known, _ = case
+    thetas = sorted(float(mp.arg(z)) for z in known if z.imag > 0)
+    if not thetas:
+        return True
+    step = pi / (4 * (len(thetas) + 1))
+    return (thetas[0] > step / 2 + _GRID_MARGIN
+            and pi - thetas[-1] > step / 2 + _GRID_MARGIN
+            and all(b - a > step + _GRID_MARGIN for a, b in zip(thetas, thetas[1:])))
+
+
 def _refuse(*args):
     raise AssertionError("the Aberth path ran")
 
@@ -1119,7 +1147,8 @@ class TestCertifiedRH:
     points, refinement on Python ints, and the decline to Aberth."""
 
     @settings(max_examples=40, deadline=None)
-    @given(folded_polys().filter(_simple_roots_inside), st.sampled_from([53, 128, 200]))
+    @given(folded_polys().filter(_simple_roots_inside).filter(_roots_apart_on_the_grid),
+           st.sampled_from([53, 128, 200]))
     def test_certified_without_aberth(self, case, prec):
         p, known, _ = case
         with pytest.MonkeyPatch.context() as patch:
@@ -1137,8 +1166,10 @@ class TestCertifiedRH:
         ([(1, 0, 5, 0, 4)], 2, False),  # s = +-i
         ([(1, 3, 2)], 2, False),
         ([(1, -3, 2)], 2, False),
+        # R = s(2s - 1): the roots 0 and 1/2 lie between the same two points
+        ([(1, 0, 4), (1, F(-1, 2), 4)], 4, True),
     ], ids=["edge-double", "edge-both", "double-inside", "outside", "complex-pair",
-            "1,3,2", "1,-3,2"])
+            "1,3,2", "1,-3,2", "close-roots"])
     def test_undecided_inputs_reach_aberth(self, factors, q, passed, aberth_calls):
         r = rh_check(ZetaPoly(_product(factors), q), 1e-9, 128)
         assert aberth_calls and r.passed == passed and r.precision_bits == 256
