@@ -744,25 +744,34 @@ def parse_poly(text: str) -> HomPoly:
     The grammar matches the printer: rational coefficients as ``num/den``,
     ``*`` and exponents of 1/0 elidable, e.g. ``x^12 - 33*x^8*y^4 + y^12``.
     """
+    # "2 3*x" would read as 23*x once the spaces are gone
+    words = text.split()
+    if any(a[-1].isdigit() and b[0].isdigit() for a, b in zip(words, words[1:])):
+        raise ValueError(f"whitespace between digits in {text!r}")
     compact = text.replace(" ", "").replace("−", "-")
     if not compact:
         raise ValueError("empty polynomial text")
+    # "x^2-y^2" splits into ["x^2", "-", "y^2"]; a leading sign leaves "" first
+    first, *rest = re.split(r"([+-])", compact)
+    pieces = [("+", first)] if first else []
+    pieces += zip(rest[::2], rest[1::2])
     terms = []
-    for piece in re.finditer(r"[+-]?[^+-]+", compact):
-        chunk = piece.group(0)
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
+    for sign_s, chunk in pieces:
+        if not chunk:
+            raise ValueError(f"sign {sign_s!r} with no term after it in {text!r}")
+        sign = -1 if sign_s == "-" else 1
         m = _TERM_RE.match(chunk)
-        if not m or not chunk:
+        if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         coef_s, xp_s, yp_s = m.group("coef"), m.group("xp"), m.group("yp")
         has_x = "x" in chunk
         has_y = "y" in chunk
         if coef_s is None and not has_x and not has_y:
             raise ValueError(f"cannot parse term {chunk!r}")
-        coef = Fraction(coef_s) if coef_s else Fraction(1)
+        try:
+            coef = Fraction(coef_s) if coef_s else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         xp = int(xp_s) if xp_s else (1 if has_x else 0)
         yp = int(yp_s) if yp_s else (1 if has_y else 0)
         terms.append((sign * coef, xp, yp))

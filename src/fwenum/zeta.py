@@ -3,8 +3,10 @@ MDS enumerators, star operators and the theorem-level identity verifiers.
 
 The zeta polynomial is extracted by two exact routes on Python ints that
 share only W and q.  The generating-function route builds the right-hand side
-R from d and W and evaluates the Lagrange-inversion closed form
-P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) by prefix sums.  The
+R = L C from d and W, L the lcm of the denominators of C, and evaluates the
+Lagrange-inversion closed form P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T))
+mod T^(n-d+1) by prefix sums: with H = L (1 - T)^(-d) C(T/(1 - T)) and
+q = a/b, L b P = b H - a T H.  The
 MDS route finds its own d and reads the binomial moments of W, in which the
 MDS basis is a convolution with q^r - 1, so P follows by a three-term
 recurrence.  Both are readings of one identity, not independent derivations:
@@ -207,7 +209,9 @@ def zeta_from_genfunc(w: HomPoly, q) -> ZetaPoly:
     c_k = [T^k] P(T) (1-T)^(d+k-1) / (1-qT), c_k = W_(d+k) / ((q-1) C(n, d+k)).
     Lagrange inversion on T = x(1-T) sums them to
     C(x) = sum_k c_k x^k = (1+x)^(-d) P(x/(1+x)) / (1 - qx/(1+x)), so
-    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1) (`_zeta_genfunc`).
+    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(n-d+1).  `_genfunc_route`
+    evaluates it on R = L C: with H = L (1 - T)^(-d) C(T/(1 - T)) and q = a/b,
+    L b P = b H - a T H.
     """
     return _extract(w, q, (_genfunc_route,))
 
@@ -238,9 +242,9 @@ def _extract(w: HomPoly, q, routes) -> ZetaPoly:
 def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
     """The right-hand side of the generating-function route, on ints.
 
-    Returns (R, L) with R_k = L b^k c_k for k = 0..n-d, where
-    c_k = W_(d+k) / ((q - 1) C(n, d+k)), q = a/b and L is the lcm of the
-    denominators of the c_k.  With W stored as nums / den, each
+    Returns (R, L) with R_k = L c_k for k = 0..n-d, where
+    c_k = W_(d+k) / ((q - 1) C(n, d+k)) and L is the lcm of the denominators
+    of the c_k.  With W stored as nums / den and q = a/b, each
     c_k = nums[d+k] b / ((a - b) den C(n, d+k)) is reduced by one gcd to a
     positive denominator, and the binomials follow their recurrence.  Raises
     ValueError unless W is in standard form, monic with A_1 = ... = A_(d-1)
@@ -259,55 +263,30 @@ def _scaled_weights(w: HomPoly, q: Fraction, d: int) -> tuple[list[int], int]:
         reduced.append((num // g, den // g))
         binom = binom * (n - i) // (i + 1)
     big_l = lcm(*[den for _, den in reduced])
-    out, bpow = [], 1
-    for num, den in reduced:
-        out.append(num * (big_l // den) * bpow)
-        bpow *= b
-    return out, big_l
-
-
-def _zeta_genfunc(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
-    """The scaled unknowns X_k = L b^k p_k by the closed form, on ints.
-
-    Lagrange inversion of the generating-function identity gives
-    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(N+1), N = n - d, with
-    C(x) = sum_j c_j x^j and R_j = L b^j c_j (`_scaled_weights`, q = a/b).
-    With G_j = R_j b^(N-j) = L b^N c_j, Horner's rule in u = T/(1 - T) takes
-    acc <- G_j + u acc, and u acc is acc's prefix sums shifted by T; the
-    list for step j needs N - j + 1 terms, so the last is T^N.  d more
-    prefix-sum passes multiply by (1 - T)^(-d) and give H = L b^N (1 - T)^(-d)
-    C(u), and X_m = (b H_m - a H_(m-1)) / b^(N+1-m), an exact division that
-    is checked.  The O(N^2) core is additions only.
-    """
-    a, b = q.numerator, q.denominator
-    top = n - d
-    bpow = [1]
-    for _ in range(top + 1):
-        bpow.append(bpow[-1] * b)
-    acc = [rhs[top]]
-    for j in range(top - 1, -1, -1):
-        acc = [rhs[j] * bpow[top - j], *accumulate(acc)]
-    for _ in range(d):
-        acc = list(accumulate(acc))
-    out = []
-    for m, (h, prev) in enumerate(zip(acc, [0, *acc])):
-        x, rem = divmod(b * h - a * prev, bpow[top + 1 - m])
-        if rem:
-            raise AssertionError(
-                f"closed-form coefficient {m} is not a multiple of b^{top + 1 - m}")
-        out.append(x)
-    return out
+    return [num * (big_l // den) for num, den in reduced], big_l
 
 
 def _genfunc_route(w: HomPoly, q: Fraction) -> tuple[list[int], int]:
-    """P as (nums, den) by the closed form: d of `min_weight`, the right-hand
-    side (R, L) of `_scaled_weights`, and the unknowns X_k = L b^k p_k of
-    `_zeta_genfunc` (q = a/b) brought over one denominator L b^(n-d)."""
-    d, n = min_weight(w), w.degree
-    rhs, den = _scaled_weights(w, q, d)
-    b, top = q.denominator, n - d  # p_k = X_k b^(top-k) / (L b^top)
-    nums = [x * b**(top - k) for k, x in enumerate(_zeta_genfunc(rhs, q, n, d))]
-    return nums, den * b**top
+    """P as (nums, den) by the closed form, on ints.
+
+    Lagrange inversion of the generating-function identity gives
+    P(T) = (1 - qT) (1 - T)^(-d) C(T/(1 - T)) mod T^(N+1), N = n - d, with
+    d of `min_weight` and R = L C the right-hand side of `_scaled_weights`.
+    Horner's rule in u = T/(1 - T) takes acc <- R_j + u acc, and u acc is
+    acc's prefix sums shifted by T; the list for step j needs N - j + 1
+    terms, so the last is T^N.  d more prefix-sum passes multiply by
+    (1 - T)^(-d) and give H = L (1 - T)^(-d) C(u), and with q = a/b,
+    L b P = b H - a T H.  The O(N^2) core is additions only.
+    """
+    d = min_weight(w)
+    rhs, big_l = _scaled_weights(w, q, d)
+    acc = [rhs[-1]]
+    for r in reversed(rhs[:-1]):
+        acc = [r, *accumulate(acc)]
+    for _ in range(d):
+        acc = list(accumulate(acc))
+    a, b = q.numerator, q.denominator
+    return [b * h - a * prev for h, prev in zip(acc, [0, *acc])], big_l * b
 
 
 # -- MDS enumerators ------------------------------------------------------------
@@ -400,8 +379,8 @@ def zeta_checked(w: HomPoly, q) -> ZetaPoly:
     """Run both extraction routes and fail hard on disagreement.
 
     The routes share only W and q.  `_genfunc_route` takes d from
-    `min_weight`, builds the right-hand side R and evaluates the closed form
-    by prefix sums, checking its final divisions by powers of b; `_zeta_mds`
+    `min_weight`, builds the right-hand side R = L C and evaluates the closed
+    form by prefix sums as L b P = b H - a T H (q = a/b); `_zeta_mds`
     finds its own d and reads the binomial moments of W.  The closed form
     and the three-term recurrence are two readings of one identity, so the
     comparison does not check the derivation: it checks each route's code on

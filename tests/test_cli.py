@@ -129,8 +129,13 @@ class TestZetaCommand:
     # (x + y)^2 maps to 4x^2 at q = 2: d_perp is undefined
     (["--poly", "x^2 + 2*x*y + y^2", "-q", "2"], "polynomial has no positive-weight term"),
     (["--family", "type1", "-n", "7"], "family type1 has no members of degree 7"),
+    (["--poly", "x^2+1/0*y^2", "-q", "2"], "zero denominator in term '1/0*y^2'"),
+    (["--poly", "x^2--y^2", "-q", "2"], "sign '-' with no term after it in 'x^2--y^2'"),
+    (["--poly", "x^2+", "-q", "2"], "sign '+' with no term after it in 'x^2+'"),
+    (["--poly", "2 3*x", "-q", "2"], "whitespace between digits in '2 3*x'"),
 ], ids=["mixed-degree", "not-monic", "d-is-1", "d-perp-is-1", "d-is-1-d-perp-is-2",
-        "image-is-a-power-of-x", "no-members"])
+        "image-is-a-power-of-x", "no-members", "zero-denominator", "double-sign",
+        "trailing-sign", "split-coefficient"])
 def test_zeta_bad_input_reported(capsys, argv, message):
     code, out, err = run(capsys, "zeta", *argv)
     assert code == 2 and out == ""

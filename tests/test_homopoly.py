@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -87,6 +88,20 @@ class TestParsePrint:
     def test_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
             parse_poly("x^2 + y")
+
+    @pytest.mark.parametrize("text,message", [
+        ("x^2--y^2", "sign '-' with no term after it"),
+        ("x^2-+y^2", "sign '-' with no term after it"),
+        ("x^2+", "sign '+' with no term after it"),
+        ("-", "sign '-' with no term after it"),
+        ("2 3*x", "whitespace between digits"),
+        ("x^1 2", "whitespace between digits"),
+        ("1/0*x", "zero denominator in term '1/0*x'"),
+    ], ids=["double-sign", "minus-plus", "trailing-sign", "sign-alone",
+            "split-coefficient", "split-exponent", "zero-denominator"])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly(text)
 
     def test_json_roundtrip(self):
         f = parse_poly("x^2 + 1/3*y^2")

@@ -57,26 +57,24 @@ F = Fraction
 Q43 = F(4, 3)
 
 
-def forward_substitution(rhs: list[int], q: Fraction, n: int, d: int) -> list[int]:
-    """The scaled unknowns X_k = L b^k p_k by forward substitution on ints:
-    the reference for the closed form of `_zeta_genfunc` and for the binomial
-    moments of `_zeta_mds`.
+def forward_substitution(c: list, q: Fraction, d: int) -> list[Fraction]:
+    """P's coefficients p_k by forward substitution on the defining identity:
+    the reference for the closed form of `_genfunc_route` and for the
+    binomial moments of `_zeta_mds`.
 
-    With q = a/b the series s of (1-T)^(i-1)/(1-qT), i = d+k, scales to the
-    integers S_t = b^t s_t = a S_(t-1) + (-1)^t C(i-1, t) b^t, and
-    X_k = R_k - sum_(t>=1) S_t X_(k-t).
+    The equation for y^i x^(n-i), i = d+k, reads
+    c_k = sum_t s_t p_(k-t), where s is the series of (1-T)^(i-1)/(1-qT),
+    s_t = q s_(t-1) + (-1)^t C(i-1, t), so p_k = c_k - sum_(t>=1) s_t p_(k-t).
     """
-    a, b = q.numerator, q.denominator
     p = []
-    for k, acc in enumerate(rhs):
+    for k, acc in enumerate(c):
         i = d + k
-        s, binom, bpow = 1, 1, 1  # S_t, C(i-1, t), b^t
+        s, binom = F(1), 1  # s_t, C(i-1, t)
         for t in range(1, k + 1):
             binom = binom * (i - t) // t
-            bpow *= b
-            s = a * s + (-binom * bpow if t % 2 else binom * bpow)
+            s = q * s + (-binom if t % 2 else binom)
             acc -= s * p[k - t]
-        p.append(acc)
+        p.append(F(acc))
     return p
 
 
@@ -234,38 +232,32 @@ class TestHighDegree:
                                                        monkeypatch):
         fam, w = high_extremal
         results, args_seen = {}, {}
-        for route in ("_zeta_genfunc", "_zeta_mds"):
+        for route in ("_genfunc_route", "_zeta_mds"):
             def spy(*args, _route=route, _fn=getattr(zeta_mod, route)):
                 args_seen[_route] = args
                 results[_route] = _fn(*args)
                 return results[_route]
             monkeypatch.setattr(zeta_mod, route, spy)
         p = zeta_checked(w, fam.q)
-        assert set(results) == {"_zeta_genfunc", "_zeta_mds"}
-        # the MDS route is never handed R (or d): it reads W and q only
-        assert args_seen["_zeta_mds"] == (w, fam.q)
-        assert args_seen["_zeta_mds"][0] is w
-        # the closed form returns p's coefficients scaled by L b^k, the MDS
-        # route p over one denominator
-        _, den = zeta_mod._scaled_weights(w, fam.q, p.d)
-        b = fam.q.denominator
-        unscaled = [F(x, den * b**k) for k, x in enumerate(results["_zeta_genfunc"])]
-        assert ZetaPoly(unscaled, fam.q) == p
-        nums, mds_den = results["_zeta_mds"]
-        assert ZetaPoly([F(x, mds_den) for x in nums], fam.q) == p
+        # each route is handed W and q only, never the other's R (or d)
+        assert args_seen == {"_genfunc_route": (w, fam.q), "_zeta_mds": (w, fam.q)}
+        assert all(args[0] is w for args in args_seen.values())
+        # each route returns p over one denominator
+        for nums, den in results.values():
+            assert ZetaPoly([F(x, den) for x in nums], fam.q) == p
         assert p.sign == fam.sign and p.degree == w.degree + 2 - 2 * p.d
 
     def test_zeta_checked_builds_the_right_hand_side_once(self, high_extremal,
                                                           monkeypatch):
         fam, w = high_extremal
         calls = []
-        for name in ("_scaled_weights", "_zeta_genfunc", "_zeta_mds"):
+        for name in ("_scaled_weights", "_genfunc_route", "_zeta_mds"):
             def spy(*args, _name=name, _fn=getattr(zeta_mod, name)):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(zeta_mod, name, spy)
         zeta_checked(w, fam.q)
-        assert sorted(calls) == ["_scaled_weights", "_zeta_genfunc", "_zeta_mds"]
+        assert sorted(calls) == ["_genfunc_route", "_scaled_weights", "_zeta_mds"]
 
     def test_zeta_checked_expands_no_image(self, high_extremal, monkeypatch):
         # d_perp >= 2 is read off one coefficient of the MacWilliams image
@@ -377,42 +369,46 @@ class TestMDSWeightTable:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("route", ["_zeta_genfunc", "_zeta_mds"])
+    @pytest.mark.parametrize("route", ["_genfunc_route", "_zeta_mds"])
     def test_both_routes_require_standard_form(self, route, printed):
-        w = printed["w12"]  # d = 4, q = 2, so the scaled unknowns are L p_k
+        w = printed["w12"]  # d = 4, q = 2
         p = zeta_from_genfunc(w, 2)
         surd_w = w + HomPoly(12, [0] * 12 + [QuadElem(0, 1, 2)])
         # the closed form reads W only through the right-hand side, which
         # checks it; the MDS route reads W and checks it itself
-        if route == "_zeta_genfunc":
-            rhs, den = zeta_mod._scaled_weights(w, F(2), 4)
-            nums = zeta_mod._zeta_genfunc(rhs, F(2), 12, 4)
+        nums, den = getattr(zeta_mod, route)(w, F(2))
+        if route == "_genfunc_route":
             bad = [(w, 5), (w * 2, 4), (surd_w, 4)]
             read = zeta_mod._scaled_weights
         else:
-            nums, den = zeta_mod._zeta_mds(w, F(2))
             bad = [(w * 2,), (surd_w,)]
             read = zeta_mod._zeta_mds
         assert ZetaPoly([F(x, den) for x in nums], 2) == p
         for bad_w, *d in bad:
             with pytest.raises(ValueError, match="standard form"):
                 read(bad_w, F(2), *d)
-        public = {"_zeta_genfunc": zeta_from_genfunc, "_zeta_mds": zeta_from_mds}
+        public = {"_genfunc_route": zeta_from_genfunc, "_zeta_mds": zeta_from_mds}
         with pytest.raises(ValueError, match="monic"):
             public[route](w * 2, 2)
 
 
 class TestClosedForm:
-    """The closed form of `_zeta_genfunc` against the forward substitution it
-    replaced, and a mutation of its prefix sums that `zeta_checked` catches."""
+    """The closed form of `_genfunc_route`, L b P = b H - a T H on R = L C,
+    against the forward substitution it replaced, and a mutation of its
+    prefix sums that `zeta_checked` catches."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-2**128 + 1, 2**128 - 1), min_size=1, max_size=40),
-           st.sampled_from([F(2), F(3), F(4), Q43, F(3, 2), F(5, 3)]),
+           st.sampled_from([F(2), F(3), F(4), Q43, F(3, 2), F(5, 3), F(1, 2), F(3, 4)]),
            st.integers(1, 15))
     def test_equals_forward_substitution(self, rhs, q, d):
+        # the standard-form W whose right-hand side is c_k = rhs_k
+        assume(rhs[0] != 0)
         n = d + len(rhs) - 1
-        assert zeta_mod._zeta_genfunc(rhs, q, n, d) == forward_substitution(rhs, q, n, d)
+        w = HomPoly(n, [1] + [0] * (d - 1)
+                    + [r * (q - 1) * comb(n, d + k) for k, r in enumerate(rhs)])
+        nums, den = zeta_mod._genfunc_route(w, q)
+        assert den > 0 and [F(x, den) for x in nums] == forward_substitution(rhs, q, d)
 
     @pytest.mark.parametrize("fam_name,n", [("type1", 24), ("type4", 15), ("q43", 12)])
     def test_dropped_prefix_sum_is_caught(self, fam_name, n, monkeypatch):
@@ -458,9 +454,8 @@ class TestBinomialMoments:
         assume(tail[0] != 0)
         n = d + len(tail) - 1
         w = HomPoly(n, [1] + [0] * (d - 1) + tail)
-        rhs, den = zeta_mod._scaled_weights(w, q, d)
-        b = q.denominator
-        expected = [F(x, den * b**k) for k, x in enumerate(forward_substitution(rhs, q, n, d))]
+        c = [F(t) / ((q - 1) * comb(n, d + k)) for k, t in enumerate(tail)]
+        expected = forward_substitution(c, q, d)
         nums, mds_den = zeta_mod._zeta_mds(w, q)
         assert mds_den > 0 and [F(x, mds_den) for x in nums] == expected
 
