@@ -195,20 +195,20 @@ def _cmd_scan(args) -> int:
 
 def _cmd_molien(args) -> int:
     group = matgroup.named_group(args.group)
-    series = matgroup.molien_series(group, args.terms)
+    series = matgroup.molien_series(group)
+    prefix = [str(c) for c in series.series(args.terms)]  # before any output
     if args.format == "json":
         print(json.dumps({
             "group": args.group,
             "order": group.order,
             "numerator": [str(c) for c in series.num],
             "denominator": [str(c) for c in series.den],
-            "series": [str(c) for c in series.series(args.terms)],
+            "series": prefix,
         }, sort_keys=True))
     else:
         print(f"group {args.group}: order {group.order}")
         print(f"molien: {series}")
-        prefix = ", ".join(str(c) for c in series.series(args.terms))
-        print(f"series: {prefix}")
+        print(f"series: {', '.join(prefix)}")
     return 0
 
 

@@ -100,10 +100,6 @@ class HomPoly(Record):
         root, nums, surd, den = unipoly.split_surd(coeffs)
         _store(self, degree, nums, den, surd if root != 1 else None, root)
 
-    def __reduce__(self):
-        # the slots are not the constructor's arguments
-        return HomPoly, (self.degree, self.coeffs)
-
     @property
     def coeffs(self) -> tuple:
         return tuple([_coefficient(self, i) for i in range(self.degree + 1)])
@@ -320,10 +316,6 @@ class Mat2(Record):
     def __init__(self, a, b, c, d):
         root, nums, surd, den = unipoly.split_surd([_norm_scalar(e) for e in (a, b, c, d)])
         super().__init__(tuple(nums), tuple(surd) if root != 1 else None, root, den)
-
-    def __reduce__(self):
-        # the slots are not the constructor's arguments
-        return Mat2, (self.a, self.b, self.c, self.d)
 
     a = property(lambda self: _coefficient(self, 0))
     b = property(lambda self: _coefficient(self, 1))
@@ -732,9 +724,9 @@ def weight_profile(f: HomPoly, q: Rational) -> WeightProfile:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)?"
+    r"(?P<coef>\d+(?:/\d+)?)?"
     r"(?:\*?x(?:\^(?P<xp>\d+))?)?"
-    r"(?:\*?y(?:\^(?P<yp>\d+))?)?$"
+    r"(?:\*?y(?:\^(?P<yp>\d+))?)?"
 )
 
 
@@ -743,12 +735,13 @@ def parse_poly(text: str) -> HomPoly:
 
     The grammar matches the printer: rational coefficients as ``num/den``,
     ``*`` and exponents of 1/0 elidable, e.g. ``x^12 - 33*x^8*y^4 + y^12``.
+    Whitespace of any kind is ignored, except between two digits.
     """
-    # "2 3*x" would read as 23*x once the spaces are gone
+    # "2 3*x" would read as 23*x once the whitespace is gone
     words = text.split()
     if any(a[-1].isdigit() and b[0].isdigit() for a, b in zip(words, words[1:])):
         raise ValueError(f"whitespace between digits in {text!r}")
-    compact = text.replace(" ", "").replace("−", "-")
+    compact = "".join(words).replace("−", "-")
     if not compact:
         raise ValueError("empty polynomial text")
     # "x^2-y^2" splits into ["x^2", "-", "y^2"]; a leading sign leaves "" first
@@ -760,7 +753,7 @@ def parse_poly(text: str) -> HomPoly:
         if not chunk:
             raise ValueError(f"sign {sign_s!r} with no term after it in {text!r}")
         sign = -1 if sign_s == "-" else 1
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         coef_s, xp_s, yp_s = m.group("coef"), m.group("xp"), m.group("yp")

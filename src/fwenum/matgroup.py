@@ -80,24 +80,21 @@ def group_closure(generators: list[Mat2], cap: int = 1024) -> MatrixGroup:
     return MatrixGroup(elements=frozenset(elements), generators=gens)
 
 
-class RationalFunctionSeries:
-    """Rational function num(l)/den(l) over Q with a cached series prefix.
+class RationalFunctionSeries(Record):
+    """Rational function num(l)/den(l) over Q.
 
     Stored on ints as num = p / a and den = u / b, p and u trimmed integer
     lists; `num` and `den`, Fraction lists, are built on read.  Series are
     equal when they are the same rational function, and are not hashable."""
 
-    __slots__ = ("_p", "_a", "_u", "_b", "_series")
+    __slots__ = ("_p", "_a", "_u", "_b")
 
-    def __init__(self, num: list, den: list, ints: tuple | None = None):
-        # `ints`, the parts (p, a, u, b), skips the Fractions
-        if ints is None:
-            ints = (*_integer_coeffs(unipoly.trim([Fraction(c) for c in num])),
-                    *_integer_coeffs(unipoly.trim([Fraction(c) for c in den])))
-        self._p, self._a, self._u, self._b = ints
-        if not self._u:
+    def __init__(self, num: list, den: list):
+        p, a = _integer_coeffs(unipoly.trim([Fraction(c) for c in num]))
+        u, b = _integer_coeffs(unipoly.trim([Fraction(c) for c in den]))
+        if not u:
             raise ZeroDivisionError("zero denominator")
-        self._series = []
+        super().__init__(p, a, u, b)
 
     num = property(lambda self: [Fraction(v, self._a) for v in self._p])
     den = property(lambda self: [Fraction(v, self._b) for v in self._u])
@@ -108,25 +105,25 @@ class RationalFunctionSeries:
         den = [1]
         for k in powers:
             den = _convolve(den, [1] + [0] * (k - 1) + [-1])
-        return cls(None, None, ints=([1], 1, den, 1))
+        return cls([1], den)
 
     def series(self, terms: int) -> list[Fraction]:
-        """First `terms` Taylor coefficients at l = 0.
+        """First `terms` Taylor coefficients at l = 0, computed on each call.
 
         Coefficient k is b s_k / (a u0^(k+1)) for the integers
         s_k = p_k u0^k - sum over j of u_j u0^(j-1) s_(k-j); u0 = 1 in every
         Molien series.  A zero u0 raises ZeroDivisionError.
         """
-        if len(self._series) < terms:
-            p, a, u, b = self._p, self._a, self._u, self._b
-            if not u[0]:
-                raise ZeroDivisionError("series expansion needs den(0) != 0")
-            s = [v * u[0]**k for k, v in enumerate(p[:terms])] + [0] * (terms - len(p))
-            steps = [(j, v * u[0] ** (j - 1)) for j, v in enumerate(u) if j and v]
-            for k in range(terms):
-                s[k] -= sum([w * s[k - j] for j, w in steps if j <= k])
-            self._series = [Fraction(b * v, a * u[0] ** (k + 1)) for k, v in enumerate(s)]
-        return self._series[:terms]
+        if terms < 1:
+            raise ValueError("terms must be >= 1")
+        p, a, u, b = self._p, self._a, self._u, self._b
+        if not u[0]:
+            raise ZeroDivisionError("series expansion needs den(0) != 0")
+        s = [v * u[0]**k for k, v in enumerate(p[:terms])] + [0] * (terms - len(p))
+        steps = [(j, v * u[0] ** (j - 1)) for j, v in enumerate(u) if j and v]
+        for k in range(terms):
+            s[k] -= sum([w * s[k - j] for j, w in steps if j <= k])
+        return [Fraction(b * v, a * u[0] ** (k + 1)) for k, v in enumerate(s)]
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunctionSeries):
@@ -169,7 +166,7 @@ def _add(frac: tuple[list[int], list[int]], num: list[int], den: list[int]):
     return [v // c for v in num], [v // c for v in den]
 
 
-def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries:
+def molien_series(group: MatrixGroup) -> RationalFunctionSeries:
     """Exact Molien series (1/|G|) sum(1/det(I - l*A)) of a finite group.
 
     The elements with one (trace, det) share a term k/d.  With d scaled to
@@ -178,10 +175,9 @@ def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries
     the sqrt(D) parts are summed as reduced integer fractions.  Every sqrt(D)
     part must sum to zero, else NotRationalError.  The result is scaled by
     1/|G| and normalised to a denominator with constant term 1; that reduced
-    form is unique, so the order of the classes does not matter.
+    form is unique, so the order of the classes does not matter.  Read a
+    prefix with `series(terms)`.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
     rational = [], [1]
     surds = {}  # D -> the sum of the sqrt(D) parts
     for (root, u0, u1, e), k in Counter(_char_denominator(m) for m in group.elements).items():
@@ -196,9 +192,8 @@ def molien_series(group: MatrixGroup, terms: int = 41) -> RationalFunctionSeries
             "Molien series has an irrational residue; closure is incomplete"
         )
     num, den = rational
-    series = RationalFunctionSeries(None, None, ints=(num, den[0] * group.order, den, den[0]))
-    series.series(terms)
-    return series
+    return RationalFunctionSeries([Fraction(v, den[0] * group.order) for v in num],
+                                  [Fraction(v, den[0]) for v in den])
 
 
 def _conjugated_tau(q) -> Mat2:
@@ -233,7 +228,7 @@ def molien_basis_mismatches(max_degree: int) -> tuple[list[tuple[str, int]], int
     grouped = [fam for fam in FAMILIES.values() if fam.group]
     mismatches = []
     for fam in grouped:
-        coeffs = molien_series(named_group(fam.group), terms).series(terms)
+        coeffs = molien_series(named_group(fam.group)).series(terms)
         mismatches += [(fam.name, n) for n in range(terms)
                        if coeffs[n] != ring_dimension(fam, n)]
     return mismatches, len(grouped)

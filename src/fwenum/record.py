@@ -1,13 +1,22 @@
 """The one base of the package's immutable records."""
 
 
+def _restore(cls, values):
+    """A `cls` whose slots hold `values`, in slot order; the constructor of
+    `cls` does not run."""
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record
+
+
 class Record:
     """Immutable record whose fields are its class's `__slots__`.
 
     Fields are given positionally in slot order or by name; a field given
     neither way takes its value from the class's `_defaults`.  Records compare
-    and hash by identity unless the subclass defines otherwise, and copy and
-    pickle by calling the class on their field values.
+    and hash by identity unless the subclass defines otherwise.  They copy
+    and pickle as their stored slots, which are restored as they are, so a
+    subclass whose constructor takes other arguments needs no override.
     """
 
     __slots__ = ()
@@ -41,7 +50,6 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # rebuild through the constructor, which takes the fields in slot order
-        # (Mat2, QuadElem and ZetaPoly too; HomPoly overrides this); the
-        # default slot-state restore would call __setattr__
-        return type(self), tuple([getattr(self, field) for field in type(self).__slots__])
+        # the default slot-state restore would call __setattr__
+        cls = type(self)
+        return _restore, (cls, tuple([getattr(self, field) for field in cls.__slots__]))

@@ -141,10 +141,6 @@ class ZetaPoly(Record):
                  sign: int | None = None):
         _store_zeta(self, *_integer_coeffs([Fraction(c) for c in coeffs]), q, n, d, sign)
 
-    def __reduce__(self):
-        # the slots are not the constructor's arguments
-        return ZetaPoly, (self.coeffs, self.q, self.n, self.d, self.sign)
-
     @property
     def coeffs(self) -> tuple:
         return tuple([Fraction(c, self._den) for c in self._nums])
@@ -675,10 +671,11 @@ def _conjugate_pairs(roots: list) -> list:
 
 
 def _rh_report(roots: list, target: tuple, max_res: tuple, tolerance: float,
-               bits: int) -> RHReport:
+               bits: int, folded: bool = True) -> RHReport:
     """The report of a certified root set, given sorted by (re, im) as mpc,
     with the largest deviation of |root| from `target` at `bits` bits;
-    `target` and `max_res` are raw mpf parts.
+    `target` and `max_res` are raw mpf parts.  It passes when P has a fold
+    and the deviation is below `tolerance`.
 
     Both paths list each non-real pair exactly conjugate, and |conj(z)| is
     |z| bit for bit, so the deviation is taken over the roots with im >= 0.
@@ -703,7 +700,7 @@ def _rh_report(roots: list, target: tuple, max_res: tuple, tolerance: float,
         target_modulus=libmp.to_float(target, rnd=near),
         max_abs_deviation=libmp.to_float(max_dev, rnd=near),
         max_residual=libmp.to_float(max_res, rnd=near),
-        passed=libmp.mpf_lt(max_dev, libmp.from_float(tolerance)),
+        passed=folded and libmp.mpf_lt(max_dev, libmp.from_float(tolerance)),
         tolerance=tolerance,
         precision_bits=bits,
     )
@@ -925,7 +922,11 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     lifted to the two roots of qT^2 - sT + 1; the roots +-1/sqrt(q) that the
     fold divides out are added exactly.  Without a functional equation, or
     when P(0) = 0, the same steps run on P itself with each root its own
-    lift.  A constant P has no roots and passes vacuously.
+    lift, and the report fails whatever the deviation: if every root of a
+    real P with P(0) != 0 lies on |T| = 1/sqrt(q), then
+    T^N P(1/(qT)) = +-q^(-N/2) P(T), the functional equation `_fold` needs,
+    and a root T = 0 is off the circle.  A constant P has no roots and passes
+    vacuously.
 
     Certified path: with a fold, `_certified_rh` is tried first.  If the
     signs of R at 4(deg R + 1) dyadic points inside (-2 sqrt(q), 2 sqrt(q))
@@ -1037,7 +1038,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                     )
                 roots.sort(key=lambda t: (t.real, t.imag))
                 return _rh_report(roots, target._mpf_, (max_res / abs_coeffs[-1])._mpf_,
-                                  tolerance, prec)
+                                  tolerance, prec, fold is not None)
         previous = roots
         prec *= 2
         if prec > _PRECISION_CEILING_BITS:

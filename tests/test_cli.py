@@ -70,6 +70,10 @@ class TestZetaCommand:
         code, out, _ = run(capsys, "zeta", "--poly", "x^2+1/3*y^2", "-q", "4/3")
         assert code == 0 and out.startswith("P(T) = 1")
 
+    def test_poly_whitespace_of_any_kind(self, capsys):
+        spaced = run(capsys, "zeta", "--poly", "x^2 + 1/3*y^2", "-q", "4/3")
+        assert run(capsys, "zeta", "--poly", "x^2\t+\n1/3*y^2\r\n", "-q", "4/3") == spaced
+
     def test_degree_fourteen_genus(self, capsys):
         code, out, _ = run(capsys, "zeta", "--family", "type1", "--extremal",
                            "-n", "14")
@@ -133,9 +137,10 @@ class TestZetaCommand:
     (["--poly", "x^2--y^2", "-q", "2"], "sign '-' with no term after it in 'x^2--y^2'"),
     (["--poly", "x^2+", "-q", "2"], "sign '+' with no term after it in 'x^2+'"),
     (["--poly", "2 3*x", "-q", "2"], "whitespace between digits in '2 3*x'"),
+    (["--poly", "2\t3*x", "-q", "2"], "whitespace between digits in '2\\t3*x'"),
 ], ids=["mixed-degree", "not-monic", "d-is-1", "d-perp-is-1", "d-is-1-d-perp-is-2",
         "image-is-a-power-of-x", "no-members", "zero-denominator", "double-sign",
-        "trailing-sign", "split-coefficient"])
+        "trailing-sign", "split-coefficient", "tab-split-coefficient"])
 def test_zeta_bad_input_reported(capsys, argv, message):
     code, out, err = run(capsys, "zeta", *argv)
     assert code == 2 and out == ""

@@ -96,12 +96,25 @@ class TestParsePrint:
         ("-", "sign '-' with no term after it"),
         ("2 3*x", "whitespace between digits"),
         ("x^1 2", "whitespace between digits"),
+        ("2\t3*x", "whitespace between digits"),
         ("1/0*x", "zero denominator in term '1/0*x'"),
     ], ids=["double-sign", "minus-plus", "trailing-sign", "sign-alone",
-            "split-coefficient", "split-exponent", "zero-denominator"])
+            "split-coefficient", "split-exponent", "tab-split-coefficient",
+            "zero-denominator"])
     def test_malformed_text_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_poly(text)
+
+    @pytest.mark.parametrize("text,spaced", [
+        ("x\n+y", "x + y"),
+        ("x^2\n", "x^2"),
+        ("x\t+y", "x + y"),
+        ("x^2\r\n", "x^2"),
+        ("x +\ny", "x + y"),
+    ], ids=["newline-before-sign", "final-newline", "tab", "final-crlf",
+            "newline-after-sign"])
+    def test_whitespace_of_any_kind_is_ignored(self, text, spaced):
+        assert parse_poly(text) == parse_poly(spaced)
 
     def test_json_roundtrip(self):
         f = parse_poly("x^2 + 1/3*y^2")

@@ -1042,6 +1042,17 @@ class TestFold:
         with mp.workprec(400):
             _assert_roots_match(r.roots, known + [mp.mpc(1 / _mp(a))])
 
+    @pytest.mark.parametrize("eps", [F(1, 10**12), F(1, 10**20)], ids=["1e-12", "1e-20"])
+    def test_no_functional_equation_within_tolerance(self, eps):
+        # the roots +-i/sqrt(2 + eps) miss |T| = 1/sqrt(2) by about eps/(4 sqrt(2)),
+        # far below the tolerance, but P has no fold, so RH fails
+        p = ZetaPoly((1, 0, F(2) + eps), 2)
+        assert _fold_of(p.coeffs, p.q) is None
+        r = rh_check(p, 1e-9)
+        assert not r.passed
+        assert 0 < r.max_abs_deviation < eps and r.max_residual < 1e-20
+        assert [complex(z) for z in r.roots] == pytest.approx([-0.5**0.5 * 1j, 0.5**0.5 * 1j])
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8),
            st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8),
