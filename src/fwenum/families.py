@@ -524,8 +524,8 @@ def burmann_coefficient(fam: FamilySpec, mu: int, nu: int | None = None) -> Frac
     else:
         raise ValueError("the coefficient oracle exists for the q = 4/3 families only")
     terms = mu + 1
-    series = unipoly.series_mul(top, _inverse_power_series(1, k, terms), terms)
-    series = unipoly.series_mul(series, _inverse_power_series(9, k, terms), terms)
+    series = _convolve(top, _inverse_power_series(1, k, terms), terms)
+    series = _convolve(series, _inverse_power_series(9, k, terms), terms)
     value = prefactor * (series[mu] * factorial(mu))
     if sign * value <= 0:
         raise AssertionError(f"{fam.name} coefficient lost its {contract} sign contract")

@@ -3,8 +3,9 @@
 A ``HomPoly`` of degree n has n+1 coefficients indexed by the exponent of y,
 so ``coeffs[i]`` multiplies x^(n-i) y^i.  The zero polynomial keeps its
 degree so that degree contracts of the differential operators stay total.
-Coefficients read as Fractions, or QuadElems when a square root of q enters
-(odd-degree MacWilliams transforms, matrix actions over Q(sqrt(D))).
+Coefficients read as Fractions, or as read-only QuadElem values when a square
+root of q enters (odd-degree MacWilliams transforms, matrix actions over
+Q(sqrt(D))); all arithmetic runs on the stored integers.
 
 Every polynomial is stored on integers as f = (f0 + f1 sqrt(D)) / den, f0
 and f1 integer tuples, D squarefree, den > 0 in lowest terms; a rational
@@ -17,8 +18,8 @@ result is normalised by one gcd.  A `Mat2` is stored the same way on its
 four entries, M = (M0 + M1 sqrt(D)) / den.  A rational M, or a pure surd
 M1 sqrt(D) / den such as sigma_q(q), acts on each part as the integer action
 of M0 or M1 (times sqrt(D)^n); sigma_q, q^(-n/2) and inverses are built on
-ints.  Only a matrix with both parts nonzero, which no caller builds, runs
-the Horner loop on Fraction / QuadElem scalars.
+ints.  A matrix with both parts nonzero, which no caller builds (every
+element of the named groups is rational or a pure surd), is rejected.
 
 The integer action is Kronecker-packed: every polynomial of its Horner loop
 is one int, its value at x = 1, y = 2^B, with B wide enough for a signed
@@ -424,17 +425,17 @@ def _times_linear(p: list, a, b) -> list:
     return [a * p[0], *[a * u + b * v for u, v in zip(p[1:], p)], b * p[-1]]
 
 
-def _act_horner(coeffs, a, b, c, d, one) -> list:
+def _act_horner(coeffs: list[int], a, b, c, d) -> list[int]:
     """Coefficients of sum(coeffs[i] U^(n-i) V^i) with U = a x + b y and
     V = c x + d y, by Horner in V: acc_k = acc_(k-1) V + coeffs[n-k] U^k.
 
-    O(n^2) ring operations on whatever scalars are passed in: Fraction /
-    QuadElem, or Python ints when the integer action of `act_matrix` needs
-    slots wider than `_PACKED_SLOT_BITS` and `_act_packed` would be slower.
+    O(n^2) operations on ints, for the integer action of `act_matrix` when it
+    needs slots wider than `_PACKED_SLOT_BITS` and `_act_packed` would be
+    slower.
     """
     n = len(coeffs) - 1
     acc = [coeffs[n]]
-    upow = [one]
+    upow = [1]
     for k in range(1, n + 1):
         upow = _times_linear(upow, a, b)
         acc = _times_linear(acc, c, d)
@@ -500,7 +501,7 @@ def _act_ints(nums, a, b, c, d) -> list[int]:
     width = _slot_bytes(nums, a, b, c, d)
     if 8 * width <= _PACKED_SLOT_BITS:
         return _act_packed(nums, a, b, c, d, width)
-    return _act_horner(nums, a, b, c, d, 1)
+    return _act_horner(nums, a, b, c, d)
 
 
 def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
@@ -510,15 +511,15 @@ def act_matrix(f: HomPoly, sigma: Mat2) -> HomPoly:
     acts by its integers M0 on each stored part of f (`_act_ints`), over f's
     denominator times den^n.  A pure surd sigma = M1 sqrt(D) / den, such as
     sigma_q(q), acts by M1 the same way, and the image is multiplied by
-    sqrt(D)^n = (1/D)^(-n/2).  Only a sigma with both parts nonzero takes the
-    Horner loop on Fraction / QuadElem scalars.
+    sqrt(D)^n = (1/D)^(-n/2).  A sigma with both parts nonzero raises
+    ValueError.
     """
     n = f.degree
     ints = sigma._nums
     if sigma._surd is not None:
         if any(ints):
-            entries = sigma.a, sigma.b, sigma.c, sigma.d
-            return HomPoly(n, _act_horner(f.coeffs, *entries, Fraction(1)))
+            raise ValueError("act_matrix needs a rational matrix or a pure surd "
+                             "M1*sqrt(D)/den, not one with both parts nonzero")
         ints = sigma._surd
     nums = _act_ints(f._nums, *ints)
     surd = None if f._surd is None else _act_ints(f._surd, *ints)

@@ -1,15 +1,16 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and real quadratic extensions.
+"""Exact scalar values: arbitrary-precision rationals and elements of Q(sqrt(D)).
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
-denominator, exact arithmetic).  ``QuadElem`` represents a + b*sqrt(D) for a
-squarefree positive integer D and is closed under the ring operations; the
-inverse exists whenever the element is nonzero, so Q(sqrt(D)) is a field.
+denominator, exact arithmetic).  ``QuadElem`` is the read-only value
+a + b*sqrt(D), D a squarefree positive integer, that `HomPoly.coeffs`,
+`Mat2` entries and `sqrt_rational` return.  It has no arithmetic: every sum
+and product over Q(sqrt(D)) runs on the integer parts of a `HomPoly` or
+`Mat2`, (f0 + f1*sqrt(D)) / den.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .record import Record
 
@@ -52,10 +53,11 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
 
 
 class QuadElem(Record):
-    """Element a + b*sqrt(D) of the real quadratic extension Q(sqrt(D)).
+    """The value a + b*sqrt(D) of the real quadratic extension Q(sqrt(D)).
 
     D is a squarefree positive integer.  Elements with b == 0 are stored with
     D == 1 so that rationals embed uniquely and compare equal across contexts.
+    Values compare, hash and print; they do not add, multiply or divide.
     """
 
     __slots__ = ("a", "b", "d")
@@ -78,107 +80,6 @@ class QuadElem(Record):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
-    # -- coercion helpers ---------------------------------------------------
-
-    @classmethod
-    def _coerce(cls, x) -> "QuadElem | None":
-        if isinstance(x, QuadElem):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        return None
-
-    def _join_d(self, other: "QuadElem") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise MixedExtensionError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-        return self.d
-
-    # -- ring structure ------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadElem(self.a + o.a, self.b + o.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadElem(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("QuadElem is zero")
-        return QuadElem(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = QuadElem(1)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- field structure -----------------------------------------------------
-
-    def conjugate(self) -> "QuadElem":
-        """Galois conjugate a - b*sqrt(D)."""
-        return QuadElem(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - D*b^2 (always rational)."""
-        return self.a * self.a - self.d * self.b * self.b
-
     # -- predicates / conversion ----------------------------------------------
 
     @property
@@ -190,11 +91,8 @@ class QuadElem(Record):
             raise NotRationalError(f"{self} has a nonzero sqrt({self.d}) part")
         return self.a
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,12 +149,3 @@ def sqrt_rational(q: Fraction) -> tuple[QuadElem, int]:
     if d == 1:
         return QuadElem(coef), 1
     return QuadElem(0, coef, d), d
-
-
-def is_perfect_square(q: Fraction) -> bool:
-    q = _as_fraction(q)
-    if q < 0:
-        return False
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator

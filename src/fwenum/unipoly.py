@@ -12,10 +12,12 @@ The zero polynomial is [].  Two kinds of list share the module:
   norm.  Consumers: the Molien series of `matgroup` (its sums, equality and
   series prefix), the coprimality, star and binomial checks of `zeta`, every
   `homopoly.HomPoly` (its integer parts, products and exact division), and
-  the series of `families.extremal`.
-- Fraction and QuadElem lists serve references: `mul` only `series_mul` and
-  the tests, and `divmod_`, `div_exact`, `scale` and the truncated series
-  `series_div` only the tests; and the term printer.
+  the series of `families.extremal` and `families.burmann_coefficient`
+  (`_convolve` adds and multiplies Fractions as well as ints).
+- Fraction lists serve the tests only: the product `mul` and the division
+  `divmod_` with its exact form `div_exact`, whose names the per-layer
+  metrics of `perfbench` trace.  No list here holds a QuadElem except the
+  input of `split_surd`; the term printer reads Fractions.
 """
 
 from __future__ import annotations
@@ -52,12 +54,6 @@ def add(p: list, q: list) -> list:
         b = q[i] if i < len(q) else 0
         out.append(a + b)
     return trim(out)
-
-
-def scale(p: list, c) -> list:
-    if not c:
-        return []
-    return [ci * c for ci in p]
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -196,7 +192,7 @@ def surd_norm(p0: list[int], p1: list[int], d: int) -> list[int]:
     return add(_convolve(p0, p0), [-d * v for v in _convolve(p1, p1)])
 
 
-# -- Fraction and QuadElem lists -----------------------------------------------------
+# -- Fraction lists ----------------------------------------------------------------
 
 
 def mul(p: list, q: list) -> list:
@@ -237,27 +233,6 @@ def div_exact(p: list, q: list) -> list | None:
     """Exact quotient p/q, or None when the division leaves a remainder."""
     quot, rem = divmod_(p, q)
     return quot if is_zero(rem) else None
-
-
-def series_mul(p: list, q: list, terms: int) -> list:
-    """Product of two power-series prefixes, truncated to `terms` coefficients."""
-    out = mul(p[:terms], q[:terms])[:terms]
-    return out + [Fraction(0)] * (terms - len(out))
-
-
-def series_div(num: list, den: list, terms: int) -> list:
-    """Power-series prefix of num/den; requires den[0] != 0."""
-    if not den or not den[0]:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    inv0 = 1 / den[0]
-    out = []
-    for k in range(terms):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            if den[j]:
-                acc = acc - den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
 
 
 def power_string(var: str, k: int, latex: bool = False) -> str:

@@ -1216,12 +1216,14 @@ def verify_zeta_binomial_identity(w: HomPoly, fam: FamilySpec) -> bool:
 # -- generalised invariant-operator theorem ------------------------------------------
 
 
-def _proportionality(f: HomPoly, g: HomPoly):
-    """Scalar c with g == c*f, or None; f must be nonzero.
+def _proportionality(f: HomPoly, g: HomPoly) -> HomPoly | None:
+    """The scalar c with g == c*f as a polynomial of degree 0, or None; f
+    must be nonzero.
 
     With f_k the first nonzero coefficient of f, g == c*f exactly when
     f_k g == g_k f, and then c = g_k / f_k: compared on the stored parts of
     f = (f0 + f1 sqrt(D)) / den (f1 = 0 if rational) up to the first mismatch.
+    c is built from the same ints, as g_k conj(f_k) / norm(f_k).
     """
     if f.is_zero() or f.degree != g.degree:
         return None
@@ -1233,12 +1235,20 @@ def _proportionality(f: HomPoly, g: HomPoly):
            or u * a1 + v * a0 != x * c1 + y * c0
            for u, v, x, y in zip(g0, g1, f0, f1)):
         return None
-    return _coefficient(g, idx) / _coefficient(f, idx)
+    norm = a0 * a0 - root * a1 * a1
+    return _poly(0, [(c0 * a0 - root * c1 * a1) * f._den], norm * g._den,
+                 [(c1 * a0 - c0 * a1) * f._den], root)
 
 
-def _scales_by(f: HomPoly, g: HomPoly, c) -> bool:
-    """g == c*f for a nonzero scalar c, decided without building c*f."""
-    return g.is_zero() if f.is_zero() else _proportionality(f, g) == c
+def _scales_by(f: HomPoly, g: HomPoly, c: HomPoly, k: HomPoly) -> bool:
+    """k*g == c*f for nonzero scalars c and k, given as polynomials of
+    degree 0, decided without building either side: g == r*f for the r of
+    `_proportionality`, and k*r == c is a product on integer parts, so no
+    scalar is divided by another."""
+    if f.is_zero():
+        return g.is_zero()
+    r = _proportionality(f, g)
+    return r is not None and r * k == c
 
 
 def _coprime(a: HomPoly, b: HomPoly) -> bool:
@@ -1310,18 +1320,19 @@ def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
     `memo`, c1 is computed once per (p, sigma), and c3, the coprimality of a
     and a^sigma and their product once per (a, sigma)."""
     c1 = _once(memo, ("c1", p, sigma), lambda: _proportionality(p, p_image))
-    if c1 is None or not c1:
+    if c1 is None or c1.is_zero():
         return DuursmaOkudaResult(False, "p^(t sigma) is not proportional to p")
     c2 = _proportionality(big_a, act_matrix(big_a, sigma))
-    if c2 is None or not c2:
-        return DuursmaOkudaResult(False, "A^sigma is not proportional to A", c1)
+    if c2 is None or c2.is_zero():
+        return DuursmaOkudaResult(False, "A^sigma is not proportional to A",
+                                  _coefficient(c1, 0))
     # a^sigma = c3 a is required by part (iii) only; without it parts (i)
     # and (ii) still apply
     c3 = None if a is None else _once(memo, ("c3", a, sigma),
                                       lambda: _proportionality(a, a_sigma))
 
     image = diff_op(p, big_a)
-    part1 = _scales_by(image, act_matrix(image, sigma), c2 / c1)
+    part1 = _scales_by(image, act_matrix(image, sigma), c2, c1)
 
     part2_applicable = part2_ok = False
     coprime_applicable = coprime_ok = False
@@ -1337,9 +1348,10 @@ def _duursma_okuda(p: HomPoly, p_image: HomPoly, big_a: HomPoly, sigma: Mat2,
                 coprime_applicable = True
                 product = _once(memo, ("product", a, sigma), lambda: a * a_sigma)
                 coprime_ok = divide_exact(product, image) is not None
-            if c3:
+            if c3 is not None and not c3.is_zero():
                 part3_applicable = True
-                part3_ok = _scales_by(cof, act_matrix(cof, sigma), c2 / (c1 * c3))
+                part3_ok = _scales_by(cof, act_matrix(cof, sigma), c2, c1 * c3)
+    c1, c2, c3 = [None if c is None else _coefficient(c, 0) for c in (c1, c2, c3)]
     return DuursmaOkudaResult(
         True, "", c1, c2, c3, part1, part2_applicable, part2_ok,
         coprime_applicable, coprime_ok, part3_applicable, part3_ok,

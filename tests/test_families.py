@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwenum import families, homopoly, unipoly
+from fwenum import families, homopoly
 from fwenum.families import (
     FAMILIES,
     Bound,
@@ -24,6 +24,7 @@ from fwenum.families import (
 )
 from fwenum import linalg
 from fwenum.homopoly import HomPoly, parse_poly, transform_sign, weight_profile
+from reference import series_div
 
 F = Fraction
 
@@ -298,10 +299,11 @@ def _power_by_products(f, alpha, limit):
     of 1/f for alpha < 0."""
     base = [F(c) for c in f]
     if alpha < 0:
-        base = unipoly.series_div([F(1)], base, limit)
+        base = series_div([F(1)], base, limit)
+    base = (base + [F(0)] * limit)[:limit]
     out = [F(1)] + [F(0)] * (limit - 1)
     for _ in range(abs(alpha)):
-        out = unipoly.series_mul(out, base, limit)
+        out = [sum(out[j] * base[k - j] for j in range(k + 1)) for k in range(limit)]
     return out
 
 

@@ -30,6 +30,7 @@ from fwenum.homopoly import (
 from fwenum import homopoly, unipoly
 from fwenum.scalar import QuadElem, simplify
 from fwenum.zeta import run_duursma_lemma_suite, verify_duursma_lemma
+from reference import Surd, lift, values
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 
@@ -51,10 +52,11 @@ def invertible_mats(draw):
 
 @st.composite
 def quad_mats(draw):
-    """A matrix over Q(sqrt(D)) and a scalar strategy for the same field."""
+    """A pure surd matrix M1 sqrt(D) / den, the kind `act_matrix` takes over
+    Q(sqrt(D)), and a scalar strategy for the same field."""
     rad = draw(st.sampled_from([2, 3, 5]))
     scalars = st.builds(lambda a, b: QuadElem(a, b, rad), fractions, fractions)
-    return Mat2(*[draw(scalars) for _ in range(4)]), scalars
+    return Mat2(*[QuadElem(0, draw(fractions), rad) for _ in range(4)]), scalars
 
 
 def naive_action(f, m):
@@ -133,16 +135,16 @@ class TestParsePrint:
 
 
 def reference_product(f, g):
-    """The coefficient convolution of f * g on the scalars themselves, skipping
-    zero coefficients of f as the Fraction / QuadElem loop does."""
-    out = [Fraction(0)] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
+    """The coefficient convolution of f * g on the reference scalars, skipping
+    zero coefficients of f."""
+    out = [Surd(0)] * (f.degree + g.degree + 1)
+    for i, a in enumerate(lift(f.coeffs)):
         if not a:
             continue
-        for j, b in enumerate(g.coeffs):
+        for j, b in enumerate(lift(g.coeffs)):
             if b:
                 out[i + j] = out[i + j] + a * b
-    return HomPoly(f.degree + g.degree, out)
+    return HomPoly(f.degree + g.degree, values(out))
 
 
 rational_factors = st.one_of(
@@ -217,8 +219,8 @@ class TestActMatrix:
            fractions.filter(bool), st.sampled_from([1, 2, 3, 5]))
     def test_matches_naive_expansion_scalar_multiple(self, f, m, r, rad):
         # sigma = lam * M with M rational: the factored path of act_matrix
-        lam = QuadElem(0, r, rad)  # r*sqrt(rad); rad = 1 gives the rational r
-        sigma = Mat2(*(lam * e for e in (m.a, m.b, m.c, m.d)))
+        lam = Surd(0, r, rad)  # r*sqrt(rad); rad = 1 gives the rational r
+        sigma = Mat2(*values(lam * e for e in (m.a, m.b, m.c, m.d)))
         assert act_matrix(f, sigma) == naive_action(f, sigma)
 
     @settings(max_examples=20, deadline=None)
@@ -268,7 +270,7 @@ class TestPackedAction:
     def test_matches_list_horner(self, case):
         nums, m = case
         width = homopoly._slot_bytes(nums, *m)
-        assert homopoly._act_packed(nums, *m, width) == homopoly._act_horner(nums, *m, 1)
+        assert homopoly._act_packed(nums, *m, width) == homopoly._act_horner(nums, *m)
 
     def test_examples_land_on_both_sides_of_the_cap(self):
         cap = homopoly._PACKED_SLOT_BITS
@@ -380,8 +382,8 @@ def reference_diff_op(p, f):
     x^a y^b of f to c (a)_(m-j) (b)_j x^(a-m+j) y^(b-j), falling factorials."""
     m, n = p.degree, f.degree
     out = HomPoly.zero(n - m)
-    for j, pj in enumerate(p.coeffs):
-        for i, ci in enumerate(f.coeffs):
+    for j, pj in enumerate(lift(p.coeffs)):
+        for i, ci in enumerate(lift(f.coeffs)):
             a, b = n - i, i
             if not (pj and ci) or a < m - j or b < j:
                 continue
@@ -390,7 +392,7 @@ def reference_diff_op(p, f):
                 k *= a - t
             for t in range(j):
                 k *= b - t
-            out = out + HomPoly.monomial(a - m + j, b - j, pj * ci * k)
+            out = out + HomPoly.monomial(a - m + j, b - j, (pj * ci * k).value())
     return out
 
 
@@ -420,11 +422,11 @@ def reference_quotient(a, f):
     """The cofactor g of degree n - m with a*g == f, by Fraction long division
     of f(1, y) by a(1, y); None when it leaves a remainder or needs y^k with
     k > n - m."""
-    num = list(f.coeffs)
-    den = list(a.coeffs)
+    num = lift(f.coeffs)
+    den = lift(a.coeffs)
     while not den[-1]:
         den.pop()
-    quot = [Fraction(0)] * (f.degree - a.degree + 1)
+    quot = [Surd(0)] * (f.degree - a.degree + 1)
     while True:
         while num and not num[-1]:
             num.pop()
@@ -437,7 +439,7 @@ def reference_quotient(a, f):
         quot[k] = c
         for i, d in enumerate(den):
             num[k + i] -= c * d
-    return None if num else HomPoly(f.degree - a.degree, quot)
+    return None if num else HomPoly(f.degree - a.degree, values(quot))
 
 
 @st.composite
@@ -460,7 +462,8 @@ surds3 = st.builds(lambda a, b: QuadElem(a, b, 3), fractions, fractions)
 def surd_divisors(draw):
     """A divisor from `divisors` times x - sqrt(3) y or times a linear form
     over Q(sqrt(3)) with an irrational coefficient."""
-    linear = draw(st.one_of(st.just([1, -SQRT3]), st.lists(surds3, min_size=2, max_size=2)
+    linear = draw(st.one_of(st.just([1, QuadElem(0, -1, 3)]),
+                            st.lists(surds3, min_size=2, max_size=2)
                             .filter(lambda c: any(isinstance(v, QuadElem) for v in c))))
     return draw(divisors()) * HomPoly(1, linear)
 
@@ -501,9 +504,9 @@ class TestDivideExactAgainstReference:
     ])
     def test_named_divisors_over_q_sqrt3(self, core, f):
         # (x - sqrt(3) y) * core against f * (x - sqrt(3) y) and f itself
-        a = HomPoly(1, [1, -SQRT3]) * parse_poly(core)
+        a = HomPoly(1, [1, QuadElem(0, -1, 3)]) * parse_poly(core)
         f = parse_poly(f)
-        for dividend in (f * HomPoly(1, [1, -SQRT3]), f):
+        for dividend in (f * HomPoly(1, [1, QuadElem(0, -1, 3)]), f):
             assert divide_exact(a, dividend) == reference_quotient(a, dividend)
 
     @pytest.mark.parametrize("a,g", [
@@ -579,12 +582,12 @@ def assert_canonical(f, rational=True):
 
 
 def fraction_product(f, g):
-    """The coefficients of f * g by the Fraction convolution."""
-    out = [Fraction(0)] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    """The coefficients of f * g by the convolution on reference scalars."""
+    out = [Surd(0)] * (f.degree + g.degree + 1)
+    for i, a in enumerate(lift(f.coeffs)):
+        for j, b in enumerate(lift(g.coeffs)):
             out[i + j] += a * b
-    return tuple(out)
+    return tuple(values(out))
 
 
 # (Fraction-built, kernel-built) pairs of the same polynomial
@@ -615,13 +618,14 @@ SAME_POLY = {
     # over Q(sqrt(3)): the odd-degree transforms and sigma_q(4/3) instances of
     # the lemma suite, and a product with both parts
     "odd macwilliams over Q(sqrt(3))": (
-        lambda: HomPoly(3, [c * SQRT3 for c in (Fraction(15, 16), Fraction(-5, 16),
-                                                Fraction(-3, 16), Fraction(65, 144))]),
+        lambda: HomPoly(3, [QuadElem(0, c, 3) for c in (Fraction(15, 16), Fraction(-5, 16),
+                                                        Fraction(-3, 16), Fraction(65, 144))]),
         lambda: macwilliams(parse_poly("x^3 + 2*x*y^2 - 1/2*y^3"), Fraction(4, 3))),
     "sigma_q(4/3) action": (
         lambda: naive_action(parse_poly("1/2*x^3 - x^2*y + 3*y^3"), sigma_q(Fraction(4, 3))),
         lambda: act_matrix(parse_poly("1/2*x^3 - x^2*y + 3*y^3"), sigma_q(Fraction(4, 3)))),
-    "product over Q(sqrt(3))": (lambda: HomPoly(2, [2, 2 * SQRT3 - 1, -SQRT3]),
+    "product over Q(sqrt(3))": (lambda: HomPoly(2, [2, QuadElem(-1, 2, 3),
+                                                    QuadElem(0, -1, 3)]),
                                 lambda: HomPoly(1, [1, SQRT3]) * parse_poly("2*x - y")),
     "sqrt(2) parts cancel": (lambda: parse_poly("2*x^2"),
                              lambda: HomPoly(1, [QuadElem(0, 1, 2), 0]) ** 2),
@@ -751,18 +755,18 @@ class TestIntegerStorage:
 
 class TestSurdKernels:
     """Polys over Q(sqrt(D)) run on their stored integer parts, never on the
-    Fraction / QuadElem list kernels `unipoly.mul` and `unipoly.div_exact`."""
+    Fraction list kernels `unipoly.mul` and `unipoly.div_exact`."""
 
     @pytest.fixture
     def no_list_kernels(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("a Fraction / QuadElem list kernel ran")
+            raise AssertionError("a Fraction list kernel ran")
         monkeypatch.setattr(unipoly, "mul", forbidden)
         monkeypatch.setattr(unipoly, "div_exact", forbidden)
 
     def test_product_division_and_diff_op(self, no_list_kernels):
-        a = HomPoly(2, [1, -SQRT3, Fraction(1, 2)])
-        g = HomPoly(3, [SQRT3, 0, Fraction(-2, 3), 1 + SQRT3])
+        a = HomPoly(2, [1, QuadElem(0, -1, 3), Fraction(1, 2)])
+        g = HomPoly(3, [SQRT3, 0, Fraction(-2, 3), QuadElem(1, 1, 3)])
         f = a * g
         assert f.coeffs == fraction_product(a, g)
         assert f == HomPoly(5, list(fraction_product(a, g)))
@@ -778,15 +782,15 @@ class TestSurdKernels:
 
 
 class EntryMat2:
-    """The entrywise Mat2 that the integer storage replaced: four Fraction /
-    QuadElem entries and the ring operations on them; the reference for
-    `Mat2`."""
+    """The entrywise Mat2 that the integer storage replaced: four reference
+    scalars and the ring operations on them; the reference for `Mat2`."""
 
     def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (homopoly._norm_scalar(e) for e in (a, b, c, d))
+        self.a, self.b, self.c, self.d = lift((a, b, c, d))
 
     def entries(self):
-        return self.a, self.b, self.c, self.d
+        """The entries as fwenum reads them: Fractions or QuadElems."""
+        return tuple(values((self.a, self.b, self.c, self.d)))
 
     def __eq__(self, other):
         return self.entries() == other.entries()
@@ -795,7 +799,8 @@ class EntryMat2:
         return hash(self.entries())
 
     def __repr__(self):
-        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+        a, b, c, d = self.entries()
+        return f"Mat2(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
     def __matmul__(self, o):
         return EntryMat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
@@ -828,9 +833,8 @@ def assert_same_matrix(got, want):
 
 
 def assert_same_scalar(got, want):
-    # the entrywise det and trace of QuadElems stay QuadElems when their sqrt
-    # parts cancel; the integer storage gives the Fraction
-    assert got == want and type(got) is type(simplify(want))
+    # a det or trace whose sqrt parts cancel is a Fraction
+    assert got == want and type(got) is type(want.value())
 
 
 @st.composite
@@ -875,12 +879,12 @@ class TestMat2Storage:
     @pytest.mark.parametrize("built,computed", [
         (lambda: Mat2(0, 1, 1, 0), lambda: sigma_q(2) @ TAU @ sigma_q(2)),
         (lambda: Mat2(-1, 0, 0, -1), lambda: -(sigma_q(4) @ sigma_q(4))),
-        (lambda: Mat2(*[e * SQRT3 for e in (Fraction(1, 2), Fraction(1, 6),
-                                             Fraction(1, 2), Fraction(-1, 2))]),
+        (lambda: Mat2(*[QuadElem(0, e, 3) for e in (Fraction(1, 2), Fraction(1, 6),
+                                                     Fraction(1, 2), Fraction(-1, 2))]),
          lambda: sigma_q(Fraction(4, 3)).transpose().transpose()),
         (lambda: Mat2(Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2)),
          lambda: (sigma_q(Fraction(4, 3)) @ TAU) @ (sigma_q(Fraction(4, 3)) @ TAU)),
-        (lambda: Mat2(0, -SQRT3 / 3, SQRT3, 0),
+        (lambda: Mat2(0, QuadElem(0, Fraction(-1, 3), 3), SQRT3, 0),
          lambda: sigma_q(Fraction(4, 3)) @ TAU @ sigma_q(Fraction(4, 3)) @ TAU
          @ sigma_q(Fraction(4, 3)) @ TAU),
     ], ids=["sigma_2 tau sigma_2", "-sigma_4^2", "sigma_4/3 twice transposed",
@@ -907,14 +911,16 @@ class TestMat2Storage:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(0, 14), invertible_mats())
     def test_action_by_a_multiple_with_both_parts(self, data, n, m):
-        # lam = 1 + sqrt(2): M0 and M1 are both nonzero, the Horner path
-        lam = QuadElem(1, 1, 2)
-        sigma = Mat2(*(lam * e for e in (m.a, m.b, m.c, m.d)))
+        # lam = 1 + sqrt(2): M0 and M1 are both nonzero, which no caller
+        # builds, and act_matrix names the restriction
+        lam = Surd(1, 1, 2)
+        sigma = Mat2(*values(lam * e for e in (m.a, m.b, m.c, m.d)))
         assert sigma._surd is not None and any(sigma._nums)
         coeffs = st.one_of(fractions, st.builds(lambda a, b: QuadElem(a, b, 2),
                                                 fractions, fractions))
         f = HomPoly(n, [data.draw(coeffs) for _ in range(n + 1)])
-        assert act_matrix(f, sigma) == naive_action(f, sigma)
+        with pytest.raises(ValueError, match="both parts nonzero"):
+            act_matrix(f, sigma)
 
     def test_irrational_poly_repr(self):
         f = HomPoly(1, [QuadElem(0, 1, 2), 1])
@@ -979,7 +985,7 @@ class TestWeightProfile:
             raise AssertionError("weight_profile must not take this path")
 
         monkeypatch.setattr(homopoly, "macwilliams", forbidden)
-        monkeypatch.setattr(QuadElem, "__pow__", forbidden)
+        assert not hasattr(QuadElem, "__pow__")  # no sqrt(q)^n on scalars
         p = weight_profile(parse_poly("x^5 + y^5"), 2)  # odd degree, sqrt(2)
         assert (p.d, p.d_perp) == (5, 2)
         assert weight_profile(printed["w12"], 2).d_perp == 4

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fwenum import cli, families, homopoly, matgroup, unipoly, zeta
 from fwenum.families import FAMILIES, ring_dimension
-from fwenum.homopoly import Mat2, TAU, act_matrix, sigma_q
-from fwenum.scalar import NotRationalError, QuadElem, simplify
+from fwenum.homopoly import HomPoly, Mat2, TAU, act_matrix, sigma_q
+from fwenum.scalar import NotRationalError, QuadElem
 from fwenum.matgroup import (
     GroupClosureError,
     MatrixGroup,
@@ -19,6 +19,7 @@ from fwenum.matgroup import (
     named_group,
 )
 from fwenum.zeta import run_duursma_okuda_suite
+from reference import Surd, lift, series_div
 from test_unipoly import fraction_gcd
 
 EXPECTED = {
@@ -101,24 +102,24 @@ SORTED_REPRS = {
 
 
 def fraction_molien(group: MatrixGroup) -> tuple[list, list]:
-    """(num, den) of the Molien series by the Fraction / QuadElem sum: each
+    """(num, den) of the Molien series by the sum on reference scalars: each
     class term added over a common denominator and reduced by the field
     Euclid gcd; the reference for `molien_series`."""
-    counts = Counter(tuple(unipoly.trim([Fraction(1), simplify(-m.trace()),
-                                         simplify(m.det())]))
+    counts = Counter(tuple(unipoly.trim([Surd(1), -Surd.of(m.trace()), Surd.of(m.det())]))
                      for m in group.sorted_elements())
-    num, den = [], [Fraction(1)]
+    num, den = [], [Surd(1)]
     for d, k in counts.items():
-        num = unipoly.add(unipoly.mul(num, d), unipoly.scale(den, k))
-        den = unipoly.mul(den, d)
+        num = unipoly.add(unipoly.mul(num, list(d)), [c * k for c in den])
+        den = unipoly.mul(den, list(d))
         g = fraction_gcd(num, den)
         if unipoly.degree(g) > 0:
             num = unipoly.div_exact(num, g)
             den = unipoly.div_exact(den, g)
-    num = [simplify(c / group.order) for c in num]
-    den = [simplify(c) for c in den]
-    assert not any(isinstance(c, QuadElem) for c in num + den)
-    return [c / den[0] for c in num], [c / den[0] for c in den]
+    lead = Surd.of(den[0])
+    num = [c / (lead * group.order) for c in lift(num)]
+    den = [c / lead for c in lift(den)]
+    assert not any(c.b for c in num + den)
+    return [c.a for c in num], [c.a for c in den]
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +197,17 @@ def test_uncancelled_irrational_classes_rejected():
     # conjugate classes with unequal counts: rotations by 45 degrees (trace
     # sqrt(2)) once, by 135 and 225 degrees (trace -sqrt(2)) twice
     h = QuadElem(0, Fraction(1, 2), 2)  # sqrt(2) / 2
-    rotations = [Mat2(h, -h, h, h), Mat2(-h, -h, h, -h), Mat2(-h, h, -h, -h)]
-    assert [m.trace() for m in rotations] == [2 * h, -2 * h, -2 * h]
+    minus_h = QuadElem(0, Fraction(-1, 2), 2)
+    rotations = [Mat2(h, minus_h, h, h), Mat2(minus_h, minus_h, h, minus_h),
+                 Mat2(minus_h, h, minus_h, minus_h)]
+    assert [m.trace() for m in rotations] == [QuadElem(0, 1, 2), QuadElem(0, -1, 2),
+                                              QuadElem(0, -1, 2)]
     group = MatrixGroup(elements=frozenset([Mat2.identity(), *rotations]),
                         generators=tuple(rotations))
     with pytest.raises(NotRationalError):
         molien_series(group)
     # with the partner of the single class added the residue cancels
-    group = MatrixGroup(elements=group.elements | {Mat2(h, h, -h, h)},
+    group = MatrixGroup(elements=group.elements | {Mat2(h, h, minus_h, h)},
                         generators=group.generators)
     assert molien_series(group).num
 
@@ -217,7 +221,7 @@ def test_cyclic_subgroups_match_the_fraction_reference(groups, name):
         series = molien_series(cyclic)
         num, den = fraction_molien(cyclic)
         assert (series.num, series.den) == (num, den)
-        assert series.series(41) == unipoly.series_div(num, den, 41)
+        assert series.series(41) == series_div(num, den, 41)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -248,34 +252,34 @@ def test_sorted_elements_are_pinned(groups, name):
 
 def test_suites_run_no_scalar_matrix_arithmetic(monkeypatch):
     # every matrix of the Duursma-Okuda suite and of the four closures is
-    # rational or a pure surd, so the action and the closure run on ints
-    horner, products, closing = [], [], []
-    act_horner, mul, closure = homopoly._act_horner, QuadElem.__mul__, matgroup.group_closure
+    # rational or a pure surd, so the action and the closure run on ints;
+    # QuadElem has no arithmetic, so a scalar product would raise
+    horner = []
+    act_horner = homopoly._act_horner
 
-    def spy_horner(coeffs, a, b, c, d, one):
-        if not isinstance(one, int):
-            horner.append(one)
-        return act_horner(coeffs, a, b, c, d, one)
-
-    def spy_mul(self, other):
-        if closing:
-            products.append(self)
-        return mul(self, other)
-
-    def spy_closure(*args, **kwargs):
-        closing.append(True)
-        try:
-            return closure(*args, **kwargs)
-        finally:
-            closing.pop()
+    def spy_horner(coeffs, a, b, c, d):
+        if not all(type(v) is int for v in (*coeffs, a, b, c, d)):
+            horner.append((a, b, c, d))
+        return act_horner(coeffs, a, b, c, d)
 
     monkeypatch.setattr(homopoly, "_act_horner", spy_horner)
-    monkeypatch.setattr(QuadElem, "__mul__", spy_mul)
-    monkeypatch.setattr(QuadElem, "__rmul__", spy_mul)
-    monkeypatch.setattr(matgroup, "group_closure", spy_closure)
     assert run_duursma_okuda_suite(150, 1).ok
     assert molien_basis_mismatches(40) == ([], 4)
-    assert horner == [] and products == []
+    assert horner == []
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_every_element_is_rational_or_a_pure_surd(groups, name):
+    # so act_matrix needs no branch for a matrix with both parts nonzero
+    for m in groups[name].elements:
+        assert m._surd is None or not any(m._nums), m
+
+
+def test_a_matrix_with_both_parts_is_rejected():
+    sigma = Mat2(QuadElem(1, 1, 2), 0, 0, 1)  # 1 + sqrt(2) in one entry
+    assert sigma._surd is not None and any(sigma._nums)
+    with pytest.raises(ValueError, match="both parts nonzero"):
+        act_matrix(HomPoly(2, [1, 0, 1]), sigma)
 
 
 QUAD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
@@ -307,25 +311,18 @@ def spy_stacks(monkeypatch, name, args=None):
 
 def test_commands_run_on_integer_parts(monkeypatch, capsys):
     # sigma_q, the MacWilliams scale and matrix, and the Molien series prefix
-    # are built from integer parts: no QuadElem arithmetic, no split of a
-    # Fraction / QuadElem list, no denominators cleared on each series read
-    quad = []
-    for name in QUAD_ARITHMETIC:
-        def spy(*args, _fn=getattr(QuadElem, name), _name=name):
-            quad.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(QuadElem, name, spy)
+    # are built from integer parts: QuadElem has no arithmetic to run, and
+    # no Fraction / QuadElem list is split, no denominators cleared on each
+    # series read
+    assert not any(hasattr(QuadElem, name) for name in QUAD_ARITHMETIC)
     splits = spy_stacks(monkeypatch, "split_surd")
     clears = spy_stacks(monkeypatch, "_integer_coeffs")
-    assert QuadElem(1, 1, 3) * 2 and quad == ["__mul__"]  # the spies fire
-    quad.clear()
     for argv in (["verify", "th-duursma-okuda", "--samples", "20"],
                  ["verify", "lemma-duursma", "--samples", "20"],
                  ["verify", "molien-basis"],
                  ["molien", "--group", "g43"],
                  ["scan", "--family", "q43-odd", "-n", "6..30"]):
         assert cli.main(argv) == 0, argv
-    assert quad == []
     assert splits and clears  # the suites' random input is split at the edge
     kernels = {"sigma_q", "_unscaled_macwilliams", "_macwilliams_scale"}
     assert [s for s in splits if kernels & {name for _, name in s}] == []
@@ -355,6 +352,6 @@ def test_scalar_products_and_binomial_row_sums_are_not_split(monkeypatch, capsys
 def test_series_on_ints_matches_fraction_division(num, den, terms):
     # den[0] other than 1 and fractional coefficients on both sides
     series = RationalFunctionSeries(num, den)
-    want = unipoly.series_div(series.num, series.den, terms)
+    want = series_div(series.num, series.den, terms)
     assert series.series(terms) == want
     assert all(type(c) is Fraction for c in series.series(terms))

@@ -1,17 +1,20 @@
+import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fwenum.homopoly import HomPoly
 from fwenum.scalar import (
     MixedExtensionError,
     NotRationalError,
     QuadElem,
-    is_perfect_square,
     sqrt_rational,
     squarefree_decompose,
 )
+from reference import Surd
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
@@ -21,6 +24,17 @@ nonzero_fractions = fractions.filter(lambda f: f != 0)
 def quad_elems(draw, d=None):
     d = d if d is not None else draw(st.sampled_from([2, 3, 5, 7]))
     return QuadElem(draw(fractions), draw(fractions), d)
+
+
+def homopoly_product(x: Surd, y: Surd):
+    """x * y as fwenum computes it: on the integer parts of two polynomials
+    of degree 0."""
+    return (HomPoly(0, [x.value()]) * HomPoly(0, [y.value()])).coeffs[0]
+
+
+def is_square(q: Fraction) -> bool:
+    return q >= 0 and isqrt(q.numerator) ** 2 == q.numerator and (
+        isqrt(q.denominator) ** 2 == q.denominator)
 
 
 class TestRational:
@@ -45,45 +59,75 @@ class TestRational:
 
 
 class TestQuadElem:
+    """QuadElem is a value with no arithmetic.  The field axioms are checked
+    on the test-side reference `Surd`, over QuadElem values, and the
+    reference is checked against fwenum's arithmetic on integer parts, the
+    product of two polynomials of degree 0."""
+
     @given(st.integers(2, 7).filter(lambda d: d in (2, 3, 5, 6, 7)), fractions,
            fractions, fractions, fractions, fractions, fractions)
     def test_ring_axioms(self, d, a1, b1, a2, b2, a3, b3):
-        x = QuadElem(a1, b1, d)
-        y = QuadElem(a2, b2, d)
-        z = QuadElem(a3, b3, d)
+        x = Surd(a1, b1, d)
+        y = Surd(a2, b2, d)
+        z = Surd(a3, b3, d)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x
+        assert homopoly_product(x, y) == x * y
+        assert homopoly_product(x, y + z) == x * (y + z)
 
     @given(quad_elems(d=3), quad_elems(d=3))
     def test_conjugation_is_a_ring_homomorphism(self, x, y):
+        x, y = Surd.of(x), Surd.of(y)
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
 
     @given(quad_elems(d=5), quad_elems(d=5))
     def test_norm_is_multiplicative(self, x, y):
+        x, y = Surd.of(x), Surd.of(y)
         assert (x * y).norm() == x.norm() * y.norm()
 
     def test_norm_identity(self):
-        x = QuadElem(Fraction(3), Fraction(2), 7)
-        assert x * x.conjugate() == QuadElem(x.norm())
-        assert x.norm() == 9 - 7 * 4
+        x = Surd(Fraction(3), Fraction(2), 7)
+        assert x * x.conjugate() == x.norm() == 9 - 7 * 4
+        assert homopoly_product(x, x.conjugate()) == x.norm()
 
-    @given(quad_elems().filter(lambda x: not x.is_zero()))
+    @given(quad_elems().filter(bool))
     def test_inverse(self, x):
-        assert x * x.inverse() == QuadElem(1)
+        x = Surd.of(x)
+        assert x * x.inverse() == 1
+        assert homopoly_product(x, x.inverse()) == 1
 
     def test_powers_including_negative(self):
-        x = QuadElem(1, 1, 2)
+        x = Surd(1, 1, 2)
         assert x ** 3 == x * x * x
         assert x ** -2 == (x * x).inverse()
-        assert x ** 0 == QuadElem(1)
+        assert x ** 0 == 1
+        assert HomPoly(0, [x.value()]) ** 3 == HomPoly(0, [(x ** 3).value()])
 
     def test_mixed_extensions_rejected(self):
+        with pytest.raises(ValueError):
+            Surd(0, 1, 2) * Surd(0, 1, 3)
         with pytest.raises(MixedExtensionError):
-            QuadElem(0, 1, 2) * QuadElem(0, 1, 3)
+            HomPoly(0, [QuadElem(0, 1, 2)]) * HomPoly(0, [QuadElem(0, 1, 3)])
         # a rational-valued element combines with anything
-        assert QuadElem(2, 0, 2) * QuadElem(0, 1, 3) == QuadElem(0, 2, 3)
+        assert Surd(2, 0, 2) * Surd(0, 1, 3) == QuadElem(0, 2, 3)
+        assert homopoly_product(Surd(2, 0, 2), Surd(0, 1, 3)) == QuadElem(0, 2, 3)
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv, operator.pow,
+    ], ids=["add", "sub", "mul", "truediv", "pow"])
+    def test_values_have_no_arithmetic(self, op):
+        with pytest.raises(TypeError):
+            op(QuadElem(1, 1, 2), 2)
+        with pytest.raises(TypeError):
+            op(2, QuadElem(1, 1, 2))
+        with pytest.raises(TypeError):
+            op(QuadElem(1, 1, 2), QuadElem(0, 1, 2))
+
+    def test_values_do_not_negate(self):
+        with pytest.raises(TypeError):
+            -QuadElem(1, 1, 2)
 
     def test_rational_embedding(self):
         assert QuadElem(Fraction(1, 2)) == Fraction(1, 2)
@@ -110,7 +154,7 @@ class TestSqrtRational:
         r, d = sqrt_rational(Fraction(4, 3))
         assert d == 3
         assert r == QuadElem(0, Fraction(2, 3), 3)
-        assert r * r == Fraction(4, 3)
+        assert Surd.of(r) ** 2 == Fraction(4, 3)
 
     def test_two(self):
         r, d = sqrt_rational(Fraction(2))
@@ -121,10 +165,10 @@ class TestSqrtRational:
         for _ in range(1000):
             q = Fraction(rng.randint(1, 400), rng.randint(1, 400))
             r, d = sqrt_rational(q)
-            assert r * r == q
+            assert Surd.of(r) ** 2 == q
             s, d0 = squarefree_decompose(d)
             assert s == 1 and d0 == d  # squarefree
-            assert (d == 1) == is_perfect_square(q)
+            assert (d == 1) == is_square(q)
             assert r.b >= 0 and (r.b > 0 or r.a > 0)  # positive root
 
     def test_nonpositive_rejected(self):

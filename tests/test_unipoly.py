@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from fwenum import unipoly
 from fwenum.homopoly import HomPoly
-from fwenum.scalar import MixedExtensionError, QuadElem, sqrt_rational
+from fwenum.scalar import MixedExtensionError, QuadElem
 from fwenum.zeta import _coprime
+from reference import Surd, lift, series_div, values
 
 polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
                  min_size=0, max_size=6)
@@ -15,8 +16,8 @@ int_polys = st.lists(st.integers(min_value=-30, max_value=30), min_size=0, max_s
 
 
 def fraction_gcd(p: list, q: list) -> list:
-    """Monic gcd by Euclid's algorithm over a field (Fraction or QuadElem
-    lists): the reference for the integer gcd."""
+    """Monic gcd by Euclid's algorithm over a field (Fraction lists, or lists
+    of reference scalars): the reference for the integer gcd."""
     a, b = unipoly.trim(list(p)), unipoly.trim(list(q))
     while not unipoly.is_zero(b):
         _, r = unipoly.divmod_(a, b)
@@ -117,12 +118,11 @@ surds = st.builds(lambda a, b: QuadElem(a, b, 3) if b else a,
 def test_split_surd_round_trip(p):
     d, p0, p1, den = unipoly.split_surd(p)
     assert den > 0 and len(p0) == len(p1) == len(p)
-    root = QuadElem(0, 1, 3)
-    assert [(u + v * root) / den for u, v in zip(p0, p1)] == p
+    assert [Surd(u, v, 3) / den for u, v in zip(p0, p1)] == p
     assert d == (3 if any(p1) else 1)
     norm = unipoly.surd_norm(p0, p1, d)
-    conjugate = [(u - v * root) / den for u, v in zip(p0, p1)]
-    assert [c * den * den for c in unipoly.mul(p, conjugate)] == norm
+    conjugate = [Surd(u, -v, 3) / den for u, v in zip(p0, p1)]
+    assert [c * den * den for c in unipoly.mul(lift(p), conjugate)] == norm
 
 
 def test_split_surd_rejects_two_extensions():
@@ -133,17 +133,17 @@ def test_split_surd_rejects_two_extensions():
 @given(st.lists(surds, min_size=1, max_size=4), st.lists(surds, min_size=1, max_size=4),
        st.lists(surds, min_size=1, max_size=3))
 def test_coprime_matches_the_field_euclid(a, b, common):
-    # over Q(sqrt(3)): the norm test of _coprime against Euclid on QuadElem lists
-    a, b = unipoly.mul(a, common), unipoly.mul(b, common)
+    # over Q(sqrt(3)): the norm test of _coprime against Euclid on reference lists
+    a, b = unipoly.mul(lift(a), lift(common)), unipoly.mul(lift(b), lift(common))
     if unipoly.is_zero(a) or unipoly.is_zero(b):
         return
-    fa = HomPoly(len(a) - 1, a)
-    fb = HomPoly(len(b) - 1, b)
+    fa = HomPoly(len(a) - 1, values(a))
+    fb = HomPoly(len(b) - 1, values(b))
     expected = True
     for lo in (0, -1):
         if not fa.coeffs[lo] and not fb.coeffs[lo]:
             expected = False  # x or y divides both
-    cores = [list(f.coeffs[f.support()[0]:f.support()[-1] + 1]) for f in (fa, fb)]
+    cores = [lift(f.coeffs[f.support()[0]:f.support()[-1] + 1]) for f in (fa, fb)]
     expected = expected and unipoly.degree(fraction_gcd(*cores)) == 0
     assert _coprime(fa, fb) == expected
 
@@ -154,29 +154,25 @@ def test_exact_division_detects_remainder():
 
 
 def test_series_div_geometric():
+    # the reference quotient of the Molien prefix checks:
     # 1/(1 - 2x) = 1 + 2x + 4x^2 + ...
-    s = unipoly.series_div([Fraction(1)], [Fraction(1), Fraction(-2)], 6)
+    s = series_div([Fraction(1)], [Fraction(1), Fraction(-2)], 6)
     assert s == [1, 2, 4, 8, 16, 32]
 
 
 def test_series_mul_pads_and_truncates():
+    # the truncated series product of burmann_coefficient: _convolve with a
+    # limit, on Fractions
     p, q = [Fraction(1), Fraction(2)], [Fraction(3), Fraction(1), Fraction(-1)]
-    assert unipoly.series_mul(p, q, 6) == [3, 7, 1, -2, 0, 0]
-    assert unipoly.series_mul(p, q, 2) == [3, 7]
-    assert unipoly.series_mul([], q, 3) == [0, 0, 0]
-    assert unipoly.series_mul(p, [Fraction(0)] * 4, 3) == [0, 0, 0]
-
-
-def test_series_mul_quadratic_operand():
-    r, _ = sqrt_rational(Fraction(3))
-    out = unipoly.series_mul([Fraction(1), r], [Fraction(1), r, Fraction(1)], 5)
-    # (1 + r T)(1 + r T + T^2) = 1 + 2r T + 4 T^2 + r T^3
-    assert out == [1, 2 * r, 4, r, 0]
+    assert unipoly._convolve(p, q, 6) == [3, 7, 1, -2, 0, 0]
+    assert unipoly._convolve(p, q, 2) == [3, 7]
+    assert unipoly._convolve([], q, 3) == [0, 0, 0]
+    assert unipoly._convolve(p, [Fraction(0)] * 4, 3) == [0, 0, 0]
 
 
 def test_series_div_requires_unit():
     with pytest.raises(ZeroDivisionError):
-        unipoly.series_div([Fraction(1)], [Fraction(0), Fraction(1)], 3)
+        series_div([Fraction(1)], [Fraction(0), Fraction(1)], 3)
 
 
 def test_to_string():
@@ -188,8 +184,7 @@ def test_to_string():
 def test_coprime_tells_conjugate_cores_apart():
     # x - sqrt(3) y and x + sqrt(3) y have the same norm x^2 - 3 y^2 but no
     # common factor; each shares one with x^2 - 3 y^2 itself
-    r = QuadElem(0, 1, 3)
-    minus, plus = HomPoly(1, [1, -r]), HomPoly(1, [1, r])
+    minus, plus = HomPoly(1, [1, QuadElem(0, -1, 3)]), HomPoly(1, [1, QuadElem(0, 1, 3)])
     norm = HomPoly(2, [1, 0, -3])
     assert _coprime(minus, plus)
     assert not _coprime(minus, norm) and not _coprime(norm, plus)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import P12E_DEN, P12E_NUM, zeta_identity_holds
+from reference import Surd, lift
 import fwenum
 from fwenum import cli, homopoly, unipoly, zeta as zeta_mod
 from fwenum.families import extremal, family, generator
@@ -28,7 +29,7 @@ from fwenum.homopoly import (
     transform_sign,
     weight_profile,
 )
-from fwenum.scalar import QuadElem, simplify, sqrt_rational
+from fwenum.scalar import QuadElem, sqrt_rational
 from fwenum.unipoly import _integer_coeffs
 from fwenum.zeta import (
     DIFF_OPERATORS,
@@ -540,7 +541,7 @@ def _fe_sign_quadratic(p: ZetaPoly):
         return coeffs[i] if 0 <= i <= r else F(0)
 
     root, _ = sqrt_rational(p.q)
-    top = simplify(root**two_g)
+    top = Surd.of(root) ** two_g
     for sign in (1, -1):
         factor = top  # root^(2g - 2i)
         for i in range(0, max(r, two_g) + 1):
@@ -836,8 +837,8 @@ class TestRHCheck:
         # imaginary part wobbles around the negative real axis
         w16 = extremal(family("q43-odd"), 16)
         p = zeta_checked(w16, Q43)
-        t = QuadElem(0, F(-1, 2), 3)  # -sqrt(3)/2, modulus 1/sqrt(4/3)
-        value = sum((c * t ** i for i, c in enumerate(p.coeffs)), QuadElem(0))
+        t = Surd(0, F(-1, 2), 3)  # -sqrt(3)/2, modulus 1/sqrt(4/3)
+        value = sum((c * t ** i for i, c in enumerate(p.coeffs)), Surd(0))
         assert value == 0
         r = rh_check(p, 1e-9)
         assert r.passed and r.precision_bits <= 512
@@ -1536,41 +1537,61 @@ def test_identities_reject_undecomposable_degree(fam_name, n, delta, verifier):
         verifier(w, fam)
 
 
+def proportionality(f, g):
+    """The scalar of `_proportionality`, which returns it as a polynomial of
+    degree 0, or None."""
+    c = _proportionality(f, g)
+    return None if c is None else c.coeffs[0]
+
+
 class TestProportionality:
     @pytest.mark.parametrize("c", [F(-3, 7), F(5), F(1)])
     def test_proportional_pair(self, c):
         f = parse_poly("2/3*x^3*y - x*y^3 + 5*y^4")
-        assert _proportionality(f, f * c) == c
+        assert proportionality(f, f * c) == c
 
     def test_not_proportional(self):
         f = parse_poly("x^2 + 1/2*x*y")
-        assert _proportionality(f, parse_poly("2*x^2 + x*y + y^2")) is None
-        assert _proportionality(f, parse_poly("2*x^2 + 2*x*y")) is None
-        assert _proportionality(parse_poly("x*y + y^2"), parse_poly("x^2 + x*y + y^2")) is None
+        assert proportionality(f, parse_poly("2*x^2 + x*y + y^2")) is None
+        assert proportionality(f, parse_poly("2*x^2 + 2*x*y")) is None
+        assert proportionality(parse_poly("x*y + y^2"), parse_poly("x^2 + x*y + y^2")) is None
 
     def test_zero(self):
         f = parse_poly("x^2 - y^2")
-        assert _proportionality(f, HomPoly.zero(2)) == 0
-        assert _proportionality(HomPoly.zero(2), f) is None
+        assert proportionality(f, HomPoly.zero(2)) == 0
+        assert proportionality(HomPoly.zero(2), f) is None
 
     def test_degree_mismatch(self):
-        assert _proportionality(parse_poly("x^2"), parse_poly("x^3")) is None
+        assert proportionality(parse_poly("x^2"), parse_poly("x^3")) is None
 
     def test_quadratic(self):
         r2 = sqrt_rational(F(2))[0]
         f = parse_poly("x^2 + 3*x*y - y^2")
-        assert _proportionality(f, f * r2) == r2
-        g = HomPoly(2, [r2, 3 * r2, F(-1)])
-        assert _proportionality(f, g) is None
-        assert _proportionality(g, g * F(2, 3)) == F(2, 3)
-        assert _proportionality(g, g * r2) == r2
-        f = HomPoly(2, [r2, 0, 2 * r2])  # a leading coefficient with no rational part
+        assert proportionality(f, f * r2) == r2
+        g = HomPoly(2, [r2, QuadElem(0, 3, 2), F(-1)])
+        assert proportionality(f, g) is None
+        assert proportionality(g, g * F(2, 3)) == F(2, 3)
+        assert proportionality(g, g * r2) == r2
+        f = HomPoly(2, [r2, 0, QuadElem(0, 2, 2)])  # a leading coefficient with no rational part
         twin = parse_poly("2*x^2 + 4*y^2")  # r2 * f
-        assert _proportionality(f, HomPoly.zero(2)) == 0
-        assert _proportionality(f, twin) == r2
-        assert _proportionality(twin, f) == r2 / 2
-        assert _proportionality(f, parse_poly("2*x^2 + 3*y^2")) is None
-        assert _proportionality(twin, f + HomPoly.monomial(1, 1)) is None
+        assert proportionality(f, HomPoly.zero(2)) == 0
+        assert proportionality(f, twin) == r2
+        assert proportionality(twin, f) == QuadElem(0, F(1, 2), 2)
+        assert proportionality(f, parse_poly("2*x^2 + 3*y^2")) is None
+        assert proportionality(twin, f + HomPoly.monomial(1, 1)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(-5, 5, max_denominator=4),
+                              st.fractions(-5, 5, max_denominator=4)),
+                    min_size=1, max_size=5).filter(lambda c: any(a or b for a, b in c)),
+           st.fractions(-5, 5, max_denominator=4), st.fractions(-5, 5, max_denominator=4))
+    def test_ratio_against_the_reference(self, parts, u, v):
+        # f's first nonzero coefficient may have both parts; c = u + v sqrt(3)
+        f = HomPoly(len(parts) - 1, [Surd(a, b, 3).value() for a, b in parts])
+        c = Surd(u, v, 3)
+        g = HomPoly(f.degree, [(c * x).value() for x in lift(f.coeffs)])
+        assert proportionality(f, g) == c
+        assert _proportionality(f, g).degree == 0
 
 
 class TestDuursmaOkuda:
