@@ -4,7 +4,8 @@ Exit-code policy: proven invariants that fail (method disagreement, bound or
 functional-equation violations) exit nonzero; failures of the numerically
 scanned conjectures are reported in-band and exit zero unless --strict;
 input the library rejects with ValueError, and an --output file that cannot
-be written, print `error: <message>` to stderr and exit 2.
+be written, print `error: <message>` to stderr and exit 2; a reader that
+closes stdout early (`| head`) ends the command with exit 1 and no message.
 Reports are byte-identical across runs; timings go to stderr only when
 requested.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -383,10 +385,24 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`fwenum scan ... | head -1`): point the
+        # descriptor at the null device, so that the interpreter's final
+        # flush does not fail again, and exit 1 with nothing on stderr
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ when the bound does not.  Otherwise Aberth iteration with deterministic
 seeding finds the roots of R, first in hardware doubles and then in arbitrary
 precision with warm-started precision escalation, and each root s is lifted
 to its two roots T.  On either path a residual check on P itself certifies the
-lifted set, and the report takes each root's deviation from its raw mpmath
-parts.  mpmath is imported inside the functions of that step, so the exact
-routes run without loading it.
+lifted set, and one routine computes the report's numbers on ints, equal bit
+for bit to mpmath's rounding to nearest; mpmath only finds the fallback's
+roots and holds the report's roots.  It is imported inside the functions of
+that step, so the exact routes run without loading it.
 """
 
 from __future__ import annotations
@@ -670,37 +671,113 @@ def _conjugate_pairs(roots: list) -> list:
     return out + [mp.mpc(z.real) for z in lower]
 
 
-def _rh_report(roots: list, target: tuple, max_res: tuple, tolerance: float,
-               bits: int, folded: bool = True) -> RHReport:
-    """The report of a certified root set, given sorted by (re, im) as mpc,
-    with the largest deviation of |root| from `target` at `bits` bits;
-    `target` and `max_res` are raw mpf parts.  It passes when P has a fold
-    and the deviation is below `tolerance`.
+# The report's numbers on ints.  A dyadic value is a pair (m, e), m >= 0, for
+# m 2^e.  Each step rounds to nearest at `bits` bits with ties to even, as
+# mpmath's `libmp` does with `round_nearest`; an inexact quotient or root
+# carries a sticky low bit below at least one guard bit, so the result is the
+# correctly rounded one that `mpf_div` and `mpf_sqrt` give.
 
-    Both paths list each non-real pair exactly conjugate, and |conj(z)| is
-    |z| bit for bit, so the deviation is taken over the roots with im >= 0.
-    It is computed on mpmath's raw parts (`z._mpc_`), with the rounding to
-    nearest that mpf and mpc arithmetic use: ||z| - target| with |z| =
-    `mpf_hypot`, the same value the object arithmetic gives.
+
+def _nearest(m: int, e: int, bits: int) -> tuple[int, int]:
+    """m 2^e rounded to nearest at `bits` bits, ties to even."""
+    n = m.bit_length() - bits
+    if n <= 0:
+        return m, e
+    low, m, half = m & ((1 << n) - 1), m >> n, 1 << (n - 1)
+    if low > half or (low == half and m & 1):
+        m += 1
+    return m, e + n
+
+
+def _sqrt_nearest(m: int, e: int, bits: int) -> tuple[int, int]:
+    """sqrt(m 2^e) rounded to nearest at `bits` bits."""
+    shift = max(0, 2 * bits + 4 - m.bit_length())
+    shift += (e - shift) & 1  # an even exponent is left
+    m <<= shift
+    root = isqrt(m)
+    return _nearest(2 * root + (root * root != m), (e - shift) // 2 - 1, bits)
+
+
+def _div_nearest(m: int, e: int, c: int, bits: int) -> tuple[int, int]:
+    """m 2^e / c rounded to nearest at `bits` bits, c a positive int."""
+    shift = max(0, bits + 2 + c.bit_length() - m.bit_length())
+    quot, rem = divmod(m << shift, c)
+    return _nearest(2 * quot + (rem != 0), e - shift - 1, bits)
+
+
+def _inv_sqrt(q: Fraction, bits: int) -> tuple[int, int]:
+    """1/sqrt(q) as mpmath computes 1 / sqrt(mpf(a) / b) at `bits` bits, q =
+    a/b: every step rounded to nearest."""
+    sm, se = _sqrt_nearest(*_div_nearest(*_nearest(q.numerator, 0, bits),
+                                         q.denominator, bits), bits)
+    return _div_nearest(1, -se, sm, bits)
+
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e as `libmp.to_float` rounds it: to nearest at 53 bits, then
+    `ldexp`, with inf past the float range."""
+    try:
+        return ldexp(*_nearest(m, e, 53))
+    except OverflowError:
+        return inf
+
+
+def _modulus2(x: int, y: int, bits: int) -> int:
+    """|x + i y|^2 as `mpf_hypot` forms it at `bits` bits, in the units of
+    x^2; x and y have at most `bits` significant bits.
+
+    With a part 0 it is the other part's square, whose root is that part
+    exactly.  Otherwise x^2 + y^2 is rounded down to `bits` + 4 bits, and
+    `mpf_add` drops the smaller square when its top bit lies more than
+    `bits` + 8 below the larger one's and its lowest bit more than 100 below.
     """
-    from mpmath import libmp
+    xx, yy = x * x, y * y
+    if not (xx and yy):
+        return xx + yy
+    big, small = (xx, yy) if xx > yy else (yy, xx)
+    h = xx + yy
+    if (big.bit_length() - small.bit_length() > bits + 8
+            and (big & -big).bit_length() - (small & -small).bit_length() > 100):
+        h = big
+    n = h.bit_length() - bits - 4
+    return h >> n << n if n > 0 else h
 
-    near = libmp.round_nearest
-    max_dev = libmp.fzero
-    for z in roots:
-        re, im = z._mpc_
-        if im[0]:  # im < 0
-            continue
-        modulus = libmp.mpf_hypot(re, im, bits, near)
-        dev = libmp.mpf_abs(libmp.mpf_sub(modulus, target, bits, near), bits, near)
-        if libmp.mpf_lt(max_dev, dev):
-            max_dev = dev
+
+def _rh_report(roots: list, upper, exp: int, target: tuple[int, int],
+               res: tuple[int, int], res_den: int, tolerance: float, bits: int,
+               folded: bool = True) -> RHReport:
+    """The report of a certified root set `roots`, mpc values sorted by
+    (re, im).  It passes when P has a fold and the largest deviation of
+    |root| from `target` = 1/sqrt(q) (`_inv_sqrt`) is below `tolerance`.
+
+    The report's numbers are computed on ints, and each equals bit for bit
+    what mpmath's `libmp` gives at `bits` bits with rounding to nearest.
+    Both paths list each non-real pair exactly conjugate, and |conj(z)| =
+    |z|, so `upper` holds (x, y) only for the roots with im >= 0, each root
+    (x + i y) 2^exp.  A modulus is the rounded root of `_modulus2`, as
+    `mpf_hypot` gives it, and a deviation ||z| - target| rounded to nearest.
+    Rounding is monotone, so the largest deviation is that of the largest or
+    the smallest modulus, and only those two roots are taken.  The residual
+    is `res` / `res_den` rounded to nearest, `res` dyadic and `res_den` a
+    positive int.  Each number is rounded to a float only at the end, and
+    `passed` compares the deviation with `tolerance` exactly.
+    """
+    max_dev = 0, 0
+    squares = [_modulus2(x, y, bits) for x, y in upper]
+    if squares:
+        moduli = [_sqrt_nearest(h, 2 * exp, bits) for h in (min(squares), max(squares))]
+        e = min(target[1], *(me for _, me in moduli))
+        t = target[0] << (target[1] - e)
+        max_dev = _nearest(max(abs((m << (me - e)) - t) for m, me in moduli), e, bits)
+    num, den = tolerance.as_integer_ratio()
+    m, e = max_dev
+    below = (m * den << e < num) if e >= 0 else (m * den < num << -e)
     return RHReport(
         roots=tuple(roots),
-        target_modulus=libmp.to_float(target, rnd=near),
-        max_abs_deviation=libmp.to_float(max_dev, rnd=near),
-        max_residual=libmp.to_float(max_res, rnd=near),
-        passed=folded and libmp.mpf_lt(max_dev, libmp.from_float(tolerance)),
+        target_modulus=_to_float(*target),
+        max_abs_deviation=_to_float(*max_dev),
+        max_residual=_to_float(*_div_nearest(*res, res_den, bits)),
+        passed=folded and below,
         tolerance=tolerance,
         precision_bits=bits,
     )
@@ -850,10 +927,11 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
     signs) and lifted to T = (s +- i sqrt(4q - s^2)) / (2q) with `isqrt`;
     the split-off roots sign/sqrt(q) are added as in the Aberth path.  The
     residual certificate of `rh_check` is then run on ints, with the scale
-    sum |c_i| |z|^i evaluated once, at the largest |z|.  The report's numbers
-    and roots are built from mpmath's raw parts at `bits` bits, with no mpf
-    object arithmetic.  None (decline) when Tier A or a refinement fails, or
-    when `bits` cannot resolve `tolerance`.
+    sum |c_i| |z|^i evaluated once, at the largest |z|.  `_rh_report` takes
+    the fixed-point ints (units 2^-bits) and the residual's ints, and no mpf
+    arithmetic runs: mpmath only holds the roots, each part rounded to
+    nearest at `bits` bits.  None (decline) when Tier A or a refinement
+    fails, or when `bits` cannot resolve `tolerance`.
     """
     import mpmath as mp
     from mpmath import libmp
@@ -892,24 +970,25 @@ def _certified_rh(int_p: list[int], int_r: list[int], signs, q: Fraction,
             f"certified roots at {bits} bits, but max |P(z)| = "
             f"{mp.nstr(ratio, 5)} * max sum |c_i| |z|^i exceeds 2^-{bits // 2}"
         )
-    # 1/sqrt(q), max |P(z)| / |c_m| and each root on mpmath's raw parts at
-    # `bits` bits, rounded to nearest as mpf and mpc arithmetic round them
-    near = libmp.round_nearest
-    q_mp = libmp.mpf_div(libmp.from_int(num, bits, near), libmp.from_int(den), bits, near)
-    target = libmp.mpf_rdiv_int(1, libmp.mpf_sqrt(q_mp, bits, near), bits, near)
-    res = libmp.mpf_sqrt(libmp.from_int(max_res2, bits, near), bits, near)
-    max_res = libmp.mpf_div(libmp.mpf_shift(res, -bits), libmp.from_int(abs(int_p[-1])),
-                            bits, near)
-    # in (re, im) order with no mpf comparison: every upper root has
+    # the roots as mpc, each part rounded to nearest at `bits` bits, in
+    # (re, im) order with no comparison: every upper root has
     # |re| < 1/sqrt(q), and rounding does not reorder the fixed-point ints
-    roots = [mp.make_mpc((libmp.mpf_neg(target), libmp.fzero))
+    near, zero = libmp.round_nearest, libmp.fzero
+    target = _inv_sqrt(q, bits)
+    roots = [mp.make_mpc((libmp.from_man_exp(-target[0], target[1]), zero))
              for sign in signs if sign < 0]
     for zr, zi in sorted(upper):
         re = libmp.from_man_exp(zr, -bits, bits, near)
-        im = libmp.from_man_exp(zi, -bits, bits, near)
-        roots += [mp.make_mpc((re, libmp.mpf_neg(im))), mp.make_mpc((re, im))]
-    roots += [mp.make_mpc((target, libmp.fzero)) for sign in signs if sign > 0]
-    report = _rh_report(roots, target, max_res, tolerance, bits)
+        roots += [mp.make_mpc((re, libmp.from_man_exp(-zi, -bits, bits, near))),
+                  mp.make_mpc((re, libmp.from_man_exp(zi, -bits, bits, near)))]
+    roots += [mp.make_mpc((libmp.from_man_exp(*target), zero)) for sign in signs if sign > 0]
+    if num < den:  # |T| > 1: round the parts as the roots above are rounded
+        upper = [[man << k for man, k in (_nearest(abs(v), 0, bits) for v in z)]
+                 for z in upper]
+    # the residual max |P(z)| / |c_m| is sqrt(max_res2) 2^-bits / |c_m|
+    rm, re_ = _sqrt_nearest(*_nearest(max_res2, 0, bits), bits)
+    report = _rh_report(roots, upper, -bits, target, (rm, re_ - bits), abs(int_p[-1]),
+                        tolerance, bits)
     return report if report.passed else None
 
 
@@ -969,6 +1048,12 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
     each non-real pair is listed (re, -im) then (re, +im), and the
     deviation and the residual are computed on the roots as reported.
 
+    Report: on both paths `_rh_report` computes the target 1/sqrt(q), the
+    largest deviation and the residual on ints, each equal bit for bit to
+    mpmath's `libmp` at the report's precision with rounding to nearest; on
+    this path it reads the raw parts of the roots that mpmath found.
+    `passed` compares the unrounded deviation with `tolerance`.
+
     Residual certificate: a stable root set is accepted only if
     max |P(z)| <= 2^(-prec/2) * max sum |c_i| |z|^i, on P itself and at the
     final precision `prec`; otherwise RHConvergenceError is raised, since a
@@ -989,7 +1074,7 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                          f"[{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {prec}")
     qf = p.q  # checked by ZetaPoly
     if deg == 0:
-        return RHReport((), float(1 / mp.sqrt(_mp_rational(qf))), 0.0, 0.0, True,
+        return RHReport((), _to_float(*_inv_sqrt(qf, 53)), 0.0, 0.0, True,
                         tolerance, prec)
     fold = _fold(int_coeffs, p._den, qf)
     int_r, signs = fold or (int_coeffs, ())
@@ -1037,8 +1122,13 @@ def rh_check(p: ZetaPoly, tolerance: float = 1e-9,
                         f"exceeds 2^-{prec // 2}"
                     )
                 roots.sort(key=lambda t: (t.real, t.imag))
-                return _rh_report(roots, target._mpf_, (max_res / abs_coeffs[-1])._mpf_,
-                                  tolerance, prec, fold is not None)
+                # each part of a root with im >= 0 as an int at one exponent
+                upper = [z._mpc_ for z in roots if not z._mpc_[1][0]]
+                exp = min([part[2] for z in upper for part in z], default=0)
+                upper = [[part[1] << (part[2] - exp) for part in z] for z in upper]
+                _, res, res_exp, _ = max_res._mpf_
+                return _rh_report(roots, upper, exp, _inv_sqrt(qf, prec), (res, res_exp),
+                                  int(abs_coeffs[-1]), tolerance, prec, fold is not None)
         previous = roots
         prec *= 2
         if prec > _PRECISION_CEILING_BITS:

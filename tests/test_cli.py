@@ -730,3 +730,20 @@ def test_valid_calls_build_no_tree(capsys):
     # import builds nothing; each command adds its own parser; -h builds the tree
     assert fresh["built"] == [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0], [5, 1]]
     assert fresh["code"] == 0 and fresh["help"].startswith("usage: fwenum [-h]")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_ends_quietly(unbuffered):
+    # the reader takes one line and closes the pipe while about 260 KB are
+    # still to come, more than a pipe holds, so a later write fails; the
+    # command exits 1 with no traceback, whether stdout is buffered or not
+    src = os.path.dirname(os.path.dirname(fwenum.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fwenum.cli", "gen", "--family", "type1", "-n", "300",
+         "--basis"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+    assert proc.stdout.readline().startswith(b"l=148 m=1: x^300 + ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (1, b"")

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb, isqrt, pi
+from math import comb, isqrt, ldexp, pi
 
 import mpmath as mp
+from mpmath import libmp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -1315,6 +1316,239 @@ class TestCertifiedRH:
         r = rh_check(p, 1e-9, 128)
         assert r.passed and r.max_abs_deviation < 1e-9 and r.max_residual < 1e-20
         assert len(r.roots) == p.degree == n + 2 - 2 * p.d
+
+
+# The report's numbers are computed on ints (`_rh_report`); the oracles below
+# are the `libmp` calls on raw mpf parts that they must equal bit for bit.
+NEAR = libmp.round_nearest
+REPORT_BITS = [53, 106, 256, 512]
+REPORT_QS = [F(2), F(3), F(4), Q43]
+
+
+def _libmp_target(q, bits):
+    """1/sqrt(q) as mpf arithmetic computes 1 / sqrt(mpf(a) / b)."""
+    q_mp = libmp.mpf_div(libmp.from_int(q.numerator, bits, NEAR),
+                         libmp.from_int(q.denominator), bits, NEAR)
+    return libmp.mpf_rdiv_int(1, libmp.mpf_sqrt(q_mp, bits, NEAR), bits, NEAR)
+
+
+def _libmp_deviation(parts, target, bits):
+    """The largest ||z| - target| over raw mpc parts with im >= 0, by
+    `mpf_hypot`, `mpf_sub` and `mpf_abs`."""
+    max_dev = libmp.fzero
+    for re, im in parts:
+        if im[0]:
+            continue
+        modulus = libmp.mpf_hypot(re, im, bits, NEAR)
+        dev = libmp.mpf_abs(libmp.mpf_sub(modulus, target, bits, NEAR), bits, NEAR)
+        if libmp.mpf_lt(max_dev, dev):
+            max_dev = dev
+    return max_dev
+
+
+def _dyadic(t):
+    """A raw mpf >= 0 as (m, e)."""
+    return t[1], t[2]
+
+
+def _report(points, exp, q, bits, tolerance=1e-9, res=(0, 0), res_den=1):
+    return zeta_mod._rh_report([], points, exp, zeta_mod._inv_sqrt(q, bits), res,
+                               res_den, tolerance, bits)
+
+
+@st.composite
+def circle_points(draw, bits):
+    """(x, y, shift): the point (x + i y) 2^(shift - bits) with |x|, |y| <
+    2^bits, on, near, inside or outside the circle of radius 1/sqrt(q) for
+    q >= 4/3, on an axis, or with a tiny real part whose square `mpf_add`
+    drops."""
+    q = draw(st.sampled_from(REPORT_QS))
+    radius2 = (q.denominator << 2 * bits) // q.numerator
+    x = draw(st.integers(0, isqrt(radius2)))
+    y = isqrt(radius2 - x * x)
+    kind = draw(st.sampled_from(["on", "near", "any", "axis", "tiny"]))
+    shift = 0
+    if kind == "near":
+        y = min(max(y + draw(st.integers(-1 << 24, 1 << 24)), 0), (1 << bits) - 1)
+    elif kind == "any":
+        x, y = (draw(st.integers(0, (1 << bits) - 1)) for _ in "xy")
+        shift = draw(st.integers(-4, 2))
+    elif kind == "axis":
+        x, y = draw(st.sampled_from([(x, 0), (0, y), (0, 0)]))
+    elif kind == "tiny":
+        x, y = draw(st.integers(1, 1 << 24)), y >> 80 << 80
+    if draw(st.booleans()):
+        x = -x
+    return x, y, shift
+
+
+def _common_exponent(points, bits):
+    """The points (x, y, shift) as ints at one exponent, and that exponent."""
+    low = min(shift for _, _, shift in points)
+    return ([(x << shift - low, y << shift - low) for x, y, shift in points],
+            low - bits)
+
+
+class TestReportNumbers:
+    """`_rh_report` and its helpers against the `libmp` calls they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(REPORT_BITS), st.sampled_from(REPORT_QS))
+    def test_deviation_is_libmp_bit_for_bit(self, data, bits, q):
+        points = data.draw(st.lists(circle_points(bits), min_size=1, max_size=5))
+        ints, exp = _common_exponent(points, bits)
+        parts = [(libmp.from_man_exp(x, exp), libmp.from_man_exp(y, exp)) for x, y in ints]
+        target = _libmp_target(q, bits)
+        max_dev = _libmp_deviation(parts, target, bits)
+        tolerance = data.draw(st.sampled_from([1e-9, 1e-20, 0.5]))
+        r = _report(ints, exp, q, bits, tolerance)
+        assert r.max_abs_deviation == libmp.to_float(max_dev, rnd=NEAR)
+        assert r.passed == libmp.mpf_lt(max_dev, libmp.from_float(tolerance))
+        assert r.target_modulus == libmp.to_float(target, rnd=NEAR)
+
+    def test_a_dropped_square_is_dropped(self):
+        # mpf_add drops x^2 when its top bit lies more than bits + 8 below
+        # y^2's and its lowest bit more than 100 below, and y^2 alone is
+        # rounded down.  With y^2 = -7 2^102 (mod 2^302) the exact sum
+        # carries into the kept bits, so the two roundings differ
+        bits = 256
+        root = 1  # root^2 = -7 (mod 2^200), lifted one bit at a time
+        for k in range(3, 200):
+            if (root * root + 7) >> k & 1:
+                root += 1 << (k - 1)
+        x, y = isqrt(7 << 102) + 1 | 1, root << 51
+        xx, yy = x * x, y * y
+        assert yy.bit_length() - xx.bit_length() > bits + 8 and yy & -yy == 1 << 102
+        n = yy.bit_length() - bits - 4
+        assert (xx + yy) >> n != yy >> n
+        assert zeta_mod._modulus2(x, y, bits) == yy >> n << n
+        parts = [(libmp.from_man_exp(x, -bits), libmp.from_man_exp(y, -bits))]
+        for q in REPORT_QS:
+            max_dev = _libmp_deviation(parts, _libmp_target(q, bits), bits)
+            assert (_report([(x, y)], -bits, q, bits).max_abs_deviation
+                    == libmp.to_float(max_dev, rnd=NEAR))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(REPORT_BITS), st.integers(1, 1 << 600), st.integers(1, 1 << 80))
+    def test_target_is_libmp_bit_for_bit(self, bits, a, b):
+        q = F(a, b)
+        assume(q != 1)
+        target = libmp.from_man_exp(*zeta_mod._inv_sqrt(q, bits))
+        assert target == _libmp_target(q, bits)
+        with mp.workprec(bits):  # the Aberth path's object arithmetic
+            assert target == (1 / mp.sqrt(mp.mpf(a) / b))._mpf_
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(REPORT_BITS), st.data())
+    def test_residual_is_libmp_bit_for_bit(self, bits, data):
+        # the certified path's residual sqrt(max_res2) 2^-bits / |c_m| ...
+        max_res2 = data.draw(st.integers(0, 1 << 2 * bits + 40))
+        c = data.draw(st.integers(1, 1 << data.draw(st.sampled_from([1, 60, bits + 9]))))
+        res = libmp.mpf_sqrt(libmp.from_int(max_res2, bits, NEAR), bits, NEAR)
+        want = libmp.mpf_div(libmp.mpf_shift(res, -bits), libmp.from_int(c), bits, NEAR)
+        rm, re_ = zeta_mod._sqrt_nearest(*zeta_mod._nearest(max_res2, 0, bits), bits)
+        r = _report([], 0, F(2), bits, res=(rm, re_ - bits), res_den=c)
+        assert r.max_residual == libmp.to_float(want, rnd=NEAR)
+        # ... and the Aberth path's mpf quotient max |P(z)| / mpf(c_m)
+        m = data.draw(st.integers(0, (1 << bits) - 1))
+        e = data.draw(st.integers(-3 * bits, bits))
+        den = libmp.from_int(c, bits, NEAR)
+        want = libmp.mpf_div(libmp.from_man_exp(m, e), den, bits, NEAR)
+        r = _report([], 0, F(2), bits, res=(m, e), res_den=libmp.to_int(den))
+        assert r.max_residual == libmp.to_float(want, rnd=NEAR)
+
+    @pytest.mark.parametrize("step,passed", [(-1, True), (0, False), (1, False)])
+    def test_passed_compares_the_unrounded_deviation(self, step, passed):
+        # a real root at 1/sqrt(2) + tolerance + step 2^-256: each deviation
+        # rounds to the float tolerance itself, and only the one below passes
+        bits, q, tolerance = 256, F(2), 1e-9
+        tm, te = zeta_mod._inv_sqrt(q, bits)
+        num, den = tolerance.as_integer_ratio()
+        x = (tm << te + bits) + (num << bits) // den + step
+        r = _report([(x, 0)], -bits, q, bits, tolerance)
+        assert r.max_abs_deviation == tolerance and r.passed is passed
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_a_tie_rounds_to_even(self, odd):
+        # a real root whose deviation lies halfway between the floats
+        # M 2^-82 and (M + 1) 2^-82: the float is the one with M even
+        bits, q = 256, F(2)
+        tm, te = zeta_mod._inv_sqrt(q, bits)
+        mantissa = (1 << 52) + odd
+        x = (tm << te + bits) + ((2 * mantissa + 1) << bits - 83)
+        parts = [(libmp.from_man_exp(x, -bits), libmp.fzero)]
+        max_dev = _libmp_deviation(parts, _libmp_target(q, bits), bits)
+        r = _report([(x, 0)], -bits, q, bits)
+        assert r.max_abs_deviation == libmp.to_float(max_dev, rnd=NEAR)
+        assert r.max_abs_deviation == ldexp(mantissa + odd, -82)
+
+    def test_a_deviation_beyond_the_float_range(self):
+        # the root -10^400 of 1 + 10^-400 T: `libmp.to_float` gives inf
+        r = rh_check(ZetaPoly((1, F(1, 10**400)), 2))
+        assert r.max_abs_deviation == float("inf") and not r.passed
+
+    @pytest.mark.parametrize("fam_name,n", [("type1", 60), ("q43", 40), ("type4", 45)])
+    def test_certified_report_is_libmp_bit_for_bit(self, fam_name, n):
+        # the deviation, target and residual of a certified report, from its
+        # roots as listed: the parts of a non-real root are its fixed-point
+        # ints exactly, and the residual takes a real root +-1/sqrt(q) at
+        # isqrt(2^(2 bits) / q)
+        fam = family(fam_name)
+        p = zeta_checked(extremal(fam, n), fam.q)
+        r = rh_check(p)
+        bits = r.precision_bits
+        target = _libmp_target(fam.q, bits)
+        parts = [z._mpc_ for z in r.roots]
+        assert r.max_abs_deviation == libmp.to_float(
+            _libmp_deviation(parts, target, bits), rnd=NEAR)
+        assert r.target_modulus == libmp.to_float(target, rnd=NEAR)
+        c = list(p._nums)
+        inv_sqrt_q = isqrt((fam.q.denominator << 2 * bits) // fam.q.numerator)
+        fixed = [[libmp.to_fixed(part, bits) for part in z] if z[1][1]
+                 else [(-1) ** z[0][0] * inv_sqrt_q, 0] for z in parts]
+        max_res2 = max(sum(v * v for v in zeta_mod._fixed_horner(c, *z, bits))
+                       for z in fixed)
+        res = libmp.mpf_sqrt(libmp.from_int(max_res2, bits, NEAR), bits, NEAR)
+        want = libmp.mpf_div(libmp.mpf_shift(res, -bits), libmp.from_int(abs(c[-1])),
+                             bits, NEAR)
+        assert r.max_residual == libmp.to_float(want, rnd=NEAR)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(2, 3)])
+    def test_q_below_one(self, q, monkeypatch):
+        # |T| = 1/sqrt(q) > 1: the fixed-point parts have more than `bits`
+        # bits, and the deviation is that of the rounded roots as listed
+        p = ZetaPoly(_product([(1, F(1, 3), q), (1, F(-1, 2), q), (1, 0, -q)]), q)
+        monkeypatch.setattr(zeta_mod, "_aberth_pass", _refuse)
+        r = rh_check(p)
+        target = _libmp_target(q, r.precision_bits)
+        assert r.passed and r.max_abs_deviation == libmp.to_float(
+            _libmp_deviation([z._mpc_ for z in r.roots], target, r.precision_bits),
+            rnd=NEAR)
+
+    def test_certified_path_makes_no_mpf_arithmetic(self, monkeypatch):
+        p = zeta_checked(extremal(family("type1"), 60), 2)
+        calls = []
+        for name in ("mpf_hypot", "mpf_sqrt", "mpf_div"):
+            def spy(*args, _name=name, _fn=getattr(libmp, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(libmp, name, spy)
+        monkeypatch.setattr(zeta_mod, "_aberth_pass", _refuse)
+        r = rh_check(p)
+        assert r.passed and calls == []
+
+    def test_declined_input_reports_the_libmp_deviation(self, aberth_calls):
+        # the close-roots case of test_undecided_inputs_reach_aberth: the
+        # ladder's roots go through the same integer routine
+        q = F(4)
+        r = rh_check(ZetaPoly(_product([(1, 0, 4), (1, F(-1, 2), 4)]), q), 1e-9, 128)
+        assert aberth_calls and r.passed
+        bits = r.precision_bits
+        target = _libmp_target(q, bits)
+        max_dev = _libmp_deviation([z._mpc_ for z in r.roots], target, bits)
+        assert r.max_abs_deviation == libmp.to_float(max_dev, rnd=NEAR)
+        assert r.target_modulus == 0.5
 
 
 class TestStarOperator:
